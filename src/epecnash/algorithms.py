@@ -24,6 +24,7 @@ Three entry points, all sharing the same machinery:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -38,10 +39,14 @@ from .polyhedra import (
     ComplementaritySet,
     Deadline,
     HullFormulation,
+    PieceRows,
+    Polyhedron,
     TimeLimitReached,
+    _single_point_of,
     balas_hull,
     contains,
     enumerate_pieces,
+    iter_encodings,
 )
 from .rng import Lcg
 from .tolerances import DELTA_MIN, DEVIATION_TOL, FEAS_TOL
@@ -81,6 +86,18 @@ class Deviation:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of one solve.
+
+    ``pieces_per_leader[i]`` is the number of nonempty pieces of leader
+    i's feasible set that the solve found.  ``full``, ``pure`` and
+    ``inner`` with ``rand`` enumerate every piece, so there it is the
+    total; ``inner`` with ``seq``/``rseq`` enumerates lazily and counts
+    the pieces its enumeration reached plus those its deviations added.
+    A ``TimeLimit`` report keeps the counts reached when the budget ran
+    out (0 for a leader whose enumeration had not finished in ``full``
+    and ``pure``).
+    """
+
     status: Literal["MNE", "PNE", "NoEquilibrium", "TimeLimit"]
     profile: MixedProfile | None
     iterations: int
@@ -127,42 +144,37 @@ def _assemble_hull_game(game: MultiLeaderGame, hulls: list[HullFormulation]) -> 
     offsets = [sum(lifted_dims[:i]) for i in range(n_l)]
     total_lifted = sum(lifted_dims)
 
+    # ambient column -> lifted column: each leader's block lands on its
+    # hull's aggregate x, the market prices after every lifted block
+    lifted_col = np.concatenate(
+        [offsets[j] + hulls[j].agg_slice.start + np.arange(game.ambients[j]) for j in range(n_l)]
+        + [total_lifted + np.arange(n_mkt)]
+    )
+
+    def lift(src, row0: int, shape) -> sp.csr_matrix:
+        block = sp.coo_matrix(src)
+        out = sp.csr_matrix(
+            (block.data, (block.row + row0, lifted_col[block.col])), shape=shape
+        )
+        out.eliminate_zeros()
+        return out
+
     players = []
     for i, hull in enumerate(hulls):
         c = np.zeros(hull.num_vars)
         c[hull.agg_slice] = game.objectives[i]
         coupling = None
         if game.couplings[i] is not None:
-            coup = sp.lil_matrix((hull.num_vars, total_lifted + n_mkt))
-            src = sp.csr_matrix(game.couplings[i])
-            rows = np.arange(hull.agg_slice.start, hull.agg_slice.stop)
-            for j in range(n_l):
-                block = src[:, game.ambient_offset(j) : game.ambient_offset(j) + game.ambients[j]]
-                if block.nnz:
-                    cols = offsets[j] + hulls[j].agg_slice.start
-                    coup[
-                        rows[0] : rows[-1] + 1,
-                        cols : cols + game.ambients[j],
-                    ] = block
-            if n_mkt:
-                mblock = src[:, game.total_ambient :]
-                if mblock.nnz:
-                    coup[rows[0] : rows[-1] + 1, total_lifted:] = mblock
-            coupling = sp.csr_matrix(coup)
+            coupling = lift(
+                game.couplings[i],
+                hull.agg_slice.start,
+                (hull.num_vars, total_lifted + n_mkt),
+            )
         players.append(
             QuadraticPlayer(c=c, a=hull.a, b=hull.b, coupling=coupling)
         )
 
-    clearing = None
-    if n_mkt:
-        rows = sp.lil_matrix((n_mkt, total_lifted))
-        src = sp.csr_matrix(game.clearing)
-        for j in range(n_l):
-            block = src[:, game.ambient_offset(j) : game.ambient_offset(j) + game.ambients[j]]
-            if block.nnz:
-                cols = offsets[j] + hulls[j].agg_slice.start
-                rows[:, cols : cols + game.ambients[j]] = block
-        clearing = sp.csr_matrix(rows)
+    clearing = lift(game.clearing, 0, (n_mkt, total_lifted)) if n_mkt else None
 
     hull_game = PolyhedralNashGame(players=tuple(players), clearing=clearing)
     binaries = []
@@ -275,11 +287,24 @@ def _report(status, profile, iterations, deadline, pieces, values=(), trace=()):
     )
 
 
-def _enumerate_all(game: MultiLeaderGame, deadline: Deadline):
+def _hull_game(game: MultiLeaderGame, deadline: Deadline, counts: list[int]):
+    """Every leader's set and the hull game over all its pieces.
+
+    ``counts[i]`` is set as soon as leader i's pieces are enumerated, so
+    a budget cut keeps the counts reached.  None when a set is empty.
+    """
     sets = [leader_feasible_set(l) for l in game.leaders]
-    pieces = [enumerate_pieces(s, deadline=deadline) for s in sets]
+    pieces = []
+    for i, s in enumerate(sets):
+        pieces.append(enumerate_pieces(s, deadline=deadline))
+        counts[i] = len(pieces[i])
     deadline.check()
-    return sets, pieces
+    if not all(counts):
+        return sets, None
+    hulls = [
+        balas_hull([poly for _, poly in pc], tuple(e for e, _ in pc)) for pc in pieces
+    ]
+    return sets, _assemble_hull_game(game, hulls)
 
 
 def full_enumeration(
@@ -289,16 +314,11 @@ def full_enumeration(
 ) -> SolveReport:
     """Mixed equilibrium by complete piece enumeration and hull lifting."""
     deadline = Deadline(budget)
+    counts = [0] * len(game.leaders)
     try:
-        sets, pieces = _enumerate_all(game, deadline)
-        counts = [len(p) for p in pieces]
-        if any(c == 0 for c in counts):
+        sets, asm = _hull_game(game, deadline, counts)
+        if asm is None:
             return _report("NoEquilibrium", None, 1, deadline, counts)
-        hulls = [
-            balas_hull([poly for _, poly in pc], tuple(e for e, _ in pc))
-            for pc in pieces
-        ]
-        asm = _assemble_hull_game(game, hulls)
         res = find_pne(asm.game, _embed_selection(asm, game, selection), deadline)
         if not res.found:
             return _report("NoEquilibrium", None, 1, deadline, counts)
@@ -308,7 +328,7 @@ def full_enumeration(
             status, profile, 1, deadline, counts, _objective_values(game, profile)
         )
     except TimeLimitReached:
-        return _report("TimeLimit", None, 1, deadline, [0] * len(game.leaders))
+        return _report("TimeLimit", None, 1, deadline, counts)
 
 
 def pure_enumeration(
@@ -324,16 +344,11 @@ def pure_enumeration(
     in the single active piece.
     """
     deadline = Deadline(budget)
+    counts = [0] * len(game.leaders)
     try:
-        sets, pieces = _enumerate_all(game, deadline)
-        counts = [len(p) for p in pieces]
-        if any(c == 0 for c in counts):
+        _, asm = _hull_game(game, deadline, counts)
+        if asm is None:
             return _report("NoEquilibrium", None, 1, deadline, counts)
-        hulls = [
-            balas_hull([poly for _, poly in pc], tuple(e for e, _ in pc))
-            for pc in pieces
-        ]
-        asm = _assemble_hull_game(game, hulls)
         res = find_pne(
             asm.game,
             _embed_selection(asm, game, selection),
@@ -352,46 +367,83 @@ def pure_enumeration(
             "PNE", profile, 1, deadline, counts, _objective_values(game, profile)
         )
     except TimeLimitReached:
-        return _report("TimeLimit", None, 1, deadline, [0] * len(game.leaders))
-
-
-def _strategy_order(encodings, strategy: Strategy, rng: Lcg):
-    order = list(encodings)
-    if strategy == "rseq":
-        order.reverse()
-    elif strategy == "rand":
-        rng.shuffle(order)
-    elif strategy != "seq":
-        raise ValueError(f"unknown extension strategy {strategy!r}")
-    return order
+        return _report("TimeLimit", None, 1, deadline, counts)
 
 
 @dataclass
 class InnerApproxState:
     """Growing piece selection of one leader during inner approximation.
 
-    ``included`` holds encodings of nonempty pieces only and grows
-    strictly across iterations; ``order`` fixes the extension sequence
-    implied by the strategy (and seed, for the shuffled one).
+    ``pending`` yields the encodings of nonempty pieces in the
+    strategy's order.  ``included`` holds encodings of nonempty pieces
+    only and grows strictly across iterations; a piece's rows and
+    single-point test are built once, when it is included.  ``found``
+    holds every nonempty encoding seen so far, from ``pending`` or from
+    a deviation.
     """
 
-    order: list[tuple[int, ...]]
-    included: list[tuple[int, ...]]
+    rows: PieceRows
+    pending: Iterator[tuple[int, ...]]
+    included: list[tuple[int, ...]] = field(default_factory=list)
+    pieces: list[Polyhedron] = field(default_factory=list)
+    points: list[np.ndarray | None] = field(default_factory=list)
+    found: set[tuple[int, ...]] = field(default_factory=set)
+    _next: tuple[int, ...] | None = field(default=None, init=False, repr=False)
+
+    def _fresh(self) -> tuple[int, ...] | None:
+        """The next encoding in order that is not included yet."""
+        while self._next is None or self._next in self.included:
+            self._next = next(self.pending, None)
+            if self._next is None:
+                return None
+            self.found.add(self._next)
+        return self._next
+
+    def _include(self, encoding: tuple[int, ...]) -> None:
+        piece = self.rows.piece(encoding)
+        self.included.append(encoding)
+        self.pieces.append(piece)
+        self.points.append(_single_point_of(piece))
 
     @property
     def exhausted(self) -> bool:
-        return len(self.included) == len(self.order)
+        return self._fresh() is None
 
     def extend(self, count: int) -> int:
-        fresh = [e for e in self.order if e not in self.included][:count]
-        self.included.extend(fresh)
-        return len(fresh)
+        added = 0
+        while added < count and self._fresh() is not None:
+            self._include(self._next)
+            added += 1
+        return added
 
     def add(self, encoding: tuple[int, ...]) -> bool:
-        if encoding in self.order and encoding not in self.included:
-            self.included.append(encoding)
-            return True
-        return False
+        """Include a piece found by a deviation, if nonempty and new."""
+        if encoding in self.included or not self.rows.feasible(encoding):
+            return False
+        self.found.add(encoding)
+        self._include(encoding)
+        return True
+
+    def hull(self) -> HullFormulation:
+        return balas_hull(self.pieces, tuple(self.included), self.points)
+
+
+def _inner_state(
+    s: ComplementaritySet, strategy: Strategy, rng: Lcg, deadline: Deadline
+) -> InnerApproxState:
+    """A leader's empty selection, extended in the strategy's order.
+
+    ``seq`` and ``rseq`` enumerate lazily (0-side first and 1-side
+    first: the lexicographic order and its reverse); a uniform shuffle
+    needs every piece, so ``rand`` enumerates them all up front.
+    """
+    rows = PieceRows(s)
+    if strategy != "rand":
+        first = 1 if strategy == "rseq" else 0
+        return InnerApproxState(rows, iter_encodings(rows, first, deadline))
+    order = list(iter_encodings(rows, 0, deadline))
+    rng.shuffle(order)
+    return InnerApproxState(rows, iter(order), found=set(order))
 
 
 def _piece_encoding_at(s: ComplementaritySet, x: np.ndarray) -> tuple[int, ...]:
@@ -419,44 +471,39 @@ def inner_approximation(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown extension strategy {strategy!r}")
     deadline = Deadline(budget)
     master = Lcg(seed)
     trace: list[dict] = []
+    states: list[InnerApproxState] = []
+
+    def counts() -> list[int]:
+        found = [len(st.found) for st in states]
+        return found + [0] * (len(game.leaders) - len(found))
+
     try:
-        sets, pieces = _enumerate_all(game, deadline)
-        counts = [len(p) for p in pieces]
-        if any(c == 0 for c in counts):
-            return _report("NoEquilibrium", None, 1, deadline, counts)
-        by_enc = [dict(pc) for pc in pieces]
-        states = [
-            InnerApproxState(
-                order=_strategy_order([e for e, _ in pc], strategy, master.split(i)),
-                included=[],
-            )
-            for i, pc in enumerate(pieces)
-        ]
+        sets = [leader_feasible_set(l) for l in game.leaders]
+        for i, s in enumerate(sets):
+            states.append(_inner_state(s, strategy, master.split(i), deadline))
         for st in states:
             st.extend(k)
+        deadline.check()
+        if not all(st.included for st in states):
+            return _report("NoEquilibrium", None, 1, deadline, counts())
 
         iterations = 0
         while True:
             iterations += 1
             deadline.check()
-            hulls = [
-                balas_hull(
-                    [by_enc[i][e] for e in states[i].included],
-                    tuple(states[i].included),
-                )
-                for i in range(len(game.leaders))
-            ]
-            asm = _assemble_hull_game(game, hulls)
+            asm = _assemble_hull_game(game, [st.hull() for st in states])
             res = find_pne(asm.game, None, deadline)
 
             if not res.found:
                 if all(st.exhausted for st in states):
                     trace.append({"restricted": None, "deviations": None})
                     return _report(
-                        "NoEquilibrium", None, iterations, deadline, counts, trace=trace
+                        "NoEquilibrium", None, iterations, deadline, counts(), trace=trace
                     )
                 for st in states:
                     st.extend(k)
@@ -473,7 +520,7 @@ def inner_approximation(
                     profile,
                     iterations,
                     deadline,
-                    counts,
+                    counts(),
                     _objective_values(game, profile),
                     trace,
                 )
@@ -494,5 +541,5 @@ def inner_approximation(
                 )
     except TimeLimitReached:
         return _report(
-            "TimeLimit", None, len(trace) + 1, deadline, [0] * len(game.leaders), trace=trace
+            "TimeLimit", None, len(trace) + 1, deadline, counts(), trace=trace
         )

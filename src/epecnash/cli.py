@@ -7,8 +7,10 @@ inner / pure algorithms), ``validate`` (re-certify a stored result),
     0  solved with an equilibrium / validation passed
     2  solved: no equilibrium exists (still a successful solve)
     3  time limit reached
-    4  input or invariant error
+    4  input or invariant error (including a set with more
+       complementarity pairs than piece enumeration accepts)
     5  internal numerical failure
+    6  out of memory
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .energy import EnergyInstance, InvalidInstance, ProfileMismatch, build_game
 from .generators import GenConfig, InvalidConfig, gen_energy
 from .leadergame import MultiLeaderGame, leader_feasible_set
 from .lp import LpError, NumericalFailure
-from .polyhedra import contains
+from .polyhedra import TooManyComplementarities, contains
 from . import serialize
 
 EXIT_EQUILIBRIUM = 0
@@ -38,6 +40,7 @@ EXIT_NO_EQUILIBRIUM = 2
 EXIT_TIME_LIMIT = 3
 EXIT_INPUT = 4
 EXIT_NUMERICAL = 5
+EXIT_MEMORY = 6
 
 DEFAULT_TIME_LIMIT = 1800.0
 
@@ -227,12 +230,21 @@ def main(argv=None) -> int:
         args.followers_min = args.followers
     try:
         return args.func(args)
-    except (serialize.FormatError, InvalidInstance, InvalidConfig, ProfileMismatch) as exc:
+    except (
+        serialize.FormatError,
+        InvalidInstance,
+        InvalidConfig,
+        ProfileMismatch,
+        TooManyComplementarities,
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericalFailure, LpError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ branches directly on violated complementarity pairs (no big-M needed).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,11 +49,10 @@ class TimeLimitReached(Exception):
 
 
 class Deadline:
-    """Wall-clock budget; branch-and-bound polls it every ``stride`` nodes."""
+    """Wall-clock budget; every search node polls it through ``tick``."""
 
-    def __init__(self, seconds: float | None = None, stride: int = 1000):
+    def __init__(self, seconds: float | None = None):
         self.seconds = seconds
-        self.stride = stride
         self.start = time.monotonic()
         self.nodes = 0
 
@@ -65,8 +66,7 @@ class Deadline:
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.nodes % self.stride == 0:
-            self.check()
+        self.check()
 
 
 def _vstack(parts):
@@ -138,29 +138,97 @@ class ComplementaritySet:
         return np.asarray(self.m_mat @ x).ravel() + self.q
 
 
-def _sign_rows(s: ComplementaritySet):
-    """Rows x_{c_i} >= 0 and z_i >= 0 written as <= 0 constraints."""
-    p = s.num_pairs
-    if p == 0:
-        return None, None
-    xsign = sp.csr_matrix(
-        (-np.ones(p), (np.arange(p), np.array(s.comp))), shape=(p, s.n)
-    )
-    if sp.issparse(s.m_mat):
-        zsign = -sp.csr_matrix(s.m_mat)
-    else:
-        zsign = sp.csr_matrix(-s.m_mat)
-    return xsign, zsign
+class PieceRows:
+    """Every selected polyhedron of one set, as rows of one shared system.
+
+    ``pins`` stacks one pin row per pair side: row i is x_{c_i} <= 0 and
+    row p + i is [M x]_i <= -q_i, so encoding e pins the rows
+    ``arange(p) + p * e``.  The relaxation is the base rows plus the
+    negated pin block, and the ranged LP keeps the pin block as >= rows
+    that a pin turns into equations.
+    """
+
+    def __init__(self, s: ComplementaritySet):
+        self.set = s
+        p = s.num_pairs
+        unit = sp.csr_matrix(
+            (np.ones(p), (np.arange(p), np.array(s.comp, dtype=int))), shape=(p, s.n)
+        )
+        self.pins = sp.vstack([unit, sp.csr_matrix(s.m_mat)], format="csr")
+        self.pin_b = np.concatenate([np.zeros(p), -np.asarray(s.q, dtype=float)])
+
+    @property
+    def num_pairs(self) -> int:
+        return self.set.num_pairs
+
+    @cached_property
+    def relaxation(self) -> Polyhedron:
+        s = self.set
+        if s.num_pairs == 0:
+            return Polyhedron(s.a, np.asarray(s.b, dtype=float))
+        a = _vstack([s.a, -self.pins])
+        b = np.concatenate([s.b, np.zeros(s.num_pairs), np.asarray(s.q, dtype=float)])
+        return Polyhedron(a, b)
+
+    @cached_property
+    def lp(self) -> "RangedLp":
+        """Zero-objective ranged LP shared by the feasibility checks."""
+        return self.ranged(np.zeros(self.set.n))
+
+    def pin_rows(self, pairs, bits):
+        """Pin rows and right-hand sides fixing ``bits`` on ``pairs``."""
+        idx = np.asarray(pairs, dtype=int) + self.num_pairs * np.asarray(bits, dtype=int)
+        return self.pins[idx], self.pin_b[idx]
+
+    def piece(self, encoding: tuple[int, ...]) -> Polyhedron:
+        """The selected polyhedron of ``encoding``."""
+        p = self.num_pairs
+        if len(encoding) != p:
+            raise EncodingLengthMismatch(
+                f"encoding has {len(encoding)} bits, set has {p} pairs"
+            )
+        if p == 0:
+            return self.relaxation
+        a, b = self.pin_rows(np.arange(p), encoding)
+        return Polyhedron(
+            sp.vstack([self.relaxation.a, a], format="csr"),
+            np.concatenate([self.relaxation.b, b]),
+        )
+
+    def ranged(self, objective: np.ndarray) -> "RangedLp":
+        """The relaxation as one incremental LP with pinnable pair rows.
+
+        Row layout: the m base rows, then the pin block as >= rows, so
+        every search node is a bound edit on this single model.
+        """
+        from .hotlp import INF, RangedLp
+
+        s = self.set
+        m = s.a.shape[0]
+        if s.num_pairs == 0:
+            return RangedLp(objective, sp.csr_matrix(s.a), np.full(m, -INF), np.asarray(s.b, float))
+        row_lo = np.concatenate([np.full(m, -INF), self.pin_b])
+        row_hi = np.concatenate([np.asarray(s.b, float), np.full(2 * s.num_pairs, INF)])
+        return RangedLp(objective, _vstack([s.a, self.pins]), row_lo, row_hi)
+
+    def pin(self, lp, i: int, bit: int) -> None:
+        """Pin side ``bit`` of pair i in an LP built by ``ranged``."""
+        r = i + self.num_pairs * bit
+        lp.pin_row(self.set.a.shape[0] + r, self.pin_b[r], self.pin_b[r])
+
+    def feasible(self, prefix: tuple[int, ...]) -> bool:
+        """Whether the relaxation with the pairs of ``prefix`` pinned is nonempty."""
+        if self.num_pairs == 0:
+            return is_feasible(self.relaxation)
+        self.lp.reset()
+        for i, bit in enumerate(prefix):
+            self.pin(self.lp, i, bit)
+        return self.lp.solve()[0] is not LpStatus.INFEASIBLE
 
 
 def polyhedral_relaxation(s: ComplementaritySet) -> Polyhedron:
     """Drop the orthogonality, keep both nonnegativity sides."""
-    xsign, zsign = _sign_rows(s)
-    if xsign is None:
-        return Polyhedron(s.a, np.asarray(s.b, dtype=float))
-    a = _vstack([s.a, xsign, zsign])
-    b = np.concatenate([s.b, np.zeros(s.num_pairs), np.asarray(s.q, dtype=float)])
-    return Polyhedron(a, b)
+    return PieceRows(s).relaxation
 
 
 def _pin_row(s: ComplementaritySet, pair: int, bit: int):
@@ -179,7 +247,12 @@ def _pin_row(s: ComplementaritySet, pair: int, bit: int):
 
 
 def selected_polyhedron(s: ComplementaritySet, encoding: tuple[int, ...]) -> Polyhedron:
-    """Relaxation intersected with the per-pair pins given by ``encoding``."""
+    """Relaxation intersected with the per-pair pins given by ``encoding``.
+
+    Its pin rows are built one pair at a time, apart from the shared
+    block of :class:`PieceRows`; kept as the reference that block is
+    tested against.
+    """
     if len(encoding) != s.num_pairs:
         raise EncodingLengthMismatch(
             f"encoding has {len(encoding)} bits, set has {s.num_pairs} pairs"
@@ -198,36 +271,35 @@ def selected_polyhedron(s: ComplementaritySet, encoding: tuple[int, ...]) -> Pol
     return Polyhedron(a, b)
 
 
-def _ranged_relaxation(s: ComplementaritySet, objective: np.ndarray) -> "RangedLp":
-    """The relaxation as one incremental LP with pinnable pair rows.
+def iter_encodings(
+    rows: PieceRows,
+    first: int = 0,
+    deadline: Deadline | None = None,
+    cap: int = ENUM_CAP,
+) -> Iterator[tuple[int, ...]]:
+    """Encodings with a nonempty selected polyhedron, depth-first and lazily.
 
-    Row layout: the m base rows, then per pair i the row x_{c_i} >= 0
-    (index m+i) and the row [Mx+q]_i >= 0 (index m+p+i); pinning a side
-    turns its row into an equation, so every search node is a bound
-    edit on this single model.
+    Each pair tries side ``first`` before the other, so 0 gives the
+    lexicographic order and 1 exactly its reverse.  A prefix whose
+    partial system is already infeasible prunes all its completions, so
+    the cost scales with the number of nonempty pieces rather than
+    2^pairs.
     """
-    from .hotlp import INF, RangedLp
-
-    p = s.num_pairs
-    m = s.a.shape[0]
-    xsign, zsign = _sign_rows(s)
-    if xsign is None:
-        a_full = sp.csr_matrix(s.a)
-        row_lo = np.full(m, -INF)
-        row_hi = np.asarray(s.b, float)
-    else:
-        a_full = _vstack([s.a, -xsign, -zsign])  # sign rows stored as >=
-        row_lo = np.concatenate([np.full(m, -INF), np.zeros(p), -np.asarray(s.q, float)])
-        row_hi = np.concatenate([np.asarray(s.b, float), np.full(2 * p, INF)])
-    return RangedLp(objective, a_full, row_lo, row_hi)
-
-
-def _pin_pair(lp, s: ComplementaritySet, i: int, bit: int) -> None:
-    m = s.a.shape[0]
-    if bit == 0:
-        lp.pin_row(m + i, 0.0, 0.0)
-    else:
-        lp.pin_row(m + s.num_pairs + i, -float(s.q[i]), -float(s.q[i]))
+    p = rows.num_pairs
+    if p > cap:
+        raise TooManyComplementarities(f"{p} pairs exceeds cap {cap}")
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        if deadline is not None:
+            deadline.tick()
+        if not rows.feasible(prefix):
+            continue
+        if len(prefix) == p:
+            yield prefix
+            continue
+        stack.append(prefix + (1 - first,))
+        stack.append(prefix + (first,))
 
 
 def enumerate_pieces(
@@ -235,39 +307,9 @@ def enumerate_pieces(
     cap: int = ENUM_CAP,
     deadline: Deadline | None = None,
 ) -> list[tuple[tuple[int, ...], Polyhedron]]:
-    """All encodings with a nonempty selected polyhedron, lexicographic.
-
-    Depth-first over bit prefixes; a prefix whose partial system is
-    already infeasible prunes all its completions, so the cost scales
-    with the number of nonempty pieces rather than 2^pairs.
-    """
-    p = s.num_pairs
-    if p > cap:
-        raise TooManyComplementarities(f"{p} pairs exceeds cap {cap}")
-    relax = polyhedral_relaxation(s)
-    if p == 0:
-        return [((), relax)] if is_feasible(relax) else []
-
-    lp = _ranged_relaxation(s, np.zeros(s.n))
-    out: list[tuple[tuple[int, ...], Polyhedron]] = []
-
-    def descend(prefix: tuple[int, ...]) -> None:
-        if deadline is not None:
-            deadline.tick()
-        lp.reset()
-        for i, bit in enumerate(prefix):
-            _pin_pair(lp, s, i, bit)
-        status, _, _ = lp.solve()
-        if status is LpStatus.INFEASIBLE:
-            return
-        if len(prefix) == p:
-            out.append((prefix, selected_polyhedron(s, prefix)))
-            return
-        descend(prefix + (0,))
-        descend(prefix + (1,))
-
-    descend(())
-    return out
+    """All encodings with a nonempty selected polyhedron, lexicographic."""
+    rows = PieceRows(s)
+    return [(e, rows.piece(e)) for e in iter_encodings(rows, 0, deadline, cap)]
 
 
 def contains(s: ComplementaritySet, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
@@ -372,63 +414,73 @@ def _single_point_of(piece: Polyhedron) -> np.ndarray | None:
 def balas_hull(
     pieces: list[Polyhedron],
     encodings: tuple[tuple[int, ...], ...] | None = None,
+    points: list[np.ndarray | None] | None = None,
 ) -> HullFormulation:
+    """Balas lift of the pieces; ``points`` (per piece, its single point or
+    None) skips the singleton test when the caller already ran it."""
     if not pieces:
         raise EmptyPieceList("hull of zero pieces is undefined")
     n = pieces[0].n
     if any(p.n != n for p in pieces):
         raise DimensionMismatch("pieces must share the ambient dimension")
     k = len(pieces)
-    points = [_single_point_of(p) for p in pieces]
-    copy_start = []
-    num_copies = 0
-    for pt in points:
-        if pt is None:
-            copy_start.append(num_copies * n)
-            num_copies += 1
-        else:
-            copy_start.append(-1)
+    if points is None:
+        points = [_single_point_of(p) for p in pieces]
+    fat = [i for i, pt in enumerate(points) if pt is None]
+    copy_start = [-1] * k
+    for j, i in enumerate(fat):
+        copy_start[i] = j * n
+    num_copies = len(fat)
     nvar = n * num_copies + k + n
     d_off = n * num_copies
     x_off = d_off + k
+    span = np.arange(n)
 
-    blocks = []
-    rhs = []
-    for i, piece in enumerate(pieces):
-        if points[i] is not None:
-            continue
+    # triplets of the rows in order; ``top`` is the next free row
+    rows, cols, vals = [], [], []
+    top = 0
+    for i in fat:
         # A^i x^i - b^i delta_i <= 0
-        cols = sp.lil_matrix((piece.m, nvar))
-        cols[:, copy_start[i] : copy_start[i] + n] = piece.a
-        cols[:, d_off + i] = -np.asarray(piece.b, dtype=float).reshape(-1, 1)
-        blocks.append(sp.csr_matrix(cols))
-        rhs.append(np.zeros(piece.m))
+        block = sp.coo_matrix(pieces[i].a)
+        m = pieces[i].m
+        rows += [block.row + top, top + np.arange(m)]
+        cols += [block.col + copy_start[i], np.full(m, d_off + i)]
+        vals += [block.data, -np.asarray(pieces[i].b, dtype=float)]
+        top += m
     # delta >= 0
-    dneg = sp.csr_matrix(
-        (-np.ones(k), (np.arange(k), d_off + np.arange(k))), shape=(k, nvar)
-    )
-    blocks.append(dneg)
-    rhs.append(np.zeros(k))
+    rows.append(top + np.arange(k))
+    cols.append(d_off + np.arange(k))
+    vals.append(-np.ones(k))
+    top += k
     # sum_w x^w + sum_j delta_j v_j - x = 0 as a pair of inequality blocks
-    agg = sp.lil_matrix((n, nvar))
-    for i in range(k):
-        if points[i] is None:
-            agg[:, copy_start[i] : copy_start[i] + n] = sp.eye(n)
-        else:
-            agg[:, d_off + i] = points[i].reshape(-1, 1)
-    agg[:, x_off:] = -sp.eye(n)
-    agg = sp.csr_matrix(agg)
-    blocks += [agg, -agg]
-    rhs += [np.zeros(n), np.zeros(n)]
+    agg_cols = [
+        copy_start[i] + span if pt is None else np.full(n, d_off + i)
+        for i, pt in enumerate(points)
+    ]
+    agg_vals = [np.ones(n) if pt is None else np.asarray(pt, dtype=float) for pt in points]
+    agg_cols.append(x_off + span)
+    agg_vals.append(-np.ones(n))
+    for sign in (1.0, -1.0):
+        rows += [top + span] * (k + 1)
+        cols += agg_cols
+        vals += [sign * v for v in agg_vals]
+        top += n
     # sum_w delta_w = 1 as a pair of rows
-    drow = sp.csr_matrix(
-        (np.ones(k), (np.zeros(k, dtype=int), d_off + np.arange(k))), shape=(1, nvar)
+    for sign in (1.0, -1.0):
+        rows.append(np.full(k, top))
+        cols.append(d_off + np.arange(k))
+        vals.append(np.full(k, sign))
+        top += 1
+    a = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(top, nvar),
     )
-    blocks += [drow, -drow]
-    rhs += [np.ones(1), -np.ones(1)]
+    a.eliminate_zeros()
+    b = np.zeros(top)
+    b[-2:] = (1.0, -1.0)
     return HullFormulation(
-        a=sp.vstack(blocks, format="csr"),
-        b=np.concatenate(rhs),
+        a=a,
+        b=b,
         n=n,
         k=k,
         points=tuple(points),
@@ -502,12 +554,13 @@ def optimize_over_set(
     else:
         guide = c
 
-    lp = _ranged_relaxation(s, guide)
+    rows = PieceRows(s)
+    lp = rows.ranged(guide)
 
     def apply_node(pins, bins):
         lp.reset()
         for i, bit in pins:
-            _pin_pair(lp, s, i, bit)
+            rows.pin(lp, i, bit)
         for bi, side in bins:
             bv = binaries[bi]
             if side == 0:
@@ -518,26 +571,24 @@ def optimize_over_set(
                 lp.pin_col(bv.index, 1.0, INF)
 
     def node_polyhedron(pins, bins) -> Polyhedron:
-        rows = [polyhedral_relaxation(s).a]
-        rhs = [polyhedral_relaxation(s).b]
-        for i, bit in pins:
-            r, v = _pin_row(s, i, bit)
-            rows.append(r)
-            rhs.append(np.array([v]))
+        pairs, bits = zip(*pins) if pins else ((), ())
+        pin_a, pin_b = rows.pin_rows(pairs, bits)
+        parts = [rows.relaxation.a, pin_a]
+        rhs = [rows.relaxation.b, pin_b]
         for bi, side in bins:
             bv = binaries[bi]
             if side == 0:
-                rows.append(_unit_rows(s.n, [bv.index], 1.0))
+                parts.append(_unit_rows(s.n, [bv.index], 1.0))
                 rhs.append(np.zeros(1))
                 if bv.zero_block:
-                    rows.append(_unit_rows(s.n, bv.zero_block, 1.0))
+                    parts.append(_unit_rows(s.n, bv.zero_block, 1.0))
                     rhs.append(np.zeros(len(bv.zero_block)))
-                    rows.append(_unit_rows(s.n, bv.zero_block, -1.0))
+                    parts.append(_unit_rows(s.n, bv.zero_block, -1.0))
                     rhs.append(np.zeros(len(bv.zero_block)))
             else:
-                rows.append(_unit_rows(s.n, [bv.index], -1.0))
+                parts.append(_unit_rows(s.n, [bv.index], -1.0))
                 rhs.append(-np.ones(1))
-        return Polyhedron(_vstack(rows), np.concatenate(rhs))
+        return Polyhedron(_vstack(parts), np.concatenate(rhs))
 
     def polish(x: np.ndarray) -> np.ndarray:
         """Drive the node point toward complementarity.

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,12 +7,15 @@ from hypothesis import given, settings, strategies as st
 from epecnash.algorithms import (
     DegenerateWeight,
     MixedProfile,
+    _inner_state,
     decompose_mixed,
     deviation_check,
     full_enumeration,
     inner_approximation,
     pure_enumeration,
 )
+from epecnash.energy import build_game
+from epecnash.generators import GenConfig, gen_energy
 from epecnash.generators import (
     matching_pennies_game,
     random_trivial_game,
@@ -19,9 +24,10 @@ from epecnash.generators import (
 from epecnash.leadergame import MultiLeaderGame, StackelbergLeader, leader_feasible_set
 from epecnash.nashgame import PolyhedralNashGame
 from epecnash.generators import _abs_gadget_follower
-from epecnash.polyhedra import HullFormulation, Polyhedron, balas_hull, contains, enumerate_pieces
+from epecnash.polyhedra import Deadline, HullFormulation, Polyhedron, balas_hull, contains, enumerate_pieces
+from epecnash.rng import Lcg
 
-from tests.helpers import interval_of
+from tests.helpers import interval_of, split_interval_set
 
 
 def single_leader_game() -> MultiLeaderGame:
@@ -216,7 +222,59 @@ class TestInnerApproximation:
             assert full.status in ("MNE", "PNE")
 
 
+    @pytest.mark.parametrize("followers", [6, 8])
+    def test_lazy_order_is_enumeration_order_and_its_reverse(self, followers):
+        game = build_game(gen_energy(GenConfig(seed=0, countries=2, followers=(followers, followers))))
+        for i, leader in enumerate(game.leaders):
+            s = leader_feasible_set(leader)
+            eager = [e for e, _ in enumerate_pieces(s)]
+            order = {
+                strategy: list(_inner_state(s, strategy, Lcg(0).split(i), Deadline()).pending)
+                for strategy in ("seq", "rseq", "rand")
+            }
+            assert order["seq"] == eager
+            assert order["rseq"] == eager[::-1]
+            assert sorted(order["rand"]) == eager
+
+    def test_add_rejects_empty_and_included_pieces(self):
+        state = _inner_state(split_interval_set(), "seq", Lcg(0), Deadline())
+        assert state.extend(1) == 1
+        assert state.included == [(0, 1)]
+        assert not state.add((0, 1))  # already included
+        assert not state.add((0, 0)) and not state.add((1, 1))  # empty pieces
+        assert state.included == [(0, 1)]
+        assert state.add((1, 0))
+        assert state.exhausted
+        assert state.extend(1) == 0
+        assert state.found == {(0, 1), (1, 0)}
+        assert len(state.pieces) == len(state.points) == 2
+
+    def test_pieces_per_leader_counts_pieces_found(self):
+        game = build_game(gen_energy(GenConfig(seed=0, countries=2, followers=(8, 8))))
+        total = (12, 720)
+        for strategy in ("seq", "rseq"):
+            rep = inner_approximation(game, strategy, 1, seed=0)
+            assert rep.status in ("MNE", "PNE")
+            assert all(0 < c < t for c, t in zip(rep.pieces_per_leader, total))
+        assert inner_approximation(game, "rand", 1, seed=0).pieces_per_leader == total
+
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError):
+            inner_approximation(split_interval_game(), "backwards")
+
+
 class TestPureEnumeration:
+    def test_budget_holds_on_a_slow_search(self):
+        # first-found search on this instance runs ~25 s without a budget
+        game = build_game(gen_energy(GenConfig(seed=5, countries=2, followers=(2, 2))))
+        budget = 0.5
+        t0 = time.perf_counter()
+        rep = pure_enumeration(game, budget=budget)
+        elapsed = time.perf_counter() - t0
+        assert rep.status == "TimeLimit"
+        assert elapsed <= budget + 0.25
+        assert all(c > 0 for c in rep.pieces_per_leader)  # counts reached, kept
+
     def test_matching_pennies_has_no_pure_equilibrium(self):
         assert pure_enumeration(matching_pennies_game()).status == "NoEquilibrium"
 

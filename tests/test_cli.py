@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from epecnash.cli import main
+from epecnash import cli
+from epecnash.cli import EXIT_INPUT, EXIT_MEMORY, main
 from epecnash.generators import matching_pennies_game, split_interval_game
 from epecnash.serialize import (
     dumps,
@@ -142,3 +143,26 @@ class TestCli:
                      "--out", str(out)])
         assert code == 3
         assert json.loads(out.read_text())["status"] == "TimeLimit"
+
+    def test_too_many_complementarities_is_an_input_error(self, tmp_path, capsys):
+        # 13 producers per country give 26 pairs, above the enumeration cap
+        inst = tmp_path / "inst.json"
+        out = tmp_path / "out.json"
+        assert main(["generate", "--seed", "1", "--countries", "2",
+                     "--followers", "13", "--out", str(inst)]) == 0
+        code = main(["solve", "--in", str(inst), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "exceeds cap" in capsys.readouterr().err
+
+    def test_memory_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 11.4 GiB")
+
+        monkeypatch.setattr(cli, "full_enumeration", exhausted)
+        inst = tmp_path / "game.json"
+        out = tmp_path / "out.json"
+        _write_game(inst, matching_pennies_game())
+        code = main(["solve", "--in", str(inst), "--algorithm", "full", "--out", str(out)])
+        assert code == EXIT_MEMORY
+        assert "out of memory" in capsys.readouterr().err
+        assert not out.exists()

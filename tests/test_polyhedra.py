@@ -1,14 +1,24 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from epecnash.energy import build_game
+from epecnash.generators import GenConfig, gen_energy
+from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
 from epecnash.polyhedra import (
     ComplementaritySet,
+    Deadline,
     EmptyPieceList,
     EncodingLengthMismatch,
+    PieceRows,
     Polyhedron,
+    TimeLimitReached,
     TooManyComplementarities,
+    _single_point_of,
     balas_hull,
     contains,
     enumerate_pieces,
@@ -73,6 +83,63 @@ class TestSelectedPolyhedron:
     def test_length_mismatch(self):
         with pytest.raises(EncodingLengthMismatch):
             selected_polyhedron(split_interval_set(), (0,))
+
+
+def _same_bytes(x, y) -> bool:
+    if not hasattr(x, "indptr"):
+        return type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+    return (
+        x.shape == y.shape
+        and x.indptr.dtype == y.indptr.dtype
+        and x.indices.dtype == y.indices.dtype
+        and x.indptr.tobytes() == y.indptr.tobytes()
+        and x.indices.tobytes() == y.indices.tobytes()
+        and x.data.tobytes() == y.data.tobytes()
+    )
+
+
+def _energy_sets(seed, countries, followers):
+    game = build_game(gen_energy(GenConfig(seed=seed, countries=countries, followers=(followers, followers))))
+    return [leader_feasible_set(l) for l in game.leaders]
+
+
+class TestPieceRows:
+    def _assert_matches_oracle(self, s, encodings):
+        rows = PieceRows(s)
+        for e in encodings:
+            got, want = rows.piece(e), selected_polyhedron(s, e)
+            assert _same_bytes(got.a, want.a), e
+            assert _same_bytes(got.b, want.b), e
+
+    def test_energy_pieces_match_oracle_bytes(self):
+        for s in _energy_sets(0, 2, 4) + _energy_sets(1, 3, 4):
+            self._assert_matches_oracle(s, [e for e, _ in enumerate_pieces(s)])
+
+    def test_generator_sets_match_oracle_bytes_on_every_encoding(self):
+        sets = [split_interval_set(), scalar_set(1.0, -1.0), box_set(0.0, 2.0)]
+        sets += [random_comp_set(9000 + seed) for seed in range(8)]
+        for s in sets:
+            self._assert_matches_oracle(s, itertools.product((0, 1), repeat=s.num_pairs))
+
+    def test_length_mismatch(self):
+        with pytest.raises(EncodingLengthMismatch):
+            PieceRows(split_interval_set()).piece((0,))
+
+    def test_feasible_prefixes(self):
+        rows = PieceRows(split_interval_set())
+        assert rows.feasible(())
+        assert rows.feasible((0, 1)) and rows.feasible((1, 0))
+        assert not rows.feasible((0, 0)) and not rows.feasible((1, 1))
+
+
+class TestDeadline:
+    def test_every_tick_reads_the_clock(self):
+        deadline = Deadline(1e-3)
+        deadline.tick()
+        time.sleep(2e-3)
+        with pytest.raises(TimeLimitReached):
+            deadline.tick()
+        assert deadline.nodes == 2
 
 
 class TestEnumeration:
@@ -148,6 +215,14 @@ class TestBalasHull:
     def test_rejects_empty_input(self):
         with pytest.raises(EmptyPieceList):
             balas_hull([])
+
+    def test_precomputed_points_give_the_same_lift(self):
+        for s in _energy_sets(2, 2, 4):
+            pieces = [poly for _, poly in enumerate_pieces(s)]
+            fresh = balas_hull(pieces)
+            reused = balas_hull(pieces, points=[_single_point_of(p) for p in pieces])
+            assert _same_bytes(fresh.a, reused.a) and _same_bytes(fresh.b, reused.b)
+            assert fresh.copy_start == reused.copy_start
 
     @given(st.integers(0, 30))
     def test_hull_matches_piecewise_minimum_on_random_boxes(self, seed):
