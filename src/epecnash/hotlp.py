@@ -3,12 +3,12 @@
 One HiGHS model is built per search; every tree node differs from the
 base relaxation only in row/column *bounds* (a pinned complementarity
 side turns a one-sided row into an equation; a branched convex weight
-turns into a fixed column).  Bound edits plus warm-started re-solves
-are orders of magnitude cheaper than rebuilding the LP per node.
+turns into a fixed column).  Moving between nodes edits only the bounds
+that differ, and warm-started re-solves are orders of magnitude cheaper
+than rebuilding the LP per node.
 
-Backed by the HiGHS bindings vendored with SciPy; falls back to
-``scipy.optimize.linprog`` model rebuilds if that private module ever
-disappears.
+Needs the HiGHS bindings vendored with SciPy 1.15 and later; without
+them every :class:`RangedLp` raises ``NumericalFailure``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .lp import LpStatus, NumericalFailure
+from .lp import LpStatus, NumericalFailure, TimeLimitReached
 
 try:  # vendored highspy (scipy >= 1.15)
     import scipy.optimize._highspy._core as _hc
@@ -41,8 +41,9 @@ class RangedLp:
             np.full(self.n, -INF) if col_lo is None else np.asarray(col_lo, float).copy(),
             np.full(self.n, INF) if col_hi is None else np.asarray(col_hi, float).copy(),
         )
-        self._touched_rows: set[int] = set()
-        self._touched_cols: set[int] = set()
+        # bounds that differ from the base, by row and by column
+        self._rows: dict[int, tuple[float, float]] = {}
+        self._cols: dict[int, tuple[float, float]] = {}
         self._objective = np.asarray(objective, float).copy()
         if not _HAVE_HIGHS:  # pragma: no cover
             raise NumericalFailure("incremental LP backend unavailable")
@@ -66,21 +67,27 @@ class RangedLp:
             raise NumericalFailure("could not build incremental LP")
 
     # -- node edits ----------------------------------------------------
-    def reset(self) -> None:
-        for r in self._touched_rows:
+    def move_to(self, rows: dict, cols: dict | None = None) -> None:
+        """Make ``rows`` and ``cols`` (index -> (lo, hi)) the only bounds
+        that differ from the base.
+
+        Only the bounds that differ from the node applied last are
+        edited; an index that drops out gets its base bounds back, which
+        happens only when the new node does not extend the last one.
+        """
+        cols = {} if cols is None else cols
+        for r in self._rows.keys() - rows.keys():
             self._h.changeRowBounds(r, self._base_row[0][r], self._base_row[1][r])
-        for c in self._touched_cols:
+        for r, (lo, hi) in rows.items():
+            if self._rows.get(r) != (lo, hi):
+                self._h.changeRowBounds(r, lo, hi)
+        for c in self._cols.keys() - cols.keys():
             self._h.changeColBounds(c, self._base_col[0][c], self._base_col[1][c])
-        self._touched_rows.clear()
-        self._touched_cols.clear()
-
-    def pin_row(self, r: int, lo: float, hi: float) -> None:
-        self._h.changeRowBounds(r, lo, hi)
-        self._touched_rows.add(r)
-
-    def pin_col(self, c: int, lo: float, hi: float) -> None:
-        self._h.changeColBounds(c, max(lo, -INF), min(hi, INF))
-        self._touched_cols.add(c)
+        for c, (lo, hi) in cols.items():
+            if self._cols.get(c) != (lo, hi):
+                self._h.changeColBounds(c, lo, hi)
+        self._rows = dict(rows)
+        self._cols = dict(cols)
 
     def set_objective(self, c: np.ndarray) -> None:
         self._objective = np.asarray(c, float).copy()
@@ -89,10 +96,27 @@ class RangedLp:
         )
 
     # -- solving --------------------------------------------------------
-    def solve(self):
-        """(status, point, value); point/value only when optimal."""
+    def _run(self):
+        """One HiGHS run; its model status."""
         self._h.run()
         status = self._h.getModelStatus()
+        if status == _hc.HighsModelStatus.kTimeLimit:
+            raise TimeLimitReached()
+        return status
+
+    def solve(self, time_limit: float | None = None):
+        """(status, point, value); point/value only when optimal.
+
+        ``time_limit`` caps the seconds this call may spend in HiGHS;
+        reaching it raises ``TimeLimitReached``.  HiGHS compares its
+        limit with the run time summed over every run of the model, so
+        the cap is set past the time already run.
+        """
+        self._h.setOptionValue(
+            "time_limit",
+            np.inf if time_limit is None else self._h.getRunTime() + max(time_limit, 0.0),
+        )
+        status = self._run()
         if status in (
             _hc.HighsModelStatus.kUnknown,
             _hc.HighsModelStatus.kIterationLimit,
@@ -100,17 +124,17 @@ class RangedLp:
             # a stale warm basis can defeat the solve; retry cold, then
             # without presolve
             self._h.clearSolver()
-            self._h.run()
-            status = self._h.getModelStatus()
+            status = self._run()
             if status in (
                 _hc.HighsModelStatus.kUnknown,
                 _hc.HighsModelStatus.kIterationLimit,
             ):
                 self._h.setOptionValue("presolve", "off")
                 self._h.clearSolver()
-                self._h.run()
-                status = self._h.getModelStatus()
-                self._h.setOptionValue("presolve", "choose")
+                try:
+                    status = self._run()
+                finally:
+                    self._h.setOptionValue("presolve", "choose")
         if status == _hc.HighsModelStatus.kOptimal:
             x = np.array(self._h.getSolution().col_value)
             return LpStatus.OPTIMAL, x, float(self._h.getObjectiveValue())
@@ -129,9 +153,10 @@ class RangedLp:
     def _feasible_with_zero_objective(self) -> bool:
         saved = self._objective.copy()
         self.set_objective(np.zeros(self.n))
-        self._h.run()
-        feasible = self._h.getModelStatus() == _hc.HighsModelStatus.kOptimal
-        self.set_objective(saved)
+        try:
+            feasible = self._run() == _hc.HighsModelStatus.kOptimal
+        finally:
+            self.set_objective(saved)
         return feasible
 
     def feasible_point(self):

@@ -31,6 +31,10 @@ class NumericalFailure(LpError):
     pass
 
 
+class TimeLimitReached(Exception):
+    pass
+
+
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"

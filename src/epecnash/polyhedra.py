@@ -27,6 +27,7 @@ from .lp import (
     LinearProgram,
     LpStatus,
     NumericalFailure,
+    TimeLimitReached,
     solve_lp,
 )
 from .tolerances import COMP_TOL, ENUM_CAP, FEAS_TOL
@@ -44,10 +45,6 @@ class EmptyPieceList(ValueError):
     pass
 
 
-class TimeLimitReached(Exception):
-    pass
-
-
 class Deadline:
     """Wall-clock budget; every search node polls it through ``tick``."""
 
@@ -59,6 +56,11 @@ class Deadline:
     @property
     def elapsed(self) -> float:
         return time.monotonic() - self.start
+
+    @property
+    def remaining(self) -> float | None:
+        """Seconds left, or None without a budget."""
+        return None if self.seconds is None else self.seconds - self.elapsed
 
     def check(self) -> None:
         if self.seconds is not None and self.elapsed > self.seconds:
@@ -211,18 +213,20 @@ class PieceRows:
         row_hi = np.concatenate([np.asarray(s.b, float), np.full(2 * s.num_pairs, INF)])
         return RangedLp(objective, _vstack([s.a, self.pins]), row_lo, row_hi)
 
-    def pin(self, lp, i: int, bit: int) -> None:
-        """Pin side ``bit`` of pair i in an LP built by ``ranged``."""
-        r = i + self.num_pairs * bit
-        lp.pin_row(self.set.a.shape[0] + r, self.pin_b[r], self.pin_b[r])
+    def pin_bounds(self, pins) -> dict[int, tuple[float, float]]:
+        """Row bounds of ``ranged`` that pin side ``bit`` of each ``(pair, bit)``."""
+        m, p = self.set.a.shape[0], self.num_pairs
+        out = {}
+        for i, bit in pins:
+            r = i + p * bit
+            out[m + r] = (self.pin_b[r], self.pin_b[r])
+        return out
 
     def feasible(self, prefix: tuple[int, ...]) -> bool:
         """Whether the relaxation with the pairs of ``prefix`` pinned is nonempty."""
         if self.num_pairs == 0:
             return is_feasible(self.relaxation)
-        self.lp.reset()
-        for i, bit in enumerate(prefix):
-            self.pin(self.lp, i, bit)
+        self.lp.move_to(self.pin_bounds(enumerate(prefix)))
         return self.lp.solve()[0] is not LpStatus.INFEASIBLE
 
 
@@ -385,30 +389,43 @@ class HullFormulation:
         return Polyhedron(self.a, self.b)
 
 
+# Width below which a piece counts as a single point: the spread of x_0
+# over it, and the distance from the candidate point to a row's hyperplane
+# for the row to count as active there.
+_POINT_TOL = 1e-9
+
+
 def _single_point_of(piece: Polyhedron) -> np.ndarray | None:
-    """The piece's unique point if it is a singleton, else None."""
+    """The piece's unique point if it is a singleton, else None.
+
+    Two LPs bound x_0; only when they meet is their minimizer x tested.
+    With A_I the rows active at x, the piece is {x} exactly when no
+    d != 0 has A_I d <= 0, that is (Stiemke's lemma) when A_I has rank
+    n and some y >= 1 has A_I^T y = 0: one more LP, over |I| variables.
+    """
     from .hotlp import INF, RangedLp
 
     n = piece.n
-    lp = RangedLp(np.zeros(n), piece.a, np.full(piece.m, -INF), np.asarray(piece.b, float))
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for j in range(n):
-        c = np.zeros(n)
-        c[j] = 1.0
-        lp.set_objective(c)
-        status, x, val = lp.solve()
-        if status is not LpStatus.OPTIMAL:
-            return None
-        lo[j] = val
-        lp.set_objective(-c)
-        status, x, val = lp.solve()
-        if status is not LpStatus.OPTIMAL:
-            return None
-        hi[j] = -val
-        if hi[j] - lo[j] > 1e-9:
-            return None
-    return (lo + hi) / 2.0
+    b = np.asarray(piece.b, float)
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    lp = RangedLp(e0, piece.a, np.full(piece.m, -INF), b)
+    status, x, lo = lp.solve()
+    if status is not LpStatus.OPTIMAL:
+        return None
+    lp.set_objective(-e0)
+    status, _, neg_hi = lp.solve()
+    if status is not LpStatus.OPTIMAL or -neg_hi - lo > _POINT_TOL:
+        return None
+    a = sp.csr_matrix(piece.a)
+    norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
+    active = a[(norms > 0) & (b - a @ x <= _POINT_TOL * norms)]
+    k = active.shape[0]
+    # y > 0 with A_I^T y = 0 makes the rows dependent, so k > n
+    if k <= n or np.linalg.matrix_rank(active.toarray()) < n:
+        return None
+    cone = RangedLp(np.zeros(k), active.T, np.zeros(n), np.zeros(n), col_lo=np.ones(k))
+    return x if cone.solve()[0] is LpStatus.OPTIMAL else None
 
 
 def balas_hull(
@@ -556,19 +573,22 @@ def optimize_over_set(
 
     rows = PieceRows(s)
     lp = rows.ranged(guide)
+    m_t = s.m_mat.T
 
-    def apply_node(pins, bins):
-        lp.reset()
-        for i, bit in pins:
-            rows.pin(lp, i, bit)
+    def move_to(pins, bins):
+        cols = {}
         for bi, side in bins:
             bv = binaries[bi]
             if side == 0:
-                lp.pin_col(bv.index, -INF, 0.0)
+                cols[bv.index] = (-INF, 0.0)
                 for col in bv.zero_block:
-                    lp.pin_col(col, 0.0, 0.0)
+                    cols[col] = (0.0, 0.0)
             else:
-                lp.pin_col(bv.index, 1.0, INF)
+                cols[bv.index] = (1.0, INF)
+        lp.move_to(rows.pin_bounds(pins), cols)
+
+    def solve():
+        return lp.solve(None if deadline is None else deadline.remaining)
 
     def node_polyhedron(pins, bins) -> Polyhedron:
         pairs, bits = zip(*pins) if pins else ((), ())
@@ -605,12 +625,12 @@ def optimize_over_set(
                 return x
             c_lin = np.zeros(s.n)
             np.add.at(c_lin, comp_idx, np.maximum(z, 0.0))
-            c_lin += np.asarray(s.m_mat.T @ np.maximum(xc, 0.0)).ravel()
+            c_lin += np.asarray(m_t @ np.maximum(xc, 0.0)).ravel()
             top = np.abs(c_lin).max()
             if top > 0:
                 c_lin /= top
             lp.set_objective(c_lin)
-            status, x_new, _ = lp.solve()
+            status, x_new, _ = solve()
             if status is not LpStatus.OPTIMAL:
                 break
             new_viol = int(
@@ -626,19 +646,23 @@ def optimize_over_set(
     best_val = np.inf
     best_pt: np.ndarray | None = None
 
-    # Node = (pair pins, binary pins) as immutable tuples; depth-first.
-    stack: list[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]] = [
-        ((), ())
-    ]
+    # Node = (pair pins, binary pins, point): the pins as immutable
+    # tuples, and the node's polished point when a look-ahead already
+    # solved it (else None); depth-first.
+    stack: list[tuple[tuple, tuple, np.ndarray | None]] = [((), (), None)]
 
     while stack:
-        pins, bins = stack.pop()
+        pins, bins, x = stack.pop()
         if deadline is not None:
             deadline.tick()
-        apply_node(pins, bins)
-        if feasibility_mode:
-            lp.set_objective(guide)
-        status, x, lp_val = lp.solve()
+        looked_ahead = x is not None
+        if looked_ahead:
+            status = LpStatus.OPTIMAL
+        else:
+            move_to(pins, bins)
+            if feasibility_mode:
+                lp.set_objective(guide)
+            status, x, _ = solve()
 
         if status is LpStatus.INFEASIBLE:
             continue
@@ -658,12 +682,12 @@ def optimize_over_set(
                 return SetOutcome(LpStatus.UNBOUNDED, point=witness, ray=ray_out.ray)
             if free_pairs:
                 i = free_pairs[0]
-                stack.append((pins + ((i, 1),), bins))
-                stack.append((pins + ((i, 0),), bins))
+                stack.append((pins + ((i, 1),), bins, None))
+                stack.append((pins + ((i, 0),), bins, None))
             else:
                 bi = free_bins[0]
-                stack.append((pins, bins + ((bi, 0),)))
-                stack.append((pins, bins + ((bi, 1),)))
+                stack.append((pins, bins + ((bi, 0),), None))
+                stack.append((pins, bins + ((bi, 1),), None))
             continue
 
         true_val = float(c @ x)
@@ -671,7 +695,7 @@ def optimize_over_set(
             # The guide equals c here, so the LP value is a valid bound.
             continue
 
-        if feasibility_mode and p:
+        if feasibility_mode and p and not looked_ahead:
             x = polish(x)
 
         pinned = {i for i, _ in pins}
@@ -682,18 +706,20 @@ def optimize_over_set(
             worst = int(np.argmax(prod))
             if prod[worst] > COMP_TOL:
                 if not feasibility_mode:
-                    stack.append((pins + ((worst, 1),), bins))
-                    stack.append((pins + ((worst, 0),), bins))
+                    stack.append((pins + ((worst, 1),), bins, None))
+                    stack.append((pins + ((worst, 0),), bins, None))
                     continue
                 # Look ahead: polish both children and explore the more
                 # complementary one first; a child that polishes clean
-                # and has no fractional binaries is already a leaf.
+                # and has no fractional binaries is already a leaf.  A
+                # child keeps its polished point, so it is not solved
+                # again when popped.
                 scored = []
                 for side in (0, 1):
                     child = pins + ((worst, side),)
-                    apply_node(child, bins)
+                    move_to(child, bins)
                     lp.set_objective(guide)
-                    st2, x2, _ = lp.solve()
+                    st2, x2, _ = solve()
                     if st2 is not LpStatus.OPTIMAL:
                         continue
                     x2 = polish(x2)
@@ -705,12 +731,12 @@ def optimize_over_set(
                         return SetOutcome(
                             LpStatus.OPTIMAL, point=x2, value=float(c @ x2)
                         )
-                    scored.append((nv, side, child))
+                    scored.append((nv, side, child, x2))
                 # push the worse child first so the better one pops first;
                 # ties keep the 0-side ahead
                 scored.sort(key=lambda t: (-t[0], -t[1]))
-                for _, _, child in scored:
-                    stack.append((child, bins))
+                for _, _, child, x2 in scored:
+                    stack.append((child, bins, x2))
                 continue
 
         if binaries:
@@ -727,8 +753,8 @@ def optimize_over_set(
             if frac[worst_b] > _BIN_TOL:
                 # select-the-piece child first: fixing a weight to one is
                 # far more constraining than switching one off
-                stack.append((pins, bins + ((worst_b, 0),)))
-                stack.append((pins, bins + ((worst_b, 1),)))
+                stack.append((pins, bins + ((worst_b, 0),), None))
+                stack.append((pins, bins + ((worst_b, 1),), None))
                 continue
 
         if feasibility_mode:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from epecnash.hotlp import INF, RangedLp
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
 from epecnash.polyhedra import ComplementaritySet, Polyhedron
 from epecnash.rng import Lcg
@@ -16,6 +17,31 @@ def interval_of(poly: Polyhedron, coord: int) -> tuple[float, float]:
     lo_val = -np.inf if lo.status is LpStatus.UNBOUNDED else lo.value
     hi_val = np.inf if hi.status is LpStatus.UNBOUNDED else -hi.value
     return lo_val, hi_val
+
+
+def single_point_by_coordinates(poly: Polyhedron) -> np.ndarray | None:
+    """Coordinate-wise singleton test: the midpoint of every coordinate's
+    range when each range is at most 1e-9 wide, else None (2n LPs)."""
+    n = poly.n
+    lp = RangedLp(np.zeros(n), poly.a, np.full(poly.m, -INF), np.asarray(poly.b, float))
+    lo = np.empty(n)
+    hi = np.empty(n)
+    for j in range(n):
+        c = np.zeros(n)
+        c[j] = 1.0
+        lp.set_objective(c)
+        status, _, val = lp.solve()
+        if status is not LpStatus.OPTIMAL:
+            return None
+        lo[j] = val
+        lp.set_objective(-c)
+        status, _, val = lp.solve()
+        if status is not LpStatus.OPTIMAL:
+            return None
+        hi[j] = -val
+        if hi[j] - lo[j] > 1e-9:
+            return None
+    return (lo + hi) / 2.0
 
 
 def split_interval_set() -> ComplementaritySet:

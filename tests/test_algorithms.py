@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 from epecnash.algorithms import (
@@ -17,6 +18,8 @@ from epecnash.algorithms import (
 from epecnash.energy import build_game
 from epecnash.generators import GenConfig, gen_energy
 from epecnash.generators import (
+    SubsetSumInterval,
+    gen_pne_hardness,
     matching_pennies_game,
     random_trivial_game,
     split_interval_game,
@@ -24,6 +27,7 @@ from epecnash.generators import (
 from epecnash.leadergame import MultiLeaderGame, StackelbergLeader, leader_feasible_set
 from epecnash.nashgame import PolyhedralNashGame
 from epecnash.generators import _abs_gadget_follower
+from epecnash.hotlp import RangedLp
 from epecnash.polyhedra import Deadline, HullFormulation, Polyhedron, balas_hull, contains, enumerate_pieces
 from epecnash.rng import Lcg
 
@@ -274,6 +278,53 @@ class TestPureEnumeration:
         assert rep.status == "TimeLimit"
         assert elapsed <= budget + 0.25
         assert all(c > 0 for c in rep.pieces_per_leader)  # counts reached, kept
+
+    def test_lp_time_limit_ends_the_solve(self, monkeypatch):
+        # the clock is never read between nodes, so the budget can only
+        # end the search through the time limit of a HiGHS run
+        monkeypatch.setattr(Deadline, "check", lambda self: None)
+        game = build_game(gen_energy(GenConfig(seed=8, countries=2, followers=(2, 2))))
+        rep = pure_enumeration(game, budget=0.05)
+        assert rep.status == "TimeLimit"
+        assert all(c > 0 for c in rep.pieces_per_leader)
+
+    # RangedLp.solve calls of whole solves (enumeration, singleton tests and
+    # branch-and-bound).  HiGHS runs with threads=1 and random_seed=0, so a
+    # count is fixed for one HiGHS build; these were measured on SciPy 1.17.1.
+    PINNED_SCIPY = "1.17.1"
+
+    @pytest.mark.parametrize(
+        "name, game, status, solves",
+        [
+            (
+                "ss-no",
+                lambda: gen_pne_hardness(SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)),
+                "NoEquilibrium",
+                937,
+            ),
+            (
+                "C2F2s8-first",
+                lambda: build_game(gen_energy(GenConfig(seed=8, countries=2, followers=(2, 2)))),
+                "NoEquilibrium",
+                1174,
+            ),
+        ],
+    )
+    def test_lp_solve_count_is_pinned(self, monkeypatch, name, game, status, solves):
+        count = [0]
+        solve = RangedLp.solve
+
+        def counted(lp, *args, **kwargs):
+            count[0] += 1
+            return solve(lp, *args, **kwargs)
+
+        game = game()  # generating an instance solves LPs of its own
+        monkeypatch.setattr(RangedLp, "solve", counted)
+        assert pure_enumeration(game).status == status
+        if scipy.__version__ == self.PINNED_SCIPY:
+            assert count[0] == solves
+        else:  # another HiGHS build pivots differently; only the answer is fixed
+            assert count[0] > 0
 
     def test_matching_pennies_has_no_pure_equilibrium(self):
         assert pure_enumeration(matching_pennies_game()).status == "NoEquilibrium"

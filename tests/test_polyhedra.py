@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epecnash.energy import build_game
-from epecnash.generators import GenConfig, gen_energy
+from epecnash.generators import (
+    GenConfig,
+    SubsetSumInterval,
+    gen_energy,
+    gen_pne_hardness,
+    matching_pennies_game,
+    random_trivial_game,
+    split_interval_game,
+)
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
 from epecnash.polyhedra import (
@@ -29,7 +37,14 @@ from epecnash.polyhedra import (
 )
 from epecnash.rng import Lcg
 
-from tests.helpers import box_set, interval_of, random_comp_set, scalar_set, split_interval_set
+from tests.helpers import (
+    box_set,
+    interval_of,
+    random_comp_set,
+    scalar_set,
+    single_point_by_coordinates,
+    split_interval_set,
+)
 
 
 class TestFeasibility:
@@ -242,6 +257,82 @@ class TestBalasHull:
                 solve_lp(LinearProgram(c, p.a, p.b)).value for p in pieces
             )
             assert hull_val == pytest.approx(piece_val, abs=1e-7)
+
+
+def _game_sets(game):
+    return [leader_feasible_set(l) for l in game.leaders]
+
+
+class TestSinglePoint:
+    """The Stiemke certificate agrees with the coordinate-wise oracle."""
+
+    def _assert_matches_oracle(self, sets) -> int:
+        points = 0
+        for s in sets:
+            for e, piece in enumerate_pieces(s):
+                got, want = _single_point_of(piece), single_point_by_coordinates(piece)
+                assert (got is None) == (want is None), e
+                if got is not None:
+                    assert np.abs(got - want).max() <= 1e-9, e
+                    points += 1
+        return points
+
+    @pytest.mark.parametrize("countries, followers", [(2, 4), (2, 6), (2, 8), (3, 4), (3, 6)])
+    def test_energy_ladder_pieces(self, countries, followers):
+        sets = [s for seed in range(3) for s in _energy_sets(seed, countries, followers)]
+        self._assert_matches_oracle(sets)
+
+    def test_pure_bnb_pieces(self):
+        sets = [s for seed in range(10) for s in _energy_sets(seed, 2, 2)]
+        for d in (SubsetSumInterval(q=(1,), p=2, t=4, r=1), SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)):
+            sets += _game_sets(gen_pne_hardness(d))
+        assert self._assert_matches_oracle(sets) == 67
+
+    def test_generator_sets(self):
+        games = [split_interval_game(), matching_pennies_game()]
+        games += [random_trivial_game(seed) for seed in range(5)]
+        sets = [s for g in games for s in _game_sets(g)]
+        sets += [split_interval_set(), scalar_set(1.0, -1.0), box_set(0.0, 2.0)]
+        sets += [random_comp_set(9000 + seed) for seed in range(8)]
+        assert self._assert_matches_oracle(sets) > 0
+
+    @pytest.mark.parametrize(
+        "rows, rhs, point",
+        [
+            # (1, 1) cut out by x <= 1, y <= 1, x + y >= 2, plus rows that
+            # also pass through it: x <= y, a copy of x <= 1 and 2y <= 2
+            (
+                [[1, 0], [0, 1], [-1, -1], [1, -1], [1, 0], [0, 2]],
+                [1, 1, -2, 0, 1, 2],
+                [1.0, 1.0],
+            ),
+            # x_0 in [0, 1], x_1 in [0, 1e-6]: x_0 alone rules it out
+            ([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1e-6, 0], None),
+            # x_0 = 2, x_1 in [0, 1e-6]: x_0 ties, the active rows do not
+            ([[1, 0], [-1, 0], [0, 1], [0, -1]], [2, -2, 1e-6, 0], None),
+            # x_0 = 2, x_1 in [0, 1e-10]: thinner than the tolerance
+            ([[1, 0], [-1, 0], [0, 1], [0, -1]], [2, -2, 1e-10, 0], [2.0, 0.0]),
+            # x_0 = 0, x_1 >= 0: unbounded, with x_0 fixed
+            ([[1, 0], [-1, 0], [0, -1]], [0, 0, 0], None),
+            # x_0 >= 0 unbounded
+            ([[-1, 0], [0, 1], [0, -1]], [0, 0, 0], None),
+            # segment with x_0 = 1: x_1 + x_2 = 1, x_1, x_2 >= 0
+            (
+                [[1, 0, 0], [-1, 0, 0], [0, 1, 1], [0, -1, -1], [0, -1, 0], [0, 0, -1]],
+                [1, -1, 1, -1, 0, 0],
+                None,
+            ),
+        ],
+    )
+    def test_hand_made_cases(self, rows, rhs, point):
+        piece = Polyhedron(np.array(rows, float), np.array(rhs, float))
+        got = _single_point_of(piece)
+        want = single_point_by_coordinates(piece)
+        if point is None:
+            assert got is None and want is None
+        else:
+            assert got == pytest.approx(point, abs=1e-9)
+            assert want == pytest.approx(point, abs=1e-9)
 
 
 class TestContains:
