@@ -302,7 +302,7 @@ def _hull_game(game: MultiLeaderGame, deadline: Deadline, counts: list[int]):
     if not all(counts):
         return sets, None
     hulls = [
-        balas_hull([poly for _, poly in pc], tuple(e for e, _ in pc)) for pc in pieces
+        balas_hull([poly for _, poly in pc]) for pc in pieces
     ]
     return sets, _assemble_hull_game(game, hulls)
 
@@ -425,7 +425,7 @@ class InnerApproxState:
         return True
 
     def hull(self) -> HullFormulation:
-        return balas_hull(self.pieces, tuple(self.included), self.points)
+        return balas_hull(self.pieces, self.points)
 
 
 def _inner_state(
@@ -458,7 +458,6 @@ def inner_approximation(
     k: int = 1,
     seed: int = 0,
     budget: float | None = None,
-    deviation_tol: float = DEVIATION_TOL,
 ) -> SolveReport:
     """Deviation-guided hull growth.
 
@@ -511,7 +510,7 @@ def inner_approximation(
                 continue
 
             profile = _decode_profile(res.point, asm, sets)
-            devs = deviation_check(game, profile, deviation_tol, sets, deadline)
+            devs = deviation_check(game, profile, sets=sets, deadline=deadline)
             trace.append({"restricted": profile, "deviations": devs})
             if all(d is None for d in devs):
                 status = "PNE" if profile.is_pure() else "MNE"

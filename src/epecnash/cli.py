@@ -33,6 +33,7 @@ from .generators import GenConfig, InvalidConfig, gen_energy
 from .leadergame import MultiLeaderGame, leader_feasible_set
 from .lp import LpError, NumericalFailure
 from .polyhedra import TooManyComplementarities, contains
+from .tolerances import DEVIATION_TOL
 from . import serialize
 
 EXIT_EQUILIBRIUM = 0
@@ -98,7 +99,6 @@ def cmd_solve(args) -> int:
             k=args.k,
             seed=args.seed,
             budget=args.timelimit,
-            deviation_tol=args.deviation_tol,
         )
     _write(args.out, serialize.result_to_dict(rep, args.algorithm))
     print(
@@ -131,10 +131,10 @@ def cmd_validate(args) -> int:
             return EXIT_INPUT
         s = leader_feasible_set(game.leaders[i])
         for pt, _ in sup:
-            if len(pt) != s.n or not contains(s, pt, args.deviation_tol):
+            if len(pt) != s.n or not contains(s, pt, DEVIATION_TOL):
                 print(f"validate: leader {i} support point infeasible", file=sys.stderr)
                 return EXIT_INPUT
-    devs = deviation_check(game, profile, tol=args.deviation_tol)
+    devs = deviation_check(game, profile)
     for dev in devs:
         if dev is not None:
             print(
@@ -202,16 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--timelimit", type=float, default=DEFAULT_TIME_LIMIT)
     s.add_argument("--select", action="store_true", help="equilibrium selection")
-    s.add_argument("--deviation-tol", type=float, default=1e-6,
-                   help="profitable-deviation threshold override")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("validate", help="re-certify a stored result")
     v.add_argument("--in", required=True)
     v.add_argument("--result", required=True)
-    v.add_argument("--deviation-tol", type=float, default=1e-6,
-                   help="certification tolerance override")
     v.set_defaults(func=cmd_validate)
 
     r = sub.add_parser("report", help="market quantities for an energy result")

@@ -7,24 +7,19 @@ turns into a fixed column).  Moving between nodes edits only the bounds
 that differ, and warm-started re-solves are orders of magnitude cheaper
 than rebuilding the LP per node.
 
-Needs the HiGHS bindings vendored with SciPy 1.15 and later; without
-them every :class:`RangedLp` raises ``NumericalFailure``.
+Imports the HiGHS bindings vendored with SciPy 1.15 and later
+unconditionally: with an older SciPy, importing this module (and so
+``epecnash``) fails.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.optimize._highspy._core as _hc
 import scipy.sparse as sp
 
 from .lp import LpStatus, NumericalFailure, TimeLimitReached
-
-try:  # vendored highspy (scipy >= 1.15)
-    import scipy.optimize._highspy._core as _hc
-
-    _HAVE_HIGHS = True
-except ImportError:  # pragma: no cover - exercised only on old scipy
-    _hc = None
-    _HAVE_HIGHS = False
+from .tolerances import FEAS_TOL
 
 INF = 1e30
 
@@ -45,8 +40,6 @@ class RangedLp:
         self._rows: dict[int, tuple[float, float]] = {}
         self._cols: dict[int, tuple[float, float]] = {}
         self._objective = np.asarray(objective, float).copy()
-        if not _HAVE_HIGHS:  # pragma: no cover
-            raise NumericalFailure("incremental LP backend unavailable")
         lp = _hc.HighsLp()
         lp.num_col_ = self.n
         lp.num_row_ = self.m
@@ -145,24 +138,50 @@ class RangedLp:
         if status == _hc.HighsModelStatus.kUnboundedOrInfeasible:
             return (
                 (LpStatus.UNBOUNDED, None, None)
-                if self._feasible_with_zero_objective()
+                if self.feasible_point() is not None
                 else (LpStatus.INFEASIBLE, None, None)
             )
         raise NumericalFailure(f"incremental LP ended with status {status}")
 
-    def _feasible_with_zero_objective(self) -> bool:
-        saved = self._objective.copy()
+    def feasible_point(self) -> np.ndarray | None:
+        """A point of the current node system, or None if it is empty: one
+        zero-objective HiGHS run, not counted as a ``solve``."""
+        saved = self._objective
         self.set_objective(np.zeros(self.n))
         try:
-            feasible = self._run() == _hc.HighsModelStatus.kOptimal
+            status = self._run()
+            x = (
+                np.array(self._h.getSolution().col_value)
+                if status == _hc.HighsModelStatus.kOptimal
+                else None
+            )
         finally:
             self.set_objective(saved)
-        return feasible
+        return x
 
-    def feasible_point(self):
-        """A point of the current node system, or None."""
-        saved = self._objective.copy()
-        self.set_objective(np.zeros(self.n))
-        status, x, _ = self.solve()
-        self.set_objective(saved)
-        return x if status is LpStatus.OPTIMAL else None
+    def ray(self) -> np.ndarray:
+        """A direction d of the current node system with c d < 0.
+
+        The recession cone of the node, cut by a unit box: a finite
+        bound side of a row or column becomes 0, every other column side
+        is +-1.  Exists whenever the node is feasible and unbounded.
+        """
+        bounds = []
+        for base, edits in ((self._base_row, self._rows), (self._base_col, self._cols)):
+            lo, hi = base[0].copy(), base[1].copy()
+            for i, (l, h) in edits.items():
+                lo[i], hi[i] = l, h
+            bounds.append((np.where(lo > -INF, 0.0, -INF), np.where(hi < INF, 0.0, INF)))
+        (row_lo, row_hi), (col_lo, col_hi) = bounds
+        cone = RangedLp(
+            self._objective,
+            self._a,
+            row_lo,
+            row_hi,
+            np.maximum(col_lo, -1.0),
+            np.minimum(col_hi, 1.0),
+        )
+        status, d, value = cone.solve()
+        if status is not LpStatus.OPTIMAL or value >= -FEAS_TOL:
+            raise NumericalFailure("unbounded LP without a certifying ray")
+        return d

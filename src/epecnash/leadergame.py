@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .lp import DimensionMismatch
 from .nashgame import PolyhedralNashGame, kkt_system
-from .polyhedra import ComplementaritySet, _vstack
+from .polyhedra import ComplementaritySet
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,12 @@ def leader_feasible_set(leader: StackelbergLeader) -> ComplementaritySet:
     total = lay.total
     lead_rows = leader.poly_a.shape[0]
     width = leader.poly_a.shape[1]
-    if sp.issparse(leader.poly_a) or sp.issparse(inner.a):
-        pad = sp.hstack(
-            [sp.csr_matrix(leader.poly_a), sp.csr_matrix((lead_rows, total - width))],
-            format="csr",
-        )
-    else:
-        pad = np.hstack([leader.poly_a, np.zeros((lead_rows, total - width))])
+    pad = sp.hstack(
+        [sp.csr_matrix(leader.poly_a), sp.csr_matrix((lead_rows, total - width))],
+        format="csr",
+    )
     return ComplementaritySet(
-        a=_vstack([pad, inner.a]),
+        a=sp.vstack([pad, inner.a], format="csr"),
         b=np.concatenate([np.asarray(leader.poly_b, dtype=float), inner.b]),
         m_mat=inner.m_mat,
         q=inner.q,

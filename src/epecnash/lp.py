@@ -136,9 +136,3 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         return LpOutcome(LpStatus.UNBOUNDED, ray=_recession_ray(lp))
     raise NumericalFailure(f"LP backend failed: {res.message}")
 
-
-def feasible_point(a, b, n: int) -> np.ndarray | None:
-    """Some point of {x : a x <= b} (free variables), or None if empty."""
-    lp = LinearProgram(np.zeros(n), a, b)
-    out = solve_lp(lp)
-    return out.point if out.status is LpStatus.OPTIMAL else None

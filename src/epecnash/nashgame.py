@@ -157,7 +157,6 @@ def kkt_lcp(g: PolyhedralNashGame) -> ComplementaritySet:
 def kkt_system(g: PolyhedralNashGame) -> tuple[ComplementaritySet, KktLayout]:
     lay = kkt_layout(g)
     total = lay.total
-    width = g.strategy_dim + g.n_market
 
     a_blocks = []
     b_parts = []
@@ -209,7 +208,6 @@ def kkt_system(g: PolyhedralNashGame) -> tuple[ComplementaritySet, KktLayout]:
         m_mat = sp.csr_matrix((0, total))
         q = np.zeros(0)
 
-    assert width == g.strategy_dim + g.n_market
     return ComplementaritySet(a=a, b=b, m_mat=m_mat, q=q, comp=tuple(comp)), lay
 
 

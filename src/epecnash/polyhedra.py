@@ -22,11 +22,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .hotlp import INF, RangedLp
 from .lp import (
     DimensionMismatch,
     LinearProgram,
     LpStatus,
-    NumericalFailure,
     TimeLimitReached,
     solve_lp,
 )
@@ -69,15 +69,6 @@ class Deadline:
     def tick(self) -> None:
         self.nodes += 1
         self.check()
-
-
-def _vstack(parts):
-    parts = [p for p in parts if p is not None and p.shape[0] > 0]
-    if not parts:
-        return None
-    if any(sp.issparse(p) for p in parts):
-        return sp.vstack([sp.csr_matrix(p) for p in parts], format="csr")
-    return np.vstack(parts)
 
 
 @dataclass(frozen=True)
@@ -168,12 +159,12 @@ class PieceRows:
         s = self.set
         if s.num_pairs == 0:
             return Polyhedron(s.a, np.asarray(s.b, dtype=float))
-        a = _vstack([s.a, -self.pins])
+        a = sp.vstack([s.a, -self.pins], format="csr")
         b = np.concatenate([s.b, np.zeros(s.num_pairs), np.asarray(s.q, dtype=float)])
         return Polyhedron(a, b)
 
     @cached_property
-    def lp(self) -> "RangedLp":
+    def lp(self) -> RangedLp:
         """Zero-objective ranged LP shared by the feasibility checks."""
         return self.ranged(np.zeros(self.set.n))
 
@@ -197,21 +188,17 @@ class PieceRows:
             np.concatenate([self.relaxation.b, b]),
         )
 
-    def ranged(self, objective: np.ndarray) -> "RangedLp":
+    def ranged(self, objective: np.ndarray) -> RangedLp:
         """The relaxation as one incremental LP with pinnable pair rows.
 
         Row layout: the m base rows, then the pin block as >= rows, so
         every search node is a bound edit on this single model.
         """
-        from .hotlp import INF, RangedLp
-
         s = self.set
         m = s.a.shape[0]
-        if s.num_pairs == 0:
-            return RangedLp(objective, sp.csr_matrix(s.a), np.full(m, -INF), np.asarray(s.b, float))
         row_lo = np.concatenate([np.full(m, -INF), self.pin_b])
         row_hi = np.concatenate([np.asarray(s.b, float), np.full(2 * s.num_pairs, INF)])
-        return RangedLp(objective, _vstack([s.a, self.pins]), row_lo, row_hi)
+        return RangedLp(objective, sp.vstack([s.a, self.pins], format="csr"), row_lo, row_hi)
 
     def pin_bounds(self, pins) -> dict[int, tuple[float, float]]:
         """Row bounds of ``ranged`` that pin side ``bit`` of each ``(pair, bit)``."""
@@ -222,12 +209,11 @@ class PieceRows:
             out[m + r] = (self.pin_b[r], self.pin_b[r])
         return out
 
-    def feasible(self, prefix: tuple[int, ...]) -> bool:
-        """Whether the relaxation with the pairs of ``prefix`` pinned is nonempty."""
-        if self.num_pairs == 0:
-            return is_feasible(self.relaxation)
+    def feasible(self, prefix: tuple[int, ...], time_limit: float | None = None) -> bool:
+        """Whether the relaxation with the pairs of ``prefix`` pinned is
+        nonempty; ``time_limit`` caps the LP as in ``RangedLp.solve``."""
         self.lp.move_to(self.pin_bounds(enumerate(prefix)))
-        return self.lp.solve()[0] is not LpStatus.INFEASIBLE
+        return self.lp.solve(time_limit)[0] is not LpStatus.INFEASIBLE
 
 
 def polyhedral_relaxation(s: ComplementaritySet) -> Polyhedron:
@@ -270,7 +256,7 @@ def selected_polyhedron(s: ComplementaritySet, encoding: tuple[int, ...]) -> Pol
         r, v = _pin_row(s, i, int(bit))
         rows.append(r)
         rhs.append(v)
-    a = _vstack([relax.a] + rows)
+    a = sp.vstack([relax.a] + rows, format="csr")
     b = np.concatenate([relax.b, np.array(rhs)])
     return Polyhedron(a, b)
 
@@ -297,7 +283,7 @@ def iter_encodings(
         prefix = stack.pop()
         if deadline is not None:
             deadline.tick()
-        if not rows.feasible(prefix):
+        if not rows.feasible(prefix, None if deadline is None else deadline.remaining):
             continue
         if len(prefix) == p:
             yield prefix
@@ -358,7 +344,6 @@ class HullFormulation:
     points: tuple  # per piece: its single point, or None if fat
     copy_start: tuple[int, ...]  # per piece: copy offset, or -1 if a point
     num_copies: int
-    encodings: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def num_vars(self) -> int:
@@ -385,9 +370,6 @@ class HullFormulation:
         w = float(lifted[self.delta_index(i)])
         return np.asarray(lifted[self.copy_slice(i)]) / w
 
-    def polyhedron(self) -> Polyhedron:
-        return Polyhedron(self.a, self.b)
-
 
 # Width below which a piece counts as a single point: the spread of x_0
 # over it, and the distance from the candidate point to a row's hyperplane
@@ -403,8 +385,6 @@ def _single_point_of(piece: Polyhedron) -> np.ndarray | None:
     d != 0 has A_I d <= 0, that is (Stiemke's lemma) when A_I has rank
     n and some y >= 1 has A_I^T y = 0: one more LP, over |I| variables.
     """
-    from .hotlp import INF, RangedLp
-
     n = piece.n
     b = np.asarray(piece.b, float)
     e0 = np.zeros(n)
@@ -430,7 +410,6 @@ def _single_point_of(piece: Polyhedron) -> np.ndarray | None:
 
 def balas_hull(
     pieces: list[Polyhedron],
-    encodings: tuple[tuple[int, ...], ...] | None = None,
     points: list[np.ndarray | None] | None = None,
 ) -> HullFormulation:
     """Balas lift of the pieces; ``points`` (per piece, its single point or
@@ -503,7 +482,6 @@ def balas_hull(
         points=tuple(points),
         copy_start=tuple(copy_start),
         num_copies=num_copies,
-        encodings=encodings,
     )
 
 
@@ -531,13 +509,6 @@ class BinaryVar:
 _BIN_TOL = 1e-7
 
 
-def _unit_rows(n: int, indices, sign: float):
-    idx = np.fromiter(indices, dtype=int)
-    return sp.csr_matrix(
-        (np.full(len(idx), sign), (np.arange(len(idx)), idx)), shape=(len(idx), n)
-    )
-
-
 def optimize_over_set(
     s: ComplementaritySet,
     c: np.ndarray,
@@ -553,8 +524,6 @@ def optimize_over_set(
     unbounded result is only reported from a fully pinned branch, whose
     system is a subset of the set itself.
     """
-    from .hotlp import INF
-
     c = np.asarray(c, dtype=float)
     if len(c) != s.n:
         raise DimensionMismatch("objective length mismatch")
@@ -590,26 +559,6 @@ def optimize_over_set(
     def solve():
         return lp.solve(None if deadline is None else deadline.remaining)
 
-    def node_polyhedron(pins, bins) -> Polyhedron:
-        pairs, bits = zip(*pins) if pins else ((), ())
-        pin_a, pin_b = rows.pin_rows(pairs, bits)
-        parts = [rows.relaxation.a, pin_a]
-        rhs = [rows.relaxation.b, pin_b]
-        for bi, side in bins:
-            bv = binaries[bi]
-            if side == 0:
-                parts.append(_unit_rows(s.n, [bv.index], 1.0))
-                rhs.append(np.zeros(1))
-                if bv.zero_block:
-                    parts.append(_unit_rows(s.n, bv.zero_block, 1.0))
-                    rhs.append(np.zeros(len(bv.zero_block)))
-                    parts.append(_unit_rows(s.n, bv.zero_block, -1.0))
-                    rhs.append(np.zeros(len(bv.zero_block)))
-            else:
-                parts.append(_unit_rows(s.n, [bv.index], -1.0))
-                rhs.append(-np.ones(1))
-        return Polyhedron(_vstack(parts), np.concatenate(rhs))
-
     def polish(x: np.ndarray) -> np.ndarray:
         """Drive the node point toward complementarity.
 
@@ -638,7 +587,6 @@ def optimize_over_set(
             )
             old_viol = int(np.sum(xc * z > COMP_TOL))
             if new_viol >= old_viol:
-                x = x_new if new_viol < old_viol else x
                 break
             x = x_new
         return x
@@ -674,12 +622,7 @@ def optimize_over_set(
             branched = {bi for bi, _ in bins}
             free_bins = [bi for bi in range(len(binaries)) if bi not in branched]
             if not free_pairs and not free_bins:
-                witness = lp.feasible_point()
-                poly = node_polyhedron(pins, bins)
-                ray_out = solve_lp(LinearProgram(c, poly.a, poly.b))
-                if ray_out.status is not LpStatus.UNBOUNDED:
-                    raise NumericalFailure("unbounded node lost its ray")
-                return SetOutcome(LpStatus.UNBOUNDED, point=witness, ray=ray_out.ray)
+                return SetOutcome(LpStatus.UNBOUNDED, point=lp.feasible_point(), ray=lp.ray())
             if free_pairs:
                 i = free_pairs[0]
                 stack.append((pins + ((i, 1),), bins, None))

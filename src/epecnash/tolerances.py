@@ -7,9 +7,6 @@ double precision with 1e-7 feasibility margins is comfortable.
 # Constraint residual / variable bound slack accepted as feasible.
 FEAS_TOL = 1e-7
 
-# Gap to the true optimum accepted from the LP backend.
-OPT_TOL = 1e-7
-
 # Product x_i * z_i below which a complementarity pair counts as satisfied.
 COMP_TOL = 1e-7
 
@@ -19,9 +16,6 @@ DELTA_MIN = 1e-8
 # A best response must improve a leader's payoff by more than this (absolute)
 # to count as a profitable deviation.
 DEVIATION_TOL = 1e-6
-
-# Mixed-strategy probabilities must sum to one within this.
-PROB_TOL = 1e-9
 
 # Refuse to enumerate pieces of a complementarity set beyond this many pairs.
 ENUM_CAP = 24

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from epecnash.hotlp import RangedLp
-from epecnash.lp import LpStatus, TimeLimitReached
+from epecnash.hotlp import INF, RangedLp
+from epecnash.lp import LpStatus, NumericalFailure, TimeLimitReached
 from epecnash.polyhedra import ComplementaritySet, Deadline, PieceRows, optimize_over_set
 from epecnash.rng import Lcg
 
@@ -98,6 +98,70 @@ class TestNodeMoves:
         assert counter.edits == 4
         lp.move_to(rows.pin_bounds([(0, 1)]), {0: (0.0, 0.0)})  # backtrack, one column
         assert counter.edits == 6
+
+
+def _assert_ray(lp: RangedLp, d: np.ndarray) -> None:
+    """d lowers the objective and keeps every finite bound side of the
+    node lp is at."""
+    assert lp._objective @ d < 0
+    row_lo, row_hi, col_lo, col_hi = _bounds(lp)
+    ad = lp._a @ d
+    tol = 1e-9
+    assert np.all(ad[row_lo > -INF] >= -tol) and np.all(ad[row_hi < INF] <= tol)
+    assert np.all(d[col_lo > -INF] >= -tol) and np.all(d[col_hi < INF] <= tol)
+
+
+class TestRay:
+    def _no_rows(self, c, col_lo=None, col_hi=None) -> RangedLp:
+        return RangedLp(np.array(c), sp.csr_matrix((0, len(c))), np.zeros(0), np.zeros(0), col_lo, col_hi)
+
+    def test_half_line_column(self):
+        # HiGHS reports kUnbounded here without a primal ray of its own
+        lp = self._no_rows([-1.0], col_lo=np.zeros(1), col_hi=np.full(1, INF))
+        assert lp.solve()[0] is LpStatus.UNBOUNDED
+        d = lp.ray()
+        _assert_ray(lp, d)
+        assert d[0] > 0
+
+    def test_half_line_column_beside_a_free_one(self):
+        # the cheaper direction leaves the half-line, so only the kept
+        # bound side stops it
+        lp = self._no_rows([1.0, -1.0], col_lo=np.array([0.0, -INF]))
+        assert lp.solve()[0] is LpStatus.UNBOUNDED
+        d = lp.ray()
+        _assert_ray(lp, d)
+        assert d[1] > 0
+
+    def test_free_column(self):
+        lp = self._no_rows([2.0])
+        assert lp.solve()[0] is LpStatus.UNBOUNDED
+        d = lp.ray()
+        _assert_ray(lp, d)
+        assert d[0] < 0
+
+    def test_node_with_a_pinned_row_and_a_branched_column(self):
+        # x0 >= 0; pair x1 perp z = x0 - x2; pinning z = 0 ties x0 to x2,
+        # and branching x2 >= 1 leaves x0 = x2 unbounded above; x1 costs,
+        # so only its pin row's kept side holds it at zero
+        s = ComplementaritySet(
+            a=np.array([[-1.0, 0.0, 0.0]]),
+            b=np.zeros(1),
+            m_mat=np.array([[1.0, 0.0, -1.0]]),
+            q=np.zeros(1),
+            comp=(1,),
+        )
+        rows = PieceRows(s)
+        lp = rows.ranged(np.array([-1.0, 1.0, 0.0]))
+        lp.move_to(rows.pin_bounds([(0, 1)]), {2: (1.0, INF)})
+        assert lp.solve()[0] is LpStatus.UNBOUNDED
+        d = lp.ray()
+        _assert_ray(lp, d)
+        assert d[0] == pytest.approx(d[2]) and d[0] > 0
+
+    def test_bounded_node_has_no_ray(self):
+        lp = self._no_rows([1.0], col_lo=np.zeros(1), col_hi=np.ones(1))
+        with pytest.raises(NumericalFailure):
+            lp.ray()
 
 
 def _slow_lp_rows():

@@ -15,6 +15,7 @@ from epecnash.generators import (
     random_trivial_game,
     split_interval_game,
 )
+from epecnash.hotlp import RangedLp
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
 from epecnash.polyhedra import (
@@ -187,6 +188,25 @@ class TestEnumeration:
         )
         with pytest.raises(TooManyComplementarities):
             enumerate_pieces(s, cap=4)
+
+    def test_lp_time_limit_ends_the_walk(self, monkeypatch):
+        # the clock is never read between nodes, so only the time limit
+        # of an enumeration LP can stop the walk before its end
+        monkeypatch.setattr(Deadline, "check", lambda self: None)
+        s = _energy_sets(8, 2, 2)[0]
+        count = [0]
+        solve = RangedLp.solve
+
+        def counted(lp, *args, **kwargs):
+            count[0] += 1
+            return solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(RangedLp, "solve", counted)
+        enumerate_pieces(s)
+        walk, count[0] = count[0], 0
+        with pytest.raises(TimeLimitReached):
+            enumerate_pieces(s, deadline=Deadline(0.0))
+        assert 0 < count[0] < walk
 
 
 def _hull_min(hull, c_agg):
@@ -375,6 +395,18 @@ class TestOptimizeOverSet:
         out = optimize_over_set(s, np.array([-5.0]))
         assert out.status is LpStatus.UNBOUNDED
         assert out.ray is not None and out.ray[0] > 0
+        assert contains(s, out.point)
+
+    def test_rowless_set_is_unbounded_with_a_ray(self):
+        # a raw game leader with no rows and no pairs reaches this
+        # through deviation_check
+        s = ComplementaritySet(
+            a=np.zeros((0, 1)), b=np.zeros(0), m_mat=np.zeros((0, 1)), q=np.zeros(0), comp=()
+        )
+        c = np.array([-1.0])
+        out = optimize_over_set(s, c)
+        assert out.status is LpStatus.UNBOUNDED
+        assert out.point is not None and c @ out.ray < 0
 
     def test_feasibility_mode_returns_member(self):
         s = split_interval_set()
