@@ -1,6 +1,8 @@
 """Equilibrium algorithms for games among Stackelberg leaders.
 
-Three entry points, all sharing the same machinery:
+Three entry points over one pipeline: each leader's pieces enter its
+hull through one ``LeaderPieces`` selection, and one step assembles,
+solves and decodes the hull game.
 
 ``full_enumeration``
     Enumerate every polyhedral piece of every leader's feasible set,
@@ -24,7 +26,7 @@ Three entry points, all sharing the same machinery:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -33,7 +35,7 @@ import scipy.sparse as sp
 
 from .leadergame import MultiLeaderGame, leader_feasible_set
 from .lp import LpStatus, NumericalFailure
-from .nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne, kkt_layout
+from .nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne
 from .polyhedra import (
     BinaryVar,
     ComplementaritySet,
@@ -94,8 +96,8 @@ class SolveReport:
     total; ``inner`` with ``seq``/``rseq`` enumerates lazily and counts
     the pieces its enumeration reached plus those its deviations added.
     A ``TimeLimit`` report keeps the counts reached when the budget ran
-    out (0 for a leader whose enumeration had not finished in ``full``
-    and ``pure``).
+    out (0 for a leader whose up-front enumeration had not finished:
+    ``full``, ``pure`` and ``inner`` with ``rand``).
     """
 
     status: Literal["MNE", "PNE", "NoEquilibrium", "TimeLimit"]
@@ -209,23 +211,6 @@ def _embed_selection(asm: _Assembly, game: MultiLeaderGame, selection) -> np.nda
     return c
 
 
-def _decode_profile(
-    w: np.ndarray,
-    asm: _Assembly,
-    sets: list[ComplementaritySet],
-) -> MixedProfile:
-    lay = kkt_layout(asm.game)
-    supports = []
-    for i, hull in enumerate(asm.hulls):
-        lifted = w[lay.var_slices[i]]
-        agg = np.asarray(lifted[hull.agg_slice])
-        if contains(sets[i], agg, FEAS_TOL):
-            supports.append(((agg, 1.0),))
-        else:
-            supports.append(tuple(decompose_mixed(lifted, hull)))
-    return MixedProfile(supports=tuple(supports), market=lay.market(w))
-
-
 def _objective_values(game: MultiLeaderGame, profile: MixedProfile) -> tuple[float, ...]:
     means = profile.means()
     return tuple(
@@ -275,36 +260,155 @@ def deviation_check(
     return out
 
 
-def _report(status, profile, iterations, deadline, pieces, values=(), trace=()):
+def _report(game, selections, deadline, profile, status=None, iterations=1, trace=()):
+    """Without ``status``, the one ``profile`` implies; a leader whose
+    selection was not built yet counts 0 pieces found."""
+    found = [len(sel.found) for sel in selections]
+    if status is None:
+        status = "NoEquilibrium" if profile is None else "PNE" if profile.is_pure() else "MNE"
     return SolveReport(
         status=status,
         profile=profile,
         iterations=iterations,
         wall_time=deadline.elapsed,
-        pieces_per_leader=tuple(pieces),
-        objective_values=tuple(values),
+        pieces_per_leader=tuple(found + [0] * (len(game.leaders) - len(found))),
+        objective_values=() if profile is None else _objective_values(game, profile),
         trace=tuple(trace),
     )
 
 
-def _hull_game(game: MultiLeaderGame, deadline: Deadline, counts: list[int]):
-    """Every leader's set and the hull game over all its pieces.
+class LeaderPieces:
+    """The pieces of one leader's set that enter its hull.
 
-    ``counts[i]`` is set as soon as leader i's pieces are enumerated, so
-    a budget cut keeps the counts reached.  None when a set is empty.
+    ``pending`` yields ``(encoding, piece)`` pairs of nonempty pieces in
+    ``order``: ``seq``/``rseq`` enumerate lazily, in lexicographic order
+    and its reverse; ``rand`` (a uniform shuffle) and ``None`` (every
+    piece, for full and pure enumeration) enumerate up front.  A piece's
+    single-point test runs once, when it is included; ``found`` holds
+    every nonempty encoding seen, from ``pending`` or a deviation.  Every
+    LP runs within ``deadline``.
     """
-    sets = [leader_feasible_set(l) for l in game.leaders]
-    pieces = []
-    for i, s in enumerate(sets):
-        pieces.append(enumerate_pieces(s, deadline=deadline))
-        counts[i] = len(pieces[i])
+
+    def __init__(
+        self,
+        s: ComplementaritySet,
+        order: Strategy | None,
+        deadline: Deadline,
+        rng: Lcg | None = None,
+    ):
+        self.rows = PieceRows(s)
+        self.deadline = deadline
+        self.included: set[tuple[int, ...]] = set()
+        self.pieces: list[Polyhedron] = []
+        self.points: list[np.ndarray | None] = []
+        self._next: tuple | None = None
+        if order in ("seq", "rseq"):
+            lazy = iter_encodings(self.rows, int(order == "rseq"), deadline)
+            self.pending = ((e, self.rows.piece(e)) for e in lazy)
+            self.found: set[tuple[int, ...]] = set()
+        else:
+            pairs = enumerate_pieces(self.rows, deadline=deadline)
+            if order == "rand":
+                rng.shuffle(pairs)
+            self.pending = iter(pairs)
+            self.found = {e for e, _ in pairs}
+
+    def _fresh(self) -> tuple | None:
+        """The next pending pair whose piece is not included yet."""
+        while self._next is None or self._next[0] in self.included:
+            self._next = next(self.pending, None)
+            if self._next is None:
+                return None
+            self.found.add(self._next[0])
+        return self._next
+
+    def _include(self, encoding: tuple[int, ...], piece: Polyhedron) -> None:
+        self.included.add(encoding)
+        self.pieces.append(piece)
+        self.points.append(_single_point_of(piece, self.deadline.remaining))
+
+    @property
+    def exhausted(self) -> bool:
+        return self._fresh() is None
+
+    def extend(self, count: float = math.inf) -> int:
+        """Include up to ``count`` more pending pieces (all by default)."""
+        added = 0
+        while added < count and self._fresh() is not None:
+            self._include(*self._next)
+            added += 1
+        return added
+
+    def add(self, encoding: tuple[int, ...]) -> bool:
+        """Include a piece found by a deviation, if nonempty and new."""
+        if encoding in self.included or not self.rows.feasible(
+            encoding, self.deadline.remaining
+        ):
+            return False
+        self.found.add(encoding)
+        self._include(encoding, self.rows.piece(encoding))
+        return True
+
+    def hull(self) -> HullFormulation:
+        return balas_hull(self.pieces, self.points)
+
+
+def _start(game, order, k, deadline, selections, rng: Lcg | None = None) -> bool:
+    """Append each leader's selection to ``selections`` as it is built (a
+    budget cut keeps the counts reached), then extend each by ``k``
+    pieces; False, extending none, when a leader's set is empty."""
+    for i, leader in enumerate(game.leaders):
+        split = None if rng is None else rng.split(i)
+        selections.append(LeaderPieces(leader_feasible_set(leader), order, deadline, split))
     deadline.check()
-    if not all(counts):
-        return sets, None
-    hulls = [
-        balas_hull([poly for _, poly in pc]) for pc in pieces
-    ]
-    return sets, _assemble_hull_game(game, hulls)
+    if any(sel.exhausted for sel in selections):
+        return False
+    for sel in selections:
+        sel.extend(k)
+    return True
+
+
+def _restricted_equilibrium(
+    game, selections, deadline, criterion=None, pure=False
+) -> MixedProfile | None:
+    """An equilibrium of the hull game over the included pieces, or None.
+
+    With ``pure`` the hull weights are binary and each aggregate is read
+    as the leader's single point.  Otherwise an aggregate in the true
+    set is played purely, and any other is split into its hull support.
+    """
+    asm = _assemble_hull_game(game, [sel.hull() for sel in selections])
+    res = find_pne(
+        asm.game,
+        _embed_selection(asm, game, criterion),
+        deadline,
+        binaries=asm.binaries if pure else (),
+    )
+    if not res.found:
+        return None
+    supports = []
+    for lifted, hull, sel in zip(res.strategies(), asm.hulls, selections):
+        agg = lifted[hull.agg_slice]
+        if pure or contains(sel.rows.set, agg, FEAS_TOL):
+            supports.append(((agg, 1.0),))
+        else:
+            supports.append(tuple(decompose_mixed(lifted, hull)))
+    return MixedProfile(supports=tuple(supports), market=res.market())
+
+
+def _enumeration(
+    game: MultiLeaderGame, selection: np.ndarray | None, budget: float | None, pure: bool
+) -> SolveReport:
+    """The hull game over every piece of every leader, solved once."""
+    deadline = Deadline(budget)
+    selections: list[LeaderPieces] = []
+    try:
+        profile = None
+        if _start(game, None, math.inf, deadline, selections):
+            profile = _restricted_equilibrium(game, selections, deadline, selection, pure)
+        return _report(game, selections, deadline, profile)
+    except TimeLimitReached:
+        return _report(game, selections, deadline, None, "TimeLimit")
 
 
 def full_enumeration(
@@ -313,22 +417,7 @@ def full_enumeration(
     budget: float | None = None,
 ) -> SolveReport:
     """Mixed equilibrium by complete piece enumeration and hull lifting."""
-    deadline = Deadline(budget)
-    counts = [0] * len(game.leaders)
-    try:
-        sets, asm = _hull_game(game, deadline, counts)
-        if asm is None:
-            return _report("NoEquilibrium", None, 1, deadline, counts)
-        res = find_pne(asm.game, _embed_selection(asm, game, selection), deadline)
-        if not res.found:
-            return _report("NoEquilibrium", None, 1, deadline, counts)
-        profile = _decode_profile(res.point, asm, sets)
-        status = "PNE" if profile.is_pure() else "MNE"
-        return _report(
-            status, profile, 1, deadline, counts, _objective_values(game, profile)
-        )
-    except TimeLimitReached:
-        return _report("TimeLimit", None, 1, deadline, counts)
+    return _enumeration(game, selection, budget, pure=False)
 
 
 def pure_enumeration(
@@ -343,107 +432,7 @@ def pure_enumeration(
     cannot leak into the aggregate: the solution's aggregate block lies
     in the single active piece.
     """
-    deadline = Deadline(budget)
-    counts = [0] * len(game.leaders)
-    try:
-        _, asm = _hull_game(game, deadline, counts)
-        if asm is None:
-            return _report("NoEquilibrium", None, 1, deadline, counts)
-        res = find_pne(
-            asm.game,
-            _embed_selection(asm, game, selection),
-            deadline,
-            binaries=asm.binaries,
-        )
-        if not res.found:
-            return _report("NoEquilibrium", None, 1, deadline, counts)
-        lay = kkt_layout(asm.game)
-        supports = []
-        for i, hull in enumerate(asm.hulls):
-            agg = np.asarray(res.point[lay.var_slices[i]][hull.agg_slice])
-            supports.append(((agg, 1.0),))
-        profile = MixedProfile(supports=tuple(supports), market=lay.market(res.point))
-        return _report(
-            "PNE", profile, 1, deadline, counts, _objective_values(game, profile)
-        )
-    except TimeLimitReached:
-        return _report("TimeLimit", None, 1, deadline, counts)
-
-
-@dataclass
-class InnerApproxState:
-    """Growing piece selection of one leader during inner approximation.
-
-    ``pending`` yields the encodings of nonempty pieces in the
-    strategy's order.  ``included`` holds encodings of nonempty pieces
-    only and grows strictly across iterations; a piece's rows and
-    single-point test are built once, when it is included.  ``found``
-    holds every nonempty encoding seen so far, from ``pending`` or from
-    a deviation.
-    """
-
-    rows: PieceRows
-    pending: Iterator[tuple[int, ...]]
-    included: list[tuple[int, ...]] = field(default_factory=list)
-    pieces: list[Polyhedron] = field(default_factory=list)
-    points: list[np.ndarray | None] = field(default_factory=list)
-    found: set[tuple[int, ...]] = field(default_factory=set)
-    _next: tuple[int, ...] | None = field(default=None, init=False, repr=False)
-
-    def _fresh(self) -> tuple[int, ...] | None:
-        """The next encoding in order that is not included yet."""
-        while self._next is None or self._next in self.included:
-            self._next = next(self.pending, None)
-            if self._next is None:
-                return None
-            self.found.add(self._next)
-        return self._next
-
-    def _include(self, encoding: tuple[int, ...]) -> None:
-        piece = self.rows.piece(encoding)
-        self.included.append(encoding)
-        self.pieces.append(piece)
-        self.points.append(_single_point_of(piece))
-
-    @property
-    def exhausted(self) -> bool:
-        return self._fresh() is None
-
-    def extend(self, count: int) -> int:
-        added = 0
-        while added < count and self._fresh() is not None:
-            self._include(self._next)
-            added += 1
-        return added
-
-    def add(self, encoding: tuple[int, ...]) -> bool:
-        """Include a piece found by a deviation, if nonempty and new."""
-        if encoding in self.included or not self.rows.feasible(encoding):
-            return False
-        self.found.add(encoding)
-        self._include(encoding)
-        return True
-
-    def hull(self) -> HullFormulation:
-        return balas_hull(self.pieces, self.points)
-
-
-def _inner_state(
-    s: ComplementaritySet, strategy: Strategy, rng: Lcg, deadline: Deadline
-) -> InnerApproxState:
-    """A leader's empty selection, extended in the strategy's order.
-
-    ``seq`` and ``rseq`` enumerate lazily (0-side first and 1-side
-    first: the lexicographic order and its reverse); a uniform shuffle
-    needs every piece, so ``rand`` enumerates them all up front.
-    """
-    rows = PieceRows(s)
-    if strategy != "rand":
-        first = 1 if strategy == "rseq" else 0
-        return InnerApproxState(rows, iter_encodings(rows, first, deadline))
-    order = list(iter_encodings(rows, 0, deadline))
-    rng.shuffle(order)
-    return InnerApproxState(rows, iter(order), found=set(order))
+    return _enumeration(game, selection, budget, pure=True)
 
 
 def _piece_encoding_at(s: ComplementaritySet, x: np.ndarray) -> tuple[int, ...]:
@@ -473,55 +462,36 @@ def inner_approximation(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown extension strategy {strategy!r}")
     deadline = Deadline(budget)
-    master = Lcg(seed)
     trace: list[dict] = []
-    states: list[InnerApproxState] = []
-
-    def counts() -> list[int]:
-        found = [len(st.found) for st in states]
-        return found + [0] * (len(game.leaders) - len(found))
+    selections: list[LeaderPieces] = []
 
     try:
-        sets = [leader_feasible_set(l) for l in game.leaders]
-        for i, s in enumerate(sets):
-            states.append(_inner_state(s, strategy, master.split(i), deadline))
-        for st in states:
-            st.extend(k)
-        deadline.check()
-        if not all(st.included for st in states):
-            return _report("NoEquilibrium", None, 1, deadline, counts())
+        if not _start(game, strategy, k, deadline, selections, Lcg(seed)):
+            return _report(game, selections, deadline, None)
+        sets = [sel.rows.set for sel in selections]
 
         iterations = 0
         while True:
             iterations += 1
             deadline.check()
-            asm = _assemble_hull_game(game, [st.hull() for st in states])
-            res = find_pne(asm.game, None, deadline)
+            profile = _restricted_equilibrium(game, selections, deadline)
 
-            if not res.found:
-                if all(st.exhausted for st in states):
+            if profile is None:
+                if all(sel.exhausted for sel in selections):
                     trace.append({"restricted": None, "deviations": None})
                     return _report(
-                        "NoEquilibrium", None, iterations, deadline, counts(), trace=trace
+                        game, selections, deadline, None, iterations=iterations, trace=trace
                     )
-                for st in states:
-                    st.extend(k)
+                for sel in selections:
+                    sel.extend(k)
                 trace.append({"restricted": None, "deviations": None})
                 continue
 
-            profile = _decode_profile(res.point, asm, sets)
             devs = deviation_check(game, profile, sets=sets, deadline=deadline)
             trace.append({"restricted": profile, "deviations": devs})
             if all(d is None for d in devs):
-                status = "PNE" if profile.is_pure() else "MNE"
                 return _report(
-                    status,
-                    profile,
-                    iterations,
-                    deadline,
-                    counts(),
-                    _objective_values(game, profile),
-                    trace,
+                    game, selections, deadline, profile, iterations=iterations, trace=trace
                 )
 
             added = False
@@ -530,9 +500,9 @@ def inner_approximation(
                     continue
                 i = dev.leader
                 enc = _piece_encoding_at(sets[i], dev.point)
-                if states[i].add(enc):
+                if selections[i].add(enc):
                     added = True
-                elif states[i].extend(1):
+                elif selections[i].extend(1):
                     added = True
             if not added:
                 raise NumericalFailure(
@@ -540,5 +510,5 @@ def inner_approximation(
                 )
     except TimeLimitReached:
         return _report(
-            "TimeLimit", None, len(trace) + 1, deadline, counts(), trace=trace
+            game, selections, deadline, None, "TimeLimit", len(trace) + 1, trace
         )

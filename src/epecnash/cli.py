@@ -7,8 +7,9 @@ inner / pure algorithms), ``validate`` (re-certify a stored result),
     0  solved with an equilibrium / validation passed
     2  solved: no equilibrium exists (still a successful solve)
     3  time limit reached
-    4  input or invariant error (including a set with more
-       complementarity pairs than piece enumeration accepts)
+    4  input or invariant error (including a malformed instance file,
+       and a set with more complementarity pairs than full piece
+       enumeration accepts)
     5  internal numerical failure
     6  out of memory
 """

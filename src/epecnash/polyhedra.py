@@ -265,7 +265,6 @@ def iter_encodings(
     rows: PieceRows,
     first: int = 0,
     deadline: Deadline | None = None,
-    cap: int = ENUM_CAP,
 ) -> Iterator[tuple[int, ...]]:
     """Encodings with a nonempty selected polyhedron, depth-first and lazily.
 
@@ -273,11 +272,9 @@ def iter_encodings(
     lexicographic order and 1 exactly its reverse.  A prefix whose
     partial system is already infeasible prunes all its completions, so
     the cost scales with the number of nonempty pieces rather than
-    2^pairs.
+    2^pairs, and a lazy walk has no cap on the number of pairs.
     """
     p = rows.num_pairs
-    if p > cap:
-        raise TooManyComplementarities(f"{p} pairs exceeds cap {cap}")
     stack: list[tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
@@ -293,13 +290,17 @@ def iter_encodings(
 
 
 def enumerate_pieces(
-    s: ComplementaritySet,
+    s: ComplementaritySet | PieceRows,
     cap: int = ENUM_CAP,
     deadline: Deadline | None = None,
 ) -> list[tuple[tuple[int, ...], Polyhedron]]:
-    """All encodings with a nonempty selected polyhedron, lexicographic."""
-    rows = PieceRows(s)
-    return [(e, rows.piece(e)) for e in iter_encodings(rows, 0, deadline, cap)]
+    """All encodings with a nonempty selected polyhedron, lexicographic,
+    with their pieces; a set with more than ``cap`` pairs is refused.
+    Given a set's ``PieceRows``, the walk runs on its LP."""
+    rows = s if isinstance(s, PieceRows) else PieceRows(s)
+    if rows.num_pairs > cap:
+        raise TooManyComplementarities(f"{rows.num_pairs} pairs exceeds cap {cap}")
+    return [(e, rows.piece(e)) for e in iter_encodings(rows, 0, deadline)]
 
 
 def contains(s: ComplementaritySet, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
@@ -377,24 +378,25 @@ class HullFormulation:
 _POINT_TOL = 1e-9
 
 
-def _single_point_of(piece: Polyhedron) -> np.ndarray | None:
+def _single_point_of(piece: Polyhedron, time_limit: float | None = None) -> np.ndarray | None:
     """The piece's unique point if it is a singleton, else None.
 
     Two LPs bound x_0; only when they meet is their minimizer x tested.
     With A_I the rows active at x, the piece is {x} exactly when no
     d != 0 has A_I d <= 0, that is (Stiemke's lemma) when A_I has rank
     n and some y >= 1 has A_I^T y = 0: one more LP, over |I| variables.
+    ``time_limit`` caps each of the three LPs as in ``RangedLp.solve``.
     """
     n = piece.n
     b = np.asarray(piece.b, float)
     e0 = np.zeros(n)
     e0[0] = 1.0
     lp = RangedLp(e0, piece.a, np.full(piece.m, -INF), b)
-    status, x, lo = lp.solve()
+    status, x, lo = lp.solve(time_limit)
     if status is not LpStatus.OPTIMAL:
         return None
     lp.set_objective(-e0)
-    status, _, neg_hi = lp.solve()
+    status, _, neg_hi = lp.solve(time_limit)
     if status is not LpStatus.OPTIMAL or -neg_hi - lo > _POINT_TOL:
         return None
     a = sp.csr_matrix(piece.a)
@@ -405,23 +407,20 @@ def _single_point_of(piece: Polyhedron) -> np.ndarray | None:
     if k <= n or np.linalg.matrix_rank(active.toarray()) < n:
         return None
     cone = RangedLp(np.zeros(k), active.T, np.zeros(n), np.zeros(n), col_lo=np.ones(k))
-    return x if cone.solve()[0] is LpStatus.OPTIMAL else None
+    return x if cone.solve(time_limit)[0] is LpStatus.OPTIMAL else None
 
 
 def balas_hull(
-    pieces: list[Polyhedron],
-    points: list[np.ndarray | None] | None = None,
+    pieces: list[Polyhedron], points: list[np.ndarray | None]
 ) -> HullFormulation:
-    """Balas lift of the pieces; ``points`` (per piece, its single point or
-    None) skips the singleton test when the caller already ran it."""
+    """Balas lift of the pieces; ``points`` gives, per piece, its single
+    point (``_single_point_of``) or None."""
     if not pieces:
         raise EmptyPieceList("hull of zero pieces is undefined")
     n = pieces[0].n
     if any(p.n != n for p in pieces):
         raise DimensionMismatch("pieces must share the ambient dimension")
     k = len(pieces)
-    if points is None:
-        points = [_single_point_of(p) for p in pieces]
     fat = [i for i, pt in enumerate(points) if pt is None]
     copy_start = [-1] * k
     for j, i in enumerate(fat):

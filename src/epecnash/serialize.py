@@ -26,6 +26,7 @@ import numpy as np
 from .algorithms import MixedProfile, SolveReport
 from .energy import CountrySpec, EnergyInstance, EnergyReport, ProducerSpec
 from .leadergame import MultiLeaderGame, StackelbergLeader, leader_feasible_set
+from .lp import DimensionMismatch
 from .polyhedra import ComplementaritySet
 
 
@@ -163,12 +164,16 @@ def game_from_dict(data: dict) -> MultiLeaderGame:
 
 
 def load_instance(data: dict):
-    kind = data.get("kind")
-    if kind == "energy":
-        return energy_from_dict(data)
-    if kind == "game":
-        return game_from_dict(data)
-    raise FormatError(f"unknown instance kind {kind!r}")
+    """The instance a parsed file describes; a missing, mistyped or
+    misshapen entry raises ``FormatError``."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    readers = {"energy": energy_from_dict, "game": game_from_dict}
+    if kind not in readers:
+        raise FormatError(f"unknown instance kind {kind!r}")
+    try:
+        return readers[kind](data)
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+        raise FormatError(f"malformed {kind} instance: {type(exc).__name__}: {exc}") from exc
 
 
 # --------------------------------------------------------------------

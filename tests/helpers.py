@@ -4,7 +4,13 @@ import numpy as np
 
 from epecnash.hotlp import INF, RangedLp
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
-from epecnash.polyhedra import ComplementaritySet, Polyhedron
+from epecnash.polyhedra import (
+    ComplementaritySet,
+    HullFormulation,
+    Polyhedron,
+    _single_point_of,
+    balas_hull,
+)
 from epecnash.rng import Lcg
 
 
@@ -17,6 +23,11 @@ def interval_of(poly: Polyhedron, coord: int) -> tuple[float, float]:
     lo_val = -np.inf if lo.status is LpStatus.UNBOUNDED else lo.value
     hi_val = np.inf if hi.status is LpStatus.UNBOUNDED else -hi.value
     return lo_val, hi_val
+
+
+def hull_of(pieces: list[Polyhedron]) -> HullFormulation:
+    """Balas hull of hand-made pieces, each with its singleton test run."""
+    return balas_hull(pieces, [_single_point_of(p) for p in pieces])
 
 
 def single_point_by_coordinates(poly: Polyhedron) -> np.ndarray | None:

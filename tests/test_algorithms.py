@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from epecnash.algorithms import (
     DegenerateWeight,
     MixedProfile,
-    _inner_state,
+    LeaderPieces,
     decompose_mixed,
     deviation_check,
     full_enumeration,
@@ -28,10 +28,19 @@ from epecnash.leadergame import MultiLeaderGame, StackelbergLeader, leader_feasi
 from epecnash.nashgame import PolyhedralNashGame
 from epecnash.generators import _abs_gadget_follower
 from epecnash.hotlp import RangedLp
-from epecnash.polyhedra import Deadline, HullFormulation, Polyhedron, balas_hull, contains, enumerate_pieces
+from epecnash.polyhedra import (
+    Deadline,
+    HullFormulation,
+    Polyhedron,
+    TimeLimitReached,
+    TooManyComplementarities,
+    contains,
+    enumerate_pieces,
+)
 from epecnash.rng import Lcg
+from epecnash.tolerances import ENUM_CAP
 
-from tests.helpers import interval_of, split_interval_set
+from tests.helpers import hull_of, interval_of, split_interval_set
 
 
 def single_leader_game() -> MultiLeaderGame:
@@ -106,7 +115,7 @@ class TestFullEnumeration:
 
 def _interval_hull() -> HullFormulation:
     mk = lambda lo, hi: Polyhedron(np.array([[1.0], [-1.0]]), np.array([hi, -lo]))
-    return balas_hull([mk(0.0, 1.0), mk(2.0, 3.0)])
+    return hull_of([mk(0.0, 1.0), mk(2.0, 3.0)])
 
 
 class TestDecomposeMixed:
@@ -125,7 +134,7 @@ class TestDecomposeMixed:
         point = lambda v: Polyhedron(
             np.array([[1.0], [-1.0]]), np.array([v, -v])
         )
-        hull = balas_hull([point(0.0), point(1.0)])
+        hull = hull_of([point(0.0), point(1.0)])
         # single-point pieces carry no copy block, only their weight
         assert hull.num_copies == 0
         lifted = np.zeros(hull.num_vars)
@@ -233,7 +242,7 @@ class TestInnerApproximation:
             s = leader_feasible_set(leader)
             eager = [e for e, _ in enumerate_pieces(s)]
             order = {
-                strategy: list(_inner_state(s, strategy, Lcg(0).split(i), Deadline()).pending)
+                strategy: [e for e, _ in LeaderPieces(s, strategy, Deadline(), Lcg(0).split(i)).pending]
                 for strategy in ("seq", "rseq", "rand")
             }
             assert order["seq"] == eager
@@ -241,17 +250,30 @@ class TestInnerApproximation:
             assert sorted(order["rand"]) == eager
 
     def test_add_rejects_empty_and_included_pieces(self):
-        state = _inner_state(split_interval_set(), "seq", Lcg(0), Deadline())
+        state = LeaderPieces(split_interval_set(), "seq", Deadline())
         assert state.extend(1) == 1
-        assert state.included == [(0, 1)]
+        assert state.included == {(0, 1)}
         assert not state.add((0, 1))  # already included
         assert not state.add((0, 0)) and not state.add((1, 1))  # empty pieces
-        assert state.included == [(0, 1)]
+        assert state.included == {(0, 1)}
         assert state.add((1, 0))
         assert state.exhausted
         assert state.extend(1) == 0
         assert state.found == {(0, 1), (1, 0)}
         assert len(state.pieces) == len(state.points) == 2
+
+    def test_add_runs_within_the_deadline(self):
+        state = LeaderPieces(split_interval_set(), "seq", Deadline(0.0))
+        with pytest.raises(TimeLimitReached):
+            state.add((1, 0))
+
+    def test_lazy_orders_run_past_the_enumeration_cap(self):
+        # 13 producers per country: 26 pairs per leader, above ENUM_CAP
+        game = build_game(gen_energy(GenConfig(seed=1, countries=2, followers=(13, 13))))
+        assert all(leader_feasible_set(l).num_pairs > ENUM_CAP for l in game.leaders)
+        assert inner_approximation(game, "seq", 1, seed=0).status == "MNE"
+        with pytest.raises(TooManyComplementarities):
+            inner_approximation(game, "rand", 1, seed=0)
 
     def test_pieces_per_leader_counts_pieces_found(self):
         game = build_game(gen_energy(GenConfig(seed=0, countries=2, followers=(8, 8))))

@@ -123,6 +123,29 @@ class TestCli:
         junk = tmp_path / "junk.json"
         junk.write_text('{"kind": "nonsense"}')
         assert main(["solve", "--in", str(junk), "--out", str(out)]) == 4
+        junk.write_text("[]")
+        assert main(["solve", "--in", str(junk), "--out", str(out)]) == 4
+
+    @pytest.mark.parametrize(
+        "kind, breaks",
+        [
+            ("game", lambda d: d["leaders"][0]["set"]["b"].pop()),  # A/b row mismatch
+            ("game", lambda d: d["leaders"][0].pop("set")),
+            ("energy", lambda d: d["countries"][0]["producers"][0].pop("capacity")),
+        ],
+        ids=["game-ab-rows", "game-no-set", "energy-no-capacity"],
+    )
+    def test_malformed_instance_is_an_input_error(self, tmp_path, capsys, kind, breaks):
+        if kind == "game":
+            data = game_to_dict(split_interval_game())
+        else:
+            data = energy_to_dict(gen_energy(GenConfig(seed=1)))
+        breaks(data)
+        inst = tmp_path / "inst.json"
+        inst.write_text(dumps(data))
+        code = main(["solve", "--in", str(inst), "--out", str(tmp_path / "out.json")])
+        assert code == EXIT_INPUT
+        assert f"input error: malformed {kind} instance" in capsys.readouterr().err
 
     def test_console_entry_point(self, tmp_path):
         inst = tmp_path / "inst.json"

@@ -32,6 +32,7 @@ from epecnash.polyhedra import (
     contains,
     enumerate_pieces,
     is_feasible,
+    iter_encodings,
     optimize_over_set,
     polyhedral_relaxation,
     selected_polyhedron,
@@ -40,6 +41,7 @@ from epecnash.rng import Lcg
 
 from tests.helpers import (
     box_set,
+    hull_of,
     interval_of,
     random_comp_set,
     scalar_set,
@@ -189,6 +191,16 @@ class TestEnumeration:
         with pytest.raises(TooManyComplementarities):
             enumerate_pieces(s, cap=4)
 
+    def test_lazy_walk_has_no_cap(self):
+        # 30 pairs x_i perp x_i + 1: only the all-zero encoding is nonempty
+        n = 30
+        s = ComplementaritySet(
+            a=np.zeros((0, n)), b=np.zeros(0), m_mat=np.eye(n), q=np.ones(n), comp=tuple(range(n))
+        )
+        assert next(iter_encodings(PieceRows(s))) == (0,) * n
+        with pytest.raises(TooManyComplementarities):
+            enumerate_pieces(s)
+
     def test_lp_time_limit_ends_the_walk(self, monkeypatch):
         # the clock is never read between nodes, so only the time limit
         # of an enumeration LP can stop the walk before its end
@@ -219,7 +231,7 @@ def _hull_min(hull, c_agg):
 class TestBalasHull:
     def test_single_piece(self):
         piece = Polyhedron(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
-        hull = balas_hull([piece])
+        hull = hull_of([piece])
         lo = _hull_min(hull, np.array([1.0]))
         hi = _hull_min(hull, np.array([-1.0]))
         assert lo.value == pytest.approx(0.0, abs=1e-9)
@@ -228,7 +240,7 @@ class TestBalasHull:
 
     def test_two_intervals(self):
         mk = lambda lo, hi: Polyhedron(np.array([[1.0], [-1.0]]), np.array([hi, -lo]))
-        hull = balas_hull([mk(0.0, 1.0), mk(2.0, 3.0)])
+        hull = hull_of([mk(0.0, 1.0), mk(2.0, 3.0)])
         assert _hull_min(hull, np.array([1.0])).value == pytest.approx(0.0, abs=1e-9)
         assert _hull_min(hull, np.array([-1.0])).value == pytest.approx(-3.0, abs=1e-9)
 
@@ -237,7 +249,7 @@ class TestBalasHull:
             np.vstack([np.eye(2), -np.eye(2)]),
             np.concatenate([v, -v]),
         )
-        hull = balas_hull([point(np.zeros(2)), point(np.ones(2))])
+        hull = hull_of([point(np.zeros(2)), point(np.ones(2))])
         # the projection is the segment x1 = x2 in [0, 1]
         for c, expect in [
             (np.array([1.0, 0.0]), 0.0),
@@ -249,15 +261,7 @@ class TestBalasHull:
 
     def test_rejects_empty_input(self):
         with pytest.raises(EmptyPieceList):
-            balas_hull([])
-
-    def test_precomputed_points_give_the_same_lift(self):
-        for s in _energy_sets(2, 2, 4):
-            pieces = [poly for _, poly in enumerate_pieces(s)]
-            fresh = balas_hull(pieces)
-            reused = balas_hull(pieces, points=[_single_point_of(p) for p in pieces])
-            assert _same_bytes(fresh.a, reused.a) and _same_bytes(fresh.b, reused.b)
-            assert fresh.copy_start == reused.copy_start
+            balas_hull([], [])
 
     @given(st.integers(0, 30))
     def test_hull_matches_piecewise_minimum_on_random_boxes(self, seed):
@@ -269,7 +273,7 @@ class TestBalasHull:
             pieces.append(
                 Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.concatenate([hi, -lo]))
             )
-        hull = balas_hull(pieces)
+        hull = hull_of(pieces)
         for _ in range(16):
             c = np.array([rng.uniform(-1, 1) for _ in range(2)])
             hull_val = _hull_min(hull, c).value
@@ -315,6 +319,12 @@ class TestSinglePoint:
         sets += [split_interval_set(), scalar_set(1.0, -1.0), box_set(0.0, 2.0)]
         sets += [random_comp_set(9000 + seed) for seed in range(8)]
         assert self._assert_matches_oracle(sets) > 0
+
+    def test_time_limit_reaches_the_lps(self):
+        # a 2-row LP still stops at a 0 s limit
+        piece = Polyhedron(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+        with pytest.raises(TimeLimitReached):
+            _single_point_of(piece, 0.0)
 
     @pytest.mark.parametrize(
         "rows, rhs, point",
