@@ -7,9 +7,9 @@ inner / pure algorithms), ``validate`` (re-certify a stored result),
     0  solved with an equilibrium / validation passed
     2  solved: no equilibrium exists (still a successful solve)
     3  time limit reached
-    4  input or invariant error (including a malformed instance file,
-       and a set with more complementarity pairs than full piece
-       enumeration accepts)
+    4  input or invariant error (including a command-line usage error,
+       a malformed instance file, and a set with more complementarity
+       pairs than full piece enumeration accepts)
     5  internal numerical failure
     6  out of memory
 """
@@ -177,8 +177,24 @@ def cmd_report(args) -> int:
     return EXIT_EQUILIBRIUM
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4, since 2 (argparse's own code) means that no
+    equilibrium exists; ``--help`` still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epecnash",
         description="equilibria for Nash games among bilevel leaders",
     )
@@ -199,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", required=True)
     s.add_argument("--algorithm", choices=("full", "inner", "pure"), default="full")
     s.add_argument("--strategy", choices=("seq", "rseq", "rand"), default="seq")
-    s.add_argument("--k", type=int, default=1)
+    s.add_argument("--k", type=positive_int, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--timelimit", type=float, default=DEFAULT_TIME_LIMIT)
     s.add_argument("--select", action="store_true", help="equilibrium selection")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import MixedProfile
-from .leadergame import MultiLeaderGame, StackelbergLeader
+from .leadergame import DenseRows, MultiLeaderGame, StackelbergLeader
 from .nashgame import PolyhedralNashGame, QuadraticPlayer
 from .tolerances import FEAS_TOL
 
@@ -185,7 +185,6 @@ def _follower_game(inst: EnergyInstance, idx: int, lay: CountryLayout) -> Polyhe
                 q=np.array([[prod.quad_cost + 2.0 * beta]]),
                 coupling=coupling,
                 param_obj=param_obj,
-                param_rhs=np.zeros((2, lay.n_x)),
             )
         )
     return PolyhedralNashGame(players=tuple(players), n_param=lay.n_x)
@@ -195,46 +194,36 @@ def _leader_rows(inst: EnergyInstance, idx: int, lay: CountryLayout):
     country = inst.countries[idx]
     beta = country.demand_slope
     n_prod = len(country.producers)
-    width = lay.n_x + n_prod
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def add(coeffs: dict[int, float], bound: float):
-        row = np.zeros(width)
-        for col, val in coeffs.items():
-            row[col] += val
-        rows.append(row)
-        rhs.append(bound)
-
+    rows = DenseRows(lay.n_x + n_prod)
     # tax bounds
     for j in range(lay.n_tax):
-        add({lay.tax.start + j: -1.0}, 0.0)
+        rows.add({lay.tax.start + j: -1.0}, 0.0)
     for p in range(n_prod):
         col, coef = _tax_column(country, lay, p)
-        add({col: coef}, country.tax_caps[p])
+        rows.add({col: coef}, country.tax_caps[p])
     # trade variable signs
     if inst.trade:
         for j in range(lay.imports.start, lay.imports.stop):
-            add({j: -1.0}, 0.0)
-        add({lay.export: -1.0}, 0.0)
+            rows.add({j: -1.0}, 0.0)
+        rows.add({lay.export: -1.0}, 0.0)
     # domestic price cap:  alpha - beta (sum q + imports - export) <= cap
     price_row = {lay.quantity.start + p: -beta for p in range(n_prod)}
     if inst.trade:
         for j in range(lay.imports.start, lay.imports.stop):
             price_row[j] = -beta
         price_row[lay.export] = beta
-    add(price_row, country.price_cap - country.demand_intercept)
+    rows.add(price_row, country.price_cap - country.demand_intercept)
     # McCormick envelope of revenue_p = tax_p * q_p
     if country.tax_revenue:
         for p, prod in enumerate(country.producers):
             z = lay.revenue.start + p
             tcol, tcoef = _tax_column(country, lay, p)
             tmax, qmax = _producer_tax_cap(country, p), prod.capacity
-            add({z: -1.0}, 0.0)
-            add({z: -1.0, lay.quantity.start + p: tmax, tcol: qmax * tcoef}, tmax * qmax)
-            add({z: 1.0, lay.quantity.start + p: -tmax}, 0.0)
-            add({z: 1.0, tcol: -qmax * tcoef}, 0.0)
-    return np.array(rows), np.array(rhs)
+            rows.add({z: -1.0}, 0.0)
+            rows.add({z: -1.0, lay.quantity.start + p: tmax, tcol: qmax * tcoef}, tmax * qmax)
+            rows.add({z: 1.0, lay.quantity.start + p: -tmax}, 0.0)
+            rows.add({z: 1.0, tcol: -qmax * tcoef}, 0.0)
+    return rows.arrays()
 
 
 def build_game(inst: EnergyInstance) -> MultiLeaderGame:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leadergame import MultiLeaderGame, StackelbergLeader
+from .leadergame import DenseRows, MultiLeaderGame, StackelbergLeader
 from .nashgame import PolyhedralNashGame, QuadraticPlayer
 from .rng import Lcg
 
@@ -98,20 +98,16 @@ def matching_pennies_game() -> MultiLeaderGame:
     """
 
     def leader(name: str) -> StackelbergLeader:
-        poly_a = np.zeros((8, 4))
-        poly_b = np.zeros(8)
-        poly_a[0, 0] = -1.0
-        poly_a[1, 1] = -1.0
-        poly_a[2, 0] = 1.0
-        poly_b[2] = 1.0
-        poly_a[3, 1] = 1.0
-        poly_b[3] = 1.0
-        poly_a[4, 2] = -1.0
-        poly_a[5, 3] = -1.0
-        poly_a[6, 0] = poly_a[6, 1] = 1.0
-        poly_b[6] = 1.0
-        poly_a[7, 0] = poly_a[7, 1] = -1.0
-        poly_b[7] = -1.0
+        rows = DenseRows(4)  # x1, x2, y1, y2
+        rows.add({0: -1.0}, 0.0)
+        rows.add({1: -1.0}, 0.0)
+        rows.add({0: 1.0}, 1.0)
+        rows.add({1: 1.0}, 1.0)
+        rows.add({2: -1.0}, 0.0)
+        rows.add({3: -1.0}, 0.0)
+        rows.add({0: 1.0, 1: 1.0}, 1.0)  # x1 + x2 = 1
+        rows.add({0: -1.0, 1: -1.0}, -1.0)
+        poly_a, poly_b = rows.arrays()
         return StackelbergLeader(
             name=name,
             n_leader=2,
@@ -236,16 +232,27 @@ class InvalidConfig(ValueError):
     pass
 
 
+# Fixed menus of the random energy instances.  Producers are drawn
+# class-first: CLASSES are index ranges into the ascending emission
+# menu (green, average, highly polluting).  The linear and quadratic
+# cost menus run descending and the tax caps ascending, so that picking
+# the entry at the emission index's relative position keeps costs
+# inversely related to emissions and lets cleaner producers be taxed
+# only lightly.
+CAPACITIES = (50.0, 100.0, 130.0, 170.0, 200.0, 1000.0, 1050.0, 20000.0)
+EMISSION_COSTS = (25.0, 50.0, 100.0, 200.0, 300.0, 500.0, 550.0, 600.0)
+LINEAR_COSTS = (300.0, 290.0, 275.0, 250.0, 220.0, 200.0, 150.0)
+QUAD_COSTS = (0.6, 0.55, 0.5, 0.3, 0.2, 0.1, 0.0)
+TAX_CAPS = (0.0, 50.0, 100.0, 150.0, 200.0, 250.0, 275.0, 300.0)
+DEMAND_ALPHA = (275.0, 300.0, 325.0, 350.0, 375.0, 450.0)
+DEMAND_BETA = (0.5, 0.6, 0.7, 0.75, 0.8, 0.9)
+PRICE_CAP_FRACTIONS = (0.8, 0.85, 0.9, 0.95)
+CLASSES = ((0, 2), (2, 4), (4, 8))
+
+
 @dataclass(frozen=True)
 class GenConfig:
-    """Menus and shape knobs for random energy instances.
-
-    Producers are drawn class-first (green / average / highly polluting
-    via index ranges into the ascending emission menu); production cost
-    menus are sorted descending so that rank-aligned sampling keeps
-    costs inversely related to emissions.  Tax caps align ascending:
-    cleaner producers can only be taxed lightly.
-    """
+    """Shape knobs for random energy instances."""
 
     seed: int
     countries: int = 2
@@ -253,81 +260,52 @@ class GenConfig:
     trade: bool = True
     tax_revenue: bool = False
     paradigms: tuple[str, ...] = ("standard", "single", "carbon")
-    capacities: tuple[float, ...] = (50, 100, 130, 170, 200, 1000, 1050, 20000)
-    emission_costs: tuple[float, ...] = (25, 50, 100, 200, 300, 500, 550, 600)
-    linear_costs: tuple[float, ...] = (150, 200, 220, 250, 275, 290, 300)
-    quad_costs: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.5, 0.55, 0.6)
-    tax_caps: tuple[float, ...] = (0, 50, 100, 150, 200, 250, 275, 300)
-    demand_alpha: tuple[float, ...] = (275, 300, 325, 350, 375, 450)
-    demand_beta: tuple[float, ...] = (0.5, 0.6, 0.7, 0.75, 0.8, 0.9)
-    price_cap_fractions: tuple[float, ...] = (0.8, 0.85, 0.9, 0.95)
-    classes: tuple[tuple[int, int], ...] = ((0, 2), (2, 4), (4, 8))
 
     def __post_init__(self):
         if self.countries < 1 or (self.trade and self.countries < 2):
             raise InvalidConfig("need one country, two for trade")
         if not (1 <= self.followers[0] <= self.followers[1]):
             raise InvalidConfig("bad follower range")
-        for menu in (
-            self.capacities, self.emission_costs, self.linear_costs,
-            self.quad_costs, self.tax_caps, self.demand_alpha,
-            self.demand_beta, self.price_cap_fractions, self.paradigms,
-        ):
-            if not menu:
-                raise InvalidConfig("menus must be nonempty")
+        if not self.paradigms:
+            raise InvalidConfig("paradigms must be nonempty")
 
 
-def _draw_producer(cfg: GenConfig, rng: Lcg, multi: bool):
+def _draw_producer(rng: Lcg, multi: bool):
     from .energy import ProducerSpec
 
-    emis_menu = sorted(cfg.emission_costs)
-    lin_menu = sorted(cfg.linear_costs, reverse=True)
-    quad_menu = sorted(cfg.quad_costs, reverse=True)
-    caps_menu = sorted(cfg.tax_caps)
-    lo, hi = cfg.classes[rng.randint(len(cfg.classes))]
+    lo, hi = CLASSES[rng.randint(len(CLASSES))]
     j = lo + rng.randint(hi - lo)
 
     def aligned(menu):
-        if len(emis_menu) == 1:
-            return menu[0]
-        pos = round(j * (len(menu) - 1) / (len(emis_menu) - 1))
-        return menu[pos]
+        return menu[round(j * (len(menu) - 1) / (len(EMISSION_COSTS) - 1))]
 
-    quad = aligned(quad_menu)
+    quad = aligned(QUAD_COSTS)
     if multi and quad <= 0:
-        positive = [v for v in quad_menu if v > 0]
-        if not positive:
-            raise InvalidConfig("several followers need a positive quadratic cost")
-        quad = positive[-1]
+        quad = min(v for v in QUAD_COSTS if v > 0)
     spec = ProducerSpec(
-        lin_cost=float(aligned(lin_menu)),
-        quad_cost=float(quad),
-        capacity=float(cfg.capacities[rng.randint(len(cfg.capacities))]),
-        emission_cost=float(emis_menu[j]),
+        lin_cost=aligned(LINEAR_COSTS),
+        quad_cost=quad,
+        capacity=CAPACITIES[rng.randint(len(CAPACITIES))],
+        emission_cost=EMISSION_COSTS[j],
     )
-    return spec, float(aligned(caps_menu))
+    return spec, aligned(TAX_CAPS)
 
 
-def _untaxed_supply(producers, alpha: float, beta: float) -> float:
-    """Total production of the producers' game at zero taxes, no trade."""
-    from .nashgame import find_pne
+def _reaches_min_supply(producers, alpha: float, beta: float, price_cap: float) -> bool:
+    """Whether the producers' untaxed game without trade clears at or
+    below the price cap.
 
-    n = len(producers)
-    players = []
-    for p, prod in enumerate(producers):
-        coupling = np.full((1, n), beta)
-        coupling[0, p] = 0.0
-        players.append(
-            QuadraticPlayer(
-                c=np.array([prod.lin_cost - alpha]),
-                a=np.array([[-1.0], [1.0]]),
-                b=np.array([0.0, prod.capacity]),
-                q=np.array([[prod.quad_cost + 2.0 * beta]]),
-                coupling=coupling,
-            )
-        )
-    out = find_pne(PolyhedralNashGame(players=tuple(players)))
-    return float(np.concatenate(out.strategies()).sum())
+    At price P producer p supplies clip((P - lin_p) / (beta + quad_p),
+    0, capacity_p), the first-order condition of its profit.  So supply
+    S(P) rises with P, the equilibrium price solves P = alpha - beta
+    S(P), and it stays at or below the cap exactly when S(cap) reaches
+    the minimum supply (alpha - cap) / beta.
+    """
+    supply = sum(
+        min(max((price_cap - p.lin_cost) / (beta + p.quad_cost), 0.0), p.capacity)
+        for p in producers
+    )
+    return supply >= (alpha - price_cap) / beta
 
 
 def gen_energy(cfg: GenConfig):
@@ -345,15 +323,13 @@ def gen_energy(cfg: GenConfig):
         r = rng.split(ci + 1)
         for _attempt in range(200):
             n_f = cfg.followers[0] + r.randint(cfg.followers[1] - cfg.followers[0] + 1)
-            multi = n_f > 1
-            drawn = [_draw_producer(cfg, r, multi) for _ in range(n_f)]
+            drawn = [_draw_producer(r, n_f > 1) for _ in range(n_f)]
             producers = tuple(spec for spec, _ in drawn)
             caps = tuple(cap for _, cap in drawn)
-            alpha = float(r.choice(cfg.demand_alpha))
-            beta = float(r.choice(cfg.demand_beta))
-            price_cap = float(r.choice(cfg.price_cap_fractions)) * alpha
-            min_supply = (alpha - price_cap) / beta
-            if _untaxed_supply(producers, alpha, beta) < min_supply:
+            alpha = r.choice(DEMAND_ALPHA)
+            beta = r.choice(DEMAND_BETA)
+            price_cap = r.choice(PRICE_CAP_FRACTIONS) * alpha
+            if not _reaches_min_supply(producers, alpha, beta, price_cap):
                 continue
             countries.append(
                 CountrySpec(
@@ -391,32 +367,23 @@ def gen_pne_hardness(d: SubsetSumInterval) -> MultiLeaderGame:
 
     # ---- latin leader: x_0..x_{2P} with gadget followers on all of them
     n_x = 2 * big_p + 1
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    width = 2 * n_x  # x block plus y block
-
-    def add(coeffs: dict[int, float], bound: float):
-        row = np.zeros(width)
-        for col, val in coeffs.items():
-            row[col] += val
-        rows.append(row)
-        rhs.append(bound)
-
+    rows = DenseRows(2 * n_x)  # x block plus y block
     for i in range(n_x):
-        add({i: -1.0}, 0.0)  # x_i >= 0
-        add({n_x + i: -1.0}, 0.0)  # y_i >= 0
-    add({i: 1.0 for i in range(k + 1, big_p + 1)}, float(r))  # bit budget
+        rows.add({i: -1.0}, 0.0)  # x_i >= 0
+        rows.add({n_x + i: -1.0}, 0.0)  # y_i >= 0
+    rows.add({i: 1.0 for i in range(k + 1, big_p + 1)}, float(r))  # bit budget
     for i in range(1, k + 1):
-        add({i: 1.0}, 0.0)  # x_i = 0
-        add({i: -1.0}, 0.0)
+        rows.add({i: 1.0}, 0.0)  # x_i = 0
+        rows.add({i: -1.0}, 0.0)
     for i in range(1, big_p + 1):
-        add({i: 1.0, big_p + i: 1.0}, 1.0)  # x_i + x_{P+i} <= 1
-        add({0: 1.0, big_p + i: 1.0}, 1.0)  # x_0 + x_{P+i} <= 1
+        rows.add({i: 1.0, big_p + i: 1.0}, 1.0)  # x_i + x_{P+i} <= 1
+        rows.add({0: 1.0, big_p + i: 1.0}, 1.0)  # x_0 + x_{P+i} <= 1
+    poly_a, poly_b = rows.arrays()
     latin = StackelbergLeader(
         name="latin",
         n_leader=n_x,
-        poly_a=np.vstack(rows),
-        poly_b=np.array(rhs),
+        poly_a=poly_a,
+        poly_b=poly_b,
         followers=PolyhedralNashGame(
             players=(_abs_gadget_follower(n_x, list(range(n_x)), n_x),), n_param=n_x
         ),
@@ -425,14 +392,12 @@ def gen_pne_hardness(d: SubsetSumInterval) -> MultiLeaderGame:
 
     # ---- greek leader: xi_0..xi_P with gadget followers on all of them
     n_xi = big_p + 1
-    rows, rhs = [], []
-    width = 2 * n_xi
-
+    rows = DenseRows(2 * n_xi)
     for i in range(n_xi):
-        add({i: -1.0}, 0.0)  # xi_i >= 0
-        add({i: 1.0}, 1.0)  # xi_i <= 1
-        add({n_xi + i: -1.0}, 0.0)  # chi_i >= 0
-    add(
+        rows.add({i: -1.0}, 0.0)  # xi_i >= 0
+        rows.add({i: 1.0}, 1.0)  # xi_i <= 1
+        rows.add({n_xi + i: -1.0}, 0.0)  # chi_i >= 0
+    rows.add(
         {**{i: -1.0 for i in range(k + 1, big_p + 1)}, 0: -float(r)}, -float(r)
     )  # sum xi_{k+1..P} + r xi_0 >= r
     con = {0: big_t}
@@ -442,12 +407,13 @@ def gen_pne_hardness(d: SubsetSumInterval) -> MultiLeaderGame:
         con[i] = con.get(i, 0.0) + big_q
     for i in range(k + 1, k + r + 1):
         con[i] += 2.0 ** (i - k - 1)
-    add(con, big_t)  # budget tying xi_0 against the encoded integer
+    rows.add(con, big_t)  # budget tying xi_0 against the encoded integer
+    poly_a, poly_b = rows.arrays()
     greek = StackelbergLeader(
         name="greek",
         n_leader=n_xi,
-        poly_a=np.vstack(rows),
-        poly_b=np.array(rhs),
+        poly_a=poly_a,
+        poly_b=poly_b,
         followers=PolyhedralNashGame(
             players=(_abs_gadget_follower(n_xi, list(range(n_xi)), n_xi),), n_param=n_xi
         ),
@@ -526,32 +492,19 @@ def _product_gadget_follower(n_param: int, h: int, y: int, x: int) -> QuadraticP
 
 def product_gadget_leader() -> StackelbergLeader:
     """Standalone (h, y, x) gadget for direct inspection of its pieces."""
-    rows = []
-    rhs = []
-    width = 3 + 6
+    rows = DenseRows(3 + 6)
     for i in range(3):
-        row = np.zeros(width)
-        row[i] = -1.0
-        rows.append(row)
-        rhs.append(0.0)  # h, y, x >= 0
-    row = np.zeros(width)
-    row[1] = 1.0
-    rows.append(row)
-    rhs.append(1.0)  # y <= 1
-    row = np.zeros(width)
-    row[0], row[2] = 1.0, -1.0
-    rows.append(row)
-    rhs.append(0.0)  # h <= x
+        rows.add({i: -1.0}, 0.0)  # h, y, x >= 0
+    rows.add({1: 1.0}, 1.0)  # y <= 1
+    rows.add({0: 1.0, 2: -1.0}, 0.0)  # h <= x
     for j in range(6):
-        row = np.zeros(width)
-        row[3 + j] = -1.0
-        rows.append(row)
-        rhs.append(0.0)  # z >= 0
+        rows.add({3 + j: -1.0}, 0.0)  # z >= 0
+    poly_a, poly_b = rows.arrays()
     return StackelbergLeader(
         name="product-gadget",
         n_leader=3,
-        poly_a=np.vstack(rows),
-        poly_b=np.array(rhs),
+        poly_a=poly_a,
+        poly_b=poly_b,
         followers=PolyhedralNashGame(
             players=(_product_gadget_follower(3, 0, 1, 2),), n_param=3
         ),
@@ -578,40 +531,31 @@ def gen_mne_hardness(d: SubsetSumInterval) -> MultiLeaderGame:
     n_x = k + 3 * r + 2
     counter = k + 3 * r + 1
     n_y = (k + 1) + 6 * r  # abs-gadget y's plus product-gadget z's
-    width = n_x + n_y
-    rows, rhs = [], []
-
-    def add(coeffs: dict[int, float], bound: float):
-        row = np.zeros(width)
-        for col, val in coeffs.items():
-            row[col] += val
-        rows.append(row)
-        rhs.append(bound)
-
+    rows = DenseRows(n_x + n_y)
     for i in range(k + 1):
-        add({i: -1.0}, 0.0)  # x_i >= 0
-        add({i: 1.0}, 1.0)  # x_i <= 1
-        add({n_x + i: -1.0}, 0.0)  # y_i >= 0
+        rows.add({i: -1.0}, 0.0)  # x_i >= 0
+        rows.add({i: 1.0}, 1.0)  # x_i <= 1
+        rows.add({n_x + i: -1.0}, 0.0)  # y_i >= 0
     for i in range(1, r + 1):
         h, y, x = k + i, k + r + i, k + 2 * r + i
-        add({h: -1.0}, 0.0)
-        add({y: -1.0}, 0.0)
-        add({x: -1.0}, 0.0)
-        add({y: 1.0}, 1.0)
-        add({h: 1.0, x: -1.0}, 0.0)  # h <= x
+        rows.add({h: -1.0}, 0.0)
+        rows.add({y: -1.0}, 0.0)
+        rows.add({x: -1.0}, 0.0)
+        rows.add({y: 1.0}, 1.0)
+        rows.add({h: 1.0, x: -1.0}, 0.0)  # h <= x
         for j in range(6):
-            add({n_x + (k + 1) + 6 * (i - 1) + j: -1.0}, 0.0)  # z >= 0
-        add({counter: 1.0, x: -1.0}, 0.0)  # counter = gadget x
-        add({counter: -1.0, x: 1.0}, 0.0)
+            rows.add({n_x + (k + 1) + 6 * (i - 1) + j: -1.0}, 0.0)  # z >= 0
+        rows.add({counter: 1.0, x: -1.0}, 0.0)  # counter = gadget x
+        rows.add({counter: -1.0, x: 1.0}, 0.0)
     bin_row = {counter: 1.0}
     for i in range(1, r + 1):
         bin_row[k + r + i] = -(2.0 ** (i - 1))
-    add(bin_row, float(d.p))  # counter = p + sum 2^{i-1} y_i
-    add({c: -v for c, v in bin_row.items()}, -float(d.p))
+    rows.add(bin_row, float(d.p))  # counter = p + sum 2^{i-1} y_i
+    rows.add({c: -v for c, v in bin_row.items()}, -float(d.p))
     knap = {0: 0.5, counter: -1.0}
     for i in range(1, k + 1):
         knap[i] = float(d.q[i - 1])
-    add(knap, 0.0)  # x_0/2 + sum q_i x_i <= counter
+    rows.add(knap, 0.0)  # x_0/2 + sum q_i x_i <= counter
 
     followers = [_abs_gadget_follower(k + 1, list(range(k + 1)), n_x)]
     for i in range(1, r + 1):
@@ -639,34 +583,35 @@ def gen_mne_hardness(d: SubsetSumInterval) -> MultiLeaderGame:
         b=np.concatenate(merged_b),
         param_rhs=np.vstack(merged_p),
     )
+    poly_a, poly_b = rows.arrays()
     latin = StackelbergLeader(
         name="latin",
         n_leader=n_x,
-        poly_a=np.vstack(rows),
-        poly_b=np.array(rhs),
+        poly_a=poly_a,
+        poly_b=poly_b,
         followers=PolyhedralNashGame(players=(follower,), n_param=n_x),
     )
     latin_amb = n_x + n_y + follower.m
 
     # greek variables: xi_0 (unbounded above), xi_1..xi_r, xi_{r+1}
     n_xi = r + 2
-    width = n_xi + r
-    rows, rhs = [], []
-    add({0: -1.0}, 0.0)  # xi_0 >= 0
+    rows = DenseRows(n_xi + r)
+    rows.add({0: -1.0}, 0.0)  # xi_0 >= 0
     for i in range(1, r + 1):
-        add({i: -1.0}, 0.0)
-        add({i: 1.0}, 1.0)
-        add({n_xi + i - 1: -1.0}, 0.0)  # chi_i >= 0
+        rows.add({i: -1.0}, 0.0)
+        rows.add({i: 1.0}, 1.0)
+        rows.add({n_xi + i - 1: -1.0}, 0.0)  # chi_i >= 0
     mirror = {r + 1: 1.0}
     for i in range(1, r + 1):
         mirror[i] = -(2.0 ** (i - 1))
-    add(mirror, float(d.p))
-    add({c: -v for c, v in mirror.items()}, -float(d.p))
+    rows.add(mirror, float(d.p))
+    rows.add({c: -v for c, v in mirror.items()}, -float(d.p))
+    poly_a, poly_b = rows.arrays()
     greek = StackelbergLeader(
         name="greek",
         n_leader=n_xi,
-        poly_a=np.vstack(rows),
-        poly_b=np.array(rhs),
+        poly_a=poly_a,
+        poly_b=poly_b,
         followers=PolyhedralNashGame(
             players=(_abs_gadget_follower(r, list(range(1, r + 1)), n_xi),),
             n_param=n_xi,

@@ -25,6 +25,26 @@ from .nashgame import PolyhedralNashGame, kkt_system
 from .polyhedra import ComplementaritySet
 
 
+class DenseRows:
+    """Dense constraint rows ``a v <= b`` over ``width`` columns, added one
+    sparse row at a time; repeated columns of a row add up."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self._rows: list[np.ndarray] = []
+        self._rhs: list[float] = []
+
+    def add(self, coeffs: dict[int, float], bound: float) -> None:
+        row = np.zeros(self.width)
+        for col, val in coeffs.items():
+            row[col] += val
+        self._rows.append(row)
+        self._rhs.append(bound)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.vstack(self._rows), np.array(self._rhs, dtype=float)
+
+
 @dataclass(frozen=True)
 class StackelbergLeader:
     """One leader: own constraints over (x, y) plus a follower game in x.

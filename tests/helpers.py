@@ -4,6 +4,7 @@ import numpy as np
 
 from epecnash.hotlp import INF, RangedLp
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
+from epecnash.nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne
 from epecnash.polyhedra import (
     ComplementaritySet,
     HullFormulation,
@@ -28,6 +29,27 @@ def interval_of(poly: Polyhedron, coord: int) -> tuple[float, float]:
 def hull_of(pieces: list[Polyhedron]) -> HullFormulation:
     """Balas hull of hand-made pieces, each with its singleton test run."""
     return balas_hull(pieces, [_single_point_of(p) for p in pieces])
+
+
+def untaxed_supply(producers, alpha: float, beta: float) -> float:
+    """Total production of the producers' Cournot game at zero taxes and
+    without trade, solved as a Nash game by branch-and-bound."""
+    n = len(producers)
+    players = []
+    for p, prod in enumerate(producers):
+        coupling = np.full((1, n), beta)
+        coupling[0, p] = 0.0
+        players.append(
+            QuadraticPlayer(
+                c=np.array([prod.lin_cost - alpha]),
+                a=np.array([[-1.0], [1.0]]),
+                b=np.array([0.0, prod.capacity]),
+                q=np.array([[prod.quad_cost + 2.0 * beta]]),
+                coupling=coupling,
+            )
+        )
+    out = find_pne(PolyhedralNashGame(players=tuple(players)))
+    return float(np.concatenate(out.strategies()).sum())
 
 
 def single_point_by_coordinates(poly: Polyhedron) -> np.ndarray | None:

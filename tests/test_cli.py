@@ -147,6 +147,27 @@ class TestCli:
         assert code == EXIT_INPUT
         assert f"input error: malformed {kind} instance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--algorithm", "nope"], ["--timelimit", "abc"], ["--algorithm", "inner", "--k", "0"]],
+        ids=["bad-choice", "bad-float", "k-below-one"],
+    )
+    def test_usage_error_is_an_input_error(self, tmp_path, capsys, extra):
+        inst = tmp_path / "game.json"
+        out = tmp_path / "out.json"
+        _write_game(inst, split_interval_game())
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--in", str(inst), "--out", str(out), *extra])
+        assert exc.value.code == EXIT_INPUT
+        assert "error: argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--timelimit" in capsys.readouterr().out
+
     def test_console_entry_point(self, tmp_path):
         inst = tmp_path / "inst.json"
         proc = subprocess.run(

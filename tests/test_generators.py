@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from epecnash.algorithms import full_enumeration, pure_enumeration
+from epecnash.energy import ProducerSpec
 from epecnash.generators import (
     GenConfig,
     InvalidConfig,
     SubsetSumInterval,
+    _reaches_min_supply,
     gen_energy,
     gen_mne_hardness,
     gen_pne_hardness,
@@ -15,7 +19,9 @@ from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
 from epecnash.polyhedra import enumerate_pieces
 from epecnash.rng import Lcg
-from epecnash.serialize import dumps, energy_to_dict
+from epecnash.serialize import dumps, energy_to_dict, game_to_dict
+
+from tests.helpers import untaxed_supply
 
 YES = SubsetSumInterval(q=(1,), p=2, t=4, r=1)
 NO = SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)
@@ -42,13 +48,6 @@ class TestEnergyGenerator:
         b = dumps(energy_to_dict(gen_energy(cfg)))
         assert a == b
 
-    def test_green_class_restriction(self):
-        cfg = GenConfig(seed=7, classes=((0, 2),))
-        inst = gen_energy(cfg)
-        for c in inst.countries:
-            for p in c.producers:
-                assert p.emission_cost in (25.0, 50.0)
-
     def test_shape(self):
         cfg = GenConfig(seed=3, countries=2, followers=(3, 3))
         inst = gen_energy(cfg)
@@ -67,7 +66,77 @@ class TestEnergyGenerator:
         with pytest.raises(InvalidConfig):
             GenConfig(seed=0, countries=1, trade=True)
         with pytest.raises(InvalidConfig):
-            GenConfig(seed=0, demand_alpha=())
+            GenConfig(seed=0, paradigms=())
+
+
+# sha256 of the inputs the benchmark builds (the 15 ladder instances,
+# C2F2 seeds 0-9 and the criterion-8 subset-sum pair): generation must
+# give the same bytes across commits and SciPy versions
+BENCHMARK_INPUTS_SHA256 = "47c8fbd57aa7402fbba694de00e41fd1a21634854acc340cb9922f9609fda1cd"
+
+
+def _supply_at(producers, beta: float, price: float) -> float:
+    return sum(
+        min(max((price - p.lin_cost) / (beta + p.quad_cost), 0.0), p.capacity)
+        for p in producers
+    )
+
+
+class TestPriceCapFilter:
+    def test_closed_form_matches_the_solved_game(self):
+        rng = Lcg(31)
+        verdicts = set()
+        for _ in range(80):
+            n = 1 + rng.randint(6)
+            producers = tuple(
+                ProducerSpec(
+                    lin_cost=rng.uniform(100.0, 320.0),
+                    quad_cost=rng.uniform(0.0 if n == 1 else 0.05, 0.7),
+                    capacity=rng.uniform(5.0, 150.0),
+                    emission_cost=1.0,
+                )
+                for _ in range(n)
+            )
+            alpha = rng.uniform(250.0, 450.0)
+            beta = rng.uniform(0.4, 1.0)
+            cap = rng.uniform(0.6, 0.98) * alpha
+            min_supply = (alpha - cap) / beta
+            if abs(_supply_at(producers, beta, cap) - min_supply) <= 1e-9 * max(1.0, min_supply):
+                continue
+            expected = untaxed_supply(producers, alpha, beta) >= min_supply
+            assert _reaches_min_supply(producers, alpha, beta, cap) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_price_exactly_at_the_cap_is_accepted(self):
+        # two producers with linear cost 250 supply (300 - 270) / 0.9 at
+        # the cap 270; the others price themselves out
+        producers = tuple(
+            ProducerSpec(lin_cost=lin, quad_cost=quad, capacity=1000.0, emission_cost=1.0)
+            for lin, quad in [(250.0, 0.3)] * 2 + [(275.0, 0.5), (290.0, 0.55), (300.0, 0.6)] * 2
+        )
+        assert _reaches_min_supply(producers, 300.0, 0.9, 0.9 * 300.0)
+        assert not _reaches_min_supply(producers, 300.0 + 1e-9, 0.9, 0.9 * 300.0)
+
+    def test_generated_countries_clear_under_their_cap(self):
+        configs = [GenConfig(seed=s, countries=2, followers=(1, 5)) for s in range(4)]
+        configs += [GenConfig(seed=s, countries=3, followers=(3, 3), trade=False) for s in range(2)]
+        for cfg in configs:
+            for c in gen_energy(cfg).countries:
+                supply = untaxed_supply(c.producers, c.demand_intercept, c.demand_slope)
+                price = c.demand_intercept - c.demand_slope * supply
+                assert price <= c.price_cap + 1e-9 * max(1.0, c.price_cap)
+
+    def test_benchmark_inputs_unchanged(self):
+        digest = hashlib.sha256()
+        keys = [(c, f, s) for c, f in ((2, 4), (2, 6), (2, 8), (3, 4), (3, 6)) for s in range(3)]
+        keys += [(2, 2, s) for s in range(10)]
+        for c, f, s in keys:
+            inst = gen_energy(GenConfig(seed=s, countries=c, followers=(f, f)))
+            digest.update(dumps(energy_to_dict(inst)).encode())
+        for d in (YES, NO):  # the criterion-8 pair
+            digest.update(dumps(game_to_dict(gen_pne_hardness(d))).encode())
+        assert digest.hexdigest() == BENCHMARK_INPUTS_SHA256
 
 
 class TestHardnessGenerators:
