@@ -173,7 +173,9 @@ def _assemble_hull_game(game: MultiLeaderGame, hulls: list[HullFormulation]) -> 
                 (hull.num_vars, total_lifted + n_mkt),
             )
         players.append(
-            QuadraticPlayer(c=c, a=hull.a, b=hull.b, coupling=coupling)
+            QuadraticPlayer(
+                c=c, a=hull.a, b=hull.b, coupling=coupling, a_eq=hull.a_eq, b_eq=hull.b_eq
+            )
         )
 
     clearing = lift(game.clearing, 0, (n_mkt, total_lifted)) if n_mkt else None
@@ -377,7 +379,9 @@ def _restricted_equilibrium(
     as the leader's single point.  Otherwise an aggregate in the true
     set is played purely, and any other is split into its hull support.
     """
-    asm = _assemble_hull_game(game, [sel.hull() for sel in selections])
+    hulls = [sel.hull() for sel in selections]
+    deadline.check()
+    asm = _assemble_hull_game(game, hulls)
     res = find_pne(
         asm.game,
         _embed_selection(asm, game, criterion),

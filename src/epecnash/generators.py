@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import PARADIGMS
 from .leadergame import DenseRows, MultiLeaderGame, StackelbergLeader
 from .nashgame import PolyhedralNashGame, QuadraticPlayer
 from .rng import Lcg
@@ -268,6 +269,9 @@ class GenConfig:
             raise InvalidConfig("bad follower range")
         if not self.paradigms:
             raise InvalidConfig("paradigms must be nonempty")
+        unknown = [name for name in self.paradigms if name not in PARADIGMS]
+        if unknown:
+            raise InvalidConfig(f"unknown paradigms {unknown}; choose from {list(PARADIGMS)}")
 
 
 def _draw_producer(rng: Lcg, multi: bool):

@@ -2,8 +2,8 @@
 
 One HiGHS model is built per search; every tree node differs from the
 base relaxation only in row/column *bounds* (a pinned complementarity
-side turns a one-sided row into an equation; a branched convex weight
-turns into a fixed column).  Moving between nodes edits only the bounds
+side fixes its column at 0 or turns its pair row into an equation; a
+branched convex weight turns into a fixed column).  Moving between nodes edits only the bounds
 that differ, and warm-started re-solves are orders of magnitude cheaper
 than rebuilding the LP per node.
 

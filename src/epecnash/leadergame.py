@@ -70,7 +70,7 @@ class StackelbergLeader:
         if self.followers is None:
             return self.n_leader
         return self.n_leader + self.followers.strategy_dim + sum(
-            p.m for p in self.followers.players
+            p.m + p.m_eq for p in self.followers.players
         )
 
     def __post_init__(self):
@@ -93,10 +93,11 @@ class StackelbergLeader:
 def leader_feasible_set(leader: StackelbergLeader) -> ComplementaritySet:
     """The leader's feasible region as one complementarity system.
 
-    Rows: own (x, y) constraints plus the followers' stationarity
-    equalities; pairs: follower constraint multipliers against their
-    slacks.  Its projection onto (x, y) is the set of leader decisions
-    together with the followers' anticipated equilibrium response.
+    Rows: own (x, y) constraints as inequalities, and the followers'
+    stationarity rows as equalities; pairs: follower constraint
+    multipliers against their slacks.  Its projection onto (x, y) is the
+    set of leader decisions together with the followers' anticipated
+    equilibrium response.
     """
     if leader.feasible is not None:
         return leader.feasible
@@ -109,20 +110,33 @@ def leader_feasible_set(leader: StackelbergLeader) -> ComplementaritySet:
             comp=(),
         )
     inner, lay = kkt_system(leader.followers)
-    total = lay.total
     lead_rows = leader.poly_a.shape[0]
     width = leader.poly_a.shape[1]
     pad = sp.hstack(
-        [sp.csr_matrix(leader.poly_a), sp.csr_matrix((lead_rows, total - width))],
+        [sp.csr_matrix(leader.poly_a), sp.csr_matrix((lead_rows, lay.total - width))],
         format="csr",
     )
     return ComplementaritySet(
-        a=sp.vstack([pad, inner.a], format="csr"),
-        b=np.concatenate([np.asarray(leader.poly_b, dtype=float), inner.b]),
+        a=pad,
+        b=np.asarray(leader.poly_b, dtype=float),
         m_mat=inner.m_mat,
         q=inner.q,
         comp=inner.comp,
+        a_eq=inner.a_eq,
+        b_eq=inner.b_eq,
     )
+
+
+def equality_blocks(leader: StackelbergLeader) -> list[int]:
+    """Row counts of the blocks of ``leader_feasible_set(leader).a_eq``:
+    each follower's stationarity rows, the followers' clearing rows, and
+    each follower's own equality rows; one block for a set given whole."""
+    if leader.feasible is not None:
+        return [leader.feasible.a_eq.shape[0]]
+    if leader.followers is None:
+        return []
+    players = leader.followers.players
+    return [p.n for p in players] + [leader.followers.n_market] + [p.m_eq for p in players]
 
 
 @dataclass(frozen=True)

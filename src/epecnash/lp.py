@@ -1,8 +1,8 @@
 """Linear-program solving used by every other module.
 
 Thin, deterministic wrapper around ``scipy.optimize.linprog`` (HiGHS).
-Problems are minimization over ``A x <= b`` with optional variable
-bounds.  Unbounded problems come back with an explicit recession ray so
+Problems are minimization over ``A x <= b`` and ``A_eq x = b_eq`` with
+optional variable bounds.  Unbounded problems come back with an explicit recession ray so
 callers can report unboundedness meaningfully (a best response with no
 optimum is game-relevant information, not an error).
 """
@@ -43,13 +43,15 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective @ x  s.t.  a @ x <= b,  lower <= x <= upper."""
+    """min objective @ x  s.t.  a @ x <= b,  a_eq @ x = b_eq,  lower <= x <= upper."""
 
     objective: np.ndarray
     a: object  # (m, n) ndarray or scipy sparse
     b: np.ndarray
     lower: np.ndarray | None = None  # -inf where absent
     upper: np.ndarray | None = None  # +inf where absent
+    a_eq: object | None = None  # (m_eq, n); no equality rows when absent
+    b_eq: np.ndarray | None = None
 
     def dims(self) -> tuple[int, int]:
         m = self.a.shape[0] if self.a is not None else 0
@@ -76,6 +78,8 @@ def _check_dims(lp: LinearProgram) -> None:
             raise DimensionMismatch(
                 f"A has {lp.a.shape[0]} rows, b has {len(lp.b)} entries"
             )
+    if lp.a_eq is not None and lp.a_eq.shape != (len(lp.b_eq), n):
+        raise DimensionMismatch("A_eq must have one row per b_eq entry and n columns")
     for bound, label in ((lp.lower, "lower"), (lp.upper, "upper")):
         if bound is not None and len(bound) != n:
             raise DimensionMismatch(f"{label} bounds have wrong length")
@@ -95,16 +99,20 @@ def _bounds_list(lp: LinearProgram) -> list[tuple[float | None, float | None]]:
     ]
 
 
-def _run_highs(c, a, b, bounds):
+def _run_highs(c, a, b, bounds, a_eq=None, b_eq=None):
     kwargs = {}
     if a is not None and a.shape[0] > 0:
         kwargs["A_ub"] = a
         kwargs["b_ub"] = b
+    if a_eq is not None and a_eq.shape[0] > 0:
+        kwargs["A_eq"] = a_eq
+        kwargs["b_eq"] = b_eq
     return linprog(c, bounds=bounds, method="highs", **kwargs)
 
 
 def _recession_ray(lp: LinearProgram) -> np.ndarray:
-    """A direction d with A d <= 0, bound-compatible, and objective @ d < 0.
+    """A direction d with A d <= 0, A_eq d = 0, bound-compatible, and
+    objective @ d < 0.
 
     Exists whenever the LP is feasible and unbounded; found by minimizing
     the objective over the recession cone intersected with a unit box.
@@ -117,7 +125,8 @@ def _recession_ray(lp: LinearProgram) -> np.ndarray:
     if lp.upper is not None:
         hi[np.isfinite(lp.upper)] = 0.0
     a = lp.a if m > 0 else None
-    res = _run_highs(lp.objective, a, np.zeros(m), list(zip(lo, hi)))
+    m_eq = 0 if lp.a_eq is None else lp.a_eq.shape[0]
+    res = _run_highs(lp.objective, a, np.zeros(m), list(zip(lo, hi)), lp.a_eq, np.zeros(m_eq))
     if res.status != 0 or res.fun >= -FEAS_TOL:
         raise NumericalFailure("unbounded LP without a certifying ray")
     return np.asarray(res.x, dtype=float)
@@ -127,7 +136,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     _check_dims(lp)
     m, _ = lp.dims()
     a = lp.a if m > 0 else None
-    res = _run_highs(np.asarray(lp.objective, dtype=float), a, lp.b, _bounds_list(lp))
+    res = _run_highs(
+        np.asarray(lp.objective, dtype=float), a, lp.b, _bounds_list(lp), lp.a_eq, lp.b_eq
+    )
     if res.status == 0:
         return LpOutcome(LpStatus.OPTIMAL, point=np.asarray(res.x, dtype=float), value=float(res.fun))
     if res.status == 2:

@@ -3,7 +3,8 @@
 Each player i solves
 
     min  1/2 v_i' Q_i v_i + (c_i + K_i [v_{-i}; pi])' v_i
-    s.t. A_i v_i <= b_i  (- P_i x  when parameterized by an external x)
+    s.t. A_i v_i <= b_i  (- P_i x  when parameterized by an external x),
+         E_i v_i  = e_i
 
 optionally tied together by shared market-clearing equalities whose
 free multipliers ``pi`` act as prices the players take as given (the
@@ -21,15 +22,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lp import DimensionMismatch, LpError, LpStatus
-from .polyhedra import BinaryVar, ComplementaritySet, Deadline, optimize_over_set
+from .polyhedra import (
+    BinaryVar,
+    ComplementaritySet,
+    Deadline,
+    default_equalities,
+    optimize_over_set,
+)
 
 
 class NonPsdObjective(ValueError):
     pass
-
-
-def _as_csr(mat) -> sp.csr_matrix:
-    return mat.tocsr() if sp.issparse(mat) else sp.csr_matrix(np.atleast_2d(mat))
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,8 @@ class QuadraticPlayer:
     objective coefficients; its own block must be zero.  ``param_obj``
     and ``param_rhs`` carry the simple parameterization in an external
     decision x: an objective shift ``(param_obj x)' v`` and a right-hand
-    side shift ``A v <= b - param_rhs x``.
+    side shift ``A v <= b - param_rhs x``.  The equality rows
+    ``a_eq v = b_eq`` take no parameter shift.
     """
 
     c: np.ndarray
@@ -51,6 +55,8 @@ class QuadraticPlayer:
     coupling: object | None = None
     param_obj: object | None = None
     param_rhs: object | None = None
+    a_eq: object | None = None  # (m_eq, n); no equality rows by default
+    b_eq: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -60,11 +66,16 @@ class QuadraticPlayer:
     def m(self) -> int:
         return self.a.shape[0]
 
+    @property
+    def m_eq(self) -> int:
+        return self.a_eq.shape[0]
+
     def __post_init__(self):
         if self.a.shape[1] != self.n:
             raise DimensionMismatch("player constraint columns != variable count")
         if self.a.shape[0] != len(self.b):
             raise DimensionMismatch("player A/b mismatch")
+        default_equalities(self, self.n)
         if self.q is not None:
             qm = np.asarray(self.q, dtype=float)
             if qm.shape != (self.n, self.n):
@@ -113,6 +124,7 @@ class KktLayout:
     n_param: int
     var_slices: tuple[slice, ...]
     mult_slices: tuple[slice, ...]
+    eq_mult_slices: tuple[slice, ...]
     market_slice: slice
     total: int
 
@@ -124,21 +136,22 @@ class KktLayout:
 
 
 def kkt_layout(g: PolyhedralNashGame) -> KktLayout:
+    """[parameter | strategies | inequality multipliers | equality
+    multipliers | prices], each block player by player."""
     pos = g.n_param
-    var_slices = []
-    for p in g.players:
-        var_slices.append(slice(pos, pos + p.n))
-        pos += p.n
-    mult_slices = []
-    for p in g.players:
-        mult_slices.append(slice(pos, pos + p.m))
-        pos += p.m
-    market = slice(pos, pos + g.n_market)
+    blocks = []
+    for size in ("n", "m", "m_eq"):
+        slices = []
+        for p in g.players:
+            slices.append(slice(pos, pos + getattr(p, size)))
+            pos += getattr(p, size)
+        blocks.append(tuple(slices))
     return KktLayout(
         n_param=g.n_param,
-        var_slices=tuple(var_slices),
-        mult_slices=tuple(mult_slices),
-        market_slice=market,
+        var_slices=blocks[0],
+        mult_slices=blocks[1],
+        eq_mult_slices=blocks[2],
+        market_slice=slice(pos, pos + g.n_market),
         total=pos + g.n_market,
     )
 
@@ -147,68 +160,98 @@ def kkt_lcp(g: PolyhedralNashGame) -> ComplementaritySet:
     """Stacked stationarity + primal feasibility + complementary slackness.
 
     Variables: [external parameter | strategies | multipliers | prices].
-    Every constraint multiplier is complementary to its row slack; the
-    stationarity and clearing equalities enter as inequality pairs.
+    Every inequality multiplier is complementary to its row slack; the
+    stationarity, clearing and players' equality rows are equalities.
     """
     set_, _ = kkt_system(g)
     return set_
 
 
+class _Triplets:
+    """A sparse matrix assembled block by block as COO triplets."""
+
+    def __init__(self):
+        self.rows, self.cols, self.vals = [], [], []
+
+    def put(self, block, row0: int, col0: int) -> None:
+        if 0 in block.shape:
+            return
+        coo = sp.coo_matrix(block)
+        self.rows.append(coo.row + row0)
+        self.cols.append(coo.col + col0)
+        self.vals.append(coo.data)
+
+    def csr(self, shape) -> sp.csr_matrix:
+        if not self.vals:
+            return sp.csr_matrix(shape)
+        out = sp.csr_matrix(
+            (np.concatenate(self.vals), (np.concatenate(self.rows), np.concatenate(self.cols))),
+            shape=shape,
+        )
+        out.eliminate_zeros()
+        return out
+
+
 def kkt_system(g: PolyhedralNashGame) -> tuple[ComplementaritySet, KktLayout]:
+    """The game's KKT conditions as one complementarity set.
+
+    Equalities, in order: each player's stationarity rows, the clearing
+    rows, each player's own equality rows (whose multipliers are free
+    and take no pair).  Pairs: each inequality multiplier against its
+    row slack ``b - param_rhs x - A v``.
+    """
     lay = kkt_layout(g)
     total = lay.total
+    strat0 = g.n_param
 
-    a_blocks = []
-    b_parts = []
+    eq = _Triplets()
+    b_eq = []
+    top = 0
     for i, p in enumerate(g.players):
-        stat = sp.lil_matrix((p.n, total))
         if p.q is not None and np.any(p.q):
-            stat[:, lay.var_slices[i]] = p.q
+            eq.put(p.q, top, lay.var_slices[i].start)
         if p.coupling is not None:
-            coup = _as_csr(p.coupling)
-            strat = coup[:, : g.strategy_dim]
-            offset = lay.var_slices[0].start
-            stat[:, offset : offset + g.strategy_dim] += strat
+            coup = sp.csr_matrix(p.coupling)
+            eq.put(coup[:, : g.strategy_dim], top, strat0)
             if g.n_market:
-                stat[:, lay.market_slice] += coup[:, g.strategy_dim :]
+                eq.put(coup[:, g.strategy_dim :], top, lay.market_slice.start)
         if p.param_obj is not None:
-            stat[:, : g.n_param] += p.param_obj
-        stat[:, lay.mult_slices[i]] = _as_csr(p.a).T
-        stat = sp.csr_matrix(stat)
-        a_blocks += [stat, -stat]
-        b_parts += [-np.asarray(p.c, dtype=float), np.asarray(p.c, dtype=float)]
-
+            eq.put(p.param_obj, top, 0)
+        eq.put(p.a.T, top, lay.mult_slices[i].start)
+        eq.put(p.a_eq.T, top, lay.eq_mult_slices[i].start)
+        b_eq.append(-np.asarray(p.c, dtype=float))
+        top += p.n
     if g.n_market:
-        rows = sp.lil_matrix((g.n_market, total))
-        offset = lay.var_slices[0].start
-        rows[:, offset : offset + g.strategy_dim] = g.clearing
-        rows = sp.csr_matrix(rows)
-        a_blocks += [rows, -rows]
-        b_parts += [np.zeros(g.n_market), np.zeros(g.n_market)]
+        eq.put(g.clearing, top, strat0)
+        b_eq.append(np.zeros(g.n_market))
+        top += g.n_market
+    for i, p in enumerate(g.players):
+        eq.put(p.a_eq, top, lay.var_slices[i].start)
+        b_eq.append(np.asarray(p.b_eq, dtype=float))
+        top += p.m_eq
 
-    a = sp.vstack(a_blocks, format="csr")
-    b = np.concatenate(b_parts)
-
-    m_blocks = []
+    pairs = _Triplets()
     q_parts = []
     comp: list[int] = []
+    top = 0
     for i, p in enumerate(g.players):
-        mrows = sp.lil_matrix((p.m, total))
-        mrows[:, lay.var_slices[i]] = -_as_csr(p.a)
+        pairs.put(-p.a, top, lay.var_slices[i].start)
         if p.param_rhs is not None:
-            mrows[:, : g.n_param] = -p.param_rhs
-        m_blocks.append(sp.csr_matrix(mrows))
+            pairs.put(-p.param_rhs, top, 0)
         q_parts.append(np.asarray(p.b, dtype=float))
         comp.extend(range(lay.mult_slices[i].start, lay.mult_slices[i].stop))
+        top += p.m
 
-    if m_blocks:
-        m_mat = sp.vstack(m_blocks, format="csr")
-        q = np.concatenate(q_parts)
-    else:
-        m_mat = sp.csr_matrix((0, total))
-        q = np.zeros(0)
-
-    return ComplementaritySet(a=a, b=b, m_mat=m_mat, q=q, comp=tuple(comp)), lay
+    set_ = ComplementaritySet(
+        a=sp.csr_matrix((0, total)),
+        b=np.zeros(0),
+        m_mat=pairs.csr((top, total)),
+        q=np.concatenate(q_parts) if q_parts else np.zeros(0),
+        comp=tuple(comp),
+        a_eq=eq.csr((sum(len(v) for v in b_eq), total)),
+        b_eq=np.concatenate(b_eq) if b_eq else np.zeros(0),
+    )
+    return set_, lay
 
 
 @dataclass(frozen=True)
@@ -239,6 +282,8 @@ def find_pne(
     if g.n_param:
         raise LpError("cannot solve a game that still has free parameters")
     set_, lay = kkt_system(g)
+    if deadline is not None:
+        deadline.check()
     c = np.zeros(lay.total)
     if selection is not None:
         if len(selection) != g.strategy_dim:

@@ -2,7 +2,8 @@
 
 A :class:`ComplementaritySet` is the region
 
-    { x : A x <= b,  z = M x + q,  0 <= x_{c_i}  perp  z_i >= 0  for each pair i }
+    { x : A x <= b,  A_eq x = b_eq,  z = M x + q,
+          0 <= x_{c_i}  perp  z_i >= 0  for each pair i }
 
 which is a finite union of polyhedra: fixing, per pair, which side is
 pinned to zero yields one "selected" polyhedron per 0/1 encoding.  This
@@ -71,16 +72,30 @@ class Deadline:
         self.check()
 
 
+def default_equalities(obj, n: int) -> None:
+    """Give a frozen dataclass with no ``a_eq`` an empty (0, n) equality
+    block (dense: building a sparse one costs more than the rest of a
+    small player), and check the shape of one it has."""
+    if obj.a_eq is None and obj.b_eq is None:
+        object.__setattr__(obj, "a_eq", np.zeros((0, n)))
+        object.__setattr__(obj, "b_eq", np.zeros(0))
+    elif obj.a_eq is None or obj.b_eq is None or obj.a_eq.shape != (len(obj.b_eq), n):
+        raise DimensionMismatch("A_eq must have one row per b_eq entry and n columns")
+
+
 @dataclass(frozen=True)
 class Polyhedron:
-    """{ x : a x <= b } over free variables."""
+    """{ x : a x <= b,  a_eq x = b_eq } over free variables."""
 
     a: object  # (m, n) ndarray or scipy sparse
     b: np.ndarray
+    a_eq: object | None = None  # (m_eq, n); no equality rows by default
+    b_eq: np.ndarray | None = None
 
     def __post_init__(self):
         if self.a.shape[0] != len(self.b):
             raise DimensionMismatch("row count of A must equal length of b")
+        default_equalities(self, self.n)
 
     @property
     def n(self) -> int:
@@ -90,26 +105,34 @@ class Polyhedron:
     def m(self) -> int:
         return self.a.shape[0]
 
+    def program(self, objective: np.ndarray) -> LinearProgram:
+        """min objective @ x over the polyhedron."""
+        return LinearProgram(objective, self.a, self.b, a_eq=self.a_eq, b_eq=self.b_eq)
+
 
 def is_feasible(poly: Polyhedron) -> bool:
-    out = solve_lp(LinearProgram(np.zeros(poly.n), poly.a, poly.b))
+    out = solve_lp(poly.program(np.zeros(poly.n)))
     return out.status is not LpStatus.INFEASIBLE
 
 
 @dataclass(frozen=True)
 class ComplementaritySet:
-    """Feasible set with complementarity pairs (x_{comp[i]}, [m_mat x + q]_i)."""
+    """Feasible set with rows ``a x <= b`` and ``a_eq x = b_eq`` and
+    complementarity pairs (x_{comp[i]}, [m_mat x + q]_i)."""
 
     a: object  # (m, n)
     b: np.ndarray
     m_mat: object  # (p, n)
     q: np.ndarray
     comp: tuple[int, ...]
+    a_eq: object | None = None  # (m_eq, n); no equality rows by default
+    b_eq: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.n
         if self.a.shape[0] != len(self.b):
             raise DimensionMismatch("A/b row mismatch")
+        default_equalities(self, n)
         if self.m_mat.shape[0] != len(self.q) or len(self.q) != len(self.comp):
             raise DimensionMismatch("M/q/comp size mismatch")
         if self.m_mat.shape[0] > 0 and self.m_mat.shape[1] != n:
@@ -134,11 +157,13 @@ class ComplementaritySet:
 class PieceRows:
     """Every selected polyhedron of one set, as rows of one shared system.
 
-    ``pins`` stacks one pin row per pair side: row i is x_{c_i} <= 0 and
-    row p + i is [M x]_i <= -q_i, so encoding e pins the rows
-    ``arange(p) + p * e``.  The relaxation is the base rows plus the
-    negated pin block, and the ranged LP keeps the pin block as >= rows
-    that a pin turns into equations.
+    ``sides`` stacks one row per pair side: row i is x_{c_i} and row
+    p + i is [M x]_i, and ``side_b`` = [0; -q] is the value a pin fixes
+    it at.  Encoding e pins the rows ``arange(p) + p * e`` as equalities
+    and keeps each other side as one ``>= side_b`` row.  The ranged LP
+    instead bounds each complementary column to [0, inf) and keeps
+    M x + q >= 0 as one row per pair, so a 0-side pin is a column-bound
+    edit and a 1-side pin a row-bound edit.
     """
 
     def __init__(self, s: ComplementaritySet):
@@ -147,8 +172,8 @@ class PieceRows:
         unit = sp.csr_matrix(
             (np.ones(p), (np.arange(p), np.array(s.comp, dtype=int))), shape=(p, s.n)
         )
-        self.pins = sp.vstack([unit, sp.csr_matrix(s.m_mat)], format="csr")
-        self.pin_b = np.concatenate([np.zeros(p), -np.asarray(s.q, dtype=float)])
+        self.sides = sp.vstack([unit, sp.csr_matrix(s.m_mat)], format="csr")
+        self.side_b = np.concatenate([np.zeros(p), -np.asarray(s.q, dtype=float)])
 
     @property
     def num_pairs(self) -> int:
@@ -156,25 +181,26 @@ class PieceRows:
 
     @cached_property
     def relaxation(self) -> Polyhedron:
+        """Both sides of every pair kept as >= rows."""
         s = self.set
         if s.num_pairs == 0:
-            return Polyhedron(s.a, np.asarray(s.b, dtype=float))
-        a = sp.vstack([s.a, -self.pins], format="csr")
-        b = np.concatenate([s.b, np.zeros(s.num_pairs), np.asarray(s.q, dtype=float)])
-        return Polyhedron(a, b)
+            return Polyhedron(s.a, np.asarray(s.b, dtype=float), s.a_eq, s.b_eq)
+        return Polyhedron(
+            sp.vstack([s.a, -self.sides], format="csr"),
+            np.concatenate([s.b, -self.side_b]),
+            s.a_eq,
+            s.b_eq,
+        )
 
     @cached_property
     def lp(self) -> RangedLp:
         """Zero-objective ranged LP shared by the feasibility checks."""
         return self.ranged(np.zeros(self.set.n))
 
-    def pin_rows(self, pairs, bits):
-        """Pin rows and right-hand sides fixing ``bits`` on ``pairs``."""
-        idx = np.asarray(pairs, dtype=int) + self.num_pairs * np.asarray(bits, dtype=int)
-        return self.pins[idx], self.pin_b[idx]
-
     def piece(self, encoding: tuple[int, ...]) -> Polyhedron:
-        """The selected polyhedron of ``encoding``."""
+        """The selected polyhedron of ``encoding``: the pinned sides as
+        equalities after the set's own, the other sides as >= rows after
+        the set's ``<=`` rows."""
         p = self.num_pairs
         if len(encoding) != p:
             raise EncodingLengthMismatch(
@@ -182,37 +208,53 @@ class PieceRows:
             )
         if p == 0:
             return self.relaxation
-        a, b = self.pin_rows(np.arange(p), encoding)
+        s = self.set
+        pinned = np.arange(p) + p * np.asarray(encoding, dtype=int)
+        other = np.arange(p) + p * (1 - np.asarray(encoding, dtype=int))
         return Polyhedron(
-            sp.vstack([self.relaxation.a, a], format="csr"),
-            np.concatenate([self.relaxation.b, b]),
+            sp.vstack([s.a, -self.sides[other]], format="csr"),
+            np.concatenate([s.b, -self.side_b[other]]),
+            sp.vstack([s.a_eq, self.sides[pinned]], format="csr"),
+            np.concatenate([s.b_eq, self.side_b[pinned]]),
         )
 
     def ranged(self, objective: np.ndarray) -> RangedLp:
-        """The relaxation as one incremental LP with pinnable pair rows.
+        """The relaxation as one incremental LP whose nodes are bound edits.
 
-        Row layout: the m base rows, then the pin block as >= rows, so
-        every search node is a bound edit on this single model.
+        Rows: ``a`` as <= b rows, the equalities with lo = hi, then one
+        M x + q >= 0 row per pair; every complementary column is bounded
+        to [0, inf).
         """
         s = self.set
-        m = s.a.shape[0]
-        row_lo = np.concatenate([np.full(m, -INF), self.pin_b])
-        row_hi = np.concatenate([np.asarray(s.b, float), np.full(2 * s.num_pairs, INF)])
-        return RangedLp(objective, sp.vstack([s.a, self.pins], format="csr"), row_lo, row_hi)
+        q = np.asarray(s.q, dtype=float)
+        col_lo = np.full(s.n, -INF)
+        col_lo[list(s.comp)] = 0.0
+        return RangedLp(
+            objective,
+            sp.vstack([sp.csr_matrix(m) for m in (s.a, s.a_eq, s.m_mat)], format="csr"),
+            np.concatenate([np.full(s.a.shape[0], -INF), s.b_eq, -q]),
+            np.concatenate([np.asarray(s.b, float), s.b_eq, np.full(s.num_pairs, INF)]),
+            col_lo,
+        )
 
-    def pin_bounds(self, pins) -> dict[int, tuple[float, float]]:
-        """Row bounds of ``ranged`` that pin side ``bit`` of each ``(pair, bit)``."""
-        m, p = self.set.a.shape[0], self.num_pairs
-        out = {}
+    def pin_bounds(self, pins, cols: dict | None = None) -> tuple[dict, dict]:
+        """Row and column bounds of ``ranged`` that pin side ``bit`` of each
+        ``(pair, bit)``, beside the column bounds ``cols``: side 0 fixes
+        x_{c_i} at 0, side 1 fixes pair row i at -q_i."""
+        s = self.set
+        first = s.a.shape[0] + s.a_eq.shape[0]
+        rows, cols = {}, dict(cols or {})
         for i, bit in pins:
-            r = i + p * bit
-            out[m + r] = (self.pin_b[r], self.pin_b[r])
-        return out
+            if bit:
+                rows[first + i] = (-float(s.q[i]), -float(s.q[i]))
+            else:
+                cols[s.comp[i]] = (0.0, 0.0)
+        return rows, cols
 
     def feasible(self, prefix: tuple[int, ...], time_limit: float | None = None) -> bool:
         """Whether the relaxation with the pairs of ``prefix`` pinned is
         nonempty; ``time_limit`` caps the LP as in ``RangedLp.solve``."""
-        self.lp.move_to(self.pin_bounds(enumerate(prefix)))
+        self.lp.move_to(*self.pin_bounds(enumerate(prefix)))
         return self.lp.solve(time_limit)[0] is not LpStatus.INFEASIBLE
 
 
@@ -222,7 +264,7 @@ def polyhedral_relaxation(s: ComplementaritySet) -> Polyhedron:
 
 
 def _pin_row(s: ComplementaritySet, pair: int, bit: int):
-    """Inequality pinning one side of a pair: bit 0 -> x <= 0, bit 1 -> z <= 0."""
+    """Row and value of one side of a pair: bit 0 -> x_{c_i}, 0; bit 1 -> [M x]_i, -q_i."""
     if bit == 0:
         row = sp.csr_matrix(
             (np.ones(1), (np.zeros(1, dtype=int), np.array([s.comp[pair]]))),
@@ -237,28 +279,33 @@ def _pin_row(s: ComplementaritySet, pair: int, bit: int):
 
 
 def selected_polyhedron(s: ComplementaritySet, encoding: tuple[int, ...]) -> Polyhedron:
-    """Relaxation intersected with the per-pair pins given by ``encoding``.
+    """The set with the side ``encoding`` picks of each pair pinned as an
+    equality and the other side kept as a >= row.
 
-    Its pin rows are built one pair at a time, apart from the shared
-    block of :class:`PieceRows`; kept as the reference that block is
-    tested against.
+    Its rows are built one pair at a time, apart from the shared block
+    of :class:`PieceRows`; kept as the reference that block is tested
+    against.
     """
     if len(encoding) != s.num_pairs:
         raise EncodingLengthMismatch(
             f"encoding has {len(encoding)} bits, set has {s.num_pairs} pairs"
         )
-    relax = polyhedral_relaxation(s)
     if s.num_pairs == 0:
-        return relax
-    rows = []
-    rhs = []
+        return polyhedral_relaxation(s)
+    rows, rhs, eq_rows, eq_rhs = [], [], [], []
     for i, bit in enumerate(encoding):
-        r, v = _pin_row(s, i, int(bit))
-        rows.append(r)
-        rhs.append(v)
-    a = sp.vstack([relax.a] + rows, format="csr")
-    b = np.concatenate([relax.b, np.array(rhs)])
-    return Polyhedron(a, b)
+        row, value = _pin_row(s, i, int(bit))
+        eq_rows.append(row)
+        eq_rhs.append(value)
+        row, value = _pin_row(s, i, 1 - int(bit))
+        rows.append(-row)
+        rhs.append(-value)
+    return Polyhedron(
+        sp.vstack([s.a] + rows, format="csr"),
+        np.concatenate([s.b, np.array(rhs)]),
+        sp.vstack([s.a_eq] + eq_rows, format="csr"),
+        np.concatenate([s.b_eq, np.array(eq_rhs)]),
+    )
 
 
 def iter_encodings(
@@ -304,11 +351,15 @@ def enumerate_pieces(
 
 
 def contains(s: ComplementaritySet, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-    """Membership of a point: rows, both signs, and pair products within tol."""
+    """Membership of a point: rows (an equality in both directions), both
+    signs, and pair products within tol."""
     x = np.asarray(x, dtype=float)
     if len(x) != s.n:
         raise DimensionMismatch("point dimension mismatch")
     resid = np.asarray(s.a @ x).ravel() - s.b
+    if resid.size and resid.max() > tol:
+        return False
+    resid = np.abs(np.asarray(s.a_eq @ x).ravel() - s.b_eq)
     if resid.size and resid.max() > tol:
         return False
     if s.num_pairs == 0:
@@ -327,41 +378,52 @@ class HullFormulation:
     Variables are laid out ``[copies of fat pieces | delta (k) | x (n)]``
     with rows
 
-        A^i x^i <= delta_i b^i  (fat pieces),
-        sum_w x^w + sum_j delta_j v_j = x,   sum_w delta_w = 1,
+        A^i x^i <= delta_i b^i,  A_eq^i x^i = delta_i b_eq^i  (fat pieces),
         delta >= 0,
+        sum_w x^w + sum_j delta_j v_j = x,   sum_w delta_w = 1,
 
-    equalities written as inequality pairs so the whole system is one
-    ``a x <= b`` block.  A piece that is a single point v_j needs no
-    copy block: its Balas system ``A x <= delta b`` forces exactly
-    ``x = delta v_j``, so it enters the aggregation row directly.  Any
-    point of piece i is recovered with delta the i-th unit vector.
+    the inequalities in ``a``/``b`` and the equalities in ``a_eq``/
+    ``b_eq``.  A piece that is a single point v_j needs no copy block:
+    its Balas system ``A x <= delta b`` forces exactly ``x = delta v_j``,
+    so it enters the aggregation row directly.  A copy leaves out every
+    column that a one-entry equality row with right-hand side 0 fixes at
+    0 (with the row), so ``copy_cols[i]`` lists the ambient columns it
+    keeps.  Any point of piece i is recovered with delta the i-th unit
+    vector.
     """
 
     a: object
     b: np.ndarray
+    a_eq: object
+    b_eq: np.ndarray
     n: int
     k: int
     points: tuple  # per piece: its single point, or None if fat
+    copy_cols: tuple  # per piece: the ambient columns of its copy, or None if a point
     copy_start: tuple[int, ...]  # per piece: copy offset, or -1 if a point
     num_copies: int
 
     @property
+    def copy_vars(self) -> int:
+        """Columns of all copy blocks together."""
+        return sum(len(cols) for cols in self.copy_cols if cols is not None)
+
+    @property
     def num_vars(self) -> int:
-        return self.n * self.num_copies + self.k + self.n
+        return self.copy_vars + self.k + self.n
 
     def copy_slice(self, i: int) -> slice:
         start = self.copy_start[i]
         if start < 0:
             raise IndexError(f"piece {i} is a point and has no copy block")
-        return slice(start, start + self.n)
+        return slice(start, start + len(self.copy_cols[i]))
 
     def delta_index(self, i: int) -> int:
-        return self.n * self.num_copies + i
+        return self.copy_vars + i
 
     @property
     def agg_slice(self) -> slice:
-        base = self.n * self.num_copies + self.k
+        base = self.copy_vars + self.k
         return slice(base, base + self.n)
 
     def piece_point(self, lifted: np.ndarray, i: int) -> np.ndarray:
@@ -369,7 +431,9 @@ class HullFormulation:
         if self.points[i] is not None:
             return np.asarray(self.points[i])
         w = float(lifted[self.delta_index(i)])
-        return np.asarray(lifted[self.copy_slice(i)]) / w
+        point = np.zeros(self.n)
+        point[self.copy_cols[i]] = np.asarray(lifted[self.copy_slice(i)]) / w
+        return point
 
 
 # Width below which a piece counts as a single point: the spread of x_0
@@ -378,20 +442,33 @@ class HullFormulation:
 _POINT_TOL = 1e-9
 
 
+def _nonzero_rows(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the rows of ``a`` with a nonzero norm, and the row norms."""
+    norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
+    return norms > 0, norms
+
+
 def _single_point_of(piece: Polyhedron, time_limit: float | None = None) -> np.ndarray | None:
     """The piece's unique point if it is a singleton, else None.
 
     Two LPs bound x_0; only when they meet is their minimizer x tested.
-    With A_I the rows active at x, the piece is {x} exactly when no
-    d != 0 has A_I d <= 0, that is (Stiemke's lemma) when A_I has rank
-    n and some y >= 1 has A_I^T y = 0: one more LP, over |I| variables.
-    ``time_limit`` caps each of the three LPs as in ``RangedLp.solve``.
+    With A_I the inequality rows active at x and E the equality rows
+    (active in both directions), the piece is {x} exactly when no d != 0
+    has A_I d <= 0 and E d = 0, that is (Stiemke's lemma) when [A_I; E]
+    has rank n and some y_I >= 1 and free y_E have A_I^T y_I + E^T y_E
+    = 0: one more LP, over |I| + |E| variables.  ``time_limit`` caps
+    each of the three LPs as in ``RangedLp.solve``.
     """
     n = piece.n
     b = np.asarray(piece.b, float)
     e0 = np.zeros(n)
     e0[0] = 1.0
-    lp = RangedLp(e0, piece.a, np.full(piece.m, -INF), b)
+    lp = RangedLp(
+        e0,
+        sp.vstack([sp.csr_matrix(piece.a), sp.csr_matrix(piece.a_eq)], format="csr"),
+        np.concatenate([np.full(piece.m, -INF), piece.b_eq]),
+        np.concatenate([b, piece.b_eq]),
+    )
     status, x, lo = lp.solve(time_limit)
     if status is not LpStatus.OPTIMAL:
         return None
@@ -400,14 +477,28 @@ def _single_point_of(piece: Polyhedron, time_limit: float | None = None) -> np.n
     if status is not LpStatus.OPTIMAL or -neg_hi - lo > _POINT_TOL:
         return None
     a = sp.csr_matrix(piece.a)
-    norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
-    active = a[(norms > 0) & (b - a @ x <= _POINT_TOL * norms)]
-    k = active.shape[0]
-    # y > 0 with A_I^T y = 0 makes the rows dependent, so k > n
-    if k <= n or np.linalg.matrix_rank(active.toarray()) < n:
+    rows, norms = _nonzero_rows(a)
+    active = a[rows & (b - a @ x <= _POINT_TOL * norms)]
+    eq = sp.csr_matrix(piece.a_eq)
+    eq = eq[_nonzero_rows(eq)[0]]
+    tight = sp.vstack([active, eq], format="csr")
+    if tight.shape[0] < n or np.linalg.matrix_rank(tight.toarray()) < n:
         return None
-    cone = RangedLp(np.zeros(k), active.T, np.zeros(n), np.zeros(n), col_lo=np.ones(k))
+    k = active.shape[0]
+    col_lo = np.concatenate([np.ones(k), np.full(eq.shape[0], -INF)])
+    cone = RangedLp(np.zeros(tight.shape[0]), tight.T, np.zeros(n), np.zeros(n), col_lo=col_lo)
     return x if cone.solve(time_limit)[0] is LpStatus.OPTIMAL else None
+
+
+def _zero_pins(piece: Polyhedron) -> np.ndarray:
+    """Mask of the equality rows that fix one column at 0: one nonzero
+    entry and a right-hand side of 0."""
+    eq = sp.csr_matrix(piece.a_eq)
+    per_row = np.bincount(
+        np.repeat(np.arange(eq.shape[0]), np.diff(eq.indptr))[eq.data != 0],
+        minlength=eq.shape[0],
+    )
+    return (per_row == 1) & (np.asarray(piece.b_eq) == 0)
 
 
 def balas_hull(
@@ -421,67 +512,105 @@ def balas_hull(
     if any(p.n != n for p in pieces):
         raise DimensionMismatch("pieces must share the ambient dimension")
     k = len(pieces)
-    fat = [i for i, pt in enumerate(points) if pt is None]
-    copy_start = [-1] * k
-    for j, i in enumerate(fat):
-        copy_start[i] = j * n
-    num_copies = len(fat)
-    nvar = n * num_copies + k + n
-    d_off = n * num_copies
-    x_off = d_off + k
     span = np.arange(n)
 
-    # triplets of the rows in order; ``top`` is the next free row
+    # per fat piece: the map from ambient column to copy column, -1
+    # where a pin fixes the column at 0
+    copy_cols: list[np.ndarray | None] = [None] * k
+    copy_start = [-1] * k
+    col_map = {}
+    top = 0
+    for i, pt in enumerate(points):
+        if pt is not None:
+            continue
+        pinned = sp.csr_matrix(pieces[i].a_eq)[_zero_pins(pieces[i])].tocoo()
+        fixed = np.zeros(n, dtype=bool)
+        fixed[pinned.col[pinned.data != 0]] = True
+        copy_cols[i] = span[~fixed]
+        col_map[i] = np.full(n, -1)
+        col_map[i][copy_cols[i]] = top + np.arange(len(copy_cols[i]))
+        copy_start[i] = top
+        top += len(copy_cols[i])
+    d_off = top
+    x_off = d_off + k
+    nvar = x_off + n
+
+    def copy_block(i, a, rhs, implied, rows, cols, vals, row0):
+        """Triplets of ``a x^i - rhs delta_i`` from row ``row0``; its row
+        count.  A row left with no copy column is dropped when
+        ``implied(rhs)`` says delta_i >= 0 implies it (a pin row is one)."""
+        block = sp.coo_matrix(a)
+        cols_i = col_map[i][block.col]
+        keep = (cols_i >= 0) & (block.data != 0)
+        rhs = np.asarray(rhs, dtype=float)
+        live = (np.bincount(block.row[keep], minlength=len(rhs)) > 0) | ~implied(rhs)
+        new_row = row0 + np.cumsum(live) - 1
+        rows += [new_row[block.row[keep]], new_row[live]]
+        cols += [cols_i[keep], np.full(int(live.sum()), d_off + i)]
+        vals += [block.data[keep], -rhs[live]]
+        return int(live.sum())
+
+    fat = [i for i, pt in enumerate(points) if pt is None]
+    # inequalities: A^i x^i - b^i delta_i <= 0, then delta >= 0
     rows, cols, vals = [], [], []
     top = 0
     for i in fat:
-        # A^i x^i - b^i delta_i <= 0
-        block = sp.coo_matrix(pieces[i].a)
-        m = pieces[i].m
-        rows += [block.row + top, top + np.arange(m)]
-        cols += [block.col + copy_start[i], np.full(m, d_off + i)]
-        vals += [block.data, -np.asarray(pieces[i].b, dtype=float)]
-        top += m
-    # delta >= 0
+        top += copy_block(i, pieces[i].a, pieces[i].b, lambda r: r >= 0, rows, cols, vals, top)
     rows.append(top + np.arange(k))
     cols.append(d_off + np.arange(k))
     vals.append(-np.ones(k))
     top += k
-    # sum_w x^w + sum_j delta_j v_j - x = 0 as a pair of inequality blocks
-    agg_cols = [
-        copy_start[i] + span if pt is None else np.full(n, d_off + i)
-        for i, pt in enumerate(points)
-    ]
-    agg_vals = [np.ones(n) if pt is None else np.asarray(pt, dtype=float) for pt in points]
-    agg_cols.append(x_off + span)
-    agg_vals.append(-np.ones(n))
-    for sign in (1.0, -1.0):
-        rows += [top + span] * (k + 1)
-        cols += agg_cols
-        vals += [sign * v for v in agg_vals]
-        top += n
-    # sum_w delta_w = 1 as a pair of rows
-    for sign in (1.0, -1.0):
-        rows.append(np.full(k, top))
-        cols.append(d_off + np.arange(k))
-        vals.append(np.full(k, sign))
-        top += 1
-    a = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(top, nvar),
-    )
-    a.eliminate_zeros()
-    b = np.zeros(top)
-    b[-2:] = (1.0, -1.0)
+    a = _csr(rows, cols, vals, (top, nvar))
+
+    # equalities: A_eq^i x^i - b_eq^i delta_i = 0, the aggregation
+    # sum_w x^w + sum_j delta_j v_j - x = 0, and sum_w delta_w = 1
+    rows, cols, vals = [], [], []
+    top = 0
+    for i in fat:
+        top += copy_block(
+            i, pieces[i].a_eq, pieces[i].b_eq, lambda r: r == 0, rows, cols, vals, top
+        )
+    for i, pt in enumerate(points):
+        if pt is None:
+            rows.append(top + copy_cols[i])
+            cols.append(col_map[i][copy_cols[i]])
+            vals.append(np.ones(len(copy_cols[i])))
+        else:
+            rows.append(top + span)
+            cols.append(np.full(n, d_off + i))
+            vals.append(np.asarray(pt, dtype=float))
+    rows.append(top + span)
+    cols.append(x_off + span)
+    vals.append(-np.ones(n))
+    top += n
+    rows.append(np.full(k, top))
+    cols.append(d_off + np.arange(k))
+    vals.append(np.ones(k))
+    top += 1
+    a_eq = _csr(rows, cols, vals, (top, nvar))
+    b_eq = np.zeros(top)
+    b_eq[-1] = 1.0
     return HullFormulation(
         a=a,
-        b=b,
+        b=np.zeros(a.shape[0]),
+        a_eq=a_eq,
+        b_eq=b_eq,
         n=n,
         k=k,
         points=tuple(points),
+        copy_cols=tuple(copy_cols),
         copy_start=tuple(copy_start),
-        num_copies=num_copies,
+        num_copies=len(fat),
     )
+
+
+def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
+    """CSR matrix of lists of triplet arrays; explicit zeros dropped."""
+    out = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    )
+    out.eliminate_zeros()
+    return out
 
 
 @dataclass(frozen=True)
@@ -553,7 +682,7 @@ def optimize_over_set(
                     cols[col] = (0.0, 0.0)
             else:
                 cols[bv.index] = (1.0, INF)
-        lp.move_to(rows.pin_bounds(pins), cols)
+        lp.move_to(*rows.pin_bounds(pins, cols))
 
     def solve():
         return lp.solve(None if deadline is None else deadline.remaining)

@@ -22,10 +22,16 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import scipy.sparse as sp
 
 from .algorithms import MixedProfile, SolveReport
 from .energy import CountrySpec, EnergyInstance, EnergyReport, ProducerSpec
-from .leadergame import MultiLeaderGame, StackelbergLeader, leader_feasible_set
+from .leadergame import (
+    MultiLeaderGame,
+    StackelbergLeader,
+    equality_blocks,
+    leader_feasible_set,
+)
 from .lp import DimensionMismatch
 from .polyhedra import ComplementaritySet
 
@@ -100,18 +106,36 @@ def energy_from_dict(data: dict) -> EnergyInstance:
     return EnergyInstance(countries=tuple(countries), trade=bool(data["trade"]))
 
 
+def _inequality_rows(leader: StackelbergLeader, s: ComplementaritySet):
+    """``s``'s rows as ``<=`` rows only, as the file stores them: its own,
+    then each block of equalities (``equality_blocks``) followed by its
+    negation."""
+    a_eq = sp.csr_matrix(s.a_eq)
+    rows, rhs = [sp.csr_matrix(s.a)], [np.asarray(s.b, dtype=float)]
+    top = 0
+    for size in equality_blocks(leader):
+        block = slice(top, top + size)
+        rows += [a_eq[block], -a_eq[block]]
+        rhs += [s.b_eq[block], -s.b_eq[block]]
+        top += size
+    return sp.vstack(rows, format="csr"), np.concatenate(rhs)
+
+
 def game_to_dict(game: MultiLeaderGame) -> dict:
+    """The game in raw matrix form; each leader's set is written with
+    ``<=`` rows only, every equality as its two inequalities."""
     leaders = []
     for i, leader in enumerate(game.leaders):
         s = leader_feasible_set(leader)
+        a, b = _inequality_rows(leader, s)
         leaders.append(
             {
                 "name": leader.name,
                 "n_leader": leader.n_leader,
                 "objective": _mat(game.objectives[i]),
                 "set": {
-                    "a": _mat(s.a),
-                    "b": _mat(s.b),
+                    "a": _mat(a),
+                    "b": _mat(b),
                     "m": _mat(s.m_mat),
                     "q": _mat(s.q),
                     "comp": list(s.comp),

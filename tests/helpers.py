@@ -1,6 +1,7 @@
 """Shared fixtures: hand-built sets with known piece structure."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from epecnash.hotlp import INF, RangedLp
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
@@ -19,8 +20,8 @@ def interval_of(poly: Polyhedron, coord: int) -> tuple[float, float]:
     """(min, max) of one coordinate over a polyhedron; +-inf if unbounded."""
     lo_obj = np.zeros(poly.n)
     lo_obj[coord] = 1.0
-    lo = solve_lp(LinearProgram(lo_obj, poly.a, poly.b))
-    hi = solve_lp(LinearProgram(-lo_obj, poly.a, poly.b))
+    lo = solve_lp(poly.program(lo_obj))
+    hi = solve_lp(poly.program(-lo_obj))
     lo_val = -np.inf if lo.status is LpStatus.UNBOUNDED else lo.value
     hi_val = np.inf if hi.status is LpStatus.UNBOUNDED else -hi.value
     return lo_val, hi_val
@@ -56,7 +57,12 @@ def single_point_by_coordinates(poly: Polyhedron) -> np.ndarray | None:
     """Coordinate-wise singleton test: the midpoint of every coordinate's
     range when each range is at most 1e-9 wide, else None (2n LPs)."""
     n = poly.n
-    lp = RangedLp(np.zeros(n), poly.a, np.full(poly.m, -INF), np.asarray(poly.b, float))
+    lp = RangedLp(
+        np.zeros(n),
+        sp.vstack([sp.csr_matrix(poly.a), sp.csr_matrix(poly.a_eq)], format="csr"),
+        np.concatenate([np.full(poly.m, -INF), poly.b_eq]),
+        np.concatenate([np.asarray(poly.b, float), poly.b_eq]),
+    )
     lo = np.empty(n)
     hi = np.empty(n)
     for j in range(n):

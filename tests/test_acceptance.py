@@ -117,7 +117,7 @@ def _oracle_best_response(s, objective):
     best = np.inf
     unbounded = False
     for _, poly in enumerate_pieces(s):
-        out = solve_lp(LinearProgram(objective, poly.a, poly.b))
+        out = solve_lp(poly.program(objective))
         if out.status is LpStatus.UNBOUNDED:
             unbounded = True
         elif out.status is LpStatus.OPTIMAL:
@@ -191,7 +191,7 @@ def test_criterion_5_branch_and_bound_oracle_equivalence():
         c = np.array([round(rng.uniform(-1, 1), 2) for _ in range(s.n)])
         bb = optimize_over_set(s, c)
         pieces = enumerate_pieces(s)
-        outs = [solve_lp(LinearProgram(c, poly.a, poly.b)) for _, poly in pieces]
+        outs = [solve_lp(poly.program(c)) for _, poly in pieces]
         if not pieces:
             assert bb.status is LpStatus.INFEASIBLE, trial
             statuses["infeasible"] += 1
@@ -298,7 +298,7 @@ def test_criterion_8_hardness_round_trip():
     while checked < 100:
         _, poly = pieces[rng.randint(len(pieces))]
         c = np.array([rng.uniform(-1, 1) for _ in range(s.n)])
-        out = solve_lp(LinearProgram(c, poly.a, poly.b))
+        out = solve_lp(poly.program(c))
         if out.status is not LpStatus.OPTIMAL:
             continue
         h, y, x = out.point[:3]

@@ -5,10 +5,12 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 
+from epecnash import algorithms, nashgame
 from epecnash.algorithms import (
     DegenerateWeight,
     MixedProfile,
     LeaderPieces,
+    _assemble_hull_game,
     decompose_mixed,
     deviation_check,
     full_enumeration,
@@ -25,15 +27,17 @@ from epecnash.generators import (
     split_interval_game,
 )
 from epecnash.leadergame import MultiLeaderGame, StackelbergLeader, leader_feasible_set
-from epecnash.nashgame import PolyhedralNashGame
+from epecnash.nashgame import PolyhedralNashGame, kkt_system
 from epecnash.generators import _abs_gadget_follower
 from epecnash.hotlp import RangedLp
 from epecnash.polyhedra import (
     Deadline,
     HullFormulation,
+    PieceRows,
     Polyhedron,
     TimeLimitReached,
     TooManyComplementarities,
+    balas_hull,
     contains,
     enumerate_pieces,
 )
@@ -111,6 +115,60 @@ class TestFullEnumeration:
         rep = full_enumeration(single_leader_game())
         assert rep.status == "PNE"
         assert rep.profile.mean(0) == pytest.approx([1.0], abs=1e-7)
+
+    def test_budget_is_read_after_the_hulls(self, monkeypatch):
+        # a budget that runs out while the hulls are built stops the
+        # solve before the hull game's KKT system is assembled
+        def slow_hull(pieces, points):
+            time.sleep(0.3)
+            return balas_hull(pieces, points)
+
+        def no_kkt(g):
+            raise AssertionError("KKT assembly ran past the budget")
+
+        monkeypatch.setattr(algorithms, "balas_hull", slow_hull)
+        monkeypatch.setattr(nashgame, "kkt_system", no_kkt)
+        assert full_enumeration(split_interval_game(), budget=0.2).status == "TimeLimit"
+
+    def test_budget_is_read_after_kkt_assembly(self, monkeypatch):
+        assemble = nashgame.kkt_system
+
+        def slow_kkt(g):
+            time.sleep(0.3)
+            return assemble(g)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("branch-and-bound ran past the budget")
+
+        monkeypatch.setattr(nashgame, "kkt_system", slow_kkt)
+        monkeypatch.setattr(nashgame, "optimize_over_set", no_search)
+        assert full_enumeration(split_interval_game(), budget=0.2).status == "TimeLimit"
+
+    def test_hull_game_kkt_is_compact(self):
+        # C2F8 seed 0: pairs only for the hulls' inequality rows, free
+        # multipliers for their equalities, no unit pin rows
+        game = build_game(gen_energy(GenConfig(seed=0, countries=2, followers=(8, 8))))
+        hulls = []
+        for leader in game.leaders:
+            sel = LeaderPieces(leader_feasible_set(leader), None, Deadline())
+            sel.extend()
+            hulls.append(sel.hull())
+        s, lay = kkt_system(_assemble_hull_game(game, hulls).game)
+        assert s.num_pairs == sum(h.a.shape[0] for h in hulls)
+        assert s.a.shape[0] == 0
+        assert s.a_eq.shape[0] == game.n_market + sum(
+            h.num_vars + h.a_eq.shape[0] for h in hulls
+        )
+        assert s.n == s.a_eq.shape[0] + s.num_pairs
+        # the search model: the equalities and one row per pair
+        assert PieceRows(s).ranged(np.zeros(s.n)).m == s.n
+
+    def test_c2f8_seed_1_is_certified(self):
+        game = build_game(gen_energy(GenConfig(seed=1, countries=2, followers=(8, 8))))
+        rep = full_enumeration(game)
+        assert rep.status in ("MNE", "PNE")
+        assert rep.pieces_per_leader == (96, 440)
+        assert deviation_check(game, rep.profile) == [None, None]
 
 
 def _interval_hull() -> HullFormulation:
@@ -291,7 +349,7 @@ class TestInnerApproximation:
 
 class TestPureEnumeration:
     def test_budget_holds_on_a_slow_search(self):
-        # first-found search on this instance runs ~25 s without a budget
+        # first-found search on this instance runs ~12 s without a budget
         game = build_game(gen_energy(GenConfig(seed=5, countries=2, followers=(2, 2))))
         budget = 0.5
         t0 = time.perf_counter()
@@ -322,13 +380,13 @@ class TestPureEnumeration:
                 "ss-no",
                 lambda: gen_pne_hardness(SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)),
                 "NoEquilibrium",
-                937,
+                905,
             ),
             (
                 "C2F2s8-first",
                 lambda: build_game(gen_energy(GenConfig(seed=8, countries=2, followers=(2, 2)))),
                 "NoEquilibrium",
-                1174,
+                599,
             ),
         ],
     )

@@ -198,6 +198,16 @@ class TestCli:
         assert code == EXIT_INPUT
         assert "exceeds cap" in capsys.readouterr().err
 
+    def test_unknown_paradigm_is_an_input_error(self, tmp_path, capsys):
+        # seed 4 draws no country with the bad name, so only the config
+        # check can refuse it
+        inst = tmp_path / "inst.json"
+        code = main(["generate", "--countries", "2", "--followers", "2",
+                     "--paradigms", "standard,bogus", "--seed", "4", "--out", str(inst)])
+        assert code == EXIT_INPUT
+        assert "bogus" in capsys.readouterr().err
+        assert not inst.exists()
+
     def test_memory_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 11.4 GiB")

@@ -67,6 +67,8 @@ class TestEnergyGenerator:
             GenConfig(seed=0, countries=1, trade=True)
         with pytest.raises(InvalidConfig):
             GenConfig(seed=0, paradigms=())
+        with pytest.raises(InvalidConfig):
+            GenConfig(seed=0, paradigms=("standard", "bogus"))
 
 
 # sha256 of the inputs the benchmark builds (the 15 ladder instances,
@@ -186,7 +188,7 @@ class TestHardnessGenerators:
         while checked < 100:
             _, poly = pieces[rng.randint(len(pieces))]
             c = np.array([rng.uniform(-1, 1) for _ in range(s.n)])
-            out = solve_lp(LinearProgram(c, poly.a, poly.b))
+            out = solve_lp(poly.program(c))
             if out.status is not LpStatus.OPTIMAL:
                 continue
             h, y, x = out.point[0], out.point[1], out.point[2]

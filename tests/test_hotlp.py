@@ -53,7 +53,7 @@ def _apply(rows: PieceRows, lp: RangedLp, node) -> None:
     # later entries win, as later pins did on the model
     pins = dict((i, bit) for kind, i, bit in node if kind == "pin")
     cols = {j: (v, v) for kind, j, v in node if kind == "col"}
-    lp.move_to(rows.pin_bounds(pins.items()), cols)
+    lp.move_to(*rows.pin_bounds(pins.items(), cols))
 
 
 class TestNodeMoves:
@@ -88,15 +88,15 @@ class TestNodeMoves:
         rows = PieceRows(s)
         lp = rows.ranged(np.zeros(s.n))
         lp._h = counter = _CountingHighs(lp._h)
-        lp.move_to(rows.pin_bounds([(0, 1)]))
+        lp.move_to(*rows.pin_bounds([(0, 1)]))
         assert counter.edits == 1
-        lp.move_to(rows.pin_bounds([(0, 1), (1, 0)]))  # extend: one new pin
+        lp.move_to(*rows.pin_bounds([(0, 1), (1, 0)]))  # extend: one new pin
         assert counter.edits == 2
-        lp.move_to(rows.pin_bounds([(0, 1), (1, 0)]))  # same node: nothing
+        lp.move_to(*rows.pin_bounds([(0, 1), (1, 0)]))  # same node: nothing
         assert counter.edits == 2
-        lp.move_to(rows.pin_bounds([(0, 1), (1, 1)]))  # sibling: unpin, pin
+        lp.move_to(*rows.pin_bounds([(0, 1), (1, 1)]))  # sibling: unpin, pin
         assert counter.edits == 4
-        lp.move_to(rows.pin_bounds([(0, 1)]), {0: (0.0, 0.0)})  # backtrack, one column
+        lp.move_to(*rows.pin_bounds([(0, 1)], {0: (0.0, 0.0)}))  # backtrack, one column
         assert counter.edits == 6
 
 
@@ -152,7 +152,7 @@ class TestRay:
         )
         rows = PieceRows(s)
         lp = rows.ranged(np.array([-1.0, 1.0, 0.0]))
-        lp.move_to(rows.pin_bounds([(0, 1)]), {2: (1.0, INF)})
+        lp.move_to(*rows.pin_bounds([(0, 1)], {2: (1.0, INF)}))
         assert lp.solve()[0] is LpStatus.UNBOUNDED
         d = lp.ray()
         _assert_ray(lp, d)

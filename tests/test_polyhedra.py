@@ -224,7 +224,7 @@ class TestEnumeration:
 def _hull_min(hull, c_agg):
     c = np.zeros(hull.num_vars)
     c[hull.agg_slice] = c_agg
-    out = solve_lp(LinearProgram(c, hull.a, hull.b))
+    out = solve_lp(LinearProgram(c, hull.a, hull.b, a_eq=hull.a_eq, b_eq=hull.b_eq))
     return out
 
 
@@ -278,7 +278,7 @@ class TestBalasHull:
             c = np.array([rng.uniform(-1, 1) for _ in range(2)])
             hull_val = _hull_min(hull, c).value
             piece_val = min(
-                solve_lp(LinearProgram(c, p.a, p.b)).value for p in pieces
+                solve_lp(p.program(c)).value for p in pieces
             )
             assert hull_val == pytest.approx(piece_val, abs=1e-7)
 
@@ -375,7 +375,7 @@ class TestContains:
     def test_relaxation_containment(self):
         s = split_interval_set()
         for e, poly in enumerate_pieces(s):
-            out = solve_lp(LinearProgram(np.ones(4), poly.a, poly.b))
+            out = solve_lp(poly.program(np.ones(4)))
             assert contains(s, out.point, 1e-7)
             relax = polyhedral_relaxation(s)
             assert (np.asarray(relax.a @ out.point).ravel() - relax.b).max() <= 1e-7
@@ -434,7 +434,7 @@ class TestOptimizeOverSet:
         if not pieces:
             assert bb.status is LpStatus.INFEASIBLE
             return
-        piece_outs = [solve_lp(LinearProgram(c, p.a, p.b)) for _, p in pieces]
+        piece_outs = [solve_lp(p.program(c)) for _, p in pieces]
         if any(o.status is LpStatus.UNBOUNDED for o in piece_outs):
             assert bb.status is LpStatus.UNBOUNDED
             return
@@ -448,6 +448,6 @@ class TestOptimizeOverSet:
         rng = Lcg(5 + seed)
         for e, poly in enumerate_pieces(s):
             c = np.array([rng.uniform(-1, 1) for _ in range(s.n)])
-            out = solve_lp(LinearProgram(c, poly.a, poly.b))
+            out = solve_lp(poly.program(c))
             if out.status is LpStatus.OPTIMAL:
                 assert contains(s, out.point, 1e-6)
