@@ -26,6 +26,7 @@ from .polyhedra import (
     BinaryVar,
     ComplementaritySet,
     Deadline,
+    Triplets,
     default_equalities,
     optimize_over_set,
 )
@@ -167,31 +168,6 @@ def kkt_lcp(g: PolyhedralNashGame) -> ComplementaritySet:
     return set_
 
 
-class _Triplets:
-    """A sparse matrix assembled block by block as COO triplets."""
-
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
-
-    def put(self, block, row0: int, col0: int) -> None:
-        if 0 in block.shape:
-            return
-        coo = sp.coo_matrix(block)
-        self.rows.append(coo.row + row0)
-        self.cols.append(coo.col + col0)
-        self.vals.append(coo.data)
-
-    def csr(self, shape) -> sp.csr_matrix:
-        if not self.vals:
-            return sp.csr_matrix(shape)
-        out = sp.csr_matrix(
-            (np.concatenate(self.vals), (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=shape,
-        )
-        out.eliminate_zeros()
-        return out
-
-
 def kkt_system(g: PolyhedralNashGame) -> tuple[ComplementaritySet, KktLayout]:
     """The game's KKT conditions as one complementarity set.
 
@@ -204,7 +180,7 @@ def kkt_system(g: PolyhedralNashGame) -> tuple[ComplementaritySet, KktLayout]:
     total = lay.total
     strat0 = g.n_param
 
-    eq = _Triplets()
+    eq = Triplets()
     b_eq = []
     top = 0
     for i, p in enumerate(g.players):
@@ -230,7 +206,7 @@ def kkt_system(g: PolyhedralNashGame) -> tuple[ComplementaritySet, KktLayout]:
         b_eq.append(np.asarray(p.b_eq, dtype=float))
         top += p.m_eq
 
-    pairs = _Triplets()
+    pairs = Triplets()
     q_parts = []
     comp: list[int] = []
     top = 0

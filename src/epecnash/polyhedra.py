@@ -402,11 +402,7 @@ class HullFormulation:
     copy_cols: tuple  # per piece: the ambient columns of its copy, or None if a point
     copy_start: tuple[int, ...]  # per piece: copy offset, or -1 if a point
     num_copies: int
-
-    @property
-    def copy_vars(self) -> int:
-        """Columns of all copy blocks together."""
-        return sum(len(cols) for cols in self.copy_cols if cols is not None)
+    copy_vars: int  # columns of all copy blocks together
 
     @property
     def num_vars(self) -> int:
@@ -501,6 +497,36 @@ def _zero_pins(piece: Polyhedron) -> np.ndarray:
     return (per_row == 1) & (np.asarray(piece.b_eq) == 0)
 
 
+class Triplets:
+    """A sparse matrix assembled from COO triplets, block by block."""
+
+    def __init__(self):
+        self.rows, self.cols, self.vals = [], [], []
+
+    def add(self, rows, cols, vals) -> None:
+        self.rows.append(rows)
+        self.cols.append(cols)
+        self.vals.append(vals)
+
+    def put(self, block, row0: int, col0: int) -> None:
+        """Add ``block`` (dense or sparse) with its corner at (row0, col0)."""
+        if 0 in block.shape:
+            return
+        coo = sp.coo_matrix(block)
+        self.add(coo.row + row0, coo.col + col0, coo.data)
+
+    def csr(self, shape) -> sp.csr_matrix:
+        """The matrix, duplicates summed and explicit zeros dropped."""
+        if not self.vals:
+            return sp.csr_matrix(shape)
+        out = sp.csr_matrix(
+            (np.concatenate(self.vals), (np.concatenate(self.rows), np.concatenate(self.cols))),
+            shape=shape,
+        )
+        out.eliminate_zeros()
+        return out
+
+
 def balas_hull(
     pieces: list[Polyhedron], points: list[np.ndarray | None]
 ) -> HullFormulation:
@@ -513,87 +539,70 @@ def balas_hull(
         raise DimensionMismatch("pieces must share the ambient dimension")
     k = len(pieces)
     span = np.arange(n)
+    fat = [i for i, pt in enumerate(points) if pt is None]
 
-    # per fat piece: the map from ambient column to copy column, -1
-    # where a pin fixes the column at 0
+    # per fat piece: its kept columns, and the map from ambient column to
+    # lifted copy column (-1 where a pin fixes the column at 0)
     copy_cols: list[np.ndarray | None] = [None] * k
     copy_start = [-1] * k
     col_map = {}
     top = 0
-    for i, pt in enumerate(points):
-        if pt is not None:
-            continue
+    for i in fat:
         pinned = sp.csr_matrix(pieces[i].a_eq)[_zero_pins(pieces[i])].tocoo()
-        fixed = np.zeros(n, dtype=bool)
-        fixed[pinned.col[pinned.data != 0]] = True
-        copy_cols[i] = span[~fixed]
+        kept = np.ones(n, dtype=bool)
+        kept[pinned.col[pinned.data != 0]] = False
+        copy_cols[i] = span[kept]
         col_map[i] = np.full(n, -1)
-        col_map[i][copy_cols[i]] = top + np.arange(len(copy_cols[i]))
+        col_map[i][kept] = top + np.arange(len(copy_cols[i]))
         copy_start[i] = top
         top += len(copy_cols[i])
     d_off = top
     x_off = d_off + k
-    nvar = x_off + n
 
-    def copy_block(i, a, rhs, implied, rows, cols, vals, row0):
-        """Triplets of ``a x^i - rhs delta_i`` from row ``row0``; its row
-        count.  A row left with no copy column is dropped when
-        ``implied(rhs)`` says delta_i >= 0 implies it (a pin row is one)."""
+    def copy_rows(out: Triplets, row0: int, i: int, a, rhs, implied) -> int:
+        """Add the rows ``a x^i - rhs delta_i`` from ``row0``; their count.
+        A row left with no copy column is dropped when ``implied(rhs)``
+        says delta_i >= 0 implies it (a pin row is one)."""
         block = sp.coo_matrix(a)
         cols_i = col_map[i][block.col]
         keep = (cols_i >= 0) & (block.data != 0)
         rhs = np.asarray(rhs, dtype=float)
         live = (np.bincount(block.row[keep], minlength=len(rhs)) > 0) | ~implied(rhs)
-        new_row = row0 + np.cumsum(live) - 1
-        rows += [new_row[block.row[keep]], new_row[live]]
-        cols += [cols_i[keep], np.full(int(live.sum()), d_off + i)]
-        vals += [block.data[keep], -rhs[live]]
+        row_of = row0 + np.cumsum(live) - 1
+        out.add(row_of[block.row[keep]], cols_i[keep], block.data[keep])
+        out.add(row_of[live], np.full(int(live.sum()), d_off + i), -rhs[live])
         return int(live.sum())
 
-    fat = [i for i, pt in enumerate(points) if pt is None]
     # inequalities: A^i x^i - b^i delta_i <= 0, then delta >= 0
-    rows, cols, vals = [], [], []
+    ineq = Triplets()
     top = 0
     for i in fat:
-        top += copy_block(i, pieces[i].a, pieces[i].b, lambda r: r >= 0, rows, cols, vals, top)
-    rows.append(top + np.arange(k))
-    cols.append(d_off + np.arange(k))
-    vals.append(-np.ones(k))
+        top += copy_rows(ineq, top, i, pieces[i].a, pieces[i].b, lambda r: r >= 0)
+    ineq.add(top + np.arange(k), d_off + np.arange(k), -np.ones(k))
     top += k
-    a = _csr(rows, cols, vals, (top, nvar))
+    a = ineq.csr((top, x_off + n))
 
     # equalities: A_eq^i x^i - b_eq^i delta_i = 0, the aggregation
     # sum_w x^w + sum_j delta_j v_j - x = 0, and sum_w delta_w = 1
-    rows, cols, vals = [], [], []
+    eq = Triplets()
     top = 0
     for i in fat:
-        top += copy_block(
-            i, pieces[i].a_eq, pieces[i].b_eq, lambda r: r == 0, rows, cols, vals, top
-        )
+        top += copy_rows(eq, top, i, pieces[i].a_eq, pieces[i].b_eq, lambda r: r == 0)
     for i, pt in enumerate(points):
         if pt is None:
-            rows.append(top + copy_cols[i])
-            cols.append(col_map[i][copy_cols[i]])
-            vals.append(np.ones(len(copy_cols[i])))
+            eq.add(top + copy_cols[i], col_map[i][copy_cols[i]], np.ones(len(copy_cols[i])))
         else:
-            rows.append(top + span)
-            cols.append(np.full(n, d_off + i))
-            vals.append(np.asarray(pt, dtype=float))
-    rows.append(top + span)
-    cols.append(x_off + span)
-    vals.append(-np.ones(n))
+            eq.add(top + span, np.full(n, d_off + i), np.asarray(pt, dtype=float))
+    eq.add(top + span, x_off + span, -np.ones(n))
     top += n
-    rows.append(np.full(k, top))
-    cols.append(d_off + np.arange(k))
-    vals.append(np.ones(k))
+    eq.add(np.full(k, top), d_off + np.arange(k), np.ones(k))
     top += 1
-    a_eq = _csr(rows, cols, vals, (top, nvar))
     b_eq = np.zeros(top)
     b_eq[-1] = 1.0
     return HullFormulation(
         a=a,
         b=np.zeros(a.shape[0]),
-        a_eq=a_eq,
+        a_eq=eq.csr((top, x_off + n)),
         b_eq=b_eq,
         n=n,
         k=k,
@@ -601,16 +610,8 @@ def balas_hull(
         copy_cols=tuple(copy_cols),
         copy_start=tuple(copy_start),
         num_copies=len(fat),
+        copy_vars=d_off,
     )
-
-
-def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    """CSR matrix of lists of triplet arrays; explicit zeros dropped."""
-    out = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-    )
-    out.eliminate_zeros()
-    return out
 
 
 @dataclass(frozen=True)
