@@ -459,9 +459,10 @@ def _single_point_of(piece: Polyhedron, time_limit: float | None = None) -> np.n
     b = np.asarray(piece.b, float)
     e0 = np.zeros(n)
     e0[0] = 1.0
+    a, eq = sp.csr_matrix(piece.a), sp.csr_matrix(piece.a_eq)
     lp = RangedLp(
         e0,
-        sp.vstack([sp.csr_matrix(piece.a), sp.csr_matrix(piece.a_eq)], format="csr"),
+        sp.vstack([a, eq], format="csr"),
         np.concatenate([np.full(piece.m, -INF), piece.b_eq]),
         np.concatenate([b, piece.b_eq]),
     )
@@ -472,10 +473,8 @@ def _single_point_of(piece: Polyhedron, time_limit: float | None = None) -> np.n
     status, _, neg_hi = lp.solve(time_limit)
     if status is not LpStatus.OPTIMAL or -neg_hi - lo > _POINT_TOL:
         return None
-    a = sp.csr_matrix(piece.a)
     rows, norms = _nonzero_rows(a)
     active = a[rows & (b - a @ x <= _POINT_TOL * norms)]
-    eq = sp.csr_matrix(piece.a_eq)
     eq = eq[_nonzero_rows(eq)[0]]
     tight = sp.vstack([active, eq], format="csr")
     if tight.shape[0] < n or np.linalg.matrix_rank(tight.toarray()) < n:

@@ -259,6 +259,28 @@ class TestBalasHull:
         ]:
             assert _hull_min(hull, c).value == pytest.approx(expect, abs=1e-9)
 
+    def test_pinned_columns_leave_the_copy(self):
+        # {0 <= x0 <= 1, x1 = 0} and {x0 = 0, 0 <= x1 <= 1}: each copy
+        # keeps only its free column, and the hull is their triangle
+        box = np.array([[1.0], [-1.0]])
+        pieces = [
+            Polyhedron(
+                np.hstack([box, np.zeros((2, 1))]), np.array([1.0, 0.0]),
+                np.array([[0.0, 1.0]]), np.zeros(1),
+            ),
+            Polyhedron(
+                np.hstack([np.zeros((2, 1)), box]), np.array([1.0, 0.0]),
+                np.array([[2.0, 0.0]]), np.zeros(1),
+            ),
+        ]
+        hull = hull_of(pieces)
+        assert [list(c) for c in hull.copy_cols] == [[0], [1]]
+        assert hull.num_vars == 1 + 1 + 2 + 2
+        assert _hull_min(hull, np.array([-1.0, -1.0])).value == pytest.approx(-1.0, abs=1e-9)
+        out = _hull_min(hull, np.array([-1.0, -2.0]))
+        assert out.value == pytest.approx(-2.0, abs=1e-9)
+        assert hull.piece_point(out.point, 1) == pytest.approx([0.0, 1.0], abs=1e-9)
+
     def test_rejects_empty_input(self):
         with pytest.raises(EmptyPieceList):
             balas_hull([], [])
