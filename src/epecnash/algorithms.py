@@ -42,9 +42,7 @@ from .polyhedra import (
     Deadline,
     HullFormulation,
     PieceRows,
-    Polyhedron,
     TimeLimitReached,
-    _single_point_of,
     balas_hull,
     contains,
     enumerate_pieces,
@@ -280,12 +278,13 @@ def _report(game, selections, deadline, profile, status=None, iterations=1, trac
 
 
 class LeaderPieces:
-    """The pieces of one leader's set that enter its hull.
+    """The pieces of one leader's set that enter its hull, kept as
+    encodings over the set's ``PieceRows``.
 
-    ``pending`` yields ``(encoding, piece)`` pairs of nonempty pieces in
-    ``order``: ``seq``/``rseq`` enumerate lazily, in lexicographic order
-    and its reverse; ``rand`` (a uniform shuffle) and ``None`` (every
-    piece, for full and pure enumeration) enumerate up front.  A piece's
+    ``pending`` yields the encodings of nonempty pieces in ``order``:
+    ``seq``/``rseq`` enumerate lazily, in lexicographic order and its
+    reverse; ``rand`` (a uniform shuffle) and ``None`` (every piece, for
+    full and pure enumeration) enumerate up front.  A piece's
     single-point test runs once, when it is included; ``found`` holds
     every nonempty encoding seen, from ``pending`` or a deviation.  Every
     LP runs within ``deadline``.
@@ -301,33 +300,32 @@ class LeaderPieces:
         self.rows = PieceRows(s)
         self.deadline = deadline
         self.included: set[tuple[int, ...]] = set()
-        self.pieces: list[Polyhedron] = []
+        self.encodings: list[tuple[int, ...]] = []
         self.points: list[np.ndarray | None] = []
-        self._next: tuple | None = None
+        self._next: tuple[int, ...] | None = None
         if order in ("seq", "rseq"):
-            lazy = iter_encodings(self.rows, int(order == "rseq"), deadline)
-            self.pending = ((e, self.rows.piece(e)) for e in lazy)
+            self.pending = iter_encodings(self.rows, int(order == "rseq"), deadline)
             self.found: set[tuple[int, ...]] = set()
         else:
-            pairs = enumerate_pieces(self.rows, deadline=deadline)
+            encodings = enumerate_pieces(self.rows, deadline=deadline)
             if order == "rand":
-                rng.shuffle(pairs)
-            self.pending = iter(pairs)
-            self.found = {e for e, _ in pairs}
+                rng.shuffle(encodings)
+            self.pending = iter(encodings)
+            self.found = set(encodings)
 
-    def _fresh(self) -> tuple | None:
-        """The next pending pair whose piece is not included yet."""
-        while self._next is None or self._next[0] in self.included:
+    def _fresh(self) -> tuple[int, ...] | None:
+        """The next pending encoding that is not included yet."""
+        while self._next is None or self._next in self.included:
             self._next = next(self.pending, None)
             if self._next is None:
                 return None
-            self.found.add(self._next[0])
+            self.found.add(self._next)
         return self._next
 
-    def _include(self, encoding: tuple[int, ...], piece: Polyhedron) -> None:
+    def _include(self, encoding: tuple[int, ...]) -> None:
         self.included.add(encoding)
-        self.pieces.append(piece)
-        self.points.append(_single_point_of(piece, self.deadline.remaining))
+        self.encodings.append(encoding)
+        self.points.append(self.rows.single_point(encoding, self.deadline.remaining))
 
     @property
     def exhausted(self) -> bool:
@@ -337,7 +335,7 @@ class LeaderPieces:
         """Include up to ``count`` more pending pieces (all by default)."""
         added = 0
         while added < count and self._fresh() is not None:
-            self._include(*self._next)
+            self._include(self._next)
             added += 1
         return added
 
@@ -348,11 +346,11 @@ class LeaderPieces:
         ):
             return False
         self.found.add(encoding)
-        self._include(encoding, self.rows.piece(encoding))
+        self._include(encoding)
         return True
 
     def hull(self) -> HullFormulation:
-        return balas_hull(self.pieces, self.points)
+        return balas_hull(self.rows, self.encodings, self.points)
 
 
 def _start(game, order, k, deadline, selections, rng: Lcg | None = None) -> bool:

@@ -154,6 +154,12 @@ class ComplementaritySet:
         return np.asarray(self.m_mat @ x).ravel() + self.q
 
 
+# Width below which a piece counts as a single point: the spread of x_0
+# over it, and the distance from the candidate point to a row's hyperplane
+# for the row to count as active there.
+_POINT_TOL = 1e-9
+
+
 class PieceRows:
     """Every selected polyhedron of one set, as rows of one shared system.
 
@@ -163,7 +169,10 @@ class PieceRows:
     and keeps each other side as one ``>= side_b`` row.  The ranged LP
     instead bounds each complementary column to [0, inf) and keeps
     M x + q >= 0 as one row per pair, so a 0-side pin is a column-bound
-    edit and a 1-side pin a row-bound edit.
+    edit and a 1-side pin a row-bound edit.  A piece stays an encoding:
+    its rows are indexed out of one dense ``block`` (``piece_rows``), and
+    its singleton test edits the bounds of the set's two models, ``lp``
+    and ``cone``.
     """
 
     def __init__(self, s: ComplementaritySet):
@@ -208,14 +217,13 @@ class PieceRows:
             )
         if p == 0:
             return self.relaxation
-        s = self.set
-        pinned = np.arange(p) + p * np.asarray(encoding, dtype=int)
-        other = np.arange(p) + p * (1 - np.asarray(encoding, dtype=int))
+        (ineq,), sign, (eq,) = self.piece_rows([encoding])
+        rows, rhs = self.block
         return Polyhedron(
-            sp.vstack([s.a, -self.sides[other]], format="csr"),
-            np.concatenate([s.b, -self.side_b[other]]),
-            sp.vstack([s.a_eq, self.sides[pinned]], format="csr"),
-            np.concatenate([s.b_eq, self.side_b[pinned]]),
+            sp.csr_matrix(sign[:, None] * rows[ineq]),
+            sign * rhs[ineq],
+            sp.csr_matrix(rows[eq]),
+            rhs[eq],
         )
 
     def ranged(self, objective: np.ndarray) -> RangedLp:
@@ -254,8 +262,113 @@ class PieceRows:
     def feasible(self, prefix: tuple[int, ...], time_limit: float | None = None) -> bool:
         """Whether the relaxation with the pairs of ``prefix`` pinned is
         nonempty; ``time_limit`` caps the LP as in ``RangedLp.solve``."""
+        return self.witness(prefix, time_limit)[0]
+
+    def witness(
+        self, prefix: tuple[int, ...], time_limit: float | None = None
+    ) -> tuple[bool, np.ndarray | None]:
+        """Whether ``prefix`` is feasible, as ``feasible``, and the LP's
+        point if it has one."""
         self.lp.move_to(*self.pin_bounds(enumerate(prefix)))
-        return self.lp.solve(time_limit)[0] is not LpStatus.INFEASIBLE
+        status, x, _ = self.lp.solve(time_limit)
+        return status is not LpStatus.INFEASIBLE, x
+
+    def holds(self, pair: int, bit: int, x: np.ndarray) -> bool:
+        """Whether side ``bit`` of ``pair`` is exactly at its pin at x:
+        x_{c_i} == 0, or [M x]_i == -q_i."""
+        rows, rhs = self.block
+        r = len(rhs) - self.num_pairs * (2 - bit) + pair
+        return bool(rows[r] @ x == rhs[r])
+
+    @cached_property
+    def block(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row a piece uses, ``[a; a_eq; sides]``, as one dense
+        array, with its right-hand sides ``[b; b_eq; side_b]``."""
+        s = self.set
+        dense = [m.toarray() if sp.issparse(m) else np.asarray(m, float) for m in (s.a, s.a_eq)]
+        return (
+            np.vstack(dense + [self.sides.toarray()]),
+            np.concatenate([np.asarray(s.b, float), s.b_eq, self.side_b]),
+        )
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Euclidean norm of each row of ``block``."""
+        rows = self.block[0]
+        return np.sqrt((rows * rows).sum(axis=1))
+
+    def piece_rows(self, encodings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of ``block`` each encoding's piece uses, one row of
+        indices per encoding: its ``<=`` rows, their signs (the same for
+        every piece), and its equality rows.  A ``<=`` row is
+        ``sign * block[r] x <= sign * rhs[r]``: ``a`` with sign 1, then
+        each pair's other side with sign -1; the equalities are ``a_eq``,
+        then each pinned side, in the row order of ``PieceRows.piece``.
+        """
+        s, p = self.set, self.num_pairs
+        m, m_eq = s.a.shape[0], s.a_eq.shape[0]
+        bits = np.asarray(encodings, dtype=int).reshape(len(encodings), p)
+        sides = m + m_eq + np.arange(p)
+        count = len(bits)
+        ineq = np.hstack([np.broadcast_to(np.arange(m), (count, m)), sides + p * (1 - bits)])
+        eq = np.hstack([np.broadcast_to(m + np.arange(m_eq), (count, m_eq)), sides + p * bits])
+        return ineq, np.concatenate([np.ones(m), -np.ones(p)]), eq
+
+    @cached_property
+    def cone(self) -> RangedLp:
+        """Stiemke's LP over every row of ``block``: ``block^T y = 0`` with
+        each y fixed at 0; a singleton test bounds or frees the y of its
+        piece's active rows."""
+        rows = self.block[0]
+        zero = np.zeros(len(rows))
+        return RangedLp(zero, rows.T, np.zeros(self.set.n), np.zeros(self.set.n), zero, zero)
+
+    def single_point(
+        self, encoding: tuple[int, ...], time_limit: float | None = None
+    ) -> np.ndarray | None:
+        """The piece's unique point if it is a singleton, else None.
+
+        Two LPs on ``lp`` bound x_0; only when they meet is their
+        minimizer x tested.  With A_I the ``<=`` rows active at x and E
+        the equality rows (active in both directions), the piece is {x}
+        exactly when no d != 0 has A_I d <= 0 and E d = 0, that is
+        (Stiemke's lemma) when [A_I; E] has rank n and some y_I >= 1 and
+        free y_E have A_I^T y_I + E^T y_E = 0: one more LP, on ``cone``.
+        ``time_limit`` caps each of the three LPs as in ``RangedLp.solve``.
+        """
+        n = self.set.n
+        e0 = np.zeros(n)
+        e0[0] = 1.0
+        self.lp.move_to(*self.pin_bounds(enumerate(encoding)))
+        try:
+            self.lp.set_objective(e0)
+            status, x, lo = self.lp.solve(time_limit)
+            if status is not LpStatus.OPTIMAL:
+                return None
+            self.lp.set_objective(-e0)
+            status, _, neg_hi = self.lp.solve(time_limit)
+        finally:
+            self.lp.set_objective(np.zeros(n))
+        if status is not LpStatus.OPTIMAL or -neg_hi - lo > _POINT_TOL:
+            return None
+        (ineq,), sign, (eq,) = self.piece_rows([encoding])
+        rows, rhs = self.block
+        norms = self.norms
+        slack = sign * (rhs[ineq] - rows[ineq] @ x)
+        active = (norms[ineq] > 0) & (slack <= _POINT_TOL * norms[ineq])
+        eq = eq[norms[eq] > 0]
+        tight = rows[np.concatenate([ineq[active], eq])]
+        if len(tight) < n or np.linalg.matrix_rank(tight) < n:
+            return None
+        # y >= 1 on an active row, y <= -1 on an active negated one (the
+        # other side of a pair), y free on an equality
+        cols = {
+            int(r): (1.0, INF) if g > 0 else (-INF, -1.0)
+            for r, g in zip(ineq[active], sign[active])
+        }
+        cols.update((int(r), (-INF, INF)) for r in eq)
+        self.cone.move_to({}, cols)
+        return x if self.cone.solve(time_limit)[0] is LpStatus.OPTIMAL else None
 
 
 def polyhedral_relaxation(s: ComplementaritySet) -> Polyhedron:
@@ -319,35 +432,41 @@ def iter_encodings(
     lexicographic order and 1 exactly its reverse.  A prefix whose
     partial system is already infeasible prunes all its completions, so
     the cost scales with the number of nonempty pieces rather than
-    2^pairs, and a lazy walk has no cap on the number of pairs.
+    2^pairs, and a lazy walk has no cap on the number of pairs.  A child
+    whose new pin holds exactly at its parent's LP point is feasible
+    with that point and runs no LP.
     """
     p = rows.num_pairs
-    stack: list[tuple[int, ...]] = [()]
+    stack: list[tuple[tuple[int, ...], np.ndarray | None]] = [((), None)]
     while stack:
-        prefix = stack.pop()
+        prefix, x = stack.pop()
         if deadline is not None:
             deadline.tick()
-        if not rows.feasible(prefix, None if deadline is None else deadline.remaining):
-            continue
+        if x is None or not rows.holds(len(prefix) - 1, prefix[-1], x):
+            feasible, x = rows.witness(
+                prefix, None if deadline is None else deadline.remaining
+            )
+            if not feasible:
+                continue
         if len(prefix) == p:
             yield prefix
             continue
-        stack.append(prefix + (1 - first,))
-        stack.append(prefix + (first,))
+        stack.append((prefix + (1 - first,), x))
+        stack.append((prefix + (first,), x))
 
 
 def enumerate_pieces(
     s: ComplementaritySet | PieceRows,
     cap: int = ENUM_CAP,
     deadline: Deadline | None = None,
-) -> list[tuple[tuple[int, ...], Polyhedron]]:
-    """All encodings with a nonempty selected polyhedron, lexicographic,
-    with their pieces; a set with more than ``cap`` pairs is refused.
-    Given a set's ``PieceRows``, the walk runs on its LP."""
+) -> list[tuple[int, ...]]:
+    """All encodings with a nonempty selected polyhedron, lexicographic;
+    a set with more than ``cap`` pairs is refused.  Given a set's
+    ``PieceRows``, the walk runs on its LP."""
     rows = s if isinstance(s, PieceRows) else PieceRows(s)
     if rows.num_pairs > cap:
         raise TooManyComplementarities(f"{rows.num_pairs} pairs exceeds cap {cap}")
-    return [(e, rows.piece(e)) for e in iter_encodings(rows, 0, deadline)]
+    return list(iter_encodings(rows, 0, deadline))
 
 
 def contains(s: ComplementaritySet, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
@@ -432,70 +551,6 @@ class HullFormulation:
         return point
 
 
-# Width below which a piece counts as a single point: the spread of x_0
-# over it, and the distance from the candidate point to a row's hyperplane
-# for the row to count as active there.
-_POINT_TOL = 1e-9
-
-
-def _nonzero_rows(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the rows of ``a`` with a nonzero norm, and the row norms."""
-    norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
-    return norms > 0, norms
-
-
-def _single_point_of(piece: Polyhedron, time_limit: float | None = None) -> np.ndarray | None:
-    """The piece's unique point if it is a singleton, else None.
-
-    Two LPs bound x_0; only when they meet is their minimizer x tested.
-    With A_I the inequality rows active at x and E the equality rows
-    (active in both directions), the piece is {x} exactly when no d != 0
-    has A_I d <= 0 and E d = 0, that is (Stiemke's lemma) when [A_I; E]
-    has rank n and some y_I >= 1 and free y_E have A_I^T y_I + E^T y_E
-    = 0: one more LP, over |I| + |E| variables.  ``time_limit`` caps
-    each of the three LPs as in ``RangedLp.solve``.
-    """
-    n = piece.n
-    b = np.asarray(piece.b, float)
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    a, eq = sp.csr_matrix(piece.a), sp.csr_matrix(piece.a_eq)
-    lp = RangedLp(
-        e0,
-        sp.vstack([a, eq], format="csr"),
-        np.concatenate([np.full(piece.m, -INF), piece.b_eq]),
-        np.concatenate([b, piece.b_eq]),
-    )
-    status, x, lo = lp.solve(time_limit)
-    if status is not LpStatus.OPTIMAL:
-        return None
-    lp.set_objective(-e0)
-    status, _, neg_hi = lp.solve(time_limit)
-    if status is not LpStatus.OPTIMAL or -neg_hi - lo > _POINT_TOL:
-        return None
-    rows, norms = _nonzero_rows(a)
-    active = a[rows & (b - a @ x <= _POINT_TOL * norms)]
-    eq = eq[_nonzero_rows(eq)[0]]
-    tight = sp.vstack([active, eq], format="csr")
-    if tight.shape[0] < n or np.linalg.matrix_rank(tight.toarray()) < n:
-        return None
-    k = active.shape[0]
-    col_lo = np.concatenate([np.ones(k), np.full(eq.shape[0], -INF)])
-    cone = RangedLp(np.zeros(tight.shape[0]), tight.T, np.zeros(n), np.zeros(n), col_lo=col_lo)
-    return x if cone.solve(time_limit)[0] is LpStatus.OPTIMAL else None
-
-
-def _zero_pins(piece: Polyhedron) -> np.ndarray:
-    """Mask of the equality rows that fix one column at 0: one nonzero
-    entry and a right-hand side of 0."""
-    eq = sp.csr_matrix(piece.a_eq)
-    per_row = np.bincount(
-        np.repeat(np.arange(eq.shape[0]), np.diff(eq.indptr))[eq.data != 0],
-        minlength=eq.shape[0],
-    )
-    return (per_row == 1) & (np.asarray(piece.b_eq) == 0)
-
-
 class Triplets:
     """A sparse matrix assembled from COO triplets, block by block."""
 
@@ -527,81 +582,86 @@ class Triplets:
 
 
 def balas_hull(
-    pieces: list[Polyhedron], points: list[np.ndarray | None]
+    rows: PieceRows, encodings: list[tuple[int, ...]], points: list[np.ndarray | None]
 ) -> HullFormulation:
-    """Balas lift of the pieces; ``points`` gives, per piece, its single
-    point (``_single_point_of``) or None."""
-    if not pieces:
+    """Balas lift of the pieces of ``encodings``; ``points`` gives, per
+    piece, its single point (``PieceRows.single_point``) or None.  Every
+    copy block is read off ``rows.block`` at once."""
+    if not encodings:
         raise EmptyPieceList("hull of zero pieces is undefined")
-    n = pieces[0].n
-    if any(p.n != n for p in pieces):
-        raise DimensionMismatch("pieces must share the ambient dimension")
-    k = len(pieces)
+    n = rows.set.n
+    k = len(encodings)
     span = np.arange(n)
-    fat = [i for i, pt in enumerate(points) if pt is None]
+    block, rhs = rows.block
+    fat = np.array([i for i, pt in enumerate(points) if pt is None], dtype=int)
+    solid = np.array([i for i, pt in enumerate(points) if pt is not None], dtype=int)
+    ineq, sign, eq = rows.piece_rows([encodings[i] for i in fat])
 
-    # per fat piece: its kept columns, and the map from ambient column to
-    # lifted copy column (-1 where a pin fixes the column at 0)
-    copy_cols: list[np.ndarray | None] = [None] * k
-    copy_start = [-1] * k
-    col_map = {}
-    top = 0
-    for i in fat:
-        pinned = sp.csr_matrix(pieces[i].a_eq)[_zero_pins(pieces[i])].tocoo()
-        kept = np.ones(n, dtype=bool)
-        kept[pinned.col[pinned.data != 0]] = False
-        copy_cols[i] = span[kept]
-        col_map[i] = np.full(n, -1)
-        col_map[i][kept] = top + np.arange(len(copy_cols[i]))
-        copy_start[i] = top
-        top += len(copy_cols[i])
-    d_off = top
+    # an equality row with one nonzero entry and a right-hand side of 0
+    # pins its column at 0: the column leaves the copy, whose kept columns
+    # map to consecutive lifted copy columns (-1 where pinned)
+    nonzero = block != 0
+    pin_col = np.where(
+        (nonzero.sum(axis=1) == 1) & (rhs == 0), np.argmax(nonzero, axis=1), -1
+    )[eq]
+    kept = np.ones((len(fat), n), dtype=bool)
+    at = np.nonzero(pin_col >= 0)
+    kept[at[0], pin_col[at]] = False
+    sizes = kept.sum(axis=1)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
+    col_map = np.where(kept, starts[:, None] + np.cumsum(kept, axis=1) - 1, -1)
+    d_off = int(sizes.sum())
     x_off = d_off + k
 
-    def copy_rows(out: Triplets, row0: int, i: int, a, rhs, implied) -> int:
-        """Add the rows ``a x^i - rhs delta_i`` from ``row0``; their count.
-        A row left with no copy column is dropped when ``implied(rhs)``
-        says delta_i >= 0 implies it (a pin row is one)."""
-        block = sp.coo_matrix(a)
-        cols_i = col_map[i][block.col]
-        keep = (cols_i >= 0) & (block.data != 0)
-        rhs = np.asarray(rhs, dtype=float)
-        live = (np.bincount(block.row[keep], minlength=len(rhs)) > 0) | ~implied(rhs)
-        row_of = row0 + np.cumsum(live) - 1
-        out.add(row_of[block.row[keep]], cols_i[keep], block.data[keep])
-        out.add(row_of[live], np.full(int(live.sum()), d_off + i), -rhs[live])
+    def copy_rows(out: Triplets, row0: int, idx, signs, implied) -> int:
+        """Add the rows ``signs * block[idx] x^i - signs * rhs[idx] delta_i``
+        of every fat piece i from ``row0``; their count.  A row left with
+        no copy column is dropped when ``implied(rhs)`` says delta_i >= 0
+        implies it (a pin row is one)."""
+        vals = signs[:, None] * block[idx]
+        r = signs * rhs[idx]
+        keep = (vals != 0) & kept[:, None, :]
+        live = keep.any(axis=2) | ~implied(r)
+        row_of = row0 + np.cumsum(live).reshape(live.shape) - 1
+        f, j, c = np.nonzero(keep)
+        out.add(row_of[f, j], col_map[f, c], vals[f, j, c])
+        f, j = np.nonzero(live)
+        out.add(row_of[f, j], d_off + fat[f], -r[f, j])
         return int(live.sum())
 
     # inequalities: A^i x^i - b^i delta_i <= 0, then delta >= 0
-    ineq = Triplets()
-    top = 0
-    for i in fat:
-        top += copy_rows(ineq, top, i, pieces[i].a, pieces[i].b, lambda r: r >= 0)
-    ineq.add(top + np.arange(k), d_off + np.arange(k), -np.ones(k))
+    ineq_rows = Triplets()
+    top = copy_rows(ineq_rows, 0, ineq, sign, lambda r: r >= 0)
+    ineq_rows.add(top + np.arange(k), d_off + np.arange(k), -np.ones(k))
     top += k
-    a = ineq.csr((top, x_off + n))
+    a = ineq_rows.csr((top, x_off + n))
 
     # equalities: A_eq^i x^i - b_eq^i delta_i = 0, the aggregation
     # sum_w x^w + sum_j delta_j v_j - x = 0, and sum_w delta_w = 1
-    eq = Triplets()
-    top = 0
-    for i in fat:
-        top += copy_rows(eq, top, i, pieces[i].a_eq, pieces[i].b_eq, lambda r: r == 0)
-    for i, pt in enumerate(points):
-        if pt is None:
-            eq.add(top + copy_cols[i], col_map[i][copy_cols[i]], np.ones(len(copy_cols[i])))
-        else:
-            eq.add(top + span, np.full(n, d_off + i), np.asarray(pt, dtype=float))
-    eq.add(top + span, x_off + span, -np.ones(n))
+    eq_rows = Triplets()
+    top = copy_rows(eq_rows, 0, eq, np.ones(eq.shape[1]), lambda r: r == 0)
+    f, c = np.nonzero(kept)
+    eq_rows.add(top + c, col_map[f, c], np.ones(len(c)))
+    eq_rows.add(
+        top + np.tile(span, len(solid)),
+        d_off + np.repeat(solid, n),
+        np.ravel([points[i] for i in solid]).astype(float),
+    )
+    eq_rows.add(top + span, x_off + span, -np.ones(n))
     top += n
-    eq.add(np.full(k, top), d_off + np.arange(k), np.ones(k))
+    eq_rows.add(np.full(k, top), d_off + np.arange(k), np.ones(k))
     top += 1
     b_eq = np.zeros(top)
     b_eq[-1] = 1.0
+    copy_cols: list[np.ndarray | None] = [None] * k
+    copy_start = [-1] * k
+    for f, i in enumerate(fat):
+        copy_cols[i] = span[kept[f]]
+        copy_start[i] = int(starts[f])
     return HullFormulation(
         a=a,
         b=np.zeros(a.shape[0]),
-        a_eq=eq.csr((top, x_off + n)),
+        a_eq=eq_rows.csr((top, x_off + n)),
         b_eq=b_eq,
         n=n,
         k=k,

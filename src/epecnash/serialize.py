@@ -150,15 +150,52 @@ def game_to_dict(game: MultiLeaderGame) -> dict:
     }
 
 
+def _fold_equalities(a: np.ndarray, b: np.ndarray):
+    """``a x <= b`` as ``<=`` rows and equalities: a block of rows directly
+    followed by its exact negation (rows and right-hand sides), as
+    ``game_to_dict`` writes a block of equalities, is read as that block
+    of equalities.  Each part keeps its row order."""
+    if len(b) != a.shape[0]:
+        raise DimensionMismatch("A/b row mismatch")
+    rows = np.hstack([a, b[:, None]]) + 0.0  # + 0.0 turns -0.0 into 0.0
+    key = [r.tobytes() for r in rows]
+    neg = [(0.0 - r).tobytes() for r in rows]
+    m = len(key)
+    equal = np.zeros(m, dtype=bool)
+    ineq = np.ones(m, dtype=bool)
+    i = 0
+    while i < m:
+        # the shortest block at row i that its negation follows, or 0
+        size = next(
+            (k for k in range(1, (m - i) // 2 + 1)
+             if key[i + k] == neg[i] and key[i + k : i + 2 * k] == neg[i : i + k]),
+            0,
+        )
+        if size:
+            equal[i : i + size] = True
+            ineq[i : i + 2 * size] = False
+            i += 2 * size
+        else:
+            i += 1
+    return a[ineq], b[ineq], a[equal], b[equal]
+
+
 def game_from_dict(data: dict) -> MultiLeaderGame:
+    """The game a ``game_to_dict`` file holds, its equalities folded back
+    (``_fold_equalities``)."""
     leaders = []
     objectives = []
     for entry in data["leaders"]:
         raw = entry["set"]
         n = len(entry["objective"])
+        a, b, a_eq, b_eq = _fold_equalities(
+            np.array(raw["a"], dtype=float).reshape(-1, n), np.array(raw["b"], dtype=float)
+        )
         feasible = ComplementaritySet(
-            a=np.array(raw["a"], dtype=float).reshape(-1, n),
-            b=np.array(raw["b"], dtype=float),
+            a=a,
+            b=b,
+            a_eq=a_eq,
+            b_eq=b_eq,
             m_mat=np.array(raw["m"], dtype=float).reshape(-1, n),
             q=np.array(raw["q"], dtype=float),
             comp=tuple(int(i) for i in raw["comp"]),

@@ -4,14 +4,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from epecnash.hotlp import INF, RangedLp
-from epecnash.lp import LinearProgram, LpStatus, solve_lp
+from epecnash.lp import DimensionMismatch, LinearProgram, LpStatus, solve_lp
 from epecnash.nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne
 from epecnash.polyhedra import (
+    _POINT_TOL,
     ComplementaritySet,
+    EmptyPieceList,
     HullFormulation,
+    PieceRows,
     Polyhedron,
-    _single_point_of,
-    balas_hull,
+    Triplets,
+    enumerate_pieces,
 )
 from epecnash.rng import Lcg
 
@@ -27,9 +30,158 @@ def interval_of(poly: Polyhedron, coord: int) -> tuple[float, float]:
     return lo_val, hi_val
 
 
-def hull_of(pieces: list[Polyhedron]) -> HullFormulation:
-    """Balas hull of hand-made pieces, each with its singleton test run."""
-    return balas_hull(pieces, [_single_point_of(p) for p in pieces])
+def pieces_of(s: ComplementaritySet) -> list[tuple[tuple[int, ...], Polyhedron]]:
+    """Every nonempty piece of a set with its encoding, lexicographic."""
+    rows = PieceRows(s)
+    return [(e, rows.piece(e)) for e in enumerate_pieces(rows)]
+
+
+def _nonzero_rows(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the rows of ``a`` with a nonzero norm, and the row norms."""
+    norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
+    return norms > 0, norms
+
+
+def single_point_of(piece: Polyhedron, time_limit: float | None = None) -> np.ndarray | None:
+    """The piece's unique point if it is a singleton, else None: the
+    reference ``PieceRows.single_point`` is tested against, one fresh
+    model per LP.
+
+    Two LPs bound x_0; only when they meet is their minimizer x tested.
+    With A_I the inequality rows active at x and E the equality rows
+    (active in both directions), the piece is {x} exactly when no d != 0
+    has A_I d <= 0 and E d = 0, that is (Stiemke's lemma) when [A_I; E]
+    has rank n and some y_I >= 1 and free y_E have A_I^T y_I + E^T y_E
+    = 0: one more LP, over |I| + |E| variables.  ``time_limit`` caps
+    each of the three LPs as in ``RangedLp.solve``.
+    """
+    n = piece.n
+    b = np.asarray(piece.b, float)
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    a, eq = sp.csr_matrix(piece.a), sp.csr_matrix(piece.a_eq)
+    lp = RangedLp(
+        e0,
+        sp.vstack([a, eq], format="csr"),
+        np.concatenate([np.full(piece.m, -INF), piece.b_eq]),
+        np.concatenate([b, piece.b_eq]),
+    )
+    status, x, lo = lp.solve(time_limit)
+    if status is not LpStatus.OPTIMAL:
+        return None
+    lp.set_objective(-e0)
+    status, _, neg_hi = lp.solve(time_limit)
+    if status is not LpStatus.OPTIMAL or -neg_hi - lo > _POINT_TOL:
+        return None
+    rows, norms = _nonzero_rows(a)
+    active = a[rows & (b - a @ x <= _POINT_TOL * norms)]
+    eq = eq[_nonzero_rows(eq)[0]]
+    tight = sp.vstack([active, eq], format="csr")
+    if tight.shape[0] < n or np.linalg.matrix_rank(tight.toarray()) < n:
+        return None
+    k = active.shape[0]
+    col_lo = np.concatenate([np.ones(k), np.full(eq.shape[0], -INF)])
+    cone = RangedLp(np.zeros(tight.shape[0]), tight.T, np.zeros(n), np.zeros(n), col_lo=col_lo)
+    return x if cone.solve(time_limit)[0] is LpStatus.OPTIMAL else None
+
+
+def _zero_pins(piece: Polyhedron) -> np.ndarray:
+    """Mask of the equality rows that fix one column at 0: one nonzero
+    entry and a right-hand side of 0."""
+    eq = sp.csr_matrix(piece.a_eq)
+    per_row = np.bincount(
+        np.repeat(np.arange(eq.shape[0]), np.diff(eq.indptr))[eq.data != 0],
+        minlength=eq.shape[0],
+    )
+    return (per_row == 1) & (np.asarray(piece.b_eq) == 0)
+
+
+def hull_of(pieces: list[Polyhedron], points=None) -> HullFormulation:
+    """Balas lift of hand-made pieces, one piece at a time: the reference
+    ``balas_hull`` is tested against.  ``points`` gives, per piece, its
+    single point or None; by default each piece's singleton test runs."""
+    if points is None:
+        points = [single_point_of(p) for p in pieces]
+    if not pieces:
+        raise EmptyPieceList("hull of zero pieces is undefined")
+    n = pieces[0].n
+    if any(p.n != n for p in pieces):
+        raise DimensionMismatch("pieces must share the ambient dimension")
+    k = len(pieces)
+    span = np.arange(n)
+    fat = [i for i, pt in enumerate(points) if pt is None]
+
+    # per fat piece: its kept columns, and the map from ambient column to
+    # lifted copy column (-1 where a pin fixes the column at 0)
+    copy_cols: list[np.ndarray | None] = [None] * k
+    copy_start = [-1] * k
+    col_map = {}
+    top = 0
+    for i in fat:
+        pinned = sp.csr_matrix(pieces[i].a_eq)[_zero_pins(pieces[i])].tocoo()
+        kept = np.ones(n, dtype=bool)
+        kept[pinned.col[pinned.data != 0]] = False
+        copy_cols[i] = span[kept]
+        col_map[i] = np.full(n, -1)
+        col_map[i][kept] = top + np.arange(len(copy_cols[i]))
+        copy_start[i] = top
+        top += len(copy_cols[i])
+    d_off = top
+    x_off = d_off + k
+
+    def copy_rows(out: Triplets, row0: int, i: int, a, rhs, implied) -> int:
+        """Add the rows ``a x^i - rhs delta_i`` from ``row0``; their count.
+        A row left with no copy column is dropped when ``implied(rhs)``
+        says delta_i >= 0 implies it (a pin row is one)."""
+        block = sp.coo_matrix(a)
+        cols_i = col_map[i][block.col]
+        keep = (cols_i >= 0) & (block.data != 0)
+        rhs = np.asarray(rhs, dtype=float)
+        live = (np.bincount(block.row[keep], minlength=len(rhs)) > 0) | ~implied(rhs)
+        row_of = row0 + np.cumsum(live) - 1
+        out.add(row_of[block.row[keep]], cols_i[keep], block.data[keep])
+        out.add(row_of[live], np.full(int(live.sum()), d_off + i), -rhs[live])
+        return int(live.sum())
+
+    # inequalities: A^i x^i - b^i delta_i <= 0, then delta >= 0
+    ineq = Triplets()
+    top = 0
+    for i in fat:
+        top += copy_rows(ineq, top, i, pieces[i].a, pieces[i].b, lambda r: r >= 0)
+    ineq.add(top + np.arange(k), d_off + np.arange(k), -np.ones(k))
+    top += k
+    a = ineq.csr((top, x_off + n))
+
+    # equalities: A_eq^i x^i - b_eq^i delta_i = 0, the aggregation
+    # sum_w x^w + sum_j delta_j v_j - x = 0, and sum_w delta_w = 1
+    eq = Triplets()
+    top = 0
+    for i in fat:
+        top += copy_rows(eq, top, i, pieces[i].a_eq, pieces[i].b_eq, lambda r: r == 0)
+    for i, pt in enumerate(points):
+        if pt is None:
+            eq.add(top + copy_cols[i], col_map[i][copy_cols[i]], np.ones(len(copy_cols[i])))
+        else:
+            eq.add(top + span, np.full(n, d_off + i), np.asarray(pt, dtype=float))
+    eq.add(top + span, x_off + span, -np.ones(n))
+    top += n
+    eq.add(np.full(k, top), d_off + np.arange(k), np.ones(k))
+    top += 1
+    b_eq = np.zeros(top)
+    b_eq[-1] = 1.0
+    return HullFormulation(
+        a=a,
+        b=np.zeros(a.shape[0]),
+        a_eq=eq.csr((top, x_off + n)),
+        b_eq=b_eq,
+        n=n,
+        k=k,
+        points=tuple(points),
+        copy_cols=tuple(copy_cols),
+        copy_start=tuple(copy_start),
+        num_copies=len(fat),
+        copy_vars=d_off,
+    )
 
 
 def untaxed_supply(producers, alpha: float, beta: float) -> float:

@@ -32,11 +32,10 @@ from epecnash.generators import (
 )
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
-from epecnash.polyhedra import enumerate_pieces
 from epecnash.rng import Lcg
 from epecnash.serialize import dumps, game_to_dict
 
-from tests.helpers import random_comp_set
+from tests.helpers import pieces_of, random_comp_set
 
 
 def _announce(num: int, text: str) -> None:
@@ -116,7 +115,7 @@ def _oracle_best_response(s, objective):
     """Best response by independent per-piece LP enumeration."""
     best = np.inf
     unbounded = False
-    for _, poly in enumerate_pieces(s):
+    for _, poly in pieces_of(s):
         out = solve_lp(poly.program(objective))
         if out.status is LpStatus.UNBOUNDED:
             unbounded = True
@@ -190,7 +189,7 @@ def test_criterion_5_branch_and_bound_oracle_equivalence():
         s = random_comp_set(60_000 + trial, max_dim=5, max_pairs=8)
         c = np.array([round(rng.uniform(-1, 1), 2) for _ in range(s.n)])
         bb = optimize_over_set(s, c)
-        pieces = enumerate_pieces(s)
+        pieces = pieces_of(s)
         outs = [solve_lp(poly.program(c)) for _, poly in pieces]
         if not pieces:
             assert bb.status is LpStatus.INFEASIBLE, trial
@@ -292,7 +291,7 @@ def test_criterion_8_hardness_round_trip():
 
     # product-gadget projection: h = x * y on 100 sampled piece points
     s = leader_feasible_set(product_gadget_leader())
-    pieces = enumerate_pieces(s)
+    pieces = pieces_of(s)
     rng = Lcg(2024)
     checked = 0
     while checked < 100:

@@ -44,7 +44,7 @@ from epecnash.polyhedra import (
 from epecnash.rng import Lcg
 from epecnash.tolerances import ENUM_CAP
 
-from tests.helpers import hull_of, interval_of, split_interval_set
+from tests.helpers import hull_of, interval_of, pieces_of, split_interval_set
 
 
 def single_leader_game() -> MultiLeaderGame:
@@ -79,7 +79,7 @@ class TestLeaderFeasibleSet:
         )
         s = leader_feasible_set(leader)
         assert len(s.comp) == 2
-        pieces = enumerate_pieces(s)
+        pieces = pieces_of(s)
         spans = sorted(interval_of(poly, 0) for _, poly in pieces)
         assert len(spans) == 2
         assert spans[0][0] == -np.inf and spans[0][1] == pytest.approx(0.0, abs=1e-9)
@@ -88,7 +88,7 @@ class TestLeaderFeasibleSet:
     def test_split_interval_pieces(self):
         g = split_interval_game()
         s = leader_feasible_set(g.leaders[1])
-        pieces = enumerate_pieces(s)
+        pieces = pieces_of(s)
         spans = {e: interval_of(poly, 0) for e, poly in pieces}
         assert spans[(0, 1)] == pytest.approx((1.0, 5.0), abs=1e-9)
         assert spans[(1, 0)] == pytest.approx((-5.0, -1.0), abs=1e-9)
@@ -119,9 +119,9 @@ class TestFullEnumeration:
     def test_budget_is_read_after_the_hulls(self, monkeypatch):
         # a budget that runs out while the hulls are built stops the
         # solve before the hull game's KKT system is assembled
-        def slow_hull(pieces, points):
+        def slow_hull(*args):
             time.sleep(0.3)
-            return balas_hull(pieces, points)
+            return balas_hull(*args)
 
         def no_kkt(g):
             raise AssertionError("KKT assembly ran past the budget")
@@ -298,9 +298,9 @@ class TestInnerApproximation:
         game = build_game(gen_energy(GenConfig(seed=0, countries=2, followers=(followers, followers))))
         for i, leader in enumerate(game.leaders):
             s = leader_feasible_set(leader)
-            eager = [e for e, _ in enumerate_pieces(s)]
+            eager = enumerate_pieces(s)
             order = {
-                strategy: [e for e, _ in LeaderPieces(s, strategy, Deadline(), Lcg(0).split(i)).pending]
+                strategy: list(LeaderPieces(s, strategy, Deadline(), Lcg(0).split(i)).pending)
                 for strategy in ("seq", "rseq", "rand")
             }
             assert order["seq"] == eager
@@ -318,7 +318,8 @@ class TestInnerApproximation:
         assert state.exhausted
         assert state.extend(1) == 0
         assert state.found == {(0, 1), (1, 0)}
-        assert len(state.pieces) == len(state.points) == 2
+        assert state.encodings == [(0, 1), (1, 0)]
+        assert len(state.points) == 2
 
     def test_add_runs_within_the_deadline(self):
         state = LeaderPieces(split_interval_set(), "seq", Deadline(0.0))
@@ -380,13 +381,13 @@ class TestPureEnumeration:
                 "ss-no",
                 lambda: gen_pne_hardness(SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)),
                 "NoEquilibrium",
-                905,
+                761,
             ),
             (
                 "C2F2s8-first",
                 lambda: build_game(gen_energy(GenConfig(seed=8, countries=2, followers=(2, 2)))),
                 "NoEquilibrium",
-                599,
+                588,
             ),
         ],
     )

@@ -4,23 +4,44 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from epecnash import cli
 from epecnash.cli import EXIT_INPUT, EXIT_MEMORY, main
 from epecnash.generators import matching_pennies_game, split_interval_game
 from epecnash.serialize import (
+    _fold_equalities,
     dumps,
     energy_from_dict,
     energy_to_dict,
     game_from_dict,
     game_to_dict,
 )
-from epecnash.algorithms import full_enumeration
+from epecnash.algorithms import LeaderPieces, _assemble_hull_game, full_enumeration
+from epecnash.leadergame import leader_feasible_set
+from epecnash.nashgame import kkt_system
+from epecnash.polyhedra import Deadline
+from epecnash.energy import build_game
 from epecnash.generators import GenConfig, gen_energy
 
 
 def _write_game(path, game):
     path.write_text(dumps(game_to_dict(game)))
+
+
+def _dense(m) -> np.ndarray:
+    return m.toarray() if sp.issparse(m) else np.asarray(m)
+
+
+def _hull_kkt_size(game) -> tuple:
+    """Rows, columns, pairs and nonzeros of the full-enumeration KKT system."""
+    hulls = []
+    for leader in game.leaders:
+        sel = LeaderPieces(leader_feasible_set(leader), None, Deadline())
+        sel.extend()
+        hulls.append(sel.hull())
+    s, _ = kkt_system(_assemble_hull_game(game, hulls).game)
+    return s.a.shape, s.a_eq.shape, s.num_pairs, sp.csr_matrix(s.a_eq).nnz
 
 
 class TestSerialization:
@@ -40,6 +61,30 @@ class TestSerialization:
         assert second.profile.mean(1)[0] == pytest.approx(
             first.profile.mean(1)[0], abs=1e-9
         )
+
+    def test_read_game_folds_equalities_back(self):
+        # the file keeps each equality as two <= rows; reading pairs them
+        # again, so C2F8 s1 read back has the built game's sets and the
+        # same hull-game KKT size
+        game = build_game(gen_energy(GenConfig(seed=1, countries=2, followers=(8, 8))))
+        again = game_from_dict(json.loads(dumps(game_to_dict(game))))
+        for built, read in zip(game.leaders, again.leaders):
+            s, r = leader_feasible_set(built), leader_feasible_set(read)
+            for name in ("a", "b", "a_eq", "b_eq", "m_mat", "q"):
+                assert np.array_equal(_dense(getattr(s, name)), _dense(getattr(r, name))), name
+        assert _hull_kkt_size(again) == _hull_kkt_size(game)
+
+    def test_fold_reads_blocks_followed_by_their_negation(self):
+        # rows 0-1 and their negation 2-3 fold; row 4 and its negation
+        # row 6 are not adjacent and stay, as does row 5
+        a = np.array(
+            [[1.0, 0.0], [0.0, 2.0], [-1.0, -0.0], [-0.0, -2.0], [0.0, 1.0], [1.0, 1.0], [0.0, -1.0]]
+        )
+        b = np.array([2.0, 0.0, -2.0, -0.0, 1.0, 3.0, -1.0])
+        ineq, rhs, eq, eq_rhs = _fold_equalities(a, b)
+        assert eq.tolist() == [[1.0, 0.0], [0.0, 2.0]] and eq_rhs.tolist() == [2.0, 0.0]
+        assert ineq.tolist() == [[0.0, 1.0], [1.0, 1.0], [0.0, -1.0]]
+        assert rhs.tolist() == [1.0, 3.0, -1.0]
 
 
 class TestCli:

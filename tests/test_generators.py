@@ -17,11 +17,10 @@ from epecnash.generators import (
 )
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
-from epecnash.polyhedra import enumerate_pieces
 from epecnash.rng import Lcg
 from epecnash.serialize import dumps, energy_to_dict, game_to_dict
 
-from tests.helpers import untaxed_supply
+from tests.helpers import pieces_of, untaxed_supply
 
 YES = SubsetSumInterval(q=(1,), p=2, t=4, r=1)
 NO = SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)
@@ -181,7 +180,7 @@ class TestHardnessGenerators:
     def test_product_gadget_projection(self):
         lead = product_gadget_leader()
         s = leader_feasible_set(lead)
-        pieces = enumerate_pieces(s)
+        pieces = pieces_of(s)
         assert pieces
         rng = Lcg(99)
         checked = 0

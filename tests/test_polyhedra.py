@@ -27,7 +27,6 @@ from epecnash.polyhedra import (
     Polyhedron,
     TimeLimitReached,
     TooManyComplementarities,
-    _single_point_of,
     balas_hull,
     contains,
     enumerate_pieces,
@@ -43,9 +42,11 @@ from tests.helpers import (
     box_set,
     hull_of,
     interval_of,
+    pieces_of,
     random_comp_set,
     scalar_set,
     single_point_by_coordinates,
+    single_point_of,
     split_interval_set,
 )
 
@@ -116,6 +117,9 @@ def _same_bytes(x, y) -> bool:
     )
 
 
+LADDER = [(2, 4), (2, 6), (2, 8), (3, 4), (3, 6)]
+
+
 def _energy_sets(seed, countries, followers):
     game = build_game(gen_energy(GenConfig(seed=seed, countries=countries, followers=(followers, followers))))
     return [leader_feasible_set(l) for l in game.leaders]
@@ -131,7 +135,7 @@ class TestPieceRows:
 
     def test_energy_pieces_match_oracle_bytes(self):
         for s in _energy_sets(0, 2, 4) + _energy_sets(1, 3, 4):
-            self._assert_matches_oracle(s, [e for e, _ in enumerate_pieces(s)])
+            self._assert_matches_oracle(s, enumerate_pieces(s))
 
     def test_generator_sets_match_oracle_bytes_on_every_encoding(self):
         sets = [split_interval_set(), scalar_set(1.0, -1.0), box_set(0.0, 2.0)]
@@ -162,12 +166,10 @@ class TestDeadline:
 
 class TestEnumeration:
     def test_no_pairs(self):
-        pieces = enumerate_pieces(box_set(0.0, 2.0))
-        assert len(pieces) == 1
-        assert pieces[0][0] == ()
+        assert enumerate_pieces(box_set(0.0, 2.0)) == [()]
 
     def test_split_interval_pieces(self):
-        pieces = enumerate_pieces(split_interval_set())
+        pieces = pieces_of(split_interval_set())
         assert [e for e, _ in pieces] == [(0, 1), (1, 0)]
         spans = {e: interval_of(poly, 0) for e, poly in pieces}
         assert spans[(0, 1)] == pytest.approx((1.0, 5.0), abs=1e-9)
@@ -175,7 +177,7 @@ class TestEnumeration:
 
     def test_scalar_single_piece(self):
         # {0 <= x perp x + 1 >= 0}: the z-pinned side is empty, x pinned gives {0}
-        pieces = enumerate_pieces(scalar_set(1.0, 1.0))
+        pieces = pieces_of(scalar_set(1.0, 1.0))
         assert [e for e, _ in pieces] == [(0,)]
         assert interval_of(pieces[0][1], 0) == pytest.approx((0.0, 0.0), abs=1e-9)
 
@@ -219,6 +221,76 @@ class TestEnumeration:
         with pytest.raises(TimeLimitReached):
             enumerate_pieces(s, deadline=Deadline(0.0))
         assert 0 < count[0] < walk
+
+    @staticmethod
+    def _counted_walk(monkeypatch, s):
+        """The encodings of one lexicographic walk, its LP count and nodes."""
+        count = [0]
+        solve = RangedLp.solve
+
+        def counted(lp, *args, **kwargs):
+            count[0] += 1
+            return solve(lp, *args, **kwargs)
+
+        deadline = Deadline()
+        with monkeypatch.context() as m:
+            m.setattr(RangedLp, "solve", counted)
+            encodings = enumerate_pieces(s, deadline=deadline)
+        return encodings, count[0], deadline.nodes
+
+    @pytest.mark.parametrize("countries, followers", LADDER)
+    def test_witness_walk_matches_a_walk_that_solves_every_node(
+        self, monkeypatch, countries, followers
+    ):
+        # a child whose pin holds exactly at its parent's point skips its
+        # LP; the walk yields what an LP at every node yields, with fewer LPs
+        for s in (s for seed in range(3) for s in _energy_sets(seed, countries, followers)):
+            got, lps, nodes = self._counted_walk(monkeypatch, s)
+            with monkeypatch.context() as m:
+                m.setattr(PieceRows, "holds", lambda self, pair, bit, x: False)
+                want, every, also_nodes = self._counted_walk(monkeypatch, s)
+            assert got == want
+            assert every == nodes == also_nodes and lps < every
+
+    def test_walk_matches_the_selected_polyhedron_oracle(self):
+        # every encoding of small sets, each piece built and tested alone
+        sets = [split_interval_set(), scalar_set(1.0, -1.0), scalar_set(1.0, 1.0)]
+        sets += [random_comp_set(9000 + seed) for seed in range(8)]
+        for s in sets:
+            want = [
+                e
+                for e in itertools.product((0, 1), repeat=s.num_pairs)
+                if is_feasible(selected_polyhedron(s, e))
+            ]
+            assert enumerate_pieces(s) == want
+            assert list(iter_encodings(PieceRows(s), 1)) == want[::-1]
+
+    def test_small_ladder_pieces_are_nonempty(self):
+        for s in _energy_sets(0, 2, 4) + _energy_sets(0, 3, 4):
+            assert all(is_feasible(selected_polyhedron(s, e)) for e in enumerate_pieces(s))
+
+    def test_a_pin_must_hold_exactly(self):
+        # {0 <= x perp x - 1 >= 0}: side 0 is x == 0, side 1 is x - 1 == 0
+        rows = PieceRows(scalar_set(1.0, -1.0))
+        assert rows.holds(0, 0, np.array([0.0]))
+        assert not rows.holds(0, 0, np.array([1e-12]))
+        assert rows.holds(0, 1, np.array([1.0]))
+        assert not rows.holds(0, 1, np.array([1.0 + 1e-12]))
+
+    def test_a_pin_that_holds_within_tolerance_runs_its_lp(self, monkeypatch):
+        s = _energy_sets(0, 2, 4)[0]
+        exact, lps, nodes = self._counted_walk(monkeypatch, s)
+        assert lps < nodes
+        witness = PieceRows.witness
+
+        def nudged(rows, prefix, time_limit):
+            feasible, x = witness(rows, prefix, time_limit)
+            return feasible, None if x is None else np.where(x == 0.0, 1e-12, x * (1 + 1e-12))
+
+        monkeypatch.setattr(PieceRows, "witness", nudged)
+        got, lps, nodes = self._counted_walk(monkeypatch, s)
+        assert got == exact
+        assert lps == nodes
 
 
 def _hull_min(hull, c_agg):
@@ -283,7 +355,34 @@ class TestBalasHull:
 
     def test_rejects_empty_input(self):
         with pytest.raises(EmptyPieceList):
-            balas_hull([], [])
+            balas_hull(PieceRows(box_set(0.0, 1.0)), [], [])
+
+    def _assert_matches_oracle_bytes(self, sets):
+        # both from the same points: a point from the shared model can
+        # differ from the oracle's in its last bit (TestSinglePoint bounds
+        # the gap), and that bit would reach the aggregation row
+        for s in sets:
+            rows = PieceRows(s)
+            encodings = enumerate_pieces(rows)
+            points = [rows.single_point(e) for e in encodings]
+            got = balas_hull(rows, encodings, points)
+            want = hull_of([rows.piece(e) for e in encodings], points)
+            for name in ("a", "b", "a_eq", "b_eq"):
+                assert _same_bytes(getattr(got, name), getattr(want, name)), name
+            assert got.copy_start == want.copy_start
+            assert [None if c is None else list(c) for c in got.copy_cols] == [
+                None if c is None else list(c) for c in want.copy_cols
+            ]
+
+    @pytest.mark.parametrize("countries, followers", LADDER)
+    def test_ladder_hulls_match_the_piece_by_piece_oracle_bytes(self, countries, followers):
+        sets = [s for seed in range(3) for s in _energy_sets(seed, countries, followers)]
+        self._assert_matches_oracle_bytes(sets)
+
+    def test_point_and_generator_hulls_match_the_oracle_bytes(self):
+        sets = _pure_bnb_sets() + [split_interval_set(), scalar_set(1.0, -1.0), box_set(0.0, 2.0)]
+        sets += [random_comp_set(9000 + seed) for seed in range(8)]
+        self._assert_matches_oracle_bytes(s for s in sets if enumerate_pieces(s))
 
     @given(st.integers(0, 30))
     def test_hull_matches_piecewise_minimum_on_random_boxes(self, seed):
@@ -309,30 +408,39 @@ def _game_sets(game):
     return [leader_feasible_set(l) for l in game.leaders]
 
 
+def _pure_bnb_sets():
+    sets = [s for seed in range(10) for s in _energy_sets(seed, 2, 2)]
+    for d in (SubsetSumInterval(q=(1,), p=2, t=4, r=1), SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)):
+        sets += _game_sets(gen_pne_hardness(d))
+    return sets
+
+
 class TestSinglePoint:
-    """The Stiemke certificate agrees with the coordinate-wise oracle."""
+    """The singleton test on a set's shared models agrees with the
+    piece-by-piece Stiemke oracle and the coordinate-wise one."""
 
     def _assert_matches_oracle(self, sets) -> int:
         points = 0
         for s in sets:
-            for e, piece in enumerate_pieces(s):
-                got, want = _single_point_of(piece), single_point_by_coordinates(piece)
-                assert (got is None) == (want is None), e
+            rows = PieceRows(s)
+            for e in enumerate_pieces(rows):
+                piece = rows.piece(e)
+                got = rows.single_point(e)
+                want, coords = single_point_of(piece), single_point_by_coordinates(piece)
+                assert (got is None) == (want is None) == (coords is None), e
                 if got is not None:
                     assert np.abs(got - want).max() <= 1e-9, e
+                    assert np.abs(got - coords).max() <= 1e-9, e
                     points += 1
         return points
 
-    @pytest.mark.parametrize("countries, followers", [(2, 4), (2, 6), (2, 8), (3, 4), (3, 6)])
+    @pytest.mark.parametrize("countries, followers", LADDER)
     def test_energy_ladder_pieces(self, countries, followers):
         sets = [s for seed in range(3) for s in _energy_sets(seed, countries, followers)]
         self._assert_matches_oracle(sets)
 
     def test_pure_bnb_pieces(self):
-        sets = [s for seed in range(10) for s in _energy_sets(seed, 2, 2)]
-        for d in (SubsetSumInterval(q=(1,), p=2, t=4, r=1), SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)):
-            sets += _game_sets(gen_pne_hardness(d))
-        assert self._assert_matches_oracle(sets) == 67
+        assert self._assert_matches_oracle(_pure_bnb_sets()) == 67
 
     def test_generator_sets(self):
         games = [split_interval_game(), matching_pennies_game()]
@@ -343,10 +451,12 @@ class TestSinglePoint:
         assert self._assert_matches_oracle(sets) > 0
 
     def test_time_limit_reaches_the_lps(self):
-        # a 2-row LP still stops at a 0 s limit
-        piece = Polyhedron(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+        # a 2-row LP still stops at a 0 s limit, and the shared model
+        # gets its zero objective back
+        rows = PieceRows(box_set(0.0, 1.0))
         with pytest.raises(TimeLimitReached):
-            _single_point_of(piece, 0.0)
+            rows.single_point((), 0.0)
+        assert not np.any(rows.lp._objective)
 
     @pytest.mark.parametrize(
         "rows, rhs, point",
@@ -378,13 +488,39 @@ class TestSinglePoint:
     )
     def test_hand_made_cases(self, rows, rhs, point):
         piece = Polyhedron(np.array(rows, float), np.array(rhs, float))
-        got = _single_point_of(piece)
-        want = single_point_by_coordinates(piece)
-        if point is None:
-            assert got is None and want is None
-        else:
-            assert got == pytest.approx(point, abs=1e-9)
-            assert want == pytest.approx(point, abs=1e-9)
+        s = ComplementaritySet(
+            a=piece.a, b=piece.b, m_mat=np.zeros((0, piece.n)), q=np.zeros(0), comp=()
+        )
+        got = PieceRows(s).single_point(())
+        for want in (single_point_of(piece), single_point_by_coordinates(piece)):
+            if point is None:
+                assert got is None and want is None
+            else:
+                assert got == pytest.approx(point, abs=1e-9)
+                assert want == pytest.approx(point, abs=1e-9)
+
+    def test_hand_made_pairs(self):
+        # x_0 perp x_1 - x_0 >= 0 with x_1 <= 0: both pieces are {(0, 0)},
+        # certified through an active a row (y >= 1) and an active unpinned
+        # side (y <= -1); with x_1 in [0, 1] instead, the 1-side piece is
+        # the segment x_0 = x_1 in [0, 1]
+        point = ComplementaritySet(
+            a=np.array([[0.0, 1.0]]), b=np.array([0.0]),
+            m_mat=np.array([[-1.0, 1.0]]), q=np.array([0.0]), comp=(0,),
+        )
+        segment = ComplementaritySet(
+            a=np.array([[0.0, 1.0], [0.0, -1.0]]), b=np.array([1.0, 0.0]),
+            m_mat=np.array([[-1.0, 1.0]]), q=np.array([0.0]), comp=(0,),
+        )
+        rows = PieceRows(point)
+        for e in ((0,), (1,)):
+            assert rows.single_point(e) == pytest.approx([0.0, 0.0], abs=1e-9)
+            assert single_point_of(rows.piece(e)) == pytest.approx([0.0, 0.0], abs=1e-9)
+        rows = PieceRows(segment)
+        assert rows.single_point((1,)) is None
+        assert single_point_of(rows.piece((1,))) is None
+        # the empty piece {x = 0, x - 1 >= 0} has no point
+        assert PieceRows(scalar_set(1.0, -1.0)).single_point((0,)) is None
 
 
 class TestContains:
@@ -396,7 +532,7 @@ class TestContains:
 
     def test_relaxation_containment(self):
         s = split_interval_set()
-        for e, poly in enumerate_pieces(s):
+        for e, poly in pieces_of(s):
             out = solve_lp(poly.program(np.ones(4)))
             assert contains(s, out.point, 1e-7)
             relax = polyhedral_relaxation(s)
@@ -451,7 +587,7 @@ class TestOptimizeOverSet:
         s = random_comp_set(9000 + seed)
         rng = Lcg(77 + seed)
         c = np.array([round(rng.uniform(-1, 1), 2) for _ in range(s.n)])
-        pieces = enumerate_pieces(s)
+        pieces = pieces_of(s)
         bb = optimize_over_set(s, c)
         if not pieces:
             assert bb.status is LpStatus.INFEASIBLE
@@ -468,7 +604,7 @@ class TestOptimizeOverSet:
     def test_piece_union_soundness(self, seed):
         s = random_comp_set(12000 + seed)
         rng = Lcg(5 + seed)
-        for e, poly in enumerate_pieces(s):
+        for e, poly in pieces_of(s):
             c = np.array([rng.uniform(-1, 1) for _ in range(s.n)])
             out = solve_lp(poly.program(c))
             if out.status is LpStatus.OPTIMAL:
