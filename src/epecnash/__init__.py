@@ -37,18 +37,15 @@ from .generators import (
     split_interval_game,
 )
 from .leadergame import MultiLeaderGame, StackelbergLeader, leader_feasible_set
-from .lp import LinearProgram, LpOutcome, LpStatus, solve_lp
-from .nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne, kkt_lcp
+from .lp import LpStatus
+from .nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne
 from .polyhedra import (
     ComplementaritySet,
     HullFormulation,
-    Polyhedron,
     balas_hull,
     contains,
     enumerate_pieces,
     optimize_over_set,
-    polyhedral_relaxation,
-    selected_polyhedron,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

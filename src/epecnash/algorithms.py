@@ -47,6 +47,7 @@ from .polyhedra import (
     contains,
     enumerate_pieces,
     iter_encodings,
+    optimize_over_set,
 )
 from .rng import Lcg
 from .tolerances import DELTA_MIN, DEVIATION_TOL, FEAS_TOL
@@ -222,7 +223,6 @@ def _objective_values(game: MultiLeaderGame, profile: MixedProfile) -> tuple[flo
 def deviation_check(
     game: MultiLeaderGame,
     profile: MixedProfile,
-    tol: float = DEVIATION_TOL,
     sets: list[ComplementaritySet] | None = None,
     deadline: Deadline | None = None,
 ) -> list[Deviation | None]:
@@ -234,8 +234,6 @@ def deviation_check(
     profile is an equilibrium.  An unbounded best response counts as a
     deviation and carries its ray.
     """
-    from .polyhedra import optimize_over_set
-
     if sets is None:
         sets = [leader_feasible_set(l) for l in game.leaders]
     means = profile.means()
@@ -250,7 +248,7 @@ def deviation_check(
             gain = played - br.value
             out.append(
                 Deviation(leader=i, improvement=gain, point=br.point)
-                if gain > tol
+                if gain > DEVIATION_TOL
                 else None
             )
         else:

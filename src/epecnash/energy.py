@@ -41,6 +41,9 @@ class ProfileMismatch(ValueError):
 
 PARADIGMS = ("standard", "single", "carbon")
 
+# Absolute slack ``report`` allows on a price cap and on market clearing.
+REPORT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ProducerSpec:
@@ -299,9 +302,7 @@ class EnergyReport:
     clearing_price: float
 
 
-def report(
-    inst: EnergyInstance, profile: MixedProfile, tol: float = 1e-6
-) -> EnergyReport:
+def report(inst: EnergyInstance, profile: MixedProfile) -> EnergyReport:
     """Market quantities at the profile's expectation.
 
     Mixed strategies are evaluated at their support mean, which is
@@ -323,7 +324,7 @@ def report(
         price = country.demand_intercept - country.demand_slope * (
             float(q.sum()) + imports - exports
         )
-        if price > country.price_cap + tol:
+        if price > country.price_cap + REPORT_TOL:
             raise ProfileMismatch(f"{country.name}: price above its cap")
         emissions = float(
             sum(p.emission_cost * qi for p, qi in zip(country.producers, q))
@@ -346,7 +347,7 @@ def report(
         residual = abs(
             sum(c.imports for c in countries) - sum(c.exports for c in countries)
         )
-        if residual > max(tol, FEAS_TOL * 10):
+        if residual > max(REPORT_TOL, FEAS_TOL * 10):
             raise ProfileMismatch(f"market clearing violated by {residual:.2e}")
     return EnergyReport(
         countries=tuple(countries),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import PARADIGMS
+from .energy import PARADIGMS, CountrySpec, EnergyInstance, ProducerSpec
 from .leadergame import DenseRows, MultiLeaderGame, StackelbergLeader
 from .nashgame import PolyhedralNashGame, QuadraticPlayer
 from .rng import Lcg
@@ -275,8 +275,6 @@ class GenConfig:
 
 
 def _draw_producer(rng: Lcg, multi: bool):
-    from .energy import ProducerSpec
-
     lo, hi = CLASSES[rng.randint(len(CLASSES))]
     j = lo + rng.randint(hi - lo)
 
@@ -319,8 +317,6 @@ def gen_energy(cfg: GenConfig):
     the price cap even untaxed would be infeasible without trade, so
     such draws are rejected and redrawn.
     """
-    from .energy import CountrySpec, EnergyInstance
-
     rng = Lcg(cfg.seed)
     countries = []
     for ci in range(cfg.countries):

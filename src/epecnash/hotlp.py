@@ -159,12 +159,13 @@ class RangedLp:
             self.set_objective(saved)
         return x
 
-    def ray(self) -> np.ndarray:
+    def ray(self, time_limit: float | None = None) -> np.ndarray:
         """A direction d of the current node system with c d < 0.
 
         The recession cone of the node, cut by a unit box: a finite
         bound side of a row or column becomes 0, every other column side
         is +-1.  Exists whenever the node is feasible and unbounded.
+        ``time_limit`` caps the cone LP as in ``solve``.
         """
         bounds = []
         for base, edits in ((self._base_row, self._rows), (self._base_col, self._cols)):
@@ -181,7 +182,7 @@ class RangedLp:
             np.maximum(col_lo, -1.0),
             np.minimum(col_hi, 1.0),
         )
-        status, d, value = cone.solve()
+        status, d, value = cone.solve(time_limit)
         if status is not LpStatus.OPTIMAL or value >= -FEAS_TOL:
             raise NumericalFailure("unbounded LP without a certifying ray")
         return d

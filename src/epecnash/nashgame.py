@@ -122,7 +122,6 @@ class PolyhedralNashGame:
 class KktLayout:
     """Positions of the blocks inside the stacked KKT variable vector."""
 
-    n_param: int
     var_slices: tuple[slice, ...]
     mult_slices: tuple[slice, ...]
     eq_mult_slices: tuple[slice, ...]
@@ -148,24 +147,12 @@ def kkt_layout(g: PolyhedralNashGame) -> KktLayout:
             pos += getattr(p, size)
         blocks.append(tuple(slices))
     return KktLayout(
-        n_param=g.n_param,
         var_slices=blocks[0],
         mult_slices=blocks[1],
         eq_mult_slices=blocks[2],
         market_slice=slice(pos, pos + g.n_market),
         total=pos + g.n_market,
     )
-
-
-def kkt_lcp(g: PolyhedralNashGame) -> ComplementaritySet:
-    """Stacked stationarity + primal feasibility + complementary slackness.
-
-    Variables: [external parameter | strategies | multipliers | prices].
-    Every inequality multiplier is complementary to its row slack; the
-    stationarity, clearing and players' equality rows are equalities.
-    """
-    set_, _ = kkt_system(g)
-    return set_
 
 
 def kkt_system(g: PolyhedralNashGame) -> tuple[ComplementaritySet, KktLayout]:

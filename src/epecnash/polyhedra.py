@@ -163,68 +163,27 @@ _POINT_TOL = 1e-9
 class PieceRows:
     """Every selected polyhedron of one set, as rows of one shared system.
 
-    ``sides`` stacks one row per pair side: row i is x_{c_i} and row
-    p + i is [M x]_i, and ``side_b`` = [0; -q] is the value a pin fixes
-    it at.  Encoding e pins the rows ``arange(p) + p * e`` as equalities
-    and keeps each other side as one ``>= side_b`` row.  The ranged LP
-    instead bounds each complementary column to [0, inf) and keeps
-    M x + q >= 0 as one row per pair, so a 0-side pin is a column-bound
-    edit and a 1-side pin a row-bound edit.  A piece stays an encoding:
-    its rows are indexed out of one dense ``block`` (``piece_rows``), and
-    its singleton test edits the bounds of the set's two models, ``lp``
-    and ``cone``.
+    Each pair has two sides: x_{c_i} and [M x]_i, pinned at 0 and -q_i.
+    Encoding e pins side e_i of each pair as an equality and keeps the
+    other side as one ``>=`` row.  The ranged LP instead bounds each
+    complementary column to [0, inf) and keeps M x + q >= 0 as one row
+    per pair, so a 0-side pin is a column-bound edit and a 1-side pin a
+    row-bound edit.  A piece stays an encoding: its rows are indexed out
+    of one dense ``block`` (``piece_rows``), and its singleton test edits
+    the bounds of the set's two models, ``lp`` and ``cone``.
     """
 
     def __init__(self, s: ComplementaritySet):
         self.set = s
-        p = s.num_pairs
-        unit = sp.csr_matrix(
-            (np.ones(p), (np.arange(p), np.array(s.comp, dtype=int))), shape=(p, s.n)
-        )
-        self.sides = sp.vstack([unit, sp.csr_matrix(s.m_mat)], format="csr")
-        self.side_b = np.concatenate([np.zeros(p), -np.asarray(s.q, dtype=float)])
 
     @property
     def num_pairs(self) -> int:
         return self.set.num_pairs
 
     @cached_property
-    def relaxation(self) -> Polyhedron:
-        """Both sides of every pair kept as >= rows."""
-        s = self.set
-        if s.num_pairs == 0:
-            return Polyhedron(s.a, np.asarray(s.b, dtype=float), s.a_eq, s.b_eq)
-        return Polyhedron(
-            sp.vstack([s.a, -self.sides], format="csr"),
-            np.concatenate([s.b, -self.side_b]),
-            s.a_eq,
-            s.b_eq,
-        )
-
-    @cached_property
     def lp(self) -> RangedLp:
         """Zero-objective ranged LP shared by the feasibility checks."""
         return self.ranged(np.zeros(self.set.n))
-
-    def piece(self, encoding: tuple[int, ...]) -> Polyhedron:
-        """The selected polyhedron of ``encoding``: the pinned sides as
-        equalities after the set's own, the other sides as >= rows after
-        the set's ``<=`` rows."""
-        p = self.num_pairs
-        if len(encoding) != p:
-            raise EncodingLengthMismatch(
-                f"encoding has {len(encoding)} bits, set has {p} pairs"
-            )
-        if p == 0:
-            return self.relaxation
-        (ineq,), sign, (eq,) = self.piece_rows([encoding])
-        rows, rhs = self.block
-        return Polyhedron(
-            sp.csr_matrix(sign[:, None] * rows[ineq]),
-            sign * rhs[ineq],
-            sp.csr_matrix(rows[eq]),
-            rhs[eq],
-        )
 
     def ranged(self, objective: np.ndarray) -> RangedLp:
         """The relaxation as one incremental LP whose nodes are bound edits.
@@ -283,12 +242,21 @@ class PieceRows:
     @cached_property
     def block(self) -> tuple[np.ndarray, np.ndarray]:
         """Every row a piece uses, ``[a; a_eq; sides]``, as one dense
-        array, with its right-hand sides ``[b; b_eq; side_b]``."""
-        s = self.set
-        dense = [m.toarray() if sp.issparse(m) else np.asarray(m, float) for m in (s.a, s.a_eq)]
+        array, with its right-hand sides ``[b; b_eq; 0; -q]``: side row i
+        is x_{c_i} and side row p + i is [M x]_i."""
+        s, p = self.set, self.num_pairs
+        dense = [
+            m.toarray() if sp.issparse(m) else np.asarray(m, float)
+            for m in (s.a, s.a_eq, s.m_mat)
+        ]
+        unit = np.zeros((p, s.n))
+        unit[np.arange(p), np.array(s.comp, dtype=int)] = 1.0
+        # + 0.0 stores a -0.0 of M as 0.0, as a sparse pin row (_pin_row) does
         return (
-            np.vstack(dense + [self.sides.toarray()]),
-            np.concatenate([np.asarray(s.b, float), s.b_eq, self.side_b]),
+            np.vstack(dense[:2] + [unit, dense[2] + 0.0]),
+            np.concatenate(
+                [np.asarray(s.b, float), s.b_eq, np.zeros(p), -np.asarray(s.q, dtype=float)]
+            ),
         )
 
     @cached_property
@@ -303,7 +271,7 @@ class PieceRows:
         every piece), and its equality rows.  A ``<=`` row is
         ``sign * block[r] x <= sign * rhs[r]``: ``a`` with sign 1, then
         each pair's other side with sign -1; the equalities are ``a_eq``,
-        then each pinned side, in the row order of ``PieceRows.piece``.
+        then each pinned side, in the row order of ``selected_polyhedron``.
         """
         s, p = self.set, self.num_pairs
         m, m_eq = s.a.shape[0], s.a_eq.shape[0]
@@ -371,11 +339,6 @@ class PieceRows:
         return x if self.cone.solve(time_limit)[0] is LpStatus.OPTIMAL else None
 
 
-def polyhedral_relaxation(s: ComplementaritySet) -> Polyhedron:
-    """Drop the orthogonality, keep both nonnegativity sides."""
-    return PieceRows(s).relaxation
-
-
 def _pin_row(s: ComplementaritySet, pair: int, bit: int):
     """Row and value of one side of a pair: bit 0 -> x_{c_i}, 0; bit 1 -> [M x]_i, -q_i."""
     if bit == 0:
@@ -404,7 +367,7 @@ def selected_polyhedron(s: ComplementaritySet, encoding: tuple[int, ...]) -> Pol
             f"encoding has {len(encoding)} bits, set has {s.num_pairs} pairs"
         )
     if s.num_pairs == 0:
-        return polyhedral_relaxation(s)
+        return Polyhedron(s.a, np.asarray(s.b, dtype=float), s.a_eq, s.b_eq)
     rows, rhs, eq_rows, eq_rhs = [], [], [], []
     for i, bit in enumerate(encoding):
         row, value = _pin_row(s, i, int(bit))
@@ -456,16 +419,14 @@ def iter_encodings(
 
 
 def enumerate_pieces(
-    s: ComplementaritySet | PieceRows,
-    cap: int = ENUM_CAP,
-    deadline: Deadline | None = None,
+    s: ComplementaritySet | PieceRows, deadline: Deadline | None = None
 ) -> list[tuple[int, ...]]:
     """All encodings with a nonempty selected polyhedron, lexicographic;
-    a set with more than ``cap`` pairs is refused.  Given a set's
+    a set with more than ``ENUM_CAP`` pairs is refused.  Given a set's
     ``PieceRows``, the walk runs on its LP."""
     rows = s if isinstance(s, PieceRows) else PieceRows(s)
-    if rows.num_pairs > cap:
-        raise TooManyComplementarities(f"{rows.num_pairs} pairs exceeds cap {cap}")
+    if rows.num_pairs > ENUM_CAP:
+        raise TooManyComplementarities(f"{rows.num_pairs} pairs exceeds cap {ENUM_CAP}")
     return list(iter_encodings(rows, 0, deadline))
 
 
@@ -810,7 +771,11 @@ def optimize_over_set(
             branched = {bi for bi, _ in bins}
             free_bins = [bi for bi in range(len(binaries)) if bi not in branched]
             if not free_pairs and not free_bins:
-                return SetOutcome(LpStatus.UNBOUNDED, point=lp.feasible_point(), ray=lp.ray())
+                return SetOutcome(
+                    LpStatus.UNBOUNDED,
+                    point=lp.feasible_point(),
+                    ray=lp.ray(None if deadline is None else deadline.remaining),
+                )
             if free_pairs:
                 i = free_pairs[0]
                 stack.append((pins + ((i, 1),), bins, None))

@@ -11,10 +11,10 @@ from epecnash.polyhedra import (
     ComplementaritySet,
     EmptyPieceList,
     HullFormulation,
-    PieceRows,
     Polyhedron,
     Triplets,
     enumerate_pieces,
+    selected_polyhedron,
 )
 from epecnash.rng import Lcg
 
@@ -31,9 +31,9 @@ def interval_of(poly: Polyhedron, coord: int) -> tuple[float, float]:
 
 
 def pieces_of(s: ComplementaritySet) -> list[tuple[tuple[int, ...], Polyhedron]]:
-    """Every nonempty piece of a set with its encoding, lexicographic."""
-    rows = PieceRows(s)
-    return [(e, rows.piece(e)) for e in enumerate_pieces(rows)]
+    """Every nonempty piece of a set with its encoding, lexicographic,
+    each built by the ``selected_polyhedron`` oracle."""
+    return [(e, selected_polyhedron(s, e)) for e in enumerate_pieces(s)]
 
 
 def _nonzero_rows(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -437,7 +437,7 @@ class TestRandomGames:
         full = full_enumeration(game, budget=60)
         assert full.status in ("MNE", "PNE", "NoEquilibrium")
         if full.profile is not None:
-            devs = deviation_check(game, full.profile, tol=1e-6)
+            devs = deviation_check(game, full.profile)
             assert devs == [None] * 2
             for sup in full.profile.supports:
                 assert sum(p for _, p in sup) == pytest.approx(1.0, abs=1e-9)

@@ -96,7 +96,7 @@ class TestBuild:
         inst = symmetric_pair()
         g = build_game(inst)
         rep = full_enumeration(g, budget=120)
-        assert deviation_check(g, rep.profile, tol=1e-6) == [None, None]
+        assert deviation_check(g, rep.profile) == [None, None]
 
     def test_carbon_paradigm_scales_rates(self):
         inst = symmetric_pair(paradigm="carbon")

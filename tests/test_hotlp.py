@@ -163,6 +163,33 @@ class TestRay:
         with pytest.raises(NumericalFailure):
             lp.ray()
 
+    def test_spent_budget_stops_the_cone_lp(self):
+        # x0 - x1 >= -1 over x >= 0: HiGHS honours a 0 s limit even on
+        # this 2-column cone LP
+        lp = RangedLp(
+            np.array([-1.0, 1.0]), sp.csr_matrix([[1.0, -1.0]]), -np.ones(1), np.full(1, INF),
+            np.zeros(2),
+        )
+        assert lp.solve()[0] is LpStatus.UNBOUNDED
+        with pytest.raises(TimeLimitReached):
+            lp.ray(0.0)
+
+    def test_unbounded_leaf_gives_the_ray_the_budget_left(self, monkeypatch):
+        limits = []
+        ray = RangedLp.ray
+
+        def spied(lp, time_limit=None):
+            limits.append(time_limit)
+            return ray(lp, time_limit)
+
+        monkeypatch.setattr(RangedLp, "ray", spied)
+        half_line = ComplementaritySet(
+            a=np.array([[-1.0]]), b=np.zeros(1), m_mat=np.zeros((0, 1)), q=np.zeros(0), comp=()
+        )
+        out = optimize_over_set(half_line, np.array([-1.0]), deadline=Deadline(60.0))
+        assert out.status is LpStatus.UNBOUNDED
+        assert len(limits) == 1 and 0.0 < limits[0] <= 60.0
+
 
 def _slow_lp_rows():
     """A 300 x 300 LP that takes HiGHS a few hundred simplex iterations."""

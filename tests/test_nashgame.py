@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from epecnash.lp import LpStatus
 from epecnash.nashgame import (
     NonPsdObjective,
     PolyhedralNashGame,
     QuadraticPlayer,
     find_pne,
-    kkt_lcp,
     kkt_system,
 )
-from epecnash.polyhedra import contains, optimize_over_set
+from epecnash.polyhedra import contains
 from epecnash.rng import Lcg
 
 BOX01 = (np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]))
@@ -167,10 +165,3 @@ class TestGridOracle:
             played = 0.5 * q * x[i] ** 2 + (lin + cross * rival) * x[i]
             best = _box_br_value(q, lin + cross * rival, *boxes[i])
             assert played <= best + 1e-3
-
-
-def test_kkt_lcp_surface_returns_set():
-    g = PolyhedralNashGame(players=(_player([-1.0], *BOX01),))
-    s = kkt_lcp(g)
-    out = optimize_over_set(s, np.zeros(s.n))
-    assert out.status is LpStatus.OPTIMAL

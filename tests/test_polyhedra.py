@@ -1,8 +1,10 @@
+import functools
 import itertools
 import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from epecnash.energy import build_game
@@ -27,16 +29,17 @@ from epecnash.polyhedra import (
     Polyhedron,
     TimeLimitReached,
     TooManyComplementarities,
+    _pin_row,
     balas_hull,
     contains,
     enumerate_pieces,
     is_feasible,
     iter_encodings,
     optimize_over_set,
-    polyhedral_relaxation,
     selected_polyhedron,
 )
 from epecnash.rng import Lcg
+from epecnash.tolerances import ENUM_CAP
 
 from tests.helpers import (
     box_set,
@@ -63,26 +66,6 @@ class TestFeasibility:
         a = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         b = np.array([1.0, -0.6, -0.6])
         assert not is_feasible(Polyhedron(a, b))
-
-
-class TestRelaxation:
-    def test_no_pairs_is_identity(self):
-        s = box_set(0.0, 1.0)
-        relax = polyhedral_relaxation(s)
-        assert relax.m == 2
-        assert interval_of(relax, 0) == pytest.approx((0.0, 1.0))
-
-    def test_scalar_both_signs(self):
-        # {0 <= x perp x - 1 >= 0} relaxes to [1, inf)
-        s = scalar_set(1.0, -1.0)
-        relax = polyhedral_relaxation(s)
-        lo, hi = interval_of(relax, 0)
-        assert lo == pytest.approx(1.0, abs=1e-9)
-        assert hi == np.inf
-
-    def test_split_interval_relaxes_to_full_interval(self):
-        relax = polyhedral_relaxation(split_interval_set())
-        assert interval_of(relax, 0) == pytest.approx((-5.0, 5.0), abs=1e-9)
 
 
 class TestSelectedPolyhedron:
@@ -125,27 +108,87 @@ def _energy_sets(seed, countries, followers):
     return [leader_feasible_set(l) for l in game.leaders]
 
 
+def _with_pieces(sets):
+    """Each set with its nonempty encodings and their oracle pieces."""
+    out = []
+    for s in sets:
+        encodings = enumerate_pieces(s)
+        out.append((s, encodings, [selected_polyhedron(s, e) for e in encodings]))
+    return out
+
+
+@functools.cache
+def _ladder(countries, followers):
+    """``_with_pieces`` of one ladder rung's sets, seeds 0-2: built once
+    and shared by every test that reads them."""
+    return _with_pieces(s for seed in range(3) for s in _energy_sets(seed, countries, followers))
+
+
+def _game_sets(game):
+    return [leader_feasible_set(l) for l in game.leaders]
+
+
+@functools.cache
+def _pure_bnb():
+    """``_with_pieces`` of the sets the pure-bnb workload solves over,
+    shared like ``_ladder``."""
+    sets = [s for seed in range(10) for s in _energy_sets(seed, 2, 2)]
+    for d in (SubsetSumInterval(q=(1,), p=2, t=4, r=1), SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)):
+        sets += _game_sets(gen_pne_hardness(d))
+    return _with_pieces(sets)
+
+
+def _generator_sets():
+    games = [split_interval_game(), matching_pennies_game()]
+    games += [random_trivial_game(seed) for seed in range(5)]
+    sets = [s for g in games for s in _game_sets(g)]
+    sets += [split_interval_set(), scalar_set(1.0, -1.0), box_set(0.0, 2.0)]
+    return sets + [random_comp_set(9000 + seed) for seed in range(8)]
+
+
+def _pin_block(s):
+    """``PieceRows.block`` built from the oracle's pin rows, one pair side
+    at a time: every 0 side, then every 1 side."""
+    pins = [_pin_row(s, i, bit) for bit in (0, 1) for i in range(s.num_pairs)]
+    dense = [m.toarray() if sp.issparse(m) else np.asarray(m, float) for m in (s.a, s.a_eq)]
+    sides = sp.vstack([r for r, _ in pins], format="csr").toarray() if pins else np.zeros((0, s.n))
+    return (
+        np.vstack(dense + [sides]),
+        np.concatenate([np.asarray(s.b, float), s.b_eq, np.array([v for _, v in pins], float)]),
+    )
+
+
 class TestPieceRows:
-    def _assert_matches_oracle(self, s, encodings):
+    def _assert_matches_oracle(self, s, encodings, pieces):
+        # the rows piece_rows indexes out of block, which balas_hull and
+        # single_point read, are the oracle's piece byte for byte
         rows = PieceRows(s)
-        for e in encodings:
-            got, want = rows.piece(e), selected_polyhedron(s, e)
-            assert _same_bytes(got.a, want.a), e
-            assert _same_bytes(got.b, want.b), e
+        block, rhs = rows.block
+        ineq, sign, eq = rows.piece_rows(encodings)
+        for e, i, q, want in zip(encodings, ineq, eq, pieces):
+            assert _same_bytes(sp.csr_matrix(sign[:, None] * block[i]), sp.csr_matrix(want.a)), e
+            assert _same_bytes(sign * rhs[i], want.b), e
+            assert _same_bytes(sp.csr_matrix(block[q]), sp.csr_matrix(want.a_eq)), e
+            assert _same_bytes(rhs[q], want.b_eq), e
 
     def test_energy_pieces_match_oracle_bytes(self):
-        for s in _energy_sets(0, 2, 4) + _energy_sets(1, 3, 4):
-            self._assert_matches_oracle(s, enumerate_pieces(s))
+        for s, encodings, pieces in _ladder(2, 4) + _ladder(3, 4):
+            self._assert_matches_oracle(s, encodings, pieces)
 
     def test_generator_sets_match_oracle_bytes_on_every_encoding(self):
         sets = [split_interval_set(), scalar_set(1.0, -1.0), box_set(0.0, 2.0)]
         sets += [random_comp_set(9000 + seed) for seed in range(8)]
         for s in sets:
-            self._assert_matches_oracle(s, itertools.product((0, 1), repeat=s.num_pairs))
+            encodings = list(itertools.product((0, 1), repeat=s.num_pairs))
+            self._assert_matches_oracle(
+                s, encodings, [selected_polyhedron(s, e) for e in encodings]
+            )
 
-    def test_length_mismatch(self):
-        with pytest.raises(EncodingLengthMismatch):
-            PieceRows(split_interval_set()).piece((0,))
+    def test_block_matches_the_pin_rows_bytes(self):
+        shared = [t for rung in LADDER for t in _ladder(*rung)] + _pure_bnb()
+        for s in [s for s, _, _ in shared] + _generator_sets():
+            got, want = PieceRows(s).block, _pin_block(s)
+            assert _same_bytes(got[0], want[0]) and _same_bytes(got[1], want[1])
 
     def test_feasible_prefixes(self):
         rows = PieceRows(split_interval_set())
@@ -182,7 +225,7 @@ class TestEnumeration:
         assert interval_of(pieces[0][1], 0) == pytest.approx((0.0, 0.0), abs=1e-9)
 
     def test_cap(self):
-        n = 5
+        n = ENUM_CAP + 1
         s = ComplementaritySet(
             a=np.zeros((0, n)),
             b=np.zeros(0),
@@ -191,7 +234,7 @@ class TestEnumeration:
             comp=tuple(range(n)),
         )
         with pytest.raises(TooManyComplementarities):
-            enumerate_pieces(s, cap=4)
+            enumerate_pieces(s)
 
     def test_lazy_walk_has_no_cap(self):
         # 30 pairs x_i perp x_i + 1: only the all-zero encoding is nonempty
@@ -357,16 +400,15 @@ class TestBalasHull:
         with pytest.raises(EmptyPieceList):
             balas_hull(PieceRows(box_set(0.0, 1.0)), [], [])
 
-    def _assert_matches_oracle_bytes(self, sets):
+    def _assert_matches_oracle_bytes(self, with_pieces):
         # both from the same points: a point from the shared model can
         # differ from the oracle's in its last bit (TestSinglePoint bounds
         # the gap), and that bit would reach the aggregation row
-        for s in sets:
+        for s, encodings, pieces in with_pieces:
             rows = PieceRows(s)
-            encodings = enumerate_pieces(rows)
             points = [rows.single_point(e) for e in encodings]
             got = balas_hull(rows, encodings, points)
-            want = hull_of([rows.piece(e) for e in encodings], points)
+            want = hull_of(pieces, points)
             for name in ("a", "b", "a_eq", "b_eq"):
                 assert _same_bytes(getattr(got, name), getattr(want, name)), name
             assert got.copy_start == want.copy_start
@@ -376,13 +418,12 @@ class TestBalasHull:
 
     @pytest.mark.parametrize("countries, followers", LADDER)
     def test_ladder_hulls_match_the_piece_by_piece_oracle_bytes(self, countries, followers):
-        sets = [s for seed in range(3) for s in _energy_sets(seed, countries, followers)]
-        self._assert_matches_oracle_bytes(sets)
+        self._assert_matches_oracle_bytes(_ladder(countries, followers))
 
     def test_point_and_generator_hulls_match_the_oracle_bytes(self):
-        sets = _pure_bnb_sets() + [split_interval_set(), scalar_set(1.0, -1.0), box_set(0.0, 2.0)]
+        sets = [split_interval_set(), scalar_set(1.0, -1.0), box_set(0.0, 2.0)]
         sets += [random_comp_set(9000 + seed) for seed in range(8)]
-        self._assert_matches_oracle_bytes(s for s in sets if enumerate_pieces(s))
+        self._assert_matches_oracle_bytes(t for t in _pure_bnb() + _with_pieces(sets) if t[1])
 
     @given(st.integers(0, 30))
     def test_hull_matches_piecewise_minimum_on_random_boxes(self, seed):
@@ -404,27 +445,15 @@ class TestBalasHull:
             assert hull_val == pytest.approx(piece_val, abs=1e-7)
 
 
-def _game_sets(game):
-    return [leader_feasible_set(l) for l in game.leaders]
-
-
-def _pure_bnb_sets():
-    sets = [s for seed in range(10) for s in _energy_sets(seed, 2, 2)]
-    for d in (SubsetSumInterval(q=(1,), p=2, t=4, r=1), SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)):
-        sets += _game_sets(gen_pne_hardness(d))
-    return sets
-
-
 class TestSinglePoint:
     """The singleton test on a set's shared models agrees with the
     piece-by-piece Stiemke oracle and the coordinate-wise one."""
 
-    def _assert_matches_oracle(self, sets) -> int:
+    def _assert_matches_oracle(self, with_pieces) -> int:
         points = 0
-        for s in sets:
+        for s, encodings, pieces in with_pieces:
             rows = PieceRows(s)
-            for e in enumerate_pieces(rows):
-                piece = rows.piece(e)
+            for e, piece in zip(encodings, pieces):
                 got = rows.single_point(e)
                 want, coords = single_point_of(piece), single_point_by_coordinates(piece)
                 assert (got is None) == (want is None) == (coords is None), e
@@ -436,19 +465,13 @@ class TestSinglePoint:
 
     @pytest.mark.parametrize("countries, followers", LADDER)
     def test_energy_ladder_pieces(self, countries, followers):
-        sets = [s for seed in range(3) for s in _energy_sets(seed, countries, followers)]
-        self._assert_matches_oracle(sets)
+        self._assert_matches_oracle(_ladder(countries, followers))
 
     def test_pure_bnb_pieces(self):
-        assert self._assert_matches_oracle(_pure_bnb_sets()) == 67
+        assert self._assert_matches_oracle(_pure_bnb()) == 67
 
     def test_generator_sets(self):
-        games = [split_interval_game(), matching_pennies_game()]
-        games += [random_trivial_game(seed) for seed in range(5)]
-        sets = [s for g in games for s in _game_sets(g)]
-        sets += [split_interval_set(), scalar_set(1.0, -1.0), box_set(0.0, 2.0)]
-        sets += [random_comp_set(9000 + seed) for seed in range(8)]
-        assert self._assert_matches_oracle(sets) > 0
+        assert self._assert_matches_oracle(_with_pieces(_generator_sets())) > 0
 
     def test_time_limit_reaches_the_lps(self):
         # a 2-row LP still stops at a 0 s limit, and the shared model
@@ -515,10 +538,11 @@ class TestSinglePoint:
         rows = PieceRows(point)
         for e in ((0,), (1,)):
             assert rows.single_point(e) == pytest.approx([0.0, 0.0], abs=1e-9)
-            assert single_point_of(rows.piece(e)) == pytest.approx([0.0, 0.0], abs=1e-9)
-        rows = PieceRows(segment)
-        assert rows.single_point((1,)) is None
-        assert single_point_of(rows.piece((1,))) is None
+            assert single_point_of(selected_polyhedron(point, e)) == pytest.approx(
+                [0.0, 0.0], abs=1e-9
+            )
+        assert PieceRows(segment).single_point((1,)) is None
+        assert single_point_of(selected_polyhedron(segment, (1,))) is None
         # the empty piece {x = 0, x - 1 >= 0} has no point
         assert PieceRows(scalar_set(1.0, -1.0)).single_point((0,)) is None
 
@@ -531,12 +555,16 @@ class TestContains:
         assert not contains(s, np.array([2.0]))  # x*z = 2
 
     def test_relaxation_containment(self):
+        # a piece's point keeps the set's rows and both sides of every
+        # pair at or above their pin values
         s = split_interval_set()
+        rows, rhs = PieceRows(s).block
+        sides = slice(len(rhs) - 2 * s.num_pairs, None)
         for e, poly in pieces_of(s):
             out = solve_lp(poly.program(np.ones(4)))
             assert contains(s, out.point, 1e-7)
-            relax = polyhedral_relaxation(s)
-            assert (np.asarray(relax.a @ out.point).ravel() - relax.b).max() <= 1e-7
+            assert (s.a @ out.point - s.b).max() <= 1e-7
+            assert (rhs[sides] - rows[sides] @ out.point).max() <= 1e-7
 
 
 class TestOptimizeOverSet:
