@@ -132,8 +132,7 @@ def decompose_mixed(
 @dataclass
 class _Assembly:
     game: PolyhedralNashGame
-    hulls: list[HullFormulation]
-    var_offsets: list[int]
+    lifted_col: np.ndarray  # ambient column -> hull-game column
     binaries: tuple[BinaryVar, ...]
 
 
@@ -193,22 +192,16 @@ def _assemble_hull_game(game: MultiLeaderGame, hulls: list[HullFormulation]) -> 
             binaries.append(
                 BinaryVar(index=offsets[i] + hull.delta_index(j), zero_block=zero_block)
             )
-    return _Assembly(
-        game=hull_game, hulls=hulls, var_offsets=offsets, binaries=tuple(binaries)
-    )
+    return _Assembly(game=hull_game, lifted_col=lifted_col, binaries=tuple(binaries))
 
 
 def _embed_selection(asm: _Assembly, game: MultiLeaderGame, selection) -> np.ndarray | None:
     if selection is None:
         return None
-    selection = np.asarray(selection, dtype=float)
     if len(selection) != game.total_ambient:
         raise NumericalFailure("selection objective must span all leader blocks")
     c = np.zeros(asm.game.strategy_dim)
-    for i, hull in enumerate(asm.hulls):
-        block = selection[game.ambient_offset(i) : game.ambient_offset(i) + game.ambients[i]]
-        start = asm.var_offsets[i] + hull.agg_slice.start
-        c[start : start + game.ambients[i]] = block
+    c[asm.lifted_col[: game.total_ambient]] = selection
     return c
 
 
@@ -339,9 +332,7 @@ class LeaderPieces:
 
     def add(self, encoding: tuple[int, ...]) -> bool:
         """Include a piece found by a deviation, if nonempty and new."""
-        if encoding in self.included or not self.rows.feasible(
-            encoding, self.deadline.remaining
-        ):
+        if encoding in self.included or not self.rows.witness(encoding, self.deadline.remaining)[0]:
             return False
         self.found.add(encoding)
         self._include(encoding)
@@ -387,7 +378,7 @@ def _restricted_equilibrium(
     if not res.found:
         return None
     supports = []
-    for lifted, hull, sel in zip(res.strategies(), asm.hulls, selections):
+    for lifted, hull, sel in zip(res.strategies(), hulls, selections):
         agg = lifted[hull.agg_slice]
         if pure or contains(sel.rows.set, agg, FEAS_TOL):
             supports.append(((agg, 1.0),))

@@ -50,9 +50,12 @@ DEFAULT_TIME_LIMIT = 1800.0
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise serialize.FormatError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise serialize.FormatError(f"{path} holds no JSON object")
+    return data
 
 
 def _write(path: str, payload: dict) -> None:

@@ -244,9 +244,9 @@ def find_pne(
     """
     if g.n_param:
         raise LpError("cannot solve a game that still has free parameters")
+    deadline = deadline or Deadline()
     set_, lay = kkt_system(g)
-    if deadline is not None:
-        deadline.check()
+    deadline.check()
     c = np.zeros(lay.total)
     if selection is not None:
         if len(selection) != g.strategy_dim:

@@ -218,16 +218,12 @@ class PieceRows:
                 cols[s.comp[i]] = (0.0, 0.0)
         return rows, cols
 
-    def feasible(self, prefix: tuple[int, ...], time_limit: float | None = None) -> bool:
-        """Whether the relaxation with the pairs of ``prefix`` pinned is
-        nonempty; ``time_limit`` caps the LP as in ``RangedLp.solve``."""
-        return self.witness(prefix, time_limit)[0]
-
     def witness(
         self, prefix: tuple[int, ...], time_limit: float | None = None
     ) -> tuple[bool, np.ndarray | None]:
-        """Whether ``prefix`` is feasible, as ``feasible``, and the LP's
-        point if it has one."""
+        """Whether the relaxation with the pairs of ``prefix`` pinned is
+        nonempty, and the LP's point if it has one; ``time_limit`` caps
+        the LP as in ``RangedLp.solve``."""
         self.lp.move_to(*self.pin_bounds(enumerate(prefix)))
         status, x, _ = self.lp.solve(time_limit)
         return status is not LpStatus.INFEASIBLE, x
@@ -399,16 +395,14 @@ def iter_encodings(
     whose new pin holds exactly at its parent's LP point is feasible
     with that point and runs no LP.
     """
+    deadline = deadline or Deadline()
     p = rows.num_pairs
     stack: list[tuple[tuple[int, ...], np.ndarray | None]] = [((), None)]
     while stack:
         prefix, x = stack.pop()
-        if deadline is not None:
-            deadline.tick()
+        deadline.tick()
         if x is None or not rows.holds(len(prefix) - 1, prefix[-1], x):
-            feasible, x = rows.witness(
-                prefix, None if deadline is None else deadline.remaining
-            )
+            feasible, x = rows.witness(prefix, deadline.remaining)
             if not feasible:
                 continue
         if len(prefix) == p:
@@ -668,16 +662,19 @@ def optimize_over_set(
 
     Depth-first, 0-side child first; branch variable is the pair with
     the largest product at the node relaxation optimum (ties to the
-    lowest index), then the most fractional binary.  With a zero
-    objective the search stops at the first complementary leaf.  An
-    unbounded result is only reported from a fully pinned branch, whose
-    system is a subset of the set itself.
+    lowest index), then the most fractional binary.  An unbounded node
+    scores every free pair and binary as 1, so it branches the first
+    free one; only an unbounded leaf, whose system is a subset of the
+    set itself, reports the set unbounded.  With a zero objective the
+    search stops at the first complementary leaf.
     """
     c = np.asarray(c, dtype=float)
     if len(c) != s.n:
         raise DimensionMismatch("objective length mismatch")
+    deadline = deadline or Deadline()
     p = s.num_pairs
-    comp_idx = np.array(s.comp, dtype=int) if p else np.zeros(0, dtype=int)
+    comp_idx = np.array(s.comp, dtype=int)
+    bin_idx = np.array([bv.index for bv in binaries], dtype=int)
 
     feasibility_mode = not np.any(c)
     if feasibility_mode and p:
@@ -692,21 +689,6 @@ def optimize_over_set(
     rows = PieceRows(s)
     lp = rows.ranged(guide)
     m_t = s.m_mat.T
-
-    def move_to(pins, bins):
-        cols = {}
-        for bi, side in bins:
-            bv = binaries[bi]
-            if side == 0:
-                cols[bv.index] = (-INF, 0.0)
-                for col in bv.zero_block:
-                    cols[col] = (0.0, 0.0)
-            else:
-                cols[bv.index] = (1.0, INF)
-        lp.move_to(*rows.pin_bounds(pins, cols))
-
-    def solve():
-        return lp.solve(None if deadline is None else deadline.remaining)
 
     def polish(x: np.ndarray) -> np.ndarray:
         """Drive the node point toward complementarity.
@@ -728,84 +710,70 @@ def optimize_over_set(
             if top > 0:
                 c_lin /= top
             lp.set_objective(c_lin)
-            status, x_new, _ = solve()
-            if status is not LpStatus.OPTIMAL:
-                break
-            new_viol = int(
-                np.sum(x_new[comp_idx] * s.slacks(x_new) > COMP_TOL)
-            )
-            old_viol = int(np.sum(xc * z > COMP_TOL))
-            if new_viol >= old_viol:
+            status, x_new, _ = lp.solve(deadline.remaining)
+            # keep the re-solve only when it leaves fewer pairs violated
+            if status is not LpStatus.OPTIMAL or np.sum(
+                x_new[comp_idx] * s.slacks(x_new) > COMP_TOL
+            ) >= np.sum(xc * z > COMP_TOL):
                 break
             x = x_new
         return x
+
+    def visit(pins, bins) -> tuple[LpStatus, np.ndarray | None]:
+        """Move to the node and solve it; in feasibility mode, under the
+        guide objective and with an optimum polished."""
+        cols = {}
+        for bi, side in bins:
+            bv = binaries[bi]
+            cols[bv.index] = (1.0, INF) if side else (-INF, 0.0)
+            if not side:
+                cols.update(dict.fromkeys(bv.zero_block, (0.0, 0.0)))
+        lp.move_to(*rows.pin_bounds(pins, cols))
+        if feasibility_mode:
+            lp.set_objective(guide)
+        status, x, _ = lp.solve(deadline.remaining)
+        if feasibility_mode and p and status is LpStatus.OPTIMAL:
+            x = polish(x)
+        return status, x
+
+    def free(score: np.ndarray, pins) -> np.ndarray:
+        """``score`` with -inf at each pinned pair, or branched binary."""
+        if pins:
+            score[[i for i, _ in pins]] = -np.inf
+        return score
 
     best_val = np.inf
     best_pt: np.ndarray | None = None
 
     # Node = (pair pins, binary pins, point): the pins as immutable
     # tuples, and the node's polished point when a look-ahead already
-    # solved it (else None); depth-first.
+    # visited it (else None); depth-first.
     stack: list[tuple[tuple, tuple, np.ndarray | None]] = [((), (), None)]
 
     while stack:
         pins, bins, x = stack.pop()
-        if deadline is not None:
-            deadline.tick()
-        looked_ahead = x is not None
-        if looked_ahead:
-            status = LpStatus.OPTIMAL
-        else:
-            move_to(pins, bins)
-            if feasibility_mode:
-                lp.set_objective(guide)
-            status, x, _ = solve()
-
+        deadline.tick()
+        status, x = visit(pins, bins) if x is None else (LpStatus.OPTIMAL, x)
         if status is LpStatus.INFEASIBLE:
             continue
+        # an unbounded node (x None) occurs only with an objective, as the
+        # guide is bounded below on the relaxation; it scores every free
+        # pair and binary as 1
+        if x is not None:
+            true_val = float(c @ x)
+            if not feasibility_mode and true_val >= best_val:
+                # The guide equals c here, so the LP value is a valid bound.
+                continue
 
-        if status is LpStatus.UNBOUNDED:
-            # Only possible in optimization mode (the guide is bounded below).
-            pinned = {i for i, _ in pins}
-            free_pairs = [i for i in range(p) if i not in pinned]
-            branched = {bi for bi, _ in bins}
-            free_bins = [bi for bi in range(len(binaries)) if bi not in branched]
-            if not free_pairs and not free_bins:
-                return SetOutcome(
-                    LpStatus.UNBOUNDED,
-                    point=lp.feasible_point(),
-                    ray=lp.ray(None if deadline is None else deadline.remaining),
-                )
-            if free_pairs:
-                i = free_pairs[0]
-                stack.append((pins + ((i, 1),), bins, None))
-                stack.append((pins + ((i, 0),), bins, None))
-            else:
-                bi = free_bins[0]
-                stack.append((pins, bins + ((bi, 0),), None))
-                stack.append((pins, bins + ((bi, 1),), None))
-            continue
-
-        true_val = float(c @ x)
-        if not feasibility_mode and true_val >= best_val:
-            # The guide equals c here, so the LP value is a valid bound.
-            continue
-
-        if feasibility_mode and p and not looked_ahead:
-            x = polish(x)
-
-        pinned = {i for i, _ in pins}
         if p:
-            prod = x[comp_idx] * s.slacks(x)
-            if pinned:
-                prod[list(pinned)] = -np.inf
+            prod = free(np.ones(p) if x is None else x[comp_idx] * s.slacks(x), pins)
             worst = int(np.argmax(prod))
             if prod[worst] > COMP_TOL:
                 if not feasibility_mode:
                     stack.append((pins + ((worst, 1),), bins, None))
                     stack.append((pins + ((worst, 0),), bins, None))
                     continue
-                # Look ahead: polish both children and explore the more
+                # Look ahead: visit both children and explore the more
                 # complementary one first; a child that polishes clean
                 # and has no fractional binaries is already a leaf.  A
                 # child keeps its polished point, so it is not solved
@@ -813,20 +781,12 @@ def optimize_over_set(
                 scored = []
                 for side in (0, 1):
                     child = pins + ((worst, side),)
-                    move_to(child, bins)
-                    lp.set_objective(guide)
-                    st2, x2, _ = solve()
+                    st2, x2 = visit(child, bins)
                     if st2 is not LpStatus.OPTIMAL:
                         continue
-                    x2 = polish(x2)
-                    prod2 = x2[comp_idx] * s.slacks(x2)
-                    done = {i for i, _ in child}
-                    prod2[list(done)] = -np.inf
-                    nv = int(np.sum(prod2 > COMP_TOL))
+                    nv = int(np.sum(free(x2[comp_idx] * s.slacks(x2), child) > COMP_TOL))
                     if nv == 0 and not binaries:
-                        return SetOutcome(
-                            LpStatus.OPTIMAL, point=x2, value=float(c @ x2)
-                        )
+                        return SetOutcome(LpStatus.OPTIMAL, point=x2, value=float(c @ x2))
                     scored.append((nv, side, child, x2))
                 # push the worse child first so the better one pops first;
                 # ties keep the 0-side ahead
@@ -836,15 +796,11 @@ def optimize_over_set(
                 continue
 
         if binaries:
-            branched = {bi for bi, _ in bins}
-            frac = np.array(
-                [
-                    -np.inf
-                    if bi in branched
-                    else min(abs(x[bv.index]), abs(x[bv.index] - 1.0))
-                    for bi, bv in enumerate(binaries)
-                ]
-            )
+            if x is None:
+                frac = np.ones(len(binaries))
+            else:
+                frac = np.minimum(np.abs(x[bin_idx]), np.abs(x[bin_idx] - 1.0))
+            frac = free(frac, bins)
             worst_b = int(np.argmax(frac))
             if frac[worst_b] > _BIN_TOL:
                 # select-the-piece child first: fixing a weight to one is
@@ -853,6 +809,10 @@ def optimize_over_set(
                 stack.append((pins, bins + ((worst_b, 1),), None))
                 continue
 
+        if x is None:
+            return SetOutcome(
+                LpStatus.UNBOUNDED, point=lp.feasible_point(), ray=lp.ray(deadline.remaining)
+            )
         if feasibility_mode:
             return SetOutcome(LpStatus.OPTIMAL, point=x, value=true_val)
         if true_val < best_val:

@@ -265,18 +265,24 @@ def result_to_dict(report: SolveReport, algorithm: str) -> dict:
 
 
 def profile_from_dict(data: dict) -> MixedProfile:
+    """The profile a parsed result file carries; a missing, mistyped or
+    empty entry raises ``FormatError``."""
     if data.get("leaders") is None:
         raise FormatError("result carries no equilibrium profile")
-    supports = tuple(
-        tuple(
-            (np.array(e["point"], dtype=float), float(e["probability"]))
-            for e in leader["support"]
+    try:
+        supports = tuple(
+            tuple(
+                (np.array(e["point"], dtype=float), float(e["probability"]))
+                for e in leader["support"]
+            )
+            for leader in data["leaders"]
         )
-        for leader in data["leaders"]
-    )
-    return MixedProfile(
-        supports=supports, market=np.array(data.get("market_prices", []), dtype=float)
-    )
+        market = np.array(data.get("market_prices", []), dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed result: {type(exc).__name__}: {exc}") from exc
+    if not all(supports) or any(pt.ndim != 1 for sup in supports for pt, _ in sup):
+        raise FormatError("malformed result: an empty support or a point that is not a list")
+    return MixedProfile(supports=supports, market=market)
 
 
 def energy_report_to_dict(rep: EnergyReport) -> dict:

@@ -17,6 +17,7 @@ from epecnash.algorithms import (
     inner_approximation,
     pure_enumeration,
 )
+from epecnash.cli import _selection_vector
 from epecnash.energy import build_game
 from epecnash.generators import GenConfig, gen_energy
 from epecnash.generators import (
@@ -45,6 +46,12 @@ from epecnash.rng import Lcg
 from epecnash.tolerances import ENUM_CAP
 
 from tests.helpers import hull_of, interval_of, pieces_of, split_interval_set
+
+
+def _energy_game(seed: int, followers: int) -> MultiLeaderGame:
+    """The benchmark's two-country energy instance."""
+    cfg = GenConfig(seed=seed, countries=2, followers=(followers, followers))
+    return build_game(gen_energy(cfg))
 
 
 def single_leader_game() -> MultiLeaderGame:
@@ -369,10 +376,18 @@ class TestPureEnumeration:
         assert rep.status == "TimeLimit"
         assert all(c > 0 for c in rep.pieces_per_leader)
 
-    # RangedLp.solve calls of whole solves (enumeration, singleton tests and
-    # branch-and-bound).  HiGHS runs with threads=1 and random_seed=0, so a
-    # count is fixed for one HiGHS build; these were measured on SciPy 1.17.1.
+    # RangedLp.solve calls of whole solves (enumeration, singleton tests,
+    # branch-and-bound and, for inner, deviation checks).  HiGHS runs with
+    # threads=1 and random_seed=0, so a count is fixed for one HiGHS build;
+    # these were measured on SciPy 1.17.1.
     PINNED_SCIPY = "1.17.1"
+    # the solve behind a pin, by the last word of its name; any other
+    # name is a first-found pure solve
+    PINNED_RUNS = {
+        "select": lambda g: pure_enumeration(g, selection=_selection_vector(g)),
+        "full": full_enumeration,
+        "rseq": lambda g: inner_approximation(g, "rseq", 1, seed=0),
+    }
 
     @pytest.mark.parametrize(
         "name, game, status, solves",
@@ -389,6 +404,12 @@ class TestPureEnumeration:
                 "NoEquilibrium",
                 588,
             ),
+            # optimization mode with binaries
+            ("C2F2s0-select", lambda: _energy_game(0, 2), "PNE", 49),
+            # the look-ahead without binaries
+            ("C2F6s1-full", lambda: _energy_game(1, 6), "MNE", 468),
+            # deviation best responses
+            ("C2F6s1-rseq", lambda: _energy_game(1, 6), "MNE", 217),
         ],
     )
     def test_lp_solve_count_is_pinned(self, monkeypatch, name, game, status, solves):
@@ -400,8 +421,9 @@ class TestPureEnumeration:
             return solve(lp, *args, **kwargs)
 
         game = game()  # generating an instance solves LPs of its own
+        run = self.PINNED_RUNS.get(name.rsplit("-", 1)[-1], pure_enumeration)
         monkeypatch.setattr(RangedLp, "solve", counted)
-        assert pure_enumeration(game).status == status
+        assert run(game).status == status
         if scipy.__version__ == self.PINNED_SCIPY:
             assert count[0] == solves
         else:  # another HiGHS build pivots differently; only the answer is fixed

@@ -192,6 +192,44 @@ class TestCli:
         assert code == EXIT_INPUT
         assert f"input error: malformed {kind} instance" in capsys.readouterr().err
 
+    @staticmethod
+    def _check_result(tmp_path, command: str, result) -> int:
+        """``command`` run on an energy instance and the JSON ``result``."""
+        inst, res = tmp_path / "inst.json", tmp_path / "res.json"
+        inst.write_text(dumps(energy_to_dict(gen_energy(GenConfig(seed=1)))))
+        res.write_text(json.dumps(result))
+        argv = [command, "--in", str(inst), "--result", str(res)]
+        if command == "report":
+            argv += ["--out", str(tmp_path / "out.json")]
+        return main(argv)
+
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    @pytest.mark.parametrize(
+        "support",
+        [
+            [{"probability": 1.0}],
+            [{"point": "abc", "probability": 1.0}],
+            [{"point": 0.0, "probability": 1.0}],
+            [],
+        ],
+        ids=["no-point", "point-not-numbers", "point-not-a-list", "empty-support"],
+    )
+    def test_malformed_result_is_an_input_error(self, tmp_path, capsys, command, support):
+        valid = [{"point": [0.0], "probability": 1.0}]
+        result = {
+            "kind": "result",
+            "status": "PNE",
+            "leaders": [{"support": support}, {"support": valid}],  # the instance has two
+            "market_prices": [],
+        }
+        assert self._check_result(tmp_path, command, result) == EXIT_INPUT
+        assert "input error: malformed result" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_result_that_is_not_an_object_is_an_input_error(self, tmp_path, capsys, command):
+        assert self._check_result(tmp_path, command, []) == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "extra",
         [["--algorithm", "nope"], ["--timelimit", "abc"], ["--algorithm", "inner", "--k", "0"]],

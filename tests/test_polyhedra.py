@@ -21,6 +21,7 @@ from epecnash.hotlp import RangedLp
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
 from epecnash.polyhedra import (
+    BinaryVar,
     ComplementaritySet,
     Deadline,
     EmptyPieceList,
@@ -192,9 +193,8 @@ class TestPieceRows:
 
     def test_feasible_prefixes(self):
         rows = PieceRows(split_interval_set())
-        assert rows.feasible(())
-        assert rows.feasible((0, 1)) and rows.feasible((1, 0))
-        assert not rows.feasible((0, 0)) and not rows.feasible((1, 1))
+        feasible = {enc: rows.witness(enc)[0] for enc in [(), (0, 1), (1, 0), (0, 0), (1, 1)]}
+        assert feasible == {(): True, (0, 1): True, (1, 0): True, (0, 0): False, (1, 1): False}
 
 
 class TestDeadline:
@@ -603,6 +603,59 @@ class TestOptimizeOverSet:
         out = optimize_over_set(s, c)
         assert out.status is LpStatus.UNBOUNDED
         assert out.point is not None and c @ out.ray < 0
+
+    def test_unbounded_root_branches_into_bounded_pieces(self):
+        # pair a _|_ b with |a - b| <= 1: the root relaxation runs off
+        # along a = b, but each piece is a unit segment
+        s = ComplementaritySet(
+            a=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+            b=np.ones(2),
+            m_mat=np.array([[0.0, 1.0]]),
+            q=np.zeros(1),
+            comp=(0,),
+        )
+        deadline = Deadline()
+        out = optimize_over_set(s, np.array([-1.0, -1.0]), deadline)
+        assert out.status is LpStatus.OPTIMAL
+        assert out.value == pytest.approx(-1.0, abs=1e-9)
+        assert contains(s, out.point)
+        assert deadline.nodes == 3  # the root and both pieces
+
+    def test_unbounded_leaf_below_a_branched_pair(self):
+        # y _|_ 1 - x + y: the piece y = 0 stops at x = 1, the piece
+        # x = 1 + y runs off
+        s = ComplementaritySet(
+            a=np.zeros((0, 2)),
+            b=np.zeros(0),
+            m_mat=np.array([[-1.0, 1.0]]),
+            q=np.ones(1),
+            comp=(1,),
+        )
+        c = np.array([-1.0, 0.0])
+        deadline = Deadline()
+        out = optimize_over_set(s, c, deadline)
+        assert out.status is LpStatus.UNBOUNDED
+        assert c @ out.ray < 0
+        for t in (1.0, 10.0):
+            assert contains(s, out.point + t * out.ray)
+        assert deadline.nodes == 3
+
+    def test_unbounded_node_branches_a_free_binary(self):
+        # no pairs; delta in [0, 1] is a binary and x >= 0 is free above
+        s = ComplementaritySet(
+            a=np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+            b=np.array([0.0, 1.0, 0.0]),
+            m_mat=np.zeros((0, 2)),
+            q=np.zeros(0),
+            comp=(),
+        )
+        c = np.array([-1.0, 0.0])
+        deadline = Deadline()
+        out = optimize_over_set(s, c, deadline, binaries=(BinaryVar(index=1),))
+        assert out.status is LpStatus.UNBOUNDED
+        assert c @ out.ray < 0
+        assert out.point[1] == pytest.approx(1.0)  # the delta = 1 child pops first
+        assert deadline.nodes == 2
 
     def test_feasibility_mode_returns_member(self):
         s = split_interval_set()
