@@ -128,17 +128,17 @@ def cmd_validate(args) -> int:
     if len(profile.supports) != len(game.leaders):
         print("validate: wrong number of leaders", file=sys.stderr)
         return EXIT_INPUT
+    sets = [leader_feasible_set(leader) for leader in game.leaders]
     for i, sup in enumerate(profile.supports):
         probs = [pr for _, pr in sup]
         if min(probs) < -1e-9 or abs(sum(probs) - 1.0) > 1e-9:
             print(f"validate: leader {i} probabilities invalid", file=sys.stderr)
             return EXIT_INPUT
-        s = leader_feasible_set(game.leaders[i])
         for pt, _ in sup:
-            if len(pt) != s.n or not contains(s, pt, DEVIATION_TOL):
+            if len(pt) != sets[i].n or not contains(sets[i], pt, DEVIATION_TOL):
                 print(f"validate: leader {i} support point infeasible", file=sys.stderr)
                 return EXIT_INPUT
-    devs = deviation_check(game, profile)
+    devs = deviation_check(game, profile, sets=sets)
     for dev in devs:
         if dev is not None:
             print(

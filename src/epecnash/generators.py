@@ -73,16 +73,16 @@ def split_interval_game(flipped: bool = False, scale: float = 1.0) -> MultiLeade
         followers=PolyhedralNashGame(players=(follower,), n_param=1),
     )
     sign = -1.0 if flipped else 1.0
-    # ambients: line 1, interval 4 (xi, chi, two multipliers)
-    line_coupling = np.zeros((1, 5))
+    total = line.ambient + interval.ambient
+    line_coupling = np.zeros((line.ambient, total))
     line_coupling[0, 1] = 1.0  # d/dx of xi*x
-    interval_obj = np.zeros(4)
+    interval_obj = np.zeros(interval.ambient)
     interval_obj[0] = sign  # own-linear tie-break term of (x+1)*xi
-    interval_coupling = np.zeros((4, 5))
+    interval_coupling = np.zeros((interval.ambient, total))
     interval_coupling[0, 0] = sign  # d/dxi of x*xi
     return MultiLeaderGame(
         leaders=(line, interval),
-        objectives=(np.zeros(1), interval_obj),
+        objectives=(np.zeros(line.ambient), interval_obj),
         couplings=(line_coupling, interval_coupling),
     )
 
@@ -120,7 +120,7 @@ def matching_pennies_game() -> MultiLeaderGame:
         )
 
     first, second = leader("matcher"), leader("mismatcher")
-    amb = 2 + 2 + 4  # x, y, multipliers
+    amb = first.ambient
     total = 2 * amb
     matcher_coupling = np.zeros((amb, total))
     matcher_coupling[0, amb + 0] = -1.0  # -x1*xi1
@@ -144,7 +144,6 @@ def random_trivial_game(seed: int) -> MultiLeaderGame:
     """
     rng = Lcg(seed)
     leaders = []
-    ambients = []
     for li in range(2):
         r = rng.split(li + 1)
         n_x = 1 + r.randint(3)
@@ -173,7 +172,7 @@ def random_trivial_game(seed: int) -> MultiLeaderGame:
                 followers=PolyhedralNashGame(players=(follower,), n_param=n_x),
             )
         )
-        ambients.append(n_x + 1 + m_f)
+    ambients = [leader.ambient for leader in leaders]
     total = sum(ambients)
     objectives = []
     couplings = []
@@ -388,7 +387,6 @@ def gen_pne_hardness(d: SubsetSumInterval) -> MultiLeaderGame:
             players=(_abs_gadget_follower(n_x, list(range(n_x)), n_x),), n_param=n_x
         ),
     )
-    latin_amb = n_x + n_x + 2 * n_x
 
     # ---- greek leader: xi_0..xi_P with gadget followers on all of them
     n_xi = big_p + 1
@@ -418,8 +416,7 @@ def gen_pne_hardness(d: SubsetSumInterval) -> MultiLeaderGame:
             players=(_abs_gadget_follower(n_xi, list(range(n_xi)), n_xi),), n_param=n_xi
         ),
     )
-    greek_amb = n_xi + n_xi + 2 * n_xi
-
+    latin_amb, greek_amb = latin.ambient, greek.ambient
     total = latin_amb + greek_amb
 
     # latin maximizes (T-1) xi_0 x_0 + sum_i<=k q_i xi_i x_{P+i}
@@ -562,36 +559,14 @@ def gen_mne_hardness(d: SubsetSumInterval) -> MultiLeaderGame:
         followers.append(
             _product_gadget_follower(n_x, k + i, k + r + i, k + 2 * r + i)
         )
-    # merge into one follower block by stacking (their variables do not
-    # interact, so a single combined follower has the same KKT system)
-    merged_a = []
-    merged_p = []
-    merged_b = []
-    merged_c = []
-    off = 0
-    for f in followers:
-        block = np.zeros((f.m, n_y))
-        block[:, off : off + f.n] = f.a
-        merged_a.append(block)
-        merged_p.append(f.param_rhs)
-        merged_b.append(f.b)
-        merged_c.append(f.c)
-        off += f.n
-    follower = QuadraticPlayer(
-        c=np.concatenate(merged_c),
-        a=np.vstack(merged_a),
-        b=np.concatenate(merged_b),
-        param_rhs=np.vstack(merged_p),
-    )
     poly_a, poly_b = rows.arrays()
     latin = StackelbergLeader(
         name="latin",
         n_leader=n_x,
         poly_a=poly_a,
         poly_b=poly_b,
-        followers=PolyhedralNashGame(players=(follower,), n_param=n_x),
+        followers=PolyhedralNashGame(players=tuple(followers), n_param=n_x),
     )
-    latin_amb = n_x + n_y + follower.m
 
     # greek variables: xi_0 (unbounded above), xi_1..xi_r, xi_{r+1}
     n_xi = r + 2
@@ -617,7 +592,7 @@ def gen_mne_hardness(d: SubsetSumInterval) -> MultiLeaderGame:
             n_param=n_xi,
         ),
     )
-    greek_amb = n_xi + r + 2 * r
+    latin_amb, greek_amb = latin.ambient, greek.ambient
     total = latin_amb + greek_amb
 
     # latin maximizes x_0/2 + sum q_i x_i + 2(Q+1) xi_{r+1} counter

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lp import DimensionMismatch
-from .nashgame import PolyhedralNashGame, kkt_system
+from .nashgame import PolyhedralNashGame, kkt_layout, kkt_system
 from .polyhedra import ComplementaritySet
 
 
@@ -64,14 +64,12 @@ class StackelbergLeader:
 
     @property
     def ambient(self) -> int:
-        """Dimension of (x, y, follower multipliers)."""
+        """Dimension of (x, y, follower multipliers, follower prices)."""
         if self.feasible is not None:
             return self.feasible.n
         if self.followers is None:
             return self.n_leader
-        return self.n_leader + self.followers.strategy_dim + sum(
-            p.m + p.m_eq for p in self.followers.players
-        )
+        return kkt_layout(self.followers).total
 
     def __post_init__(self):
         if self.feasible is not None:
@@ -127,18 +125,6 @@ def leader_feasible_set(leader: StackelbergLeader) -> ComplementaritySet:
     )
 
 
-def equality_blocks(leader: StackelbergLeader) -> list[int]:
-    """Row counts of the blocks of ``leader_feasible_set(leader).a_eq``:
-    each follower's stationarity rows, the followers' clearing rows, and
-    each follower's own equality rows; one block for a set given whole."""
-    if leader.feasible is not None:
-        return [leader.feasible.a_eq.shape[0]]
-    if leader.followers is None:
-        return []
-    players = leader.followers.players
-    return [p.n for p in players] + [leader.followers.n_market] + [p.m_eq for p in players]
-
-
 @dataclass(frozen=True)
 class MultiLeaderGame:
     """Linear Nash game among Stackelberg leaders.
@@ -176,16 +162,17 @@ class MultiLeaderGame:
             raise DimensionMismatch("leaders/objectives/couplings disagree")
         width = self.total_ambient + self.n_market
         for i, leader in enumerate(self.leaders):
-            if len(self.objectives[i]) != leader.ambient:
+            amb = leader.ambient
+            if len(self.objectives[i]) != amb:
                 raise DimensionMismatch(
                     f"objective {i} has length {len(self.objectives[i])}, "
-                    f"leader ambient is {leader.ambient}"
+                    f"leader ambient is {amb}"
                 )
             coup = self.couplings[i]
             if coup is not None:
-                if coup.shape != (leader.ambient, width):
+                if coup.shape != (amb, width):
                     raise DimensionMismatch(f"coupling {i} has wrong shape")
-                own = coup[:, self.ambient_offset(i) : self.ambient_offset(i) + leader.ambient]
+                own = coup[:, self.ambient_offset(i) : self.ambient_offset(i) + amb]
                 own = own.toarray() if sp.issparse(own) else np.asarray(own)
                 if own.size and np.abs(own).max() > 0:
                     raise DimensionMismatch("coupling own-block must be zero")

@@ -8,8 +8,9 @@ Two instance kinds share one file format, discriminated by ``kind``:
 
 ``game``
     A multi-leader game in raw matrix form: per leader its derived
-    feasible set (dense A, b, M, q and the complementarity indices)
-    and linear objective; game-level bilinear couplings and optional
+    feasible set (dense A, b, A_eq, b_eq, M, q and the complementarity
+    indices; a set without A_eq has no equality rows) and linear
+    objective; game-level bilinear couplings and optional
     market-clearing rows.
 
 Results carry full support points as arrays.  Serialization is
@@ -22,16 +23,10 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algorithms import MixedProfile, SolveReport
 from .energy import CountrySpec, EnergyInstance, EnergyReport, ProducerSpec
-from .leadergame import (
-    MultiLeaderGame,
-    StackelbergLeader,
-    equality_blocks,
-    leader_feasible_set,
-)
+from .leadergame import MultiLeaderGame, StackelbergLeader, leader_feasible_set
 from .lp import DimensionMismatch
 from .polyhedra import ComplementaritySet
 
@@ -106,36 +101,22 @@ def energy_from_dict(data: dict) -> EnergyInstance:
     return EnergyInstance(countries=tuple(countries), trade=bool(data["trade"]))
 
 
-def _inequality_rows(leader: StackelbergLeader, s: ComplementaritySet):
-    """``s``'s rows as ``<=`` rows only, as the file stores them: its own,
-    then each block of equalities (``equality_blocks``) followed by its
-    negation."""
-    a_eq = sp.csr_matrix(s.a_eq)
-    rows, rhs = [sp.csr_matrix(s.a)], [np.asarray(s.b, dtype=float)]
-    top = 0
-    for size in equality_blocks(leader):
-        block = slice(top, top + size)
-        rows += [a_eq[block], -a_eq[block]]
-        rhs += [s.b_eq[block], -s.b_eq[block]]
-        top += size
-    return sp.vstack(rows, format="csr"), np.concatenate(rhs)
-
-
 def game_to_dict(game: MultiLeaderGame) -> dict:
-    """The game in raw matrix form; each leader's set is written with
-    ``<=`` rows only, every equality as its two inequalities."""
+    """The game in raw matrix form: each leader's set as it is, its
+    inequality and equality rows apart."""
     leaders = []
     for i, leader in enumerate(game.leaders):
         s = leader_feasible_set(leader)
-        a, b = _inequality_rows(leader, s)
         leaders.append(
             {
                 "name": leader.name,
                 "n_leader": leader.n_leader,
                 "objective": _mat(game.objectives[i]),
                 "set": {
-                    "a": _mat(a),
-                    "b": _mat(b),
+                    "a": _mat(s.a),
+                    "b": _mat(s.b),
+                    "a_eq": _mat(s.a_eq),
+                    "b_eq": _mat(s.b_eq),
                     "m": _mat(s.m_mat),
                     "q": _mat(s.q),
                     "comp": list(s.comp),
@@ -150,53 +131,26 @@ def game_to_dict(game: MultiLeaderGame) -> dict:
     }
 
 
-def _fold_equalities(a: np.ndarray, b: np.ndarray):
-    """``a x <= b`` as ``<=`` rows and equalities: a block of rows directly
-    followed by its exact negation (rows and right-hand sides), as
-    ``game_to_dict`` writes a block of equalities, is read as that block
-    of equalities.  Each part keeps its row order."""
-    if len(b) != a.shape[0]:
-        raise DimensionMismatch("A/b row mismatch")
-    rows = np.hstack([a, b[:, None]]) + 0.0  # + 0.0 turns -0.0 into 0.0
-    key = [r.tobytes() for r in rows]
-    neg = [(0.0 - r).tobytes() for r in rows]
-    m = len(key)
-    equal = np.zeros(m, dtype=bool)
-    ineq = np.ones(m, dtype=bool)
-    i = 0
-    while i < m:
-        # the shortest block at row i that its negation follows, or 0
-        size = next(
-            (k for k in range(1, (m - i) // 2 + 1)
-             if key[i + k] == neg[i] and key[i + k : i + 2 * k] == neg[i : i + k]),
-            0,
-        )
-        if size:
-            equal[i : i + size] = True
-            ineq[i : i + 2 * size] = False
-            i += 2 * size
-        else:
-            i += 1
-    return a[ineq], b[ineq], a[equal], b[equal]
+def _matrix(rows: list, n: int) -> np.ndarray:
+    """A file's list of rows as an (m, n) array; an empty list is (0, n)."""
+    return np.array(rows, dtype=float).reshape(-1, n)
 
 
 def game_from_dict(data: dict) -> MultiLeaderGame:
-    """The game a ``game_to_dict`` file holds, its equalities folded back
-    (``_fold_equalities``)."""
+    """The game a ``game_to_dict`` file holds.  A set without ``a_eq``
+    has no equality rows, as in files that wrote each equality as two
+    ``<=`` rows; those load as written."""
     leaders = []
     objectives = []
     for entry in data["leaders"]:
         raw = entry["set"]
         n = len(entry["objective"])
-        a, b, a_eq, b_eq = _fold_equalities(
-            np.array(raw["a"], dtype=float).reshape(-1, n), np.array(raw["b"], dtype=float)
-        )
         feasible = ComplementaritySet(
-            a=a,
-            b=b,
-            a_eq=a_eq,
-            b_eq=b_eq,
-            m_mat=np.array(raw["m"], dtype=float).reshape(-1, n),
+            a=_matrix(raw["a"], n),
+            b=np.array(raw["b"], dtype=float),
+            a_eq=_matrix(raw["a_eq"], n) if "a_eq" in raw else None,
+            b_eq=np.array(raw["b_eq"], dtype=float) if "b_eq" in raw else None,
+            m_mat=_matrix(raw["m"], n),
             q=np.array(raw["q"], dtype=float),
             comp=tuple(int(i) for i in raw["comp"]),
         )

@@ -28,7 +28,7 @@ from epecnash.generators import (
     split_interval_game,
 )
 from epecnash.leadergame import MultiLeaderGame, StackelbergLeader, leader_feasible_set
-from epecnash.nashgame import PolyhedralNashGame, kkt_system
+from epecnash.nashgame import PolyhedralNashGame, QuadraticPlayer, kkt_system
 from epecnash.generators import _abs_gadget_follower
 from epecnash.hotlp import RangedLp
 from epecnash.polyhedra import (
@@ -99,6 +99,62 @@ class TestLeaderFeasibleSet:
         spans = {e: interval_of(poly, 0) for e, poly in pieces}
         assert spans[(0, 1)] == pytest.approx((1.0, 5.0), abs=1e-9)
         assert spans[(1, 0)] == pytest.approx((-5.0, -1.0), abs=1e-9)
+
+
+def cleared_market_game() -> MultiLeaderGame:
+    """A leader x in [0, 1] over a seller y1 and a buyer y2 that clear
+    y1 = y2 at a price pi, and a rival z in [0, 1] paying (x - 1/2) z.
+
+    The seller minimizes y1^2/2 - pi y1, the buyer y2^2/2 + (pi + x - 3) y2,
+    both over [0, 2]; so y1 = y2 = pi = (3 - x)/2.  The leader minimizes
+    x - pi and plays x = 0, pi = 3/2; the rival then plays z = 1.
+    """
+    box = np.array([[-1.0], [1.0]])
+    seller = QuadraticPlayer(
+        c=np.zeros(1), a=box, b=np.array([0.0, 2.0]), q=np.eye(1),
+        coupling=np.array([[0.0, 0.0, -1.0]]),
+    )
+    buyer = QuadraticPlayer(
+        c=np.array([-3.0]), a=box, b=np.array([0.0, 2.0]), q=np.eye(1),
+        coupling=np.array([[0.0, 0.0, 1.0]]), param_obj=np.eye(1),
+    )
+    market = StackelbergLeader(
+        name="market",
+        n_leader=1,
+        poly_a=np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+        poly_b=np.array([0.0, 1.0]),
+        followers=PolyhedralNashGame(
+            players=(seller, buyer), clearing=np.array([[1.0, -1.0]]), n_param=1
+        ),
+    )
+    rival = StackelbergLeader(name="rival", n_leader=1, poly_a=box, poly_b=np.array([0.0, 1.0]))
+    width = leader_feasible_set(market).n
+    objective = np.zeros(width)
+    objective[0], objective[-1] = 1.0, -1.0  # x - pi; pi is the last column
+    rival_coupling = np.zeros((1, width + 1))
+    rival_coupling[0, 0] = 1.0
+    return MultiLeaderGame(
+        leaders=(market, rival),
+        objectives=(objective, np.array([-0.5])),
+        couplings=(None, rival_coupling),
+    )
+
+
+class TestClearedFollowers:
+    def test_ambient_spans_the_price_block(self):
+        # 1 leader column, 2 strategies, 4 multipliers and the price
+        market = cleared_market_game().leaders[0]
+        assert market.ambient == leader_feasible_set(market).n == 8
+
+    def test_full_enumeration_is_certified(self):
+        g = cleared_market_game()
+        rep = full_enumeration(g)
+        assert rep.status == "PNE"
+        x = rep.profile.mean(0)
+        assert x[0] == pytest.approx(0.0, abs=1e-7)
+        assert [x[1], x[2], x[-1]] == pytest.approx([1.5] * 3, abs=1e-7)  # y1, y2, pi
+        assert rep.profile.mean(1)[0] == pytest.approx(1.0, abs=1e-7)
+        assert deviation_check(g, rep.profile) == [None, None]
 
 
 class TestFullEnumeration:

@@ -10,7 +10,6 @@ from epecnash import cli
 from epecnash.cli import EXIT_INPUT, EXIT_MEMORY, main
 from epecnash.generators import matching_pennies_game, split_interval_game
 from epecnash.serialize import (
-    _fold_equalities,
     dumps,
     energy_from_dict,
     energy_to_dict,
@@ -62,10 +61,9 @@ class TestSerialization:
             first.profile.mean(1)[0], abs=1e-9
         )
 
-    def test_read_game_folds_equalities_back(self):
-        # the file keeps each equality as two <= rows; reading pairs them
-        # again, so C2F8 s1 read back has the built game's sets and the
-        # same hull-game KKT size
+    def test_game_file_keeps_equalities(self):
+        # the file holds each set's equality rows as they are, so C2F8 s1
+        # read back has the built game's sets and the same hull-game KKT size
         game = build_game(gen_energy(GenConfig(seed=1, countries=2, followers=(8, 8))))
         again = game_from_dict(json.loads(dumps(game_to_dict(game))))
         for built, read in zip(game.leaders, again.leaders):
@@ -74,17 +72,27 @@ class TestSerialization:
                 assert np.array_equal(_dense(getattr(s, name)), _dense(getattr(r, name))), name
         assert _hull_kkt_size(again) == _hull_kkt_size(game)
 
-    def test_fold_reads_blocks_followed_by_their_negation(self):
-        # rows 0-1 and their negation 2-3 fold; row 4 and its negation
-        # row 6 are not adjacent and stay, as does row 5
-        a = np.array(
-            [[1.0, 0.0], [0.0, 2.0], [-1.0, -0.0], [-0.0, -2.0], [0.0, 1.0], [1.0, 1.0], [0.0, -1.0]]
-        )
-        b = np.array([2.0, 0.0, -2.0, -0.0, 1.0, 3.0, -1.0])
-        ineq, rhs, eq, eq_rhs = _fold_equalities(a, b)
-        assert eq.tolist() == [[1.0, 0.0], [0.0, 2.0]] and eq_rhs.tolist() == [2.0, 0.0]
-        assert ineq.tolist() == [[0.0, 1.0], [1.0, 1.0], [0.0, -1.0]]
-        assert rhs.tolist() == [1.0, 3.0, -1.0]
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: split_interval_game(flipped=True), matching_pennies_game],
+        ids=["split-interval-flipped", "matching-pennies"],
+    )
+    def test_inequality_only_file_still_solves(self, make):
+        # a file that wrote each equality as a row block followed by its
+        # negation, with no a_eq, loads as those <= rows and solves alike
+        game = make()
+        data = json.loads(dumps(game_to_dict(game)))
+        for entry in data["leaders"]:
+            raw = entry["set"]
+            a_eq, b_eq = raw.pop("a_eq"), raw.pop("b_eq")
+            raw["a"] += a_eq + [[-v for v in row] for row in a_eq]
+            raw["b"] += b_eq + [-v for v in b_eq]
+        again = game_from_dict(data)
+        assert all(leader_feasible_set(l).a_eq.shape[0] == 0 for l in again.leaders)
+        first, second = full_enumeration(game), full_enumeration(again)
+        assert first.status == second.status
+        for i in range(len(game.leaders)):
+            assert second.profile.mean(i) == pytest.approx(first.profile.mean(i), abs=1e-7)
 
 
 class TestCli:
@@ -176,9 +184,13 @@ class TestCli:
         [
             ("game", lambda d: d["leaders"][0]["set"]["b"].pop()),  # A/b row mismatch
             ("game", lambda d: d["leaders"][0].pop("set")),
+            # the interval leader's one equality row, one column too wide
+            ("game", lambda d: d["leaders"][1]["set"]["a_eq"][0].append(0.0)),
+            ("game", lambda d: d["leaders"][1]["set"]["b_eq"].append(0.0)),  # A_eq/b_eq rows
             ("energy", lambda d: d["countries"][0]["producers"][0].pop("capacity")),
         ],
-        ids=["game-ab-rows", "game-no-set", "energy-no-capacity"],
+        ids=["game-ab-rows", "game-no-set", "game-aeq-width", "game-aeq-beq-rows",
+             "energy-no-capacity"],
     )
     def test_malformed_instance_is_an_input_error(self, tmp_path, capsys, kind, breaks):
         if kind == "game":

@@ -73,7 +73,7 @@ class TestEnergyGenerator:
 # sha256 of the inputs the benchmark builds (the 15 ladder instances,
 # C2F2 seeds 0-9 and the criterion-8 subset-sum pair): generation must
 # give the same bytes across commits and SciPy versions
-BENCHMARK_INPUTS_SHA256 = "47c8fbd57aa7402fbba694de00e41fd1a21634854acc340cb9922f9609fda1cd"
+BENCHMARK_INPUTS_SHA256 = "d7d1469505b79fc2a07d9724f4d4eede06ee3389adeb875a0e3a14ca66c426d6"
 
 
 def _supply_at(producers, beta: float, price: float) -> float:
