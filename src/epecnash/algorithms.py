@@ -43,6 +43,7 @@ from .polyhedra import (
     HullFormulation,
     PieceRows,
     TimeLimitReached,
+    Triplets,
     balas_hull,
     contains,
     enumerate_pieces,
@@ -153,11 +154,9 @@ def _assemble_hull_game(game: MultiLeaderGame, hulls: list[HullFormulation]) -> 
 
     def lift(src, row0: int, shape) -> sp.csr_matrix:
         block = sp.coo_matrix(src)
-        out = sp.csr_matrix(
-            (block.data, (block.row + row0, lifted_col[block.col])), shape=shape
-        )
-        out.eliminate_zeros()
-        return out
+        out = Triplets()
+        out.add(block.row + row0, lifted_col[block.col], block.data)
+        return out.csr(shape)
 
     players = []
     for i, hull in enumerate(hulls):
@@ -172,7 +171,8 @@ def _assemble_hull_game(game: MultiLeaderGame, hulls: list[HullFormulation]) -> 
             )
         players.append(
             QuadraticPlayer(
-                c=c, a=hull.a, b=hull.b, coupling=coupling, a_eq=hull.a_eq, b_eq=hull.b_eq
+                c=c, a=hull.a, b=np.zeros(hull.a.shape[0]), coupling=coupling,
+                a_eq=hull.a_eq, b_eq=hull.b_eq,
             )
         )
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algorithms import MixedProfile
 from .leadergame import DenseRows, MultiLeaderGame, StackelbergLeader
-from .nashgame import PolyhedralNashGame, QuadraticPlayer
+from .nashgame import PolyhedralNashGame, QuadraticPlayer, kkt_layout
 from .tolerances import FEAS_TOL
 
 
@@ -102,7 +102,10 @@ class EnergyInstance:
 
 @dataclass(frozen=True)
 class CountryLayout:
-    """Index map inside one country's ambient block (x, q, multipliers)."""
+    """Index map inside one country's decision block x, the first ``n_x``
+    columns of its ambient block.  The follower columns after it
+    (quantities, multipliers) are placed by ``nashgame.kkt_layout`` of
+    the country's producer game."""
 
     n_tax: int
     tax: slice
@@ -110,8 +113,6 @@ class CountryLayout:
     export: int | None
     revenue: slice  # empty when tax revenue is off
     n_x: int
-    quantity: slice
-    ambient: int
 
     def tax_rates(self, country: CountrySpec, point: np.ndarray) -> np.ndarray:
         raw = np.asarray(point[self.tax])
@@ -136,17 +137,13 @@ def country_layout(inst: EnergyInstance, idx: int) -> CountryLayout:
     pos += 1 if inst.trade else 0
     revenue = slice(pos, pos + (n_prod if country.tax_revenue else 0))
     pos += n_prod if country.tax_revenue else 0
-    n_x = pos
-    quantity = slice(n_x, n_x + n_prod)
     return CountryLayout(
         n_tax=n_tax,
         tax=tax,
         imports=imports,
         export=export,
         revenue=revenue,
-        n_x=n_x,
-        quantity=quantity,
-        ambient=n_x + 3 * n_prod,  # quantities plus two multipliers each
+        n_x=pos,
     )
 
 
@@ -193,7 +190,9 @@ def _follower_game(inst: EnergyInstance, idx: int, lay: CountryLayout) -> Polyhe
     return PolyhedralNashGame(players=tuple(players), n_param=lay.n_x)
 
 
-def _leader_rows(inst: EnergyInstance, idx: int, lay: CountryLayout):
+def _leader_rows(inst: EnergyInstance, idx: int, lay: CountryLayout, quantity: list[int]):
+    """The country's own rows over (x, q); ``quantity[p]`` is producer
+    p's column."""
     country = inst.countries[idx]
     beta = country.demand_slope
     n_prod = len(country.producers)
@@ -210,7 +209,7 @@ def _leader_rows(inst: EnergyInstance, idx: int, lay: CountryLayout):
             rows.add({j: -1.0}, 0.0)
         rows.add({lay.export: -1.0}, 0.0)
     # domestic price cap:  alpha - beta (sum q + imports - export) <= cap
-    price_row = {lay.quantity.start + p: -beta for p in range(n_prod)}
+    price_row = {quantity[p]: -beta for p in range(n_prod)}
     if inst.trade:
         for j in range(lay.imports.start, lay.imports.stop):
             price_row[j] = -beta
@@ -223,8 +222,8 @@ def _leader_rows(inst: EnergyInstance, idx: int, lay: CountryLayout):
             tcol, tcoef = _tax_column(country, lay, p)
             tmax, qmax = _producer_tax_cap(country, p), prod.capacity
             rows.add({z: -1.0}, 0.0)
-            rows.add({z: -1.0, lay.quantity.start + p: tmax, tcol: qmax * tcoef}, tmax * qmax)
-            rows.add({z: 1.0, lay.quantity.start + p: -tmax}, 0.0)
+            rows.add({z: -1.0, quantity[p]: tmax, tcol: qmax * tcoef}, tmax * qmax)
+            rows.add({z: 1.0, quantity[p]: -tmax}, 0.0)
             rows.add({z: 1.0, tcol: -qmax * tcoef}, 0.0)
     return rows.arrays()
 
@@ -241,31 +240,32 @@ def build_game(inst: EnergyInstance) -> MultiLeaderGame:
     objectives = []
     for i, country in enumerate(inst.countries):
         lay = layouts[i]
-        a, b = _leader_rows(inst, i, lay)
-        leaders.append(
-            StackelbergLeader(
-                name=country.name,
-                n_leader=lay.n_x,
-                poly_a=a,
-                poly_b=b,
-                followers=_follower_game(inst, i, lay),
-            )
+        followers = _follower_game(inst, i, lay)
+        quantity = [s.start for s in kkt_layout(followers).var_slices]
+        a, b = _leader_rows(inst, i, lay, quantity)
+        leader = StackelbergLeader(
+            name=country.name,
+            n_leader=lay.n_x,
+            poly_a=a,
+            poly_b=b,
+            followers=followers,
         )
-        c = np.zeros(lay.ambient)
-        for p, prod in enumerate(country.producers):
-            c[lay.quantity.start + p] = prod.emission_cost
+        leaders.append(leader)
+        c = np.zeros(leader.ambient)
+        c[quantity] = [prod.emission_cost for prod in country.producers]
         if country.tax_revenue:
             c[lay.revenue] = -1.0
         objectives.append(c)
 
-    total = sum(lay.ambient for lay in layouts)
-    offsets = np.cumsum([0] + [lay.ambient for lay in layouts])
+    ambients = [len(c) for c in objectives]
+    total = sum(ambients)
+    offsets = np.cumsum([0] + ambients)
     couplings: list[np.ndarray | None] = []
     clearing = None
     if inst.trade:
         clearing = np.zeros((1, total))
         for i, lay in enumerate(layouts):
-            coup = np.zeros((lay.ambient, total + 1))
+            coup = np.zeros((ambients[i], total + 1))
             for j in range(lay.imports.start, lay.imports.stop):
                 coup[j, total] = 1.0
                 clearing[0, offsets[i] + j] = 1.0
@@ -315,10 +315,11 @@ def report(inst: EnergyInstance, profile: MixedProfile) -> EnergyReport:
     volume = 0.0
     for i, country in enumerate(inst.countries):
         lay = country_layout(inst, i)
+        kkt = kkt_layout(_follower_game(inst, i, lay))
         mean = profile.mean(i)
-        if len(mean) != lay.ambient:
+        if len(mean) != kkt.total:
             raise ProfileMismatch(f"{country.name}: wrong ambient dimension")
-        q = np.asarray(mean[lay.quantity])
+        q = np.concatenate(kkt.strategies(mean))
         imports = float(np.sum(mean[lay.imports])) if inst.trade else 0.0
         exports = float(mean[lay.export]) if inst.trade else 0.0
         price = country.demand_intercept - country.demand_slope * (

@@ -16,13 +16,14 @@ free multiplier block).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .lp import DimensionMismatch
 from .nashgame import PolyhedralNashGame, kkt_layout, kkt_system
-from .polyhedra import ComplementaritySet
+from .polyhedra import ComplementaritySet, Triplets
 
 
 class DenseRows:
@@ -51,8 +52,10 @@ class StackelbergLeader:
 
     ``poly_a`` spans the leader's decision block (first ``n_leader``
     columns) and the follower strategy blocks.  ``followers`` must have
-    ``n_param == n_leader``; ``feasible`` short-circuits the KKT
-    derivation when the leader was loaded in raw matrix form.
+    ``n_param == n_leader``; a leader without followers gets the empty
+    follower game, whose KKT system adds no column, row or pair.
+    ``feasible`` short-circuits the KKT derivation when the leader was
+    loaded in raw matrix form.
     """
 
     name: str
@@ -62,21 +65,19 @@ class StackelbergLeader:
     followers: PolyhedralNashGame | None = None
     feasible: ComplementaritySet | None = None
 
-    @property
+    @cached_property
     def ambient(self) -> int:
         """Dimension of (x, y, follower multipliers, follower prices)."""
         if self.feasible is not None:
             return self.feasible.n
-        if self.followers is None:
-            return self.n_leader
         return kkt_layout(self.followers).total
 
     def __post_init__(self):
         if self.feasible is not None:
             return
-        expected = self.n_leader + (
-            self.followers.strategy_dim if self.followers is not None else 0
-        )
+        followers = self.followers or PolyhedralNashGame(players=(), n_param=self.n_leader)
+        object.__setattr__(self, "followers", followers)
+        expected = self.n_leader + followers.strategy_dim
         if self.poly_a.shape[1] != expected:
             raise DimensionMismatch(
                 f"leader '{self.name}' constraint width {self.poly_a.shape[1]} "
@@ -84,7 +85,7 @@ class StackelbergLeader:
             )
         if self.poly_a.shape[0] != len(self.poly_b):
             raise DimensionMismatch("leader polyhedron A/b mismatch")
-        if self.followers is not None and self.followers.n_param != self.n_leader:
+        if followers.n_param != self.n_leader:
             raise DimensionMismatch("follower game must be parameterized in x")
 
 
@@ -99,23 +100,11 @@ def leader_feasible_set(leader: StackelbergLeader) -> ComplementaritySet:
     """
     if leader.feasible is not None:
         return leader.feasible
-    if leader.followers is None:
-        return ComplementaritySet(
-            a=leader.poly_a,
-            b=np.asarray(leader.poly_b, dtype=float),
-            m_mat=np.zeros((0, leader.n_leader)),
-            q=np.zeros(0),
-            comp=(),
-        )
     inner, lay = kkt_system(leader.followers)
-    lead_rows = leader.poly_a.shape[0]
-    width = leader.poly_a.shape[1]
-    pad = sp.hstack(
-        [sp.csr_matrix(leader.poly_a), sp.csr_matrix((lead_rows, lay.total - width))],
-        format="csr",
-    )
+    own = Triplets()
+    own.put(leader.poly_a, 0, 0)
     return ComplementaritySet(
-        a=pad,
+        a=own.csr((leader.poly_a.shape[0], lay.total)),
         b=np.asarray(leader.poly_b, dtype=float),
         m_mat=inner.m_mat,
         q=inner.q,

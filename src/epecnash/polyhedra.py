@@ -84,47 +84,19 @@ def default_equalities(obj, n: int) -> None:
 
 
 @dataclass(frozen=True)
-class Polyhedron:
-    """{ x : a x <= b,  a_eq x = b_eq } over free variables."""
-
-    a: object  # (m, n) ndarray or scipy sparse
-    b: np.ndarray
-    a_eq: object | None = None  # (m_eq, n); no equality rows by default
-    b_eq: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.a.shape[0] != len(self.b):
-            raise DimensionMismatch("row count of A must equal length of b")
-        default_equalities(self, self.n)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-    def program(self, objective: np.ndarray) -> LinearProgram:
-        """min objective @ x over the polyhedron."""
-        return LinearProgram(objective, self.a, self.b, a_eq=self.a_eq, b_eq=self.b_eq)
-
-
-def is_feasible(poly: Polyhedron) -> bool:
-    out = solve_lp(poly.program(np.zeros(poly.n)))
-    return out.status is not LpStatus.INFEASIBLE
-
-
-@dataclass(frozen=True)
 class ComplementaritySet:
     """Feasible set with rows ``a x <= b`` and ``a_eq x = b_eq`` and
-    complementarity pairs (x_{comp[i]}, [m_mat x + q]_i)."""
+    complementarity pairs (x_{comp[i]}, [m_mat x + q]_i).
+
+    Without ``m_mat``, ``q`` and ``comp`` it has no pairs: the polyhedron
+    ``{x : a x <= b, a_eq x = b_eq}``, the form a selected piece takes.
+    """
 
     a: object  # (m, n)
     b: np.ndarray
-    m_mat: object  # (p, n)
-    q: np.ndarray
-    comp: tuple[int, ...]
+    m_mat: object | None = None  # (p, n); no pairs by default
+    q: np.ndarray | None = None
+    comp: tuple[int, ...] = ()
     a_eq: object | None = None  # (m_eq, n); no equality rows by default
     b_eq: np.ndarray | None = None
 
@@ -133,6 +105,10 @@ class ComplementaritySet:
         if self.a.shape[0] != len(self.b):
             raise DimensionMismatch("A/b row mismatch")
         default_equalities(self, n)
+        if self.m_mat is None:
+            object.__setattr__(self, "m_mat", np.zeros((0, n)))
+        if self.q is None:
+            object.__setattr__(self, "q", np.zeros(0))
         if self.m_mat.shape[0] != len(self.q) or len(self.q) != len(self.comp):
             raise DimensionMismatch("M/q/comp size mismatch")
         if self.m_mat.shape[0] > 0 and self.m_mat.shape[1] != n:
@@ -152,6 +128,14 @@ class ComplementaritySet:
         if self.num_pairs == 0:
             return np.zeros(0)
         return np.asarray(self.m_mat @ x).ravel() + self.q
+
+
+def is_feasible(s: ComplementaritySet) -> bool:
+    """Whether a pair-free set (a selected piece) has a point."""
+    if s.num_pairs:
+        raise ValueError("is_feasible takes a set without pairs")
+    out = solve_lp(LinearProgram(np.zeros(s.n), s.a, s.b, a_eq=s.a_eq, b_eq=s.b_eq))
+    return out.status is not LpStatus.INFEASIBLE
 
 
 # Width below which a piece counts as a single point: the spread of x_0
@@ -247,7 +231,7 @@ class PieceRows:
         ]
         unit = np.zeros((p, s.n))
         unit[np.arange(p), np.array(s.comp, dtype=int)] = 1.0
-        # + 0.0 stores a -0.0 of M as 0.0, as a sparse pin row (_pin_row) does
+        # + 0.0 stores a -0.0 of M as 0.0, as the oracle's sparse rows (_sides) do
         return (
             np.vstack(dense[:2] + [unit, dense[2] + 0.0]),
             np.concatenate(
@@ -335,48 +319,41 @@ class PieceRows:
         return x if self.cone.solve(time_limit)[0] is LpStatus.OPTIMAL else None
 
 
-def _pin_row(s: ComplementaritySet, pair: int, bit: int):
-    """Row and value of one side of a pair: bit 0 -> x_{c_i}, 0; bit 1 -> [M x]_i, -q_i."""
-    if bit == 0:
-        row = sp.csr_matrix(
-            (np.ones(1), (np.zeros(1, dtype=int), np.array([s.comp[pair]]))),
-            shape=(1, s.n),
-        )
-        rhs = 0.0
-    else:
-        mrow = s.m_mat.getrow(pair) if sp.issparse(s.m_mat) else s.m_mat[pair : pair + 1]
-        row = sp.csr_matrix(mrow)
-        rhs = -float(s.q[pair])
-    return row, rhs
+def _sides(s: ComplementaritySet) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Both sides of every pair as sparse rows, ``[x_{c_i} rows; M rows]``,
+    with the values that pin them, ``[0; -q]``."""
+    p = s.num_pairs
+    unit = sp.csr_matrix(
+        (np.ones(p), (np.arange(p), np.array(s.comp, dtype=int))), shape=(p, s.n)
+    )
+    return (
+        sp.vstack([unit, sp.csr_matrix(s.m_mat)], format="csr"),
+        np.concatenate([np.zeros(p), -np.asarray(s.q, dtype=float)]),
+    )
 
 
-def selected_polyhedron(s: ComplementaritySet, encoding: tuple[int, ...]) -> Polyhedron:
-    """The set with the side ``encoding`` picks of each pair pinned as an
-    equality and the other side kept as a >= row.
+def selected_polyhedron(s: ComplementaritySet, encoding: tuple[int, ...]) -> ComplementaritySet:
+    """The pair-free set with the side ``encoding`` picks of each pair
+    pinned as an equality and the other side kept as a >= row; a set
+    without pairs is its own piece.
 
-    Its rows are built one pair at a time, apart from the shared block
-    of :class:`PieceRows`; kept as the reference that block is tested
+    Its rows are selected from ``_sides``, apart from the shared block of
+    :class:`PieceRows`; kept as the reference that block is tested
     against.
     """
-    if len(encoding) != s.num_pairs:
-        raise EncodingLengthMismatch(
-            f"encoding has {len(encoding)} bits, set has {s.num_pairs} pairs"
-        )
-    if s.num_pairs == 0:
-        return Polyhedron(s.a, np.asarray(s.b, dtype=float), s.a_eq, s.b_eq)
-    rows, rhs, eq_rows, eq_rhs = [], [], [], []
-    for i, bit in enumerate(encoding):
-        row, value = _pin_row(s, i, int(bit))
-        eq_rows.append(row)
-        eq_rhs.append(value)
-        row, value = _pin_row(s, i, 1 - int(bit))
-        rows.append(-row)
-        rhs.append(-value)
-    return Polyhedron(
-        sp.vstack([s.a] + rows, format="csr"),
-        np.concatenate([s.b, np.array(rhs)]),
-        sp.vstack([s.a_eq] + eq_rows, format="csr"),
-        np.concatenate([s.b_eq, np.array(eq_rhs)]),
+    p = s.num_pairs
+    if len(encoding) != p:
+        raise EncodingLengthMismatch(f"encoding has {len(encoding)} bits, set has {p} pairs")
+    if p == 0:
+        return s
+    rows, pins = _sides(s)
+    bits = np.asarray(encoding, dtype=int)
+    pinned, other = np.arange(p) + p * bits, np.arange(p) + p * (1 - bits)
+    return ComplementaritySet(
+        a=sp.vstack([s.a, -rows[other]], format="csr"),
+        b=np.concatenate([s.b, -pins[other]]),
+        a_eq=sp.vstack([s.a_eq, rows[pinned]], format="csr"),
+        b_eq=np.concatenate([s.b_eq, pins[pinned]]),
     )
 
 
@@ -456,7 +433,7 @@ class HullFormulation:
         delta >= 0,
         sum_w x^w + sum_j delta_j v_j = x,   sum_w delta_w = 1,
 
-    the inequalities in ``a``/``b`` and the equalities in ``a_eq``/
+    the inequalities as ``a v <= 0`` and the equalities in ``a_eq``/
     ``b_eq``.  A piece that is a single point v_j needs no copy block:
     its Balas system ``A x <= delta b`` forces exactly ``x = delta v_j``,
     so it enters the aggregation row directly.  A copy leaves out every
@@ -467,7 +444,6 @@ class HullFormulation:
     """
 
     a: object
-    b: np.ndarray
     a_eq: object
     b_eq: np.ndarray
     n: int
@@ -615,7 +591,6 @@ def balas_hull(
         copy_start[i] = int(starts[f])
     return HullFormulation(
         a=a,
-        b=np.zeros(a.shape[0]),
         a_eq=eq_rows.csr((top, x_off + n)),
         b_eq=b_eq,
         n=n,

@@ -11,7 +11,6 @@ from epecnash.polyhedra import (
     ComplementaritySet,
     EmptyPieceList,
     HullFormulation,
-    Polyhedron,
     Triplets,
     enumerate_pieces,
     selected_polyhedron,
@@ -19,18 +18,23 @@ from epecnash.polyhedra import (
 from epecnash.rng import Lcg
 
 
-def interval_of(poly: Polyhedron, coord: int) -> tuple[float, float]:
-    """(min, max) of one coordinate over a polyhedron; +-inf if unbounded."""
+def program(s: ComplementaritySet, objective: np.ndarray) -> LinearProgram:
+    """min objective @ x over the rows of a pair-free set."""
+    return LinearProgram(objective, s.a, s.b, a_eq=s.a_eq, b_eq=s.b_eq)
+
+
+def interval_of(poly: ComplementaritySet, coord: int) -> tuple[float, float]:
+    """(min, max) of one coordinate over a pair-free set; +-inf if unbounded."""
     lo_obj = np.zeros(poly.n)
     lo_obj[coord] = 1.0
-    lo = solve_lp(poly.program(lo_obj))
-    hi = solve_lp(poly.program(-lo_obj))
+    lo = solve_lp(program(poly, lo_obj))
+    hi = solve_lp(program(poly, -lo_obj))
     lo_val = -np.inf if lo.status is LpStatus.UNBOUNDED else lo.value
     hi_val = np.inf if hi.status is LpStatus.UNBOUNDED else -hi.value
     return lo_val, hi_val
 
 
-def pieces_of(s: ComplementaritySet) -> list[tuple[tuple[int, ...], Polyhedron]]:
+def pieces_of(s: ComplementaritySet) -> list[tuple[tuple[int, ...], ComplementaritySet]]:
     """Every nonempty piece of a set with its encoding, lexicographic,
     each built by the ``selected_polyhedron`` oracle."""
     return [(e, selected_polyhedron(s, e)) for e in enumerate_pieces(s)]
@@ -42,7 +46,7 @@ def _nonzero_rows(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return norms > 0, norms
 
 
-def single_point_of(piece: Polyhedron, time_limit: float | None = None) -> np.ndarray | None:
+def single_point_of(piece: ComplementaritySet, time_limit: float | None = None) -> np.ndarray | None:
     """The piece's unique point if it is a singleton, else None: the
     reference ``PieceRows.single_point`` is tested against, one fresh
     model per LP.
@@ -63,7 +67,7 @@ def single_point_of(piece: Polyhedron, time_limit: float | None = None) -> np.nd
     lp = RangedLp(
         e0,
         sp.vstack([a, eq], format="csr"),
-        np.concatenate([np.full(piece.m, -INF), piece.b_eq]),
+        np.concatenate([np.full(piece.a.shape[0], -INF), piece.b_eq]),
         np.concatenate([b, piece.b_eq]),
     )
     status, x, lo = lp.solve(time_limit)
@@ -85,7 +89,7 @@ def single_point_of(piece: Polyhedron, time_limit: float | None = None) -> np.nd
     return x if cone.solve(time_limit)[0] is LpStatus.OPTIMAL else None
 
 
-def _zero_pins(piece: Polyhedron) -> np.ndarray:
+def _zero_pins(piece: ComplementaritySet) -> np.ndarray:
     """Mask of the equality rows that fix one column at 0: one nonzero
     entry and a right-hand side of 0."""
     eq = sp.csr_matrix(piece.a_eq)
@@ -96,7 +100,7 @@ def _zero_pins(piece: Polyhedron) -> np.ndarray:
     return (per_row == 1) & (np.asarray(piece.b_eq) == 0)
 
 
-def hull_of(pieces: list[Polyhedron], points=None) -> HullFormulation:
+def hull_of(pieces: list[ComplementaritySet], points=None) -> HullFormulation:
     """Balas lift of hand-made pieces, one piece at a time: the reference
     ``balas_hull`` is tested against.  ``points`` gives, per piece, its
     single point or None; by default each piece's singleton test runs."""
@@ -171,7 +175,6 @@ def hull_of(pieces: list[Polyhedron], points=None) -> HullFormulation:
     b_eq[-1] = 1.0
     return HullFormulation(
         a=a,
-        b=np.zeros(a.shape[0]),
         a_eq=eq.csr((top, x_off + n)),
         b_eq=b_eq,
         n=n,
@@ -205,14 +208,14 @@ def untaxed_supply(producers, alpha: float, beta: float) -> float:
     return float(np.concatenate(out.strategies()).sum())
 
 
-def single_point_by_coordinates(poly: Polyhedron) -> np.ndarray | None:
+def single_point_by_coordinates(poly: ComplementaritySet) -> np.ndarray | None:
     """Coordinate-wise singleton test: the midpoint of every coordinate's
     range when each range is at most 1e-9 wide, else None (2n LPs)."""
     n = poly.n
     lp = RangedLp(
         np.zeros(n),
         sp.vstack([sp.csr_matrix(poly.a), sp.csr_matrix(poly.a_eq)], format="csr"),
-        np.concatenate([np.full(poly.m, -INF), poly.b_eq]),
+        np.concatenate([np.full(poly.a.shape[0], -INF), poly.b_eq]),
         np.concatenate([np.asarray(poly.b, float), poly.b_eq]),
     )
     lo = np.empty(n)
@@ -265,13 +268,7 @@ def split_interval_set() -> ComplementaritySet:
 
 def box_set(lo: float, hi: float) -> ComplementaritySet:
     """Plain interval as a pair-free set."""
-    return ComplementaritySet(
-        a=np.array([[-1.0], [1.0]]),
-        b=np.array([-lo, hi]),
-        m_mat=np.zeros((0, 1)),
-        q=np.zeros(0),
-        comp=(),
-    )
+    return ComplementaritySet(a=np.array([[-1.0], [1.0]]), b=np.array([-lo, hi]))
 
 
 def scalar_set(m: float, q: float, extra_rows=None) -> ComplementaritySet:

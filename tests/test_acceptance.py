@@ -35,7 +35,7 @@ from epecnash.lp import LinearProgram, LpStatus, solve_lp
 from epecnash.rng import Lcg
 from epecnash.serialize import dumps, game_to_dict
 
-from tests.helpers import pieces_of, random_comp_set
+from tests.helpers import pieces_of, program, random_comp_set
 
 
 def _announce(num: int, text: str) -> None:
@@ -116,7 +116,7 @@ def _oracle_best_response(s, objective):
     best = np.inf
     unbounded = False
     for _, poly in pieces_of(s):
-        out = solve_lp(poly.program(objective))
+        out = solve_lp(program(poly, objective))
         if out.status is LpStatus.UNBOUNDED:
             unbounded = True
         elif out.status is LpStatus.OPTIMAL:
@@ -190,7 +190,7 @@ def test_criterion_5_branch_and_bound_oracle_equivalence():
         c = np.array([round(rng.uniform(-1, 1), 2) for _ in range(s.n)])
         bb = optimize_over_set(s, c)
         pieces = pieces_of(s)
-        outs = [solve_lp(poly.program(c)) for _, poly in pieces]
+        outs = [solve_lp(program(poly, c)) for _, poly in pieces]
         if not pieces:
             assert bb.status is LpStatus.INFEASIBLE, trial
             statuses["infeasible"] += 1
@@ -297,7 +297,7 @@ def test_criterion_8_hardness_round_trip():
     while checked < 100:
         _, poly = pieces[rng.randint(len(pieces))]
         c = np.array([rng.uniform(-1, 1) for _ in range(s.n)])
-        out = solve_lp(poly.program(c))
+        out = solve_lp(program(poly, c))
         if out.status is not LpStatus.OPTIMAL:
             continue
         h, y, x = out.point[:3]

@@ -32,10 +32,10 @@ from epecnash.nashgame import PolyhedralNashGame, QuadraticPlayer, kkt_system
 from epecnash.generators import _abs_gadget_follower
 from epecnash.hotlp import RangedLp
 from epecnash.polyhedra import (
+    ComplementaritySet,
     Deadline,
     HullFormulation,
     PieceRows,
-    Polyhedron,
     TimeLimitReached,
     TooManyComplementarities,
     balas_hull,
@@ -68,9 +68,29 @@ def single_leader_game() -> MultiLeaderGame:
 
 class TestLeaderFeasibleSet:
     def test_follower_free_leader(self):
-        s = leader_feasible_set(single_leader_game().leaders[0])
-        assert s.comp == ()
-        assert s.n == 1
+        # the empty follower game adds no column, row or pair
+        for leader, a, b in [
+            (single_leader_game().leaders[0], [[-1.0], [1.0]], [0.0, 1.0]),
+            (split_interval_game().leaders[0], [[-1.0]], [0.0]),
+        ]:
+            s = leader_feasible_set(leader)
+            assert leader.followers.players == ()
+            assert leader.ambient == leader.n_leader == s.n
+            assert s.a.toarray().tolist() == a and s.b.tolist() == b
+            assert s.a_eq.shape == (0, s.n) and s.comp == ()
+
+    @pytest.mark.parametrize("solver", [full_enumeration, pure_enumeration, inner_approximation])
+    def test_follower_free_leaders_solve(self, solver):
+        plain = solver(split_interval_game())
+        assert (plain.status, plain.pieces_per_leader) == ("NoEquilibrium", (1, 2))
+        flipped = solver(split_interval_game(flipped=True))
+        pieces = (1, 1) if solver is inner_approximation else (1, 2)
+        assert (flipped.status, flipped.pieces_per_leader) == ("PNE", pieces)
+        assert flipped.profile.mean(0) == pytest.approx([0.0], abs=1e-9)
+        assert flipped.profile.mean(1) == pytest.approx([5.0, 4.0, 0.0, 1.0], abs=1e-9)
+        solo = solver(single_leader_game())
+        assert (solo.status, solo.pieces_per_leader) == ("PNE", (1,))
+        assert solo.profile.mean(0) == pytest.approx([1.0], abs=1e-9)
 
     def test_absolute_value_gadget_projection(self):
         # one leader variable tracked by the gadget; y >= 0 at the top
@@ -235,7 +255,7 @@ class TestFullEnumeration:
 
 
 def _interval_hull() -> HullFormulation:
-    mk = lambda lo, hi: Polyhedron(np.array([[1.0], [-1.0]]), np.array([hi, -lo]))
+    mk = lambda lo, hi: ComplementaritySet(np.array([[1.0], [-1.0]]), np.array([hi, -lo]))
     return hull_of([mk(0.0, 1.0), mk(2.0, 3.0)])
 
 
@@ -252,7 +272,7 @@ class TestDecomposeMixed:
         assert sup[0][1] == pytest.approx(1.0)
 
     def test_even_split_of_two_points(self):
-        point = lambda v: Polyhedron(
+        point = lambda v: ComplementaritySet(
             np.array([[1.0], [-1.0]]), np.array([v, -v])
         )
         hull = hull_of([point(0.0), point(1.0)])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from epecnash.algorithms import deviation_check, full_enumeration
+from epecnash.algorithms import deviation_check, full_enumeration, pure_enumeration
 from epecnash.energy import (
+    PARADIGMS,
     CountrySpec,
     EnergyInstance,
     InvalidInstance,
@@ -13,6 +14,7 @@ from epecnash.energy import (
     report,
 )
 from epecnash.leadergame import leader_feasible_set
+from epecnash.nashgame import kkt_layout
 from epecnash.polyhedra import contains
 
 
@@ -117,16 +119,43 @@ class TestBuild:
         assert rep.status in ("PNE", "MNE")
         for i, spec in enumerate(inst.countries):
             lay = country_layout(inst, i)
+            quantity = kkt_layout(g.leaders[i].followers).var_slices
             mean = rep.profile.mean(i)
             taxes = lay.tax_rates(spec, mean)
             for p, prod in enumerate(spec.producers):
                 z = mean[lay.revenue][p]
-                t, q = taxes[p], mean[lay.quantity][p]
+                t, q = taxes[p], mean[quantity[p]][0]
                 tmax = min(spec.tax_caps) if spec.tax_paradigm == "single" else spec.tax_caps[p]
                 qmax = prod.capacity
                 lower = max(0.0, tmax * q + qmax * t - tmax * qmax)
                 upper = min(tmax * q, qmax * t)
                 assert lower - 1e-6 <= z <= upper + 1e-6
+
+
+class TestLayoutIsTheKktLayout:
+    """A country's follower columns are those ``kkt_layout`` gives its
+    producer game, in the objective and in ``report`` alike."""
+
+    @pytest.mark.parametrize("paradigm", PARADIGMS)
+    @pytest.mark.parametrize("trade", [True, False])
+    @pytest.mark.parametrize("tax_revenue", [False, True])
+    def test_objective_and_report_use_the_follower_columns(self, paradigm, trade, tax_revenue):
+        inst = symmetric_pair(trade=trade, tax_revenue=tax_revenue, paradigm=paradigm)
+        game = build_game(inst)
+        # a pure profile lies in one piece of each set: full enumeration's
+        # profile can drop a zero-weight piece's share of the aggregate,
+        # and report rejects the market clearing it then breaks
+        rep = pure_enumeration(game, budget=120)
+        assert rep.status == "PNE"
+        er = report(inst, rep.profile)
+        for i, (leader, spec) in enumerate(zip(game.leaders, inst.countries)):
+            assert leader.ambient == leader_feasible_set(leader).n
+            cols = [s.start for s in kkt_layout(leader.followers).var_slices]
+            want = np.zeros(leader.ambient)
+            want[cols] = [p.emission_cost for p in spec.producers]
+            want[country_layout(inst, i).revenue] = -1.0
+            assert game.objectives[i].tolist() == want.tolist()
+            assert er.countries[i].production == tuple(rep.profile.mean(i)[cols])
 
 
 class TestValidation:

@@ -20,7 +20,7 @@ from epecnash.lp import LinearProgram, LpStatus, solve_lp
 from epecnash.rng import Lcg
 from epecnash.serialize import dumps, energy_to_dict, game_to_dict
 
-from tests.helpers import pieces_of, untaxed_supply
+from tests.helpers import pieces_of, program, untaxed_supply
 
 YES = SubsetSumInterval(q=(1,), p=2, t=4, r=1)
 NO = SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)
@@ -187,7 +187,7 @@ class TestHardnessGenerators:
         while checked < 100:
             _, poly = pieces[rng.randint(len(pieces))]
             c = np.array([rng.uniform(-1, 1) for _ in range(s.n)])
-            out = solve_lp(poly.program(c))
+            out = solve_lp(program(poly, c))
             if out.status is not LpStatus.OPTIMAL:
                 continue
             h, y, x = out.point[0], out.point[1], out.point[2]

@@ -27,10 +27,9 @@ from epecnash.polyhedra import (
     EmptyPieceList,
     EncodingLengthMismatch,
     PieceRows,
-    Polyhedron,
     TimeLimitReached,
     TooManyComplementarities,
-    _pin_row,
+    _sides,
     balas_hull,
     contains,
     enumerate_pieces,
@@ -50,6 +49,7 @@ from tests.helpers import (
     random_comp_set,
     scalar_set,
     single_point_by_coordinates,
+    program,
     single_point_of,
     split_interval_set,
 )
@@ -57,16 +57,18 @@ from tests.helpers import (
 
 class TestFeasibility:
     def test_simple(self):
-        assert is_feasible(Polyhedron(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])))
+        assert is_feasible(ComplementaritySet(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])))
         assert not is_feasible(
-            Polyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
+            ComplementaritySet(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
         )
+        with pytest.raises(ValueError):  # a set with pairs is not one polyhedron
+            is_feasible(scalar_set(1.0, -1.0))
 
     def test_sum_bound(self):
         # x1 + x2 <= 1 with both >= 0.6 is empty
         a = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         b = np.array([1.0, -0.6, -0.6])
-        assert not is_feasible(Polyhedron(a, b))
+        assert not is_feasible(ComplementaritySet(a, b))
 
 
 class TestSelectedPolyhedron:
@@ -148,15 +150,11 @@ def _generator_sets():
 
 
 def _pin_block(s):
-    """``PieceRows.block`` built from the oracle's pin rows, one pair side
-    at a time: every 0 side, then every 1 side."""
-    pins = [_pin_row(s, i, bit) for bit in (0, 1) for i in range(s.num_pairs)]
+    """``PieceRows.block`` built from the oracle's sparse side rows: every
+    0 side, then every 1 side."""
+    sides, pins = _sides(s)
     dense = [m.toarray() if sp.issparse(m) else np.asarray(m, float) for m in (s.a, s.a_eq)]
-    sides = sp.vstack([r for r, _ in pins], format="csr").toarray() if pins else np.zeros((0, s.n))
-    return (
-        np.vstack(dense + [sides]),
-        np.concatenate([np.asarray(s.b, float), s.b_eq, np.array([v for _, v in pins], float)]),
-    )
+    return np.vstack(dense + [sides.toarray()]), np.concatenate([np.asarray(s.b, float), s.b_eq, pins])
 
 
 class TestPieceRows:
@@ -339,13 +337,13 @@ class TestEnumeration:
 def _hull_min(hull, c_agg):
     c = np.zeros(hull.num_vars)
     c[hull.agg_slice] = c_agg
-    out = solve_lp(LinearProgram(c, hull.a, hull.b, a_eq=hull.a_eq, b_eq=hull.b_eq))
+    out = solve_lp(LinearProgram(c, hull.a, np.zeros(hull.a.shape[0]), a_eq=hull.a_eq, b_eq=hull.b_eq))
     return out
 
 
 class TestBalasHull:
     def test_single_piece(self):
-        piece = Polyhedron(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+        piece = ComplementaritySet(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
         hull = hull_of([piece])
         lo = _hull_min(hull, np.array([1.0]))
         hi = _hull_min(hull, np.array([-1.0]))
@@ -354,13 +352,13 @@ class TestBalasHull:
         assert lo.point[hull.delta_index(0)] == pytest.approx(1.0, abs=1e-9)
 
     def test_two_intervals(self):
-        mk = lambda lo, hi: Polyhedron(np.array([[1.0], [-1.0]]), np.array([hi, -lo]))
+        mk = lambda lo, hi: ComplementaritySet(np.array([[1.0], [-1.0]]), np.array([hi, -lo]))
         hull = hull_of([mk(0.0, 1.0), mk(2.0, 3.0)])
         assert _hull_min(hull, np.array([1.0])).value == pytest.approx(0.0, abs=1e-9)
         assert _hull_min(hull, np.array([-1.0])).value == pytest.approx(-3.0, abs=1e-9)
 
     def test_two_points_give_segment(self):
-        point = lambda v: Polyhedron(
+        point = lambda v: ComplementaritySet(
             np.vstack([np.eye(2), -np.eye(2)]),
             np.concatenate([v, -v]),
         )
@@ -379,13 +377,13 @@ class TestBalasHull:
         # keeps only its free column, and the hull is their triangle
         box = np.array([[1.0], [-1.0]])
         pieces = [
-            Polyhedron(
+            ComplementaritySet(
                 np.hstack([box, np.zeros((2, 1))]), np.array([1.0, 0.0]),
-                np.array([[0.0, 1.0]]), np.zeros(1),
+                a_eq=np.array([[0.0, 1.0]]), b_eq=np.zeros(1),
             ),
-            Polyhedron(
+            ComplementaritySet(
                 np.hstack([np.zeros((2, 1)), box]), np.array([1.0, 0.0]),
-                np.array([[2.0, 0.0]]), np.zeros(1),
+                a_eq=np.array([[2.0, 0.0]]), b_eq=np.zeros(1),
             ),
         ]
         hull = hull_of(pieces)
@@ -409,7 +407,7 @@ class TestBalasHull:
             points = [rows.single_point(e) for e in encodings]
             got = balas_hull(rows, encodings, points)
             want = hull_of(pieces, points)
-            for name in ("a", "b", "a_eq", "b_eq"):
+            for name in ("a", "a_eq", "b_eq"):
                 assert _same_bytes(getattr(got, name), getattr(want, name)), name
             assert got.copy_start == want.copy_start
             assert [None if c is None else list(c) for c in got.copy_cols] == [
@@ -433,14 +431,14 @@ class TestBalasHull:
             lo = np.array([rng.uniform(-3, 3) for _ in range(2)])
             hi = lo + np.array([rng.uniform(0.1, 2) for _ in range(2)])
             pieces.append(
-                Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.concatenate([hi, -lo]))
+                ComplementaritySet(np.vstack([np.eye(2), -np.eye(2)]), np.concatenate([hi, -lo]))
             )
         hull = hull_of(pieces)
         for _ in range(16):
             c = np.array([rng.uniform(-1, 1) for _ in range(2)])
             hull_val = _hull_min(hull, c).value
             piece_val = min(
-                solve_lp(p.program(c)).value for p in pieces
+                solve_lp(program(p, c)).value for p in pieces
             )
             assert hull_val == pytest.approx(piece_val, abs=1e-7)
 
@@ -510,7 +508,7 @@ class TestSinglePoint:
         ],
     )
     def test_hand_made_cases(self, rows, rhs, point):
-        piece = Polyhedron(np.array(rows, float), np.array(rhs, float))
+        piece = ComplementaritySet(np.array(rows, float), np.array(rhs, float))
         s = ComplementaritySet(
             a=piece.a, b=piece.b, m_mat=np.zeros((0, piece.n)), q=np.zeros(0), comp=()
         )
@@ -561,7 +559,7 @@ class TestContains:
         rows, rhs = PieceRows(s).block
         sides = slice(len(rhs) - 2 * s.num_pairs, None)
         for e, poly in pieces_of(s):
-            out = solve_lp(poly.program(np.ones(4)))
+            out = solve_lp(program(poly, np.ones(4)))
             assert contains(s, out.point, 1e-7)
             assert (s.a @ out.point - s.b).max() <= 1e-7
             assert (rhs[sides] - rows[sides] @ out.point).max() <= 1e-7
@@ -673,7 +671,7 @@ class TestOptimizeOverSet:
         if not pieces:
             assert bb.status is LpStatus.INFEASIBLE
             return
-        piece_outs = [solve_lp(p.program(c)) for _, p in pieces]
+        piece_outs = [solve_lp(program(p, c)) for _, p in pieces]
         if any(o.status is LpStatus.UNBOUNDED for o in piece_outs):
             assert bb.status is LpStatus.UNBOUNDED
             return
@@ -687,6 +685,6 @@ class TestOptimizeOverSet:
         rng = Lcg(5 + seed)
         for e, poly in pieces_of(s):
             c = np.array([rng.uniform(-1, 1) for _ in range(s.n)])
-            out = solve_lp(poly.program(c))
+            out = solve_lp(program(poly, c))
             if out.status is LpStatus.OPTIMAL:
                 assert contains(s, out.point, 1e-6)
