@@ -42,6 +42,7 @@ from .nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne
 from .polyhedra import (
     ComplementaritySet,
     HullFormulation,
+    PieceRows,
     balas_hull,
     contains,
     enumerate_pieces,

@@ -278,7 +278,7 @@ class LeaderPieces:
     full and pure enumeration) enumerate up front.  A piece's
     single-point test runs once, when it is included; ``found`` holds
     every nonempty encoding seen, from ``pending`` or a deviation.  Every
-    LP runs within ``deadline``.
+    LP runs within ``deadline``, which the set's ``PieceRows`` holds.
     """
 
     def __init__(
@@ -288,17 +288,16 @@ class LeaderPieces:
         deadline: Deadline,
         rng: Lcg | None = None,
     ):
-        self.rows = PieceRows(s)
-        self.deadline = deadline
+        self.rows = PieceRows(s, deadline)
         self.included: set[tuple[int, ...]] = set()
         self.encodings: list[tuple[int, ...]] = []
         self.points: list[np.ndarray | None] = []
         self._next: tuple[int, ...] | None = None
         if order in ("seq", "rseq"):
-            self.pending = iter_encodings(self.rows, int(order == "rseq"), deadline)
+            self.pending = iter_encodings(self.rows, int(order == "rseq"))
             self.found: set[tuple[int, ...]] = set()
         else:
-            encodings = enumerate_pieces(self.rows, deadline=deadline)
+            encodings = enumerate_pieces(self.rows)
             if order == "rand":
                 rng.shuffle(encodings)
             self.pending = iter(encodings)
@@ -316,7 +315,7 @@ class LeaderPieces:
     def _include(self, encoding: tuple[int, ...]) -> None:
         self.included.add(encoding)
         self.encodings.append(encoding)
-        self.points.append(self.rows.single_point(encoding, self.deadline.remaining))
+        self.points.append(self.rows.single_point(encoding))
 
     @property
     def exhausted(self) -> bool:
@@ -332,7 +331,7 @@ class LeaderPieces:
 
     def add(self, encoding: tuple[int, ...]) -> bool:
         """Include a piece found by a deviation, if nonempty and new."""
-        if encoding in self.included or not self.rows.witness(encoding, self.deadline.remaining)[0]:
+        if encoding in self.included or not self.rows.witness(encoding)[0]:
             return False
         self.found.add(encoding)
         self._include(encoding)

@@ -29,7 +29,8 @@ from .algorithms import (
     inner_approximation,
     pure_enumeration,
 )
-from .energy import EnergyInstance, InvalidInstance, ProfileMismatch, build_game, report as energy_report
+from .energy import REPORT_TOL, EnergyInstance, InvalidInstance, ProfileMismatch, build_game
+from .energy import report as energy_report
 from .generators import GenConfig, InvalidConfig, gen_energy
 from .leadergame import MultiLeaderGame, leader_feasible_set
 from .lp import LpError, NumericalFailure
@@ -138,6 +139,13 @@ def cmd_validate(args) -> int:
             if len(pt) != sets[i].n or not contains(sets[i], pt, DEVIATION_TOL):
                 print(f"validate: leader {i} support point infeasible", file=sys.stderr)
                 return EXIT_INPUT
+    means = np.concatenate(profile.means())
+    rows = np.zeros(0) if game.clearing is None else game.clearing @ means
+    residual = float(np.max(np.abs(rows), initial=0.0))
+    print(f"validate: clearing residual {residual:.3e}", file=sys.stderr)
+    if residual > REPORT_TOL:
+        print("validate: market clearing violated", file=sys.stderr)
+        return EXIT_INPUT
     devs = deviation_check(game, profile, sets=sets)
     for dev in devs:
         if dev is not None:

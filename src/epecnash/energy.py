@@ -28,7 +28,6 @@ import numpy as np
 from .algorithms import MixedProfile
 from .leadergame import DenseRows, MultiLeaderGame, StackelbergLeader
 from .nashgame import PolyhedralNashGame, QuadraticPlayer, kkt_layout
-from .tolerances import FEAS_TOL
 
 
 class InvalidInstance(ValueError):
@@ -41,7 +40,8 @@ class ProfileMismatch(ValueError):
 
 PARADIGMS = ("standard", "single", "carbon")
 
-# Absolute slack ``report`` allows on a price cap and on market clearing.
+# Absolute slack ``report`` allows on a price cap and on market clearing,
+# and the CLI's ``validate`` on the clearing rows of any game.
 REPORT_TOL = 1e-6
 
 
@@ -348,7 +348,7 @@ def report(inst: EnergyInstance, profile: MixedProfile) -> EnergyReport:
         residual = abs(
             sum(c.imports for c in countries) - sum(c.exports for c in countries)
         )
-        if residual > max(REPORT_TOL, FEAS_TOL * 10):
+        if residual > REPORT_TOL:
             raise ProfileMismatch(f"market clearing violated by {residual:.2e}")
     return EnergyReport(
         countries=tuple(countries),

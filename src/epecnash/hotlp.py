@@ -18,16 +18,18 @@ import numpy as np
 import scipy.optimize._highspy._core as _hc
 import scipy.sparse as sp
 
-from .lp import LpStatus, NumericalFailure, TimeLimitReached
+from .lp import Deadline, LpStatus, NumericalFailure, TimeLimitReached
 from .tolerances import FEAS_TOL
 
 INF = 1e30
 
 
 class RangedLp:
-    """min c x  s.t.  row_lo <= A x <= row_hi,  col_lo <= x <= col_hi."""
+    """min c x  s.t.  row_lo <= A x <= row_hi,  col_lo <= x <= col_hi; each
+    HiGHS run is capped by what ``deadline`` (if any) has left when it starts."""
 
-    def __init__(self, objective, a, row_lo, row_hi, col_lo=None, col_hi=None):
+    def __init__(self, objective, a, row_lo, row_hi, col_lo=None, col_hi=None, deadline=None):
+        self.deadline = deadline or Deadline()
         self.n = len(objective)
         self.m = a.shape[0]
         self._a = sp.csr_matrix(a)
@@ -90,25 +92,22 @@ class RangedLp:
 
     # -- solving --------------------------------------------------------
     def _run(self):
-        """One HiGHS run; its model status."""
+        """One HiGHS run under the budget left; its model status, or
+        ``TimeLimitReached``."""
+        # HiGHS compares its limit with the run time summed over every run
+        # of the model, so the cap is set past the time already run
+        left = self.deadline.remaining
+        self._h.setOptionValue(
+            "time_limit", np.inf if left is None else self._h.getRunTime() + max(left, 0.0)
+        )
         self._h.run()
         status = self._h.getModelStatus()
         if status == _hc.HighsModelStatus.kTimeLimit:
             raise TimeLimitReached()
         return status
 
-    def solve(self, time_limit: float | None = None):
-        """(status, point, value); point/value only when optimal.
-
-        ``time_limit`` caps the seconds this call may spend in HiGHS;
-        reaching it raises ``TimeLimitReached``.  HiGHS compares its
-        limit with the run time summed over every run of the model, so
-        the cap is set past the time already run.
-        """
-        self._h.setOptionValue(
-            "time_limit",
-            np.inf if time_limit is None else self._h.getRunTime() + max(time_limit, 0.0),
-        )
+    def solve(self):
+        """(status, point, value); point/value only when optimal."""
         status = self._run()
         if status in (
             _hc.HighsModelStatus.kUnknown,
@@ -159,13 +158,13 @@ class RangedLp:
             self.set_objective(saved)
         return x
 
-    def ray(self, time_limit: float | None = None) -> np.ndarray:
+    def ray(self) -> np.ndarray:
         """A direction d of the current node system with c d < 0.
 
         The recession cone of the node, cut by a unit box: a finite
         bound side of a row or column becomes 0, every other column side
         is +-1.  Exists whenever the node is feasible and unbounded.
-        ``time_limit`` caps the cone LP as in ``solve``.
+        The cone LP runs under the model's deadline.
         """
         bounds = []
         for base, edits in ((self._base_row, self._rows), (self._base_col, self._cols)):
@@ -181,8 +180,9 @@ class RangedLp:
             row_hi,
             np.maximum(col_lo, -1.0),
             np.minimum(col_hi, 1.0),
+            self.deadline,
         )
-        status, d, value = cone.solve(time_limit)
+        status, d, value = cone.solve()
         if status is not LpStatus.OPTIMAL or value >= -FEAS_TOL:
             raise NumericalFailure("unbounded LP without a certifying ray")
         return d

@@ -4,11 +4,13 @@ Thin, deterministic wrapper around ``scipy.optimize.linprog`` (HiGHS).
 Problems are minimization over ``A x <= b`` and ``A_eq x = b_eq`` with
 optional variable bounds.  Unbounded problems come back with an explicit recession ray so
 callers can report unboundedness meaningfully (a best response with no
-optimum is game-relevant information, not an error).
+optimum is game-relevant information, not an error).  ``Deadline`` is
+the wall-clock budget of one solve, which every incremental LP reads.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +35,32 @@ class NumericalFailure(LpError):
 
 class TimeLimitReached(Exception):
     pass
+
+
+class Deadline:
+    """Wall-clock budget of one solve; every search node polls it through ``tick``."""
+
+    def __init__(self, seconds: float | None = None):
+        self.seconds = seconds
+        self.start = time.monotonic()
+        self.nodes = 0
+
+    @property
+    def elapsed(self) -> float:
+        return time.monotonic() - self.start
+
+    @property
+    def remaining(self) -> float | None:
+        """Seconds left, or None without a budget."""
+        return None if self.seconds is None else self.seconds - self.elapsed
+
+    def check(self) -> None:
+        if self.seconds is not None and self.elapsed > self.seconds:
+            raise TimeLimitReached()
+
+    def tick(self) -> None:
+        self.nodes += 1
+        self.check()
 
 
 class LpStatus(Enum):

@@ -15,7 +15,6 @@ branches directly on violated complementarity pairs (no big-M needed).
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +24,7 @@ import scipy.sparse as sp
 
 from .hotlp import INF, RangedLp
 from .lp import (
+    Deadline,
     DimensionMismatch,
     LinearProgram,
     LpStatus,
@@ -44,32 +44,6 @@ class TooManyComplementarities(ValueError):
 
 class EmptyPieceList(ValueError):
     pass
-
-
-class Deadline:
-    """Wall-clock budget; every search node polls it through ``tick``."""
-
-    def __init__(self, seconds: float | None = None):
-        self.seconds = seconds
-        self.start = time.monotonic()
-        self.nodes = 0
-
-    @property
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start
-
-    @property
-    def remaining(self) -> float | None:
-        """Seconds left, or None without a budget."""
-        return None if self.seconds is None else self.seconds - self.elapsed
-
-    def check(self) -> None:
-        if self.seconds is not None and self.elapsed > self.seconds:
-            raise TimeLimitReached()
-
-    def tick(self) -> None:
-        self.nodes += 1
-        self.check()
 
 
 def default_equalities(obj, n: int) -> None:
@@ -154,11 +128,13 @@ class PieceRows:
     per pair, so a 0-side pin is a column-bound edit and a 1-side pin a
     row-bound edit.  A piece stays an encoding: its rows are indexed out
     of one dense ``block`` (``piece_rows``), and its singleton test edits
-    the bounds of the set's two models, ``lp`` and ``cone``.
+    the bounds of the set's two models, ``lp`` and ``cone``.  Every model
+    runs under ``deadline``, which the enumeration walk also ticks.
     """
 
-    def __init__(self, s: ComplementaritySet):
+    def __init__(self, s: ComplementaritySet, deadline: Deadline | None = None):
         self.set = s
+        self.deadline = deadline or Deadline()
 
     @property
     def num_pairs(self) -> int:
@@ -186,6 +162,7 @@ class PieceRows:
             np.concatenate([np.full(s.a.shape[0], -INF), s.b_eq, -q]),
             np.concatenate([np.asarray(s.b, float), s.b_eq, np.full(s.num_pairs, INF)]),
             col_lo,
+            deadline=self.deadline,
         )
 
     def pin_bounds(self, pins, cols: dict | None = None) -> tuple[dict, dict]:
@@ -202,14 +179,11 @@ class PieceRows:
                 cols[s.comp[i]] = (0.0, 0.0)
         return rows, cols
 
-    def witness(
-        self, prefix: tuple[int, ...], time_limit: float | None = None
-    ) -> tuple[bool, np.ndarray | None]:
+    def witness(self, prefix: tuple[int, ...]) -> tuple[bool, np.ndarray | None]:
         """Whether the relaxation with the pairs of ``prefix`` pinned is
-        nonempty, and the LP's point if it has one; ``time_limit`` caps
-        the LP as in ``RangedLp.solve``."""
+        nonempty, and the LP's point if it has one."""
         self.lp.move_to(*self.pin_bounds(enumerate(prefix)))
-        status, x, _ = self.lp.solve(time_limit)
+        status, x, _ = self.lp.solve()
         return status is not LpStatus.INFEASIBLE, x
 
     def holds(self, pair: int, bit: int, x: np.ndarray) -> bool:
@@ -268,12 +242,10 @@ class PieceRows:
         each y fixed at 0; a singleton test bounds or frees the y of its
         piece's active rows."""
         rows = self.block[0]
-        zero = np.zeros(len(rows))
-        return RangedLp(zero, rows.T, np.zeros(self.set.n), np.zeros(self.set.n), zero, zero)
+        zero, origin = np.zeros(len(rows)), np.zeros(self.set.n)
+        return RangedLp(zero, rows.T, origin, origin, zero, zero, self.deadline)
 
-    def single_point(
-        self, encoding: tuple[int, ...], time_limit: float | None = None
-    ) -> np.ndarray | None:
+    def single_point(self, encoding: tuple[int, ...]) -> np.ndarray | None:
         """The piece's unique point if it is a singleton, else None.
 
         Two LPs on ``lp`` bound x_0; only when they meet is their
@@ -282,7 +254,6 @@ class PieceRows:
         exactly when no d != 0 has A_I d <= 0 and E d = 0, that is
         (Stiemke's lemma) when [A_I; E] has rank n and some y_I >= 1 and
         free y_E have A_I^T y_I + E^T y_E = 0: one more LP, on ``cone``.
-        ``time_limit`` caps each of the three LPs as in ``RangedLp.solve``.
         """
         n = self.set.n
         e0 = np.zeros(n)
@@ -290,11 +261,11 @@ class PieceRows:
         self.lp.move_to(*self.pin_bounds(enumerate(encoding)))
         try:
             self.lp.set_objective(e0)
-            status, x, lo = self.lp.solve(time_limit)
+            status, x, lo = self.lp.solve()
             if status is not LpStatus.OPTIMAL:
                 return None
             self.lp.set_objective(-e0)
-            status, _, neg_hi = self.lp.solve(time_limit)
+            status, _, neg_hi = self.lp.solve()
         finally:
             self.lp.set_objective(np.zeros(n))
         if status is not LpStatus.OPTIMAL or -neg_hi - lo > _POINT_TOL:
@@ -316,7 +287,7 @@ class PieceRows:
         }
         cols.update((int(r), (-INF, INF)) for r in eq)
         self.cone.move_to({}, cols)
-        return x if self.cone.solve(time_limit)[0] is LpStatus.OPTIMAL else None
+        return x if self.cone.solve()[0] is LpStatus.OPTIMAL else None
 
 
 def _sides(s: ComplementaritySet) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -357,11 +328,7 @@ def selected_polyhedron(s: ComplementaritySet, encoding: tuple[int, ...]) -> Com
     )
 
 
-def iter_encodings(
-    rows: PieceRows,
-    first: int = 0,
-    deadline: Deadline | None = None,
-) -> Iterator[tuple[int, ...]]:
+def iter_encodings(rows: PieceRows, first: int = 0) -> Iterator[tuple[int, ...]]:
     """Encodings with a nonempty selected polyhedron, depth-first and lazily.
 
     Each pair tries side ``first`` before the other, so 0 gives the
@@ -370,16 +337,15 @@ def iter_encodings(
     the cost scales with the number of nonempty pieces rather than
     2^pairs, and a lazy walk has no cap on the number of pairs.  A child
     whose new pin holds exactly at its parent's LP point is feasible
-    with that point and runs no LP.
+    with that point and runs no LP.  Every node ticks the rows' deadline.
     """
-    deadline = deadline or Deadline()
     p = rows.num_pairs
     stack: list[tuple[tuple[int, ...], np.ndarray | None]] = [((), None)]
     while stack:
         prefix, x = stack.pop()
-        deadline.tick()
+        rows.deadline.tick()
         if x is None or not rows.holds(len(prefix) - 1, prefix[-1], x):
-            feasible, x = rows.witness(prefix, deadline.remaining)
+            feasible, x = rows.witness(prefix)
             if not feasible:
                 continue
         if len(prefix) == p:
@@ -389,16 +355,13 @@ def iter_encodings(
         stack.append((prefix + (first,), x))
 
 
-def enumerate_pieces(
-    s: ComplementaritySet | PieceRows, deadline: Deadline | None = None
-) -> list[tuple[int, ...]]:
-    """All encodings with a nonempty selected polyhedron, lexicographic;
-    a set with more than ``ENUM_CAP`` pairs is refused.  Given a set's
-    ``PieceRows``, the walk runs on its LP."""
-    rows = s if isinstance(s, PieceRows) else PieceRows(s)
+def enumerate_pieces(rows: PieceRows) -> list[tuple[int, ...]]:
+    """All encodings with a nonempty selected polyhedron of the set of
+    ``rows``, lexicographic; a set with more than ``ENUM_CAP`` pairs is
+    refused."""
     if rows.num_pairs > ENUM_CAP:
         raise TooManyComplementarities(f"{rows.num_pairs} pairs exceeds cap {ENUM_CAP}")
-    return list(iter_encodings(rows, 0, deadline))
+    return list(iter_encodings(rows))
 
 
 def contains(s: ComplementaritySet, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
@@ -646,7 +609,6 @@ def optimize_over_set(
     c = np.asarray(c, dtype=float)
     if len(c) != s.n:
         raise DimensionMismatch("objective length mismatch")
-    deadline = deadline or Deadline()
     p = s.num_pairs
     comp_idx = np.array(s.comp, dtype=int)
     bin_idx = np.array([bv.index for bv in binaries], dtype=int)
@@ -661,7 +623,7 @@ def optimize_over_set(
     else:
         guide = c
 
-    rows = PieceRows(s)
+    rows = PieceRows(s, deadline)
     lp = rows.ranged(guide)
     m_t = s.m_mat.T
 
@@ -685,7 +647,7 @@ def optimize_over_set(
             if top > 0:
                 c_lin /= top
             lp.set_objective(c_lin)
-            status, x_new, _ = lp.solve(deadline.remaining)
+            status, x_new, _ = lp.solve()
             # keep the re-solve only when it leaves fewer pairs violated
             if status is not LpStatus.OPTIMAL or np.sum(
                 x_new[comp_idx] * s.slacks(x_new) > COMP_TOL
@@ -706,7 +668,7 @@ def optimize_over_set(
         lp.move_to(*rows.pin_bounds(pins, cols))
         if feasibility_mode:
             lp.set_objective(guide)
-        status, x, _ = lp.solve(deadline.remaining)
+        status, x, _ = lp.solve()
         if feasibility_mode and p and status is LpStatus.OPTIMAL:
             x = polish(x)
         return status, x
@@ -727,7 +689,7 @@ def optimize_over_set(
 
     while stack:
         pins, bins, x = stack.pop()
-        deadline.tick()
+        rows.deadline.tick()
         status, x = visit(pins, bins) if x is None else (LpStatus.OPTIMAL, x)
         if status is LpStatus.INFEASIBLE:
             continue
@@ -785,9 +747,7 @@ def optimize_over_set(
                 continue
 
         if x is None:
-            return SetOutcome(
-                LpStatus.UNBOUNDED, point=lp.feasible_point(), ray=lp.ray(deadline.remaining)
-            )
+            return SetOutcome(LpStatus.UNBOUNDED, point=lp.feasible_point(), ray=lp.ray())
         if feasibility_mode:
             return SetOutcome(LpStatus.OPTIMAL, point=x, value=true_val)
         if true_val < best_val:

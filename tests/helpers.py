@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
+from epecnash.energy import CountrySpec, EnergyInstance, ProducerSpec
 from epecnash.hotlp import INF, RangedLp
 from epecnash.lp import DimensionMismatch, LinearProgram, LpStatus, solve_lp
 from epecnash.nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne
@@ -11,6 +12,7 @@ from epecnash.polyhedra import (
     ComplementaritySet,
     EmptyPieceList,
     HullFormulation,
+    PieceRows,
     Triplets,
     enumerate_pieces,
     selected_polyhedron,
@@ -37,7 +39,7 @@ def interval_of(poly: ComplementaritySet, coord: int) -> tuple[float, float]:
 def pieces_of(s: ComplementaritySet) -> list[tuple[tuple[int, ...], ComplementaritySet]]:
     """Every nonempty piece of a set with its encoding, lexicographic,
     each built by the ``selected_polyhedron`` oracle."""
-    return [(e, selected_polyhedron(s, e)) for e in enumerate_pieces(s)]
+    return [(e, selected_polyhedron(s, e)) for e in enumerate_pieces(PieceRows(s))]
 
 
 def _nonzero_rows(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -46,7 +48,7 @@ def _nonzero_rows(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return norms > 0, norms
 
 
-def single_point_of(piece: ComplementaritySet, time_limit: float | None = None) -> np.ndarray | None:
+def single_point_of(piece: ComplementaritySet) -> np.ndarray | None:
     """The piece's unique point if it is a singleton, else None: the
     reference ``PieceRows.single_point`` is tested against, one fresh
     model per LP.
@@ -56,8 +58,7 @@ def single_point_of(piece: ComplementaritySet, time_limit: float | None = None) 
     (active in both directions), the piece is {x} exactly when no d != 0
     has A_I d <= 0 and E d = 0, that is (Stiemke's lemma) when [A_I; E]
     has rank n and some y_I >= 1 and free y_E have A_I^T y_I + E^T y_E
-    = 0: one more LP, over |I| + |E| variables.  ``time_limit`` caps
-    each of the three LPs as in ``RangedLp.solve``.
+    = 0: one more LP, over |I| + |E| variables.
     """
     n = piece.n
     b = np.asarray(piece.b, float)
@@ -70,11 +71,11 @@ def single_point_of(piece: ComplementaritySet, time_limit: float | None = None) 
         np.concatenate([np.full(piece.a.shape[0], -INF), piece.b_eq]),
         np.concatenate([b, piece.b_eq]),
     )
-    status, x, lo = lp.solve(time_limit)
+    status, x, lo = lp.solve()
     if status is not LpStatus.OPTIMAL:
         return None
     lp.set_objective(-e0)
-    status, _, neg_hi = lp.solve(time_limit)
+    status, _, neg_hi = lp.solve()
     if status is not LpStatus.OPTIMAL or -neg_hi - lo > _POINT_TOL:
         return None
     rows, norms = _nonzero_rows(a)
@@ -86,7 +87,7 @@ def single_point_of(piece: ComplementaritySet, time_limit: float | None = None) 
     k = active.shape[0]
     col_lo = np.concatenate([np.ones(k), np.full(eq.shape[0], -INF)])
     cone = RangedLp(np.zeros(tight.shape[0]), tight.T, np.zeros(n), np.zeros(n), col_lo=col_lo)
-    return x if cone.solve(time_limit)[0] is LpStatus.OPTIMAL else None
+    return x if cone.solve()[0] is LpStatus.OPTIMAL else None
 
 
 def _zero_pins(piece: ComplementaritySet) -> np.ndarray:
@@ -307,3 +308,24 @@ def random_comp_set(seed: int, max_dim: int = 4, max_pairs: int = 6) -> Compleme
     return ComplementaritySet(
         a=np.vstack(rows), b=np.concatenate(rhs), m_mat=m_mat, q=q, comp=comp
     )
+
+
+def symmetric_pair(trade=True, tax_revenue=False, paradigm="standard"):
+    """Two identical countries of two producers each."""
+
+    def country(name):
+        return CountrySpec(
+            name=name,
+            producers=(
+                ProducerSpec(150.0, 0.3, 1000.0, 100.0),
+                ProducerSpec(200.0, 0.2, 500.0, 300.0),
+            ),
+            demand_intercept=350.0,
+            demand_slope=0.7,
+            price_cap=300.0,
+            tax_caps=(100.0, 250.0),
+            tax_paradigm=paradigm,
+            tax_revenue=tax_revenue,
+        )
+
+    return EnergyInstance(countries=(country("a"), country("b")), trade=trade)

@@ -227,6 +227,17 @@ class TestFullEnumeration:
         monkeypatch.setattr(nashgame, "optimize_over_set", no_search)
         assert full_enumeration(split_interval_game(), budget=0.2).status == "TimeLimit"
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_budget_holds_on_a_large_hull_game(self, seed):
+        # C2F8 seeds 0 and 1 take several seconds without a budget
+        game = build_game(gen_energy(GenConfig(seed=seed, countries=2, followers=(8, 8))))
+        budget = 1.0
+        t0 = time.perf_counter()
+        rep = full_enumeration(game, budget=budget)
+        elapsed = time.perf_counter() - t0
+        assert rep.status == "TimeLimit"
+        assert elapsed <= budget + 0.5
+
     def test_hull_game_kkt_is_compact(self):
         # C2F8 seed 0: pairs only for the hulls' inequality rows, free
         # multipliers for their equalities, no unit pin rows
@@ -381,7 +392,7 @@ class TestInnerApproximation:
         game = build_game(gen_energy(GenConfig(seed=0, countries=2, followers=(followers, followers))))
         for i, leader in enumerate(game.leaders):
             s = leader_feasible_set(leader)
-            eager = enumerate_pieces(s)
+            eager = enumerate_pieces(PieceRows(s))
             order = {
                 strategy: list(LeaderPieces(s, strategy, Deadline(), Lcg(0).split(i)).pending)
                 for strategy in ("seq", "rseq", "rand")

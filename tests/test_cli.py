@@ -20,8 +20,11 @@ from epecnash.algorithms import LeaderPieces, _assemble_hull_game, full_enumerat
 from epecnash.leadergame import leader_feasible_set
 from epecnash.nashgame import kkt_system
 from epecnash.polyhedra import Deadline
-from epecnash.energy import build_game
+from epecnash.energy import PARADIGMS, ProfileMismatch, build_game, report
 from epecnash.generators import GenConfig, gen_energy
+from epecnash.serialize import profile_from_dict
+
+from tests.helpers import symmetric_pair
 
 
 def _write_game(path, game):
@@ -156,6 +159,33 @@ class TestCli:
         data["leaders"][0]["support"][0]["probability"] = 0.6
         res.write_text(json.dumps(data))
         assert main(["validate", "--in", str(inst), "--result", str(res)]) == 4
+
+    @pytest.mark.parametrize("paradigm", PARADIGMS)
+    @pytest.mark.parametrize("trade", [True, False])
+    @pytest.mark.parametrize("tax_revenue", [False, True])
+    def test_validate_rejects_what_report_rejects_on_clearing(
+        self, tmp_path, capsys, paradigm, trade, tax_revenue
+    ):
+        # validate reads the clearing rows of the game, report the
+        # country totals of the energy instance: both refuse the same
+        # profiles, with the same tolerance
+        inst = tmp_path / "inst.json"
+        res = tmp_path / "res.json"
+        energy = symmetric_pair(trade=trade, tax_revenue=tax_revenue, paradigm=paradigm)
+        inst.write_text(dumps(energy_to_dict(energy)))
+        for algorithm in ("full", "inner"):
+            assert main(["solve", "--in", str(inst), "--algorithm", algorithm,
+                         "--out", str(res)]) == 0
+            try:
+                report(energy, profile_from_dict(json.loads(res.read_text())))
+                cleared = True
+            except ProfileMismatch as exc:
+                assert "market clearing" in str(exc)
+                cleared = False
+            capsys.readouterr()
+            code = main(["validate", "--in", str(inst), "--result", str(res)])
+            assert code == (0 if cleared else EXIT_INPUT), algorithm
+            assert "clearing residual" in capsys.readouterr().err
 
     def test_solve_deterministic_bytes(self, tmp_path):
         inst = tmp_path / "inst.json"

@@ -17,6 +17,8 @@ from epecnash.leadergame import leader_feasible_set
 from epecnash.nashgame import kkt_layout
 from epecnash.polyhedra import contains
 
+from tests.helpers import symmetric_pair
+
 
 def solo_instance(lin=100.0, quad=0.0, alpha=300.0, beta=0.5, cap=1000.0,
                   price_cap=250.0, tax_cap=0.0, emission=25.0, **kw):
@@ -34,25 +36,6 @@ def solo_instance(lin=100.0, quad=0.0, alpha=300.0, beta=0.5, cap=1000.0,
         ),
         trade=False,
     )
-
-
-def symmetric_pair(trade=True, tax_revenue=False, paradigm="standard"):
-    def country(name):
-        return CountrySpec(
-            name=name,
-            producers=(
-                ProducerSpec(150.0, 0.3, 1000.0, 100.0),
-                ProducerSpec(200.0, 0.2, 500.0, 300.0),
-            ),
-            demand_intercept=350.0,
-            demand_slope=0.7,
-            price_cap=300.0,
-            tax_caps=(100.0, 250.0),
-            tax_paradigm=paradigm,
-            tax_revenue=tax_revenue,
-        )
-
-    return EnergyInstance(countries=(country("a"), country("b")), trade=trade)
 
 
 class TestBuild:

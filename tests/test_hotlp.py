@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from epecnash.hotlp import INF, RangedLp
-from epecnash.lp import LpStatus, NumericalFailure, TimeLimitReached
-from epecnash.polyhedra import ComplementaritySet, Deadline, PieceRows, optimize_over_set
+from epecnash.lp import Deadline, LpStatus, NumericalFailure, TimeLimitReached
+from epecnash.polyhedra import ComplementaritySet, PieceRows, optimize_over_set
 from epecnash.rng import Lcg
 
 from tests.helpers import random_comp_set
@@ -165,30 +165,50 @@ class TestRay:
 
     def test_spent_budget_stops_the_cone_lp(self):
         # x0 - x1 >= -1 over x >= 0: HiGHS honours a 0 s limit even on
-        # this 2-column cone LP
+        # this 2-column cone LP, which inherits the model's deadline
+        deadline = Deadline()
         lp = RangedLp(
             np.array([-1.0, 1.0]), sp.csr_matrix([[1.0, -1.0]]), -np.ones(1), np.full(1, INF),
-            np.zeros(2),
+            np.zeros(2), deadline=deadline,
         )
         assert lp.solve()[0] is LpStatus.UNBOUNDED
+        deadline.seconds = 0.0
         with pytest.raises(TimeLimitReached):
-            lp.ray(0.0)
+            lp.ray()
+
+    @staticmethod
+    def _wedge() -> ComplementaritySet:
+        # x0 - x1 >= -1 over x >= 0, the set of the cone LP above
+        return ComplementaritySet(
+            a=np.array([[-1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), b=np.array([1.0, 0.0, 0.0])
+        )
 
     def test_unbounded_leaf_gives_the_ray_the_budget_left(self, monkeypatch):
         limits = []
         ray = RangedLp.ray
 
-        def spied(lp, time_limit=None):
-            limits.append(time_limit)
-            return ray(lp, time_limit)
+        def spied(lp):
+            limits.append(lp.deadline.remaining)
+            return ray(lp)
 
         monkeypatch.setattr(RangedLp, "ray", spied)
-        half_line = ComplementaritySet(
-            a=np.array([[-1.0]]), b=np.zeros(1), m_mat=np.zeros((0, 1)), q=np.zeros(0), comp=()
-        )
-        out = optimize_over_set(half_line, np.array([-1.0]), deadline=Deadline(60.0))
+        out = optimize_over_set(self._wedge(), np.array([-1.0, 1.0]), deadline=Deadline(60.0))
         assert out.status is LpStatus.UNBOUNDED
         assert len(limits) == 1 and 0.0 < limits[0] <= 60.0
+
+    def test_unbounded_leaf_runs_its_cone_lp_under_the_deadline(self, monkeypatch):
+        # the budget runs out between the leaf's feasible point and its
+        # ray: only the cone LP can notice
+        deadline = Deadline(60.0)
+        ray = RangedLp.ray
+
+        def expiring(lp):
+            deadline.seconds = 0.0
+            return ray(lp)
+
+        monkeypatch.setattr(RangedLp, "ray", expiring)
+        with pytest.raises(TimeLimitReached):
+            optimize_over_set(self._wedge(), np.array([-1.0, 1.0]), deadline=deadline)
 
 
 def _slow_lp_rows():
@@ -198,10 +218,11 @@ def _slow_lp_rows():
     return n, a
 
 
-def _slow_lp() -> RangedLp:
+def _slow_lp(deadline: Deadline | None = None) -> RangedLp:
     n, a = _slow_lp_rows()
     return RangedLp(
-        -np.ones(n), a, np.full(n, -1e30), np.ones(n), np.zeros(n), np.full(n, 10.0)
+        -np.ones(n), a, np.full(n, -1e30), np.ones(n), np.zeros(n), np.full(n, 10.0),
+        deadline,
     )
 
 
@@ -210,19 +231,33 @@ class TestTimeLimit:
         full = _slow_lp()
         assert full.solve()[0] is LpStatus.OPTIMAL
         full_iters = full._h.getInfoValue("simplex_iteration_count")[1]
-        lp = _slow_lp()
+        lp = _slow_lp(Deadline(1e-3))
         with pytest.raises(TimeLimitReached):
-            lp.solve(time_limit=1e-3)
+            lp.solve()
         assert lp._h.getInfoValue("simplex_iteration_count")[1] < full_iters
 
     def test_limit_counts_this_call_only(self):
         # HiGHS sums run time over every run of a model; the cold solves
-        # together run past one call's limit, and none of them may hit it
+        # together run past one budget, and none of them, each with a
+        # fresh budget, may hit it
         limit = 0.25
         lp = _slow_lp()
         while lp._h.getRunTime() <= 2 * limit:
             lp._h.clearSolver()
-            assert lp.solve(time_limit=limit)[0] is LpStatus.OPTIMAL
+            lp.deadline = Deadline(limit)
+            assert lp.solve()[0] is LpStatus.OPTIMAL
+
+    def test_expired_deadline_stops_a_fresh_feasible_point(self):
+        # a zero-objective run on a model that never ran a solve: its
+        # equality rows take simplex iterations, and the spent budget
+        # stops them
+        n, a = _slow_lp_rows()
+        rhs = a @ np.ones(n)
+        lp = RangedLp(np.zeros(n), a, rhs, rhs, np.zeros(n), np.full(n, 10.0))
+        assert lp.feasible_point() is not None
+        lp = RangedLp(np.zeros(n), a, rhs, rhs, np.zeros(n), np.full(n, 10.0), Deadline(0.0))
+        with pytest.raises(TimeLimitReached):
+            lp.feasible_point()
 
     def test_deadline_reaches_into_the_lp(self, monkeypatch):
         # with the clock never read between nodes, only the LP's own

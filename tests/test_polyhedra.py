@@ -115,7 +115,7 @@ def _with_pieces(sets):
     """Each set with its nonempty encodings and their oracle pieces."""
     out = []
     for s in sets:
-        encodings = enumerate_pieces(s)
+        encodings = enumerate_pieces(PieceRows(s))
         out.append((s, encodings, [selected_polyhedron(s, e) for e in encodings]))
     return out
 
@@ -207,7 +207,7 @@ class TestDeadline:
 
 class TestEnumeration:
     def test_no_pairs(self):
-        assert enumerate_pieces(box_set(0.0, 2.0)) == [()]
+        assert enumerate_pieces(PieceRows(box_set(0.0, 2.0))) == [()]
 
     def test_split_interval_pieces(self):
         pieces = pieces_of(split_interval_set())
@@ -232,7 +232,7 @@ class TestEnumeration:
             comp=tuple(range(n)),
         )
         with pytest.raises(TooManyComplementarities):
-            enumerate_pieces(s)
+            enumerate_pieces(PieceRows(s))
 
     def test_lazy_walk_has_no_cap(self):
         # 30 pairs x_i perp x_i + 1: only the all-zero encoding is nonempty
@@ -242,7 +242,7 @@ class TestEnumeration:
         )
         assert next(iter_encodings(PieceRows(s))) == (0,) * n
         with pytest.raises(TooManyComplementarities):
-            enumerate_pieces(s)
+            enumerate_pieces(PieceRows(s))
 
     def test_lp_time_limit_ends_the_walk(self, monkeypatch):
         # the clock is never read between nodes, so only the time limit
@@ -257,10 +257,10 @@ class TestEnumeration:
             return solve(lp, *args, **kwargs)
 
         monkeypatch.setattr(RangedLp, "solve", counted)
-        enumerate_pieces(s)
+        enumerate_pieces(PieceRows(s))
         walk, count[0] = count[0], 0
         with pytest.raises(TimeLimitReached):
-            enumerate_pieces(s, deadline=Deadline(0.0))
+            enumerate_pieces(PieceRows(s, Deadline(0.0)))
         assert 0 < count[0] < walk
 
     @staticmethod
@@ -276,7 +276,7 @@ class TestEnumeration:
         deadline = Deadline()
         with monkeypatch.context() as m:
             m.setattr(RangedLp, "solve", counted)
-            encodings = enumerate_pieces(s, deadline=deadline)
+            encodings = enumerate_pieces(PieceRows(s, deadline))
         return encodings, count[0], deadline.nodes
 
     @pytest.mark.parametrize("countries, followers", LADDER)
@@ -303,12 +303,13 @@ class TestEnumeration:
                 for e in itertools.product((0, 1), repeat=s.num_pairs)
                 if is_feasible(selected_polyhedron(s, e))
             ]
-            assert enumerate_pieces(s) == want
+            assert enumerate_pieces(PieceRows(s)) == want
             assert list(iter_encodings(PieceRows(s), 1)) == want[::-1]
 
     def test_small_ladder_pieces_are_nonempty(self):
         for s in _energy_sets(0, 2, 4) + _energy_sets(0, 3, 4):
-            assert all(is_feasible(selected_polyhedron(s, e)) for e in enumerate_pieces(s))
+            pieces = enumerate_pieces(PieceRows(s))
+            assert all(is_feasible(selected_polyhedron(s, e)) for e in pieces)
 
     def test_a_pin_must_hold_exactly(self):
         # {0 <= x perp x - 1 >= 0}: side 0 is x == 0, side 1 is x - 1 == 0
@@ -324,8 +325,8 @@ class TestEnumeration:
         assert lps < nodes
         witness = PieceRows.witness
 
-        def nudged(rows, prefix, time_limit):
-            feasible, x = witness(rows, prefix, time_limit)
+        def nudged(rows, prefix):
+            feasible, x = witness(rows, prefix)
             return feasible, None if x is None else np.where(x == 0.0, 1e-12, x * (1 + 1e-12))
 
         monkeypatch.setattr(PieceRows, "witness", nudged)
@@ -474,9 +475,34 @@ class TestSinglePoint:
     def test_time_limit_reaches_the_lps(self):
         # a 2-row LP still stops at a 0 s limit, and the shared model
         # gets its zero objective back
-        rows = PieceRows(box_set(0.0, 1.0))
+        rows = PieceRows(box_set(0.0, 1.0), Deadline(0.0))
         with pytest.raises(TimeLimitReached):
-            rows.single_point((), 0.0)
+            rows.single_point(())
+        assert not np.any(rows.lp._objective)
+
+    def test_each_lp_reads_the_budget_left(self):
+        # 60 s left when the first LP starts, none when the second does:
+        # the second LP stops, with the first one's optimum in hand
+        class Scripted(Deadline):
+            reads = [60.0]
+
+            @property
+            def remaining(self):
+                return self.reads.pop(0) if self.reads else 0.0
+
+        rows = PieceRows(box_set(0.0, 1.0), Scripted())
+        solved = []
+        solve = rows.lp.solve
+
+        def spied():
+            out = solve()
+            solved.append(out[0])
+            return out
+
+        rows.lp.solve = spied
+        with pytest.raises(TimeLimitReached):
+            rows.single_point(())
+        assert solved == [LpStatus.OPTIMAL]
         assert not np.any(rows.lp._objective)
 
     @pytest.mark.parametrize(
