@@ -417,10 +417,11 @@ def pure_enumeration(
 ) -> SolveReport:
     """Pure equilibrium, or proof that none exists, via binary hull weights.
 
-    At a 0-branch the corresponding piece copy is pinned to zero as
-    well, so recession directions of switched-off unbounded pieces
-    cannot leak into the aggregate: the solution's aggregate block lies
-    in the single active piece.
+    The search branches on fractional hull weights before any pair, so
+    it picks each leader's piece first.  At a 0-branch the corresponding
+    piece copy is pinned to zero as well, so recession directions of
+    switched-off unbounded pieces cannot leak into the aggregate: the
+    solution's aggregate block lies in the single active piece.
     """
     return _enumeration(game, selection, budget, pure=True)
 

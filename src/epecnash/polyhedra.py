@@ -598,13 +598,16 @@ def optimize_over_set(
 ) -> SetOutcome:
     """Global min of c @ x over the set by disjunctive branch-and-bound.
 
-    Depth-first, 0-side child first; branch variable is the pair with
-    the largest product at the node relaxation optimum (ties to the
-    lowest index), then the most fractional binary.  An unbounded node
-    scores every free pair and binary as 1, so it branches the first
-    free one; only an unbounded leaf, whose system is a subset of the
+    Depth-first.  A node branches on its most fractional free binary,
+    select (1) child first; with none, on the pair with the largest
+    product at the node relaxation optimum (ties to the lowest index),
+    0-side child first.  An unbounded node scores every free pair and
+    binary as 1, so it branches the first free binary, then the first
+    free pair; only an unbounded leaf, whose system is a subset of the
     set itself, reports the set unbounded.  With a zero objective the
-    search stops at the first complementary leaf.
+    search stops at the first complementary leaf, and it looks ahead:
+    both children are solved, and the one with fewer violated pairs is
+    explored first, the first-visited one on a tie.
     """
     c = np.asarray(c, dtype=float)
     if len(c) != s.n:
@@ -702,49 +705,43 @@ def optimize_over_set(
                 # The guide equals c here, so the LP value is a valid bound.
                 continue
 
-        if p:
-            prod = free(np.ones(p) if x is None else x[comp_idx] * s.slacks(x), pins)
-            worst = int(np.argmax(prod))
-            if prod[worst] > COMP_TOL:
-                if not feasibility_mode:
-                    stack.append((pins + ((worst, 1),), bins, None))
-                    stack.append((pins + ((worst, 0),), bins, None))
-                    continue
-                # Look ahead: visit both children and explore the more
-                # complementary one first; a child that polishes clean
-                # and has no fractional binaries is already a leaf.  A
-                # child keeps its polished point, so it is not solved
-                # again when popped.
-                scored = []
-                for side in (0, 1):
-                    child = pins + ((worst, side),)
-                    st2, x2 = visit(child, bins)
-                    if st2 is not LpStatus.OPTIMAL:
-                        continue
-                    nv = int(np.sum(free(x2[comp_idx] * s.slacks(x2), child) > COMP_TOL))
-                    if nv == 0 and not binaries:
-                        return SetOutcome(LpStatus.OPTIMAL, point=x2, value=float(c @ x2))
-                    scored.append((nv, side, child, x2))
-                # push the worse child first so the better one pops first;
-                # ties keep the 0-side ahead
-                scored.sort(key=lambda t: (-t[0], -t[1]))
-                for _, _, child, x2 in scored:
-                    stack.append((child, bins, x2))
-                continue
-
+        # the two children in visit order: a binary's, else a pair's
+        children = ()
         if binaries:
             if x is None:
                 frac = np.ones(len(binaries))
             else:
                 frac = np.minimum(np.abs(x[bin_idx]), np.abs(x[bin_idx] - 1.0))
             frac = free(frac, bins)
-            worst_b = int(np.argmax(frac))
-            if frac[worst_b] > _BIN_TOL:
-                # select-the-piece child first: fixing a weight to one is
-                # far more constraining than switching one off
-                stack.append((pins, bins + ((worst_b, 0),), None))
-                stack.append((pins, bins + ((worst_b, 1),), None))
+            worst = int(np.argmax(frac))
+            if frac[worst] > _BIN_TOL:
+                children = tuple((pins, bins + ((worst, side),)) for side in (1, 0))
+        if p and not children:
+            prod = free(np.ones(p) if x is None else x[comp_idx] * s.slacks(x), pins)
+            worst = int(np.argmax(prod))
+            if prod[worst] > COMP_TOL:
+                children = tuple((pins + ((worst, side),), bins) for side in (0, 1))
+        if children:
+            if not feasibility_mode:
+                stack.extend((*child, None) for child in reversed(children))
                 continue
+            # Look ahead: solve both children and push the one with more
+            # violated pairs first, so the other pops first (on a tie, the
+            # first visited).  A child keeps its polished point, so it is not
+            # solved again when popped; without binaries, one that polishes
+            # clean is a leaf.
+            scored = []
+            for order, (cpins, cbins) in enumerate(children):
+                st2, x2 = visit(cpins, cbins)
+                if st2 is not LpStatus.OPTIMAL:
+                    continue
+                nv = int(np.sum(free(x2[comp_idx] * s.slacks(x2), cpins) > COMP_TOL))
+                if nv == 0 and not binaries:
+                    return SetOutcome(LpStatus.OPTIMAL, point=x2, value=float(c @ x2))
+                scored.append((nv, order, cpins, cbins, x2))
+            scored.sort(key=lambda t: (-t[0], -t[1]))
+            stack.extend((cpins, cbins, x2) for _, _, cpins, cbins, x2 in scored)
+            continue
 
         if x is None:
             return SetOutcome(LpStatus.UNBOUNDED, point=lp.feasible_point(), ray=lp.ray())

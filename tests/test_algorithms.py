@@ -444,15 +444,30 @@ class TestInnerApproximation:
 
 class TestPureEnumeration:
     def test_budget_holds_on_a_slow_search(self):
-        # first-found search on this instance runs ~12 s without a budget
-        game = build_game(gen_energy(GenConfig(seed=5, countries=2, followers=(2, 2))))
+        # without a budget, both modes run past 5 s on this instance
+        game = _energy_game(2, 3)
         budget = 0.5
-        t0 = time.perf_counter()
-        rep = pure_enumeration(game, budget=budget)
-        elapsed = time.perf_counter() - t0
-        assert rep.status == "TimeLimit"
-        assert elapsed <= budget + 0.25
-        assert all(c > 0 for c in rep.pieces_per_leader)  # counts reached, kept
+        for selection in (None, _selection_vector(game)):
+            t0 = time.perf_counter()
+            rep = pure_enumeration(game, selection=selection, budget=budget)
+            elapsed = time.perf_counter() - t0
+            assert rep.status == "TimeLimit"
+            assert elapsed <= budget + 0.25
+            assert all(c > 0 for c in rep.pieces_per_leader)  # counts reached, kept
+
+    @pytest.mark.parametrize("seed", [10, 13])
+    def test_both_modes_decide_the_stalled_seeds(self, seed):
+        # each mode once stalled past 30 s on one of these seeds (s10
+        # first-found, s13 select) while the other mode decided it at once
+        game = _energy_game(seed, 2)
+        sets = [leader_feasible_set(l) for l in game.leaders]
+        for selection in (None, _selection_vector(game)):
+            rep = pure_enumeration(game, selection=selection, budget=10)
+            assert rep.status in ("PNE", "NoEquilibrium")
+            if rep.profile is not None:
+                assert deviation_check(game, rep.profile, sets=sets) == [None] * len(sets)
+                for s, sup in zip(sets, rep.profile.supports):
+                    assert all(contains(s, pt, 1e-6) for pt, _ in sup)
 
     def test_lp_time_limit_ends_the_solve(self, monkeypatch):
         # the clock is never read between nodes, so the budget can only
@@ -483,13 +498,13 @@ class TestPureEnumeration:
                 "ss-no",
                 lambda: gen_pne_hardness(SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)),
                 "NoEquilibrium",
-                761,
+                856,
             ),
             (
                 "C2F2s8-first",
                 lambda: build_game(gen_energy(GenConfig(seed=8, countries=2, followers=(2, 2)))),
                 "NoEquilibrium",
-                588,
+                558,
             ),
             # optimization mode with binaries
             ("C2F2s0-select", lambda: _energy_game(0, 2), "PNE", 49),
