@@ -115,12 +115,9 @@ class CountryLayout:
     n_x: int
 
     def tax_rates(self, country: CountrySpec, point: np.ndarray) -> np.ndarray:
-        raw = np.asarray(point[self.tax])
-        if country.tax_paradigm == "standard":
-            return raw
-        if country.tax_paradigm == "single":
-            return np.full(len(country.producers), raw[0])
-        return raw[0] * np.array([p.emission_cost for p in country.producers])
+        """Each producer's tax rate at ``point``, through ``_tax_column``."""
+        cols = [_tax_column(country, self, p) for p in range(len(country.producers))]
+        return np.array([coef * point[col] for col, coef in cols])
 
 
 def country_layout(inst: EnergyInstance, idx: int) -> CountryLayout:

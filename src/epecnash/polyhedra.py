@@ -27,6 +27,7 @@ from .lp import (
     Deadline,
     DimensionMismatch,
     LinearProgram,
+    LpOutcome,
     LpStatus,
     TimeLimitReached,
     solve_lp,
@@ -112,9 +113,8 @@ def is_feasible(s: ComplementaritySet) -> bool:
     return out.status is not LpStatus.INFEASIBLE
 
 
-# Width below which a piece counts as a single point: the spread of x_0
-# over it, and the distance from the candidate point to a row's hyperplane
-# for the row to count as active there.
+# Distance from a piece's witness point to a row's hyperplane below which
+# the row counts as active there.
 _POINT_TOL = 1e-9
 
 
@@ -142,7 +142,8 @@ class PieceRows:
 
     @cached_property
     def lp(self) -> RangedLp:
-        """Zero-objective ranged LP shared by the feasibility checks."""
+        """Zero-objective ranged LP behind ``witness``; its objective
+        never changes."""
         return self.ranged(np.zeros(self.set.n))
 
     def ranged(self, objective: np.ndarray) -> RangedLp:
@@ -248,27 +249,16 @@ class PieceRows:
     def single_point(self, encoding: tuple[int, ...]) -> np.ndarray | None:
         """The piece's unique point if it is a singleton, else None.
 
-        Two LPs on ``lp`` bound x_0; only when they meet is their
-        minimizer x tested.  With A_I the ``<=`` rows active at x and E
-        the equality rows (active in both directions), the piece is {x}
-        exactly when no d != 0 has A_I d <= 0 and E d = 0, that is
-        (Stiemke's lemma) when [A_I; E] has rank n and some y_I >= 1 and
-        free y_E have A_I^T y_I + E^T y_E = 0: one more LP, on ``cone``.
+        ``witness`` gives a point x of the piece.  With A_I the ``<=``
+        rows active at x and E the equality rows (active in both
+        directions), the piece is {x} exactly when no d != 0 has
+        A_I d <= 0 and E d = 0, that is (Stiemke's lemma) when some
+        y_I >= 1 and free y_E have A_I^T y_I + E^T y_E = 0 (one more LP,
+        on ``cone``) and [A_I; E] has rank n.
         """
         n = self.set.n
-        e0 = np.zeros(n)
-        e0[0] = 1.0
-        self.lp.move_to(*self.pin_bounds(enumerate(encoding)))
-        try:
-            self.lp.set_objective(e0)
-            status, x, lo = self.lp.solve()
-            if status is not LpStatus.OPTIMAL:
-                return None
-            self.lp.set_objective(-e0)
-            status, _, neg_hi = self.lp.solve()
-        finally:
-            self.lp.set_objective(np.zeros(n))
-        if status is not LpStatus.OPTIMAL or -neg_hi - lo > _POINT_TOL:
+        _, x = self.witness(encoding)
+        if x is None:
             return None
         (ineq,), sign, (eq,) = self.piece_rows([encoding])
         rows, rhs = self.block
@@ -277,7 +267,7 @@ class PieceRows:
         active = (norms[ineq] > 0) & (slack <= _POINT_TOL * norms[ineq])
         eq = eq[norms[eq] > 0]
         tight = rows[np.concatenate([ineq[active], eq])]
-        if len(tight) < n or np.linalg.matrix_rank(tight) < n:
+        if len(tight) < n:
             return None
         # y >= 1 on an active row, y <= -1 on an active negated one (the
         # other side of a pair), y free on an equality
@@ -287,7 +277,10 @@ class PieceRows:
         }
         cols.update((int(r), (-INF, INF)) for r in eq)
         self.cone.move_to({}, cols)
-        return x if self.cone.solve()[0] is LpStatus.OPTIMAL else None
+        if self.cone.solve()[0] is not LpStatus.OPTIMAL:
+            return None
+        # a piece that contains a line passes the cone LP
+        return x if np.linalg.matrix_rank(tight) == n else None
 
 
 def _sides(s: ComplementaritySet) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -567,14 +560,6 @@ def balas_hull(
 
 
 @dataclass(frozen=True)
-class SetOutcome:
-    status: LpStatus
-    point: np.ndarray | None = None
-    value: float | None = None
-    ray: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class BinaryVar:
     """A variable branched to {0, 1}; at the 0 branch ``zero_block`` is pinned.
 
@@ -595,7 +580,7 @@ def optimize_over_set(
     c: np.ndarray,
     deadline: Deadline | None = None,
     binaries: tuple[BinaryVar, ...] = (),
-) -> SetOutcome:
+) -> LpOutcome:
     """Global min of c @ x over the set by disjunctive branch-and-bound.
 
     Depth-first.  A node branches on its most fractional free binary,
@@ -737,20 +722,20 @@ def optimize_over_set(
                     continue
                 nv = int(np.sum(free(x2[comp_idx] * s.slacks(x2), cpins) > COMP_TOL))
                 if nv == 0 and not binaries:
-                    return SetOutcome(LpStatus.OPTIMAL, point=x2, value=float(c @ x2))
+                    return LpOutcome(LpStatus.OPTIMAL, point=x2, value=float(c @ x2))
                 scored.append((nv, order, cpins, cbins, x2))
             scored.sort(key=lambda t: (-t[0], -t[1]))
             stack.extend((cpins, cbins, x2) for _, _, cpins, cbins, x2 in scored)
             continue
 
         if x is None:
-            return SetOutcome(LpStatus.UNBOUNDED, point=lp.feasible_point(), ray=lp.ray())
+            return LpOutcome(LpStatus.UNBOUNDED, point=lp.feasible_point(), ray=lp.ray())
         if feasibility_mode:
-            return SetOutcome(LpStatus.OPTIMAL, point=x, value=true_val)
+            return LpOutcome(LpStatus.OPTIMAL, point=x, value=true_val)
         if true_val < best_val:
             best_val = true_val
             best_pt = x
 
     if best_pt is None:
-        return SetOutcome(LpStatus.INFEASIBLE)
-    return SetOutcome(LpStatus.OPTIMAL, point=best_pt, value=best_val)
+        return LpOutcome(LpStatus.INFEASIBLE)
+    return LpOutcome(LpStatus.OPTIMAL, point=best_pt, value=best_val)

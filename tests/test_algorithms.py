@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from epecnash import algorithms, nashgame
 from epecnash.algorithms import (
     DegenerateWeight,
+    Deviation,
     MixedProfile,
     LeaderPieces,
     _assemble_hull_game,
@@ -31,6 +33,7 @@ from epecnash.leadergame import MultiLeaderGame, StackelbergLeader, leader_feasi
 from epecnash.nashgame import PolyhedralNashGame, QuadraticPlayer, kkt_system
 from epecnash.generators import _abs_gadget_follower
 from epecnash.hotlp import RangedLp
+from epecnash.lp import NumericalFailure
 from epecnash.polyhedra import (
     ComplementaritySet,
     Deadline,
@@ -441,6 +444,60 @@ class TestInnerApproximation:
         with pytest.raises(ValueError):
             inner_approximation(split_interval_game(), "backwards")
 
+    def test_budget_cut_reports_the_iterations_and_pieces_reached(self, monkeypatch):
+        # the budget runs out as the first deviation's piece is added: the
+        # second iteration's clock read ends the solve, which keeps its
+        # trace and the pieces found so far
+        add = LeaderPieces.add
+
+        def add_then_expire(self, encoding):
+            added = add(self, encoding)
+            self.rows.deadline.seconds = 0.0
+            return added
+
+        monkeypatch.setattr(LeaderPieces, "add", add_then_expire)
+        rep = inner_approximation(split_interval_game(), "seq", 1, seed=0, budget=60.0)
+        assert rep.status == "TimeLimit" and rep.profile is None
+        assert rep.iterations == 2 and len(rep.trace) == 1
+        assert rep.trace[0]["deviations"][1] is not None
+        assert rep.pieces_per_leader == (1, 2)
+
+    def test_refused_deviation_piece_falls_back_to_the_next_pending_one(self, monkeypatch):
+        events = []
+        extend = LeaderPieces.extend
+
+        def refusing(self, encoding):
+            events.append(("refused", self))
+            return False
+
+        def spied(self, count=math.inf):
+            added = extend(self, count)
+            events.append(("extended", self, count, added))
+            return added
+
+        monkeypatch.setattr(LeaderPieces, "add", refusing)
+        monkeypatch.setattr(LeaderPieces, "extend", spied)
+        game = random_trivial_game(4)
+        rep = inner_approximation(game, "seq", 1, seed=0)
+        assert rep.status == "PNE"
+        assert deviation_check(game, rep.profile) == [None, None]
+        refused = [i for i, e in enumerate(events) if e[0] == "refused"]
+        assert refused
+        for i in refused:
+            assert events[i + 1] == ("extended", events[i][1], 1, 1)
+
+    def test_deviation_with_nothing_pending_is_a_numerical_failure(self, monkeypatch):
+        # every piece is in from the start, and a deviation is reported
+        # anyway: its piece is refused and none is left to include
+        monkeypatch.setattr(LeaderPieces, "add", lambda self, encoding: False)
+        monkeypatch.setattr(
+            algorithms,
+            "deviation_check",
+            lambda game, profile, sets, deadline: [Deviation(0, 1.0, point=profile.mean(0)), None],
+        )
+        with pytest.raises(NumericalFailure, match="no piece left"):
+            inner_approximation(matching_pennies_game(), "seq", 10, seed=0)
+
 
 class TestPureEnumeration:
     def test_budget_holds_on_a_slow_search(self):
@@ -498,7 +555,7 @@ class TestPureEnumeration:
                 "ss-no",
                 lambda: gen_pne_hardness(SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)),
                 "NoEquilibrium",
-                856,
+                939,
             ),
             (
                 "C2F2s8-first",
@@ -509,9 +566,9 @@ class TestPureEnumeration:
             # optimization mode with binaries
             ("C2F2s0-select", lambda: _energy_game(0, 2), "PNE", 49),
             # the look-ahead without binaries
-            ("C2F6s1-full", lambda: _energy_game(1, 6), "MNE", 468),
+            ("C2F6s1-full", lambda: _energy_game(1, 6), "MNE", 398),
             # deviation best responses
-            ("C2F6s1-rseq", lambda: _energy_game(1, 6), "MNE", 217),
+            ("C2F6s1-rseq", lambda: _energy_game(1, 6), "MNE", 208),
         ],
     )
     def test_lp_solve_count_is_pinned(self, monkeypatch, name, game, status, solves):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize._highspy._core as _hc
 import scipy.sparse as sp
 
 from epecnash.hotlp import INF, RangedLp
@@ -269,3 +270,62 @@ class TestTimeLimit:
         s = ComplementaritySet(a=box, b=rhs, m_mat=np.zeros((0, n)), q=np.zeros(0), comp=())
         with pytest.raises(TimeLimitReached):
             optimize_over_set(s, -np.ones(n), deadline=Deadline(1e-3))
+
+
+class _ScriptedHighs:
+    """Forwards to a HiGHS object, but its first runs end with the model
+    statuses of ``statuses``; it records the presolve option of each run."""
+
+    def __init__(self, h, statuses):
+        self._inner = h
+        self.statuses = list(statuses)
+        self.presolve = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def run(self):
+        self.presolve.append(self._inner.getOptionValue("presolve")[1])
+        return self._inner.run()
+
+    def getModelStatus(self):
+        return self.statuses.pop(0) if self.statuses else self._inner.getModelStatus()
+
+
+def _scripted(lp: RangedLp, *statuses) -> _ScriptedHighs:
+    lp._h = _ScriptedHighs(lp._h, statuses)
+    return lp._h
+
+
+_S = _hc.HighsModelStatus
+
+
+class TestStatuses:
+    @staticmethod
+    def _interval(lo: float) -> RangedLp:
+        # min x over lo <= x <= 1: optimal at lo when lo <= 1, else empty
+        return RangedLp(np.ones(1), sp.csr_matrix([[1.0]]), [lo], [1.0])
+
+    def test_retries_cold_then_without_presolve(self):
+        lp = self._interval(0.0)
+        h = _scripted(lp, _S.kUnknown, _S.kIterationLimit)
+        status, x, value = lp.solve()
+        assert status is LpStatus.OPTIMAL and x == pytest.approx([0.0]) and value == 0.0
+        assert h.presolve == ["choose", "choose", "off"]
+        assert h.getOptionValue("presolve")[1] == "choose"
+
+    def test_presolve_comes_back_after_a_stopped_retry(self):
+        lp = self._interval(0.0)
+        h = _scripted(lp, _S.kIterationLimit, _S.kUnknown, _S.kTimeLimit)
+        with pytest.raises(TimeLimitReached):
+            lp.solve()
+        assert h.presolve == ["choose", "choose", "off"]
+        assert h.getOptionValue("presolve")[1] == "choose"
+
+    @pytest.mark.parametrize("lo, status", [(0.0, LpStatus.UNBOUNDED), (2.0, LpStatus.INFEASIBLE)])
+    def test_unbounded_or_infeasible_asks_for_a_point(self, lo, status):
+        # the zero-objective run after the scripted one finds a point of
+        # [0, 1] and none of [2, 1]
+        lp = self._interval(lo)
+        _scripted(lp, _S.kUnboundedOrInfeasible)
+        assert lp.solve() == (status, None, None)

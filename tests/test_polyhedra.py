@@ -472,17 +472,54 @@ class TestSinglePoint:
     def test_generator_sets(self):
         assert self._assert_matches_oracle(_with_pieces(_generator_sets())) > 0
 
+    @staticmethod
+    def _cut_point() -> ComplementaritySet:
+        """The point (1, ..., 1) of R^10 cut out by 30 random rows through
+        it, which positively span R^10: HiGHS's presolve finishes neither
+        its witness LP nor its cone LP."""
+        rng, n = Lcg(7), 10
+        g = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(3 * n)])
+        return ComplementaritySet(a=g, b=g @ np.ones(n))
+
+    @staticmethod
+    def _spied(rows: PieceRows) -> list:
+        """Each run of the witness and the cone LP of ``rows``, in order,
+        as (model, status), or (model, "stopped") when it hits its limit."""
+        runs = []
+        for name in ("lp", "cone"):
+            model = getattr(rows, name)
+
+            def spied(solve=model.solve, name=name):
+                try:
+                    out = solve()
+                except TimeLimitReached:
+                    runs.append((name, "stopped"))
+                    raise
+                runs.append((name, out[0]))
+                return out
+
+            model.solve = spied
+        return runs
+
     def test_time_limit_reaches_the_lps(self):
-        # a 2-row LP still stops at a 0 s limit, and the shared model
-        # gets its zero objective back
-        rows = PieceRows(box_set(0.0, 1.0), Deadline(0.0))
+        # without a budget the piece is a point, found by both LPs; at a
+        # 0 s limit the witness LP stops, and the shared model keeps its
+        # zero objective
+        s = self._cut_point()
+        rows = PieceRows(s)
+        runs = self._spied(rows)
+        assert rows.single_point(()) == pytest.approx(np.ones(s.n), abs=1e-9)
+        assert runs == [("lp", LpStatus.OPTIMAL), ("cone", LpStatus.OPTIMAL)]
+        rows = PieceRows(s, Deadline(0.0))
+        runs = self._spied(rows)
         with pytest.raises(TimeLimitReached):
             rows.single_point(())
+        assert runs == [("lp", "stopped")]
         assert not np.any(rows.lp._objective)
 
     def test_each_lp_reads_the_budget_left(self):
-        # 60 s left when the first LP starts, none when the second does:
-        # the second LP stops, with the first one's optimum in hand
+        # 60 s left when the witness LP starts, none when the cone LP
+        # does: the cone LP stops, with the witness point in hand
         class Scripted(Deadline):
             reads = [60.0]
 
@@ -490,19 +527,11 @@ class TestSinglePoint:
             def remaining(self):
                 return self.reads.pop(0) if self.reads else 0.0
 
-        rows = PieceRows(box_set(0.0, 1.0), Scripted())
-        solved = []
-        solve = rows.lp.solve
-
-        def spied():
-            out = solve()
-            solved.append(out[0])
-            return out
-
-        rows.lp.solve = spied
+        rows = PieceRows(self._cut_point(), Scripted())
+        runs = self._spied(rows)
         with pytest.raises(TimeLimitReached):
             rows.single_point(())
-        assert solved == [LpStatus.OPTIMAL]
+        assert runs == [("lp", LpStatus.OPTIMAL), ("cone", "stopped")]
         assert not np.any(rows.lp._objective)
 
     @pytest.mark.parametrize(
@@ -515,9 +544,9 @@ class TestSinglePoint:
                 [1, 1, -2, 0, 1, 2],
                 [1.0, 1.0],
             ),
-            # x_0 in [0, 1], x_1 in [0, 1e-6]: x_0 alone rules it out
+            # x_0 in [0, 1], x_1 in [0, 1e-6]: wide in both coordinates
             ([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1e-6, 0], None),
-            # x_0 = 2, x_1 in [0, 1e-6]: x_0 ties, the active rows do not
+            # x_0 = 2, x_1 in [0, 1e-6]: wider than the tolerance in x_1 only
             ([[1, 0], [-1, 0], [0, 1], [0, -1]], [2, -2, 1e-6, 0], None),
             # x_0 = 2, x_1 in [0, 1e-10]: thinner than the tolerance
             ([[1, 0], [-1, 0], [0, 1], [0, -1]], [2, -2, 1e-10, 0], [2.0, 0.0]),
@@ -531,6 +560,9 @@ class TestSinglePoint:
                 [1, -1, 1, -1, 0, 0],
                 None,
             ),
+            # the line x_0 = 0: two active rows pass the cone LP, but
+            # their rank is 1
+            ([[1, 0], [-1, 0]], [0, 0], None),
         ],
     )
     def test_hand_made_cases(self, rows, rhs, point):
