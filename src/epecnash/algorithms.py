@@ -51,7 +51,7 @@ from .polyhedra import (
     optimize_over_set,
 )
 from .rng import Lcg
-from .tolerances import DELTA_MIN, DEVIATION_TOL, FEAS_TOL
+from .tolerances import DELTA_MIN, DEVIATION_TOL, FEAS_TOL, REPORT_TOL
 
 Strategy = Literal["seq", "rseq", "rand"]
 STRATEGIES = ("seq", "rseq", "rand")
@@ -251,9 +251,21 @@ def deviation_check(
     return out
 
 
+def clearing_residual(game: MultiLeaderGame, profile: MixedProfile) -> float:
+    """Largest violation of the game's market-clearing rows at the
+    profile's support means."""
+    if game.clearing is None:
+        return 0.0
+    rows = game.clearing @ np.concatenate(profile.means())
+    return float(np.max(np.abs(rows), initial=0.0))
+
+
 def _report(game, selections, deadline, profile, status=None, iterations=1, trace=()):
     """Without ``status``, the one ``profile`` implies; a leader whose
-    selection was not built yet counts 0 pieces found."""
+    selection was not built yet counts 0 pieces found.  A profile that
+    breaks market clearing raises ``NumericalFailure``."""
+    if profile is not None and (residual := clearing_residual(game, profile)) > REPORT_TOL:
+        raise NumericalFailure(f"market clearing violated by {residual:.2e}")
     found = [len(sel.found) for sel in selections]
     if status is None:
         status = "NoEquilibrium" if profile is None else "PNE" if profile.is_pure() else "MNE"

@@ -24,18 +24,19 @@ import sys
 import numpy as np
 
 from .algorithms import (
+    clearing_residual,
     deviation_check,
     full_enumeration,
     inner_approximation,
     pure_enumeration,
 )
-from .energy import REPORT_TOL, EnergyInstance, InvalidInstance, ProfileMismatch, build_game
+from .energy import EnergyInstance, InvalidInstance, ProfileMismatch, build_game
 from .energy import report as energy_report
 from .generators import GenConfig, InvalidConfig, gen_energy
 from .leadergame import MultiLeaderGame, leader_feasible_set
 from .lp import LpError, NumericalFailure
 from .polyhedra import TooManyComplementarities, contains
-from .tolerances import DEVIATION_TOL
+from .tolerances import DEVIATION_TOL, REPORT_TOL
 from . import serialize
 
 EXIT_EQUILIBRIUM = 0
@@ -139,9 +140,7 @@ def cmd_validate(args) -> int:
             if len(pt) != sets[i].n or not contains(sets[i], pt, DEVIATION_TOL):
                 print(f"validate: leader {i} support point infeasible", file=sys.stderr)
                 return EXIT_INPUT
-    means = np.concatenate(profile.means())
-    rows = np.zeros(0) if game.clearing is None else game.clearing @ means
-    residual = float(np.max(np.abs(rows), initial=0.0))
+    residual = clearing_residual(game, profile)
     print(f"validate: clearing residual {residual:.3e}", file=sys.stderr)
     if residual > REPORT_TOL:
         print("validate: market clearing violated", file=sys.stderr)

@@ -28,6 +28,7 @@ import numpy as np
 from .algorithms import MixedProfile
 from .leadergame import DenseRows, MultiLeaderGame, StackelbergLeader
 from .nashgame import PolyhedralNashGame, QuadraticPlayer, kkt_layout
+from .tolerances import REPORT_TOL
 
 
 class InvalidInstance(ValueError):
@@ -39,10 +40,6 @@ class ProfileMismatch(ValueError):
 
 
 PARADIGMS = ("standard", "single", "carbon")
-
-# Absolute slack ``report`` allows on a price cap and on market clearing,
-# and the CLI's ``validate`` on the clearing rows of any game.
-REPORT_TOL = 1e-6
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,15 @@ from .tolerances import FEAS_TOL
 
 INF = 1e30
 
+# Model statuses of a HiGHS run that a stale warm basis can cause; the
+# solve retries them cold.  A warm run can also end in error with the
+# status still ``kNotset``.
+_RETRY = (
+    _hc.HighsModelStatus.kUnknown,
+    _hc.HighsModelStatus.kIterationLimit,
+    _hc.HighsModelStatus.kNotset,
+)
+
 
 class RangedLp:
     """min c x  s.t.  row_lo <= A x <= row_hi,  col_lo <= x <= col_hi; each
@@ -109,18 +118,12 @@ class RangedLp:
     def solve(self):
         """(status, point, value); point/value only when optimal."""
         status = self._run()
-        if status in (
-            _hc.HighsModelStatus.kUnknown,
-            _hc.HighsModelStatus.kIterationLimit,
-        ):
+        if status in _RETRY:
             # a stale warm basis can defeat the solve; retry cold, then
             # without presolve
             self._h.clearSolver()
             status = self._run()
-            if status in (
-                _hc.HighsModelStatus.kUnknown,
-                _hc.HighsModelStatus.kIterationLimit,
-            ):
+            if status in _RETRY:
                 self._h.setOptionValue("presolve", "off")
                 self._h.clearSolver()
                 try:

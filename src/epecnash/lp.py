@@ -1,10 +1,13 @@
-"""Linear-program solving used by every other module.
+"""The LP types of the solver stack, and one-shot LP solving.
 
-Thin, deterministic wrapper around ``scipy.optimize.linprog`` (HiGHS).
-Problems are minimization over ``A x <= b`` and ``A_eq x = b_eq`` with
-optional variable bounds.  Unbounded problems come back with an explicit recession ray so
-callers can report unboundedness meaningfully (a best response with no
-optimum is game-relevant information, not an error).  ``Deadline`` is
+``solve_lp`` is a thin, deterministic wrapper around
+``scipy.optimize.linprog`` (HiGHS); only ``polyhedra.is_feasible`` and
+the tests reach it, as every search runs on the incremental models of
+``hotlp``.  Problems are minimization over ``A x <= b`` and
+``A_eq x = b_eq`` with optional variable bounds.  Unbounded problems
+come back with an explicit recession ray so callers can report
+unboundedness meaningfully (a best response with no optimum is
+game-relevant information, not an error).  ``Deadline`` is
 the wall-clock budget of one solve, which every incremental LP reads.
 """
 

@@ -592,7 +592,10 @@ def optimize_over_set(
     set itself, reports the set unbounded.  With a zero objective the
     search stops at the first complementary leaf, and it looks ahead:
     both children are solved, and the one with fewer violated pairs is
-    explored first, the first-visited one on a tie.
+    explored first, the first-visited one on a tie.  There the root is
+    solved under the guide sum_i (x_{c_i} + z_i), then at most once more
+    under the linearization of sum_i x_{c_i} z_i at that optimum; every
+    other node is one LP, under the linearization at its parent's point.
     """
     c = np.asarray(c, dtype=float)
     if len(c) != s.n:
@@ -615,38 +618,22 @@ def optimize_over_set(
     lp = rows.ranged(guide)
     m_t = s.m_mat.T
 
-    def polish(x: np.ndarray) -> np.ndarray:
-        """Drive the node point toward complementarity.
+    def violated(x: np.ndarray, pins=()) -> int:
+        """Number of free pairs with x_{c_i} z_i > COMP_TOL."""
+        return int(np.sum(free(x[comp_idx] * s.slacks(x), pins) > COMP_TOL))
 
-        Re-solves the node LP a few times, minimizing the linearization
-        of sum_i x_{c_i} z_i at the current point; every iterate stays
-        feasible for the node system, so this only ever finds leaves
-        faster, never changes what the search can reach.
-        """
-        for _ in range(8):
-            z = s.slacks(x)
-            xc = x[comp_idx]
-            if np.max(xc * z) <= COMP_TOL:
-                return x
-            c_lin = np.zeros(s.n)
-            np.add.at(c_lin, comp_idx, np.maximum(z, 0.0))
-            c_lin += np.asarray(m_t @ np.maximum(xc, 0.0)).ravel()
-            top = np.abs(c_lin).max()
-            if top > 0:
-                c_lin /= top
-            lp.set_objective(c_lin)
-            status, x_new, _ = lp.solve()
-            # keep the re-solve only when it leaves fewer pairs violated
-            if status is not LpStatus.OPTIMAL or np.sum(
-                x_new[comp_idx] * s.slacks(x_new) > COMP_TOL
-            ) >= np.sum(xc * z > COMP_TOL):
-                break
-            x = x_new
-        return x
+    def linearization(x: np.ndarray) -> np.ndarray:
+        """Gradient of sum_i x_{c_i} z_i at x, negative parts cut to 0 and
+        scaled to a largest entry of 1: nonnegative weights on every x_{c_i}
+        and z_i, so an LP under it is bounded below on the relaxation."""
+        c_lin = np.zeros(s.n)
+        np.add.at(c_lin, comp_idx, np.maximum(s.slacks(x), 0.0))
+        c_lin += np.asarray(m_t @ np.maximum(x[comp_idx], 0.0)).ravel()
+        top = np.abs(c_lin).max(initial=0.0)
+        return c_lin / top if top > 0 else c_lin
 
-    def visit(pins, bins) -> tuple[LpStatus, np.ndarray | None]:
-        """Move to the node and solve it; in feasibility mode, under the
-        guide objective and with an optimum polished."""
+    def visit(pins, bins, objective=None) -> tuple[LpStatus, np.ndarray | None]:
+        """Move to the node and solve it, under ``objective`` if given."""
         cols = {}
         for bi, side in bins:
             bv = binaries[bi]
@@ -654,11 +641,9 @@ def optimize_over_set(
             if not side:
                 cols.update(dict.fromkeys(bv.zero_block, (0.0, 0.0)))
         lp.move_to(*rows.pin_bounds(pins, cols))
-        if feasibility_mode:
-            lp.set_objective(guide)
+        if objective is not None:
+            lp.set_objective(objective)
         status, x, _ = lp.solve()
-        if feasibility_mode and p and status is LpStatus.OPTIMAL:
-            x = polish(x)
         return status, x
 
     def free(score: np.ndarray, pins) -> np.ndarray:
@@ -671,16 +656,23 @@ def optimize_over_set(
     best_pt: np.ndarray | None = None
 
     # Node = (pair pins, binary pins, point): the pins as immutable
-    # tuples, and the node's polished point when a look-ahead already
-    # visited it (else None); depth-first.
+    # tuples, and the node's point when a look-ahead already solved it
+    # (else None); depth-first.
     stack: list[tuple[tuple, tuple, np.ndarray | None]] = [((), (), None)]
 
     while stack:
         pins, bins, x = stack.pop()
         rows.deadline.tick()
-        status, x = visit(pins, bins) if x is None else (LpStatus.OPTIMAL, x)
-        if status is LpStatus.INFEASIBLE:
-            continue
+        if x is None:
+            status, x = visit(pins, bins)
+            if status is LpStatus.INFEASIBLE:
+                continue
+            if feasibility_mode and p and (nv := violated(x)):
+                # the root only: one re-solve under the linearization at
+                # the guide's optimum, kept when it leaves fewer pairs violated
+                status, x_lin = visit(pins, bins, linearization(x))
+                if status is LpStatus.OPTIMAL and violated(x_lin) < nv:
+                    x = x_lin
         # an unbounded node (x None) occurs only with an objective, as the
         # guide is bounded below on the relaxation; it scores every free
         # pair and binary as 1
@@ -710,17 +702,20 @@ def optimize_over_set(
             if not feasibility_mode:
                 stack.extend((*child, None) for child in reversed(children))
                 continue
-            # Look ahead: solve both children and push the one with more
+            # Look ahead: solve both children, each by one LP under the
+            # linearization at this node's point, and push the one with more
             # violated pairs first, so the other pops first (on a tie, the
-            # first visited).  A child keeps its polished point, so it is not
-            # solved again when popped; without binaries, one that polishes
-            # clean is a leaf.
+            # first visited).  A child keeps its point, so it is not solved
+            # again when popped; without binaries, one that ends clean is a
+            # leaf.  The linearization is bounded below, so a child ends
+            # optimal or infeasible.
+            c_lin = linearization(x)
             scored = []
             for order, (cpins, cbins) in enumerate(children):
-                st2, x2 = visit(cpins, cbins)
+                st2, x2 = visit(cpins, cbins, c_lin)
                 if st2 is not LpStatus.OPTIMAL:
                     continue
-                nv = int(np.sum(free(x2[comp_idx] * s.slacks(x2), cpins) > COMP_TOL))
+                nv = violated(x2, cpins)
                 if nv == 0 and not binaries:
                     return LpOutcome(LpStatus.OPTIMAL, point=x2, value=float(c @ x2))
                 scored.append((nv, order, cpins, cbins, x2))

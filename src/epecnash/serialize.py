@@ -21,6 +21,7 @@ shortest-round-trip precision (17 significant digits when needed).
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -48,31 +49,7 @@ def dumps(obj: dict) -> str:
 # instances
 # --------------------------------------------------------------------
 def energy_to_dict(inst: EnergyInstance) -> dict:
-    return {
-        "kind": "energy",
-        "trade": inst.trade,
-        "countries": [
-            {
-                "name": c.name,
-                "demand_intercept": c.demand_intercept,
-                "demand_slope": c.demand_slope,
-                "price_cap": c.price_cap,
-                "tax_paradigm": c.tax_paradigm,
-                "tax_revenue": c.tax_revenue,
-                "tax_caps": list(c.tax_caps),
-                "producers": [
-                    {
-                        "lin_cost": p.lin_cost,
-                        "quad_cost": p.quad_cost,
-                        "capacity": p.capacity,
-                        "emission_cost": p.emission_cost,
-                    }
-                    for p in c.producers
-                ],
-            }
-            for c in inst.countries
-        ],
-    }
+    return {"kind": "energy", **asdict(inst)}
 
 
 def energy_from_dict(data: dict) -> EnergyInstance:
@@ -240,21 +217,4 @@ def profile_from_dict(data: dict) -> MixedProfile:
 
 
 def energy_report_to_dict(rep: EnergyReport) -> dict:
-    return {
-        "kind": "energy_report",
-        "clearing_price": rep.clearing_price,
-        "total_emission": rep.total_emission,
-        "trade_volume": rep.trade_volume,
-        "countries": [
-            {
-                "name": c.name,
-                "production": list(c.production),
-                "price": c.price,
-                "imports": c.imports,
-                "exports": c.exports,
-                "taxes": list(c.taxes),
-                "emission": c.emission,
-            }
-            for c in rep.countries
-        ],
-    }
+    return {"kind": "energy_report", **asdict(rep)}

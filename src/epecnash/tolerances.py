@@ -17,5 +17,9 @@ DELTA_MIN = 1e-8
 # to count as a profitable deviation.
 DEVIATION_TOL = 1e-6
 
+# Slack allowed on market clearing (every solve's profile, ``report`` and
+# the CLI's ``validate``) and on an energy price cap (``report``).
+REPORT_TOL = 1e-6
+
 # Refuse to enumerate pieces of a complementarity set beyond this many pairs.
 ENUM_CAP = 24

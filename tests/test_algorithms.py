@@ -555,13 +555,13 @@ class TestPureEnumeration:
                 "ss-no",
                 lambda: gen_pne_hardness(SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)),
                 "NoEquilibrium",
-                939,
+                783,
             ),
             (
                 "C2F2s8-first",
                 lambda: build_game(gen_energy(GenConfig(seed=8, countries=2, followers=(2, 2)))),
                 "NoEquilibrium",
-                558,
+                355,
             ),
             # optimization mode with binaries
             ("C2F2s0-select", lambda: _energy_game(0, 2), "PNE", 49),

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from epecnash.algorithms import deviation_check, full_enumeration, pure_enumeration
+from epecnash.algorithms import (
+    deviation_check,
+    full_enumeration,
+    inner_approximation,
+    pure_enumeration,
+)
 from epecnash.energy import (
     PARADIGMS,
     CountrySpec,
@@ -14,6 +19,7 @@ from epecnash.energy import (
     report,
 )
 from epecnash.leadergame import leader_feasible_set
+from epecnash.lp import NumericalFailure
 from epecnash.nashgame import kkt_layout
 from epecnash.polyhedra import contains
 
@@ -98,21 +104,47 @@ class TestBuild:
     def test_mccormick_envelope_holds(self):
         inst = symmetric_pair(tax_revenue=True, paradigm="carbon")
         g = build_game(inst)
-        rep = full_enumeration(g, budget=120)
+        # full's profile on this game drops a zero-weight piece's imports
+        # and breaks market clearing, so the solve refuses it
+        with pytest.raises(NumericalFailure, match="market clearing"):
+            full_enumeration(g, budget=120)
+        for solve in (pure_enumeration, inner_approximation):
+            rep = solve(g, budget=120)
+            assert rep.status in ("PNE", "MNE")
+            for i, spec in enumerate(inst.countries):
+                lay = country_layout(inst, i)
+                quantity = kkt_layout(g.leaders[i].followers).var_slices
+                mean = rep.profile.mean(i)
+                taxes = lay.tax_rates(spec, mean)
+                for p, prod in enumerate(spec.producers):
+                    z = mean[lay.revenue][p]
+                    t, q = taxes[p], mean[quantity[p]][0]
+                    tmax = min(spec.tax_caps) if spec.tax_paradigm == "single" else spec.tax_caps[p]
+                    qmax = prod.capacity
+                    lower = max(0.0, tmax * q + qmax * t - tmax * qmax)
+                    upper = min(tmax * q, qmax * t)
+                    assert lower - 1e-6 <= z <= upper + 1e-6
+
+
+class TestEverySolveClearsTheMarket:
+    @pytest.mark.parametrize("solve", [full_enumeration, inner_approximation, pure_enumeration])
+    @pytest.mark.parametrize("paradigm", PARADIGMS)
+    @pytest.mark.parametrize("trade", [True, False])
+    @pytest.mark.parametrize("tax_revenue", [False, True])
+    def test_report_accepts_every_returned_profile(self, solve, paradigm, trade, tax_revenue):
+        inst = symmetric_pair(trade=trade, tax_revenue=tax_revenue, paradigm=paradigm)
+        try:
+            rep = solve(build_game(inst), budget=120)
+        except NumericalFailure as exc:
+            # only full is known to return such a profile: its hull weights
+            # drop a zero-weight piece's imports on the traded tax-revenue
+            # games of the standard and carbon paradigms
+            assert "market clearing" in str(exc)
+            assert solve is full_enumeration and trade and tax_revenue
+            assert paradigm != "single"
+            return
         assert rep.status in ("PNE", "MNE")
-        for i, spec in enumerate(inst.countries):
-            lay = country_layout(inst, i)
-            quantity = kkt_layout(g.leaders[i].followers).var_slices
-            mean = rep.profile.mean(i)
-            taxes = lay.tax_rates(spec, mean)
-            for p, prod in enumerate(spec.producers):
-                z = mean[lay.revenue][p]
-                t, q = taxes[p], mean[quantity[p]][0]
-                tmax = min(spec.tax_caps) if spec.tax_paradigm == "single" else spec.tax_caps[p]
-                qmax = prod.capacity
-                lower = max(0.0, tmax * q + qmax * t - tmax * qmax)
-                upper = min(tmax * q, qmax * t)
-                assert lower - 1e-6 <= z <= upper + 1e-6
+        report(inst, rep.profile)
 
 
 class TestLayoutIsTheKktLayout:

@@ -306,12 +306,22 @@ class TestStatuses:
         # min x over lo <= x <= 1: optimal at lo when lo <= 1, else empty
         return RangedLp(np.ones(1), sp.csr_matrix([[1.0]]), [lo], [1.0])
 
-    def test_retries_cold_then_without_presolve(self):
+    @pytest.mark.parametrize(
+        "script, presolve",
+        [
+            ((_S.kUnknown, _S.kIterationLimit), ["choose", "choose", "off"]),
+            ((_S.kNotset, _S.kIterationLimit), ["choose", "choose", "off"]),
+            # a warm run that errs leaves the status unset; the cold retry ends it
+            ((_S.kNotset,), ["choose", "choose"]),
+        ],
+        ids=["unknown", "notset", "notset-cold"],
+    )
+    def test_retries_cold_then_without_presolve(self, script, presolve):
         lp = self._interval(0.0)
-        h = _scripted(lp, _S.kUnknown, _S.kIterationLimit)
+        h = _scripted(lp, *script)
         status, x, value = lp.solve()
         assert status is LpStatus.OPTIMAL and x == pytest.approx([0.0]) and value == 0.0
-        assert h.presolve == ["choose", "choose", "off"]
+        assert h.presolve == presolve
         assert h.getOptionValue("presolve")[1] == "choose"
 
     def test_presolve_comes_back_after_a_stopped_retry(self):

@@ -725,6 +725,12 @@ class TestOptimizeOverSet:
         rng = Lcg(77 + seed)
         c = np.array([round(rng.uniform(-1, 1), 2) for _ in range(s.n)])
         pieces = pieces_of(s)
+        # feasibility mode: a point of the set exactly when it has a piece
+        found = optimize_over_set(s, np.zeros(s.n))
+        if pieces:
+            assert found.status is LpStatus.OPTIMAL and contains(s, found.point)
+        else:
+            assert found.status is LpStatus.INFEASIBLE
         bb = optimize_over_set(s, c)
         if not pieces:
             assert bb.status is LpStatus.INFEASIBLE
