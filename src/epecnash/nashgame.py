@@ -217,6 +217,42 @@ def kkt_system(g: PolyhedralNashGame) -> tuple[ComplementaritySet, KktLayout]:
     return set_, lay
 
 
+def duality_gap(g: PolyhedralNashGame, lay: KktLayout) -> np.ndarray | None:
+    """The stacked duality gap sum_i (c_i.v_i + b_i.lam_i + b_eq_i.mu_i),
+    as a vector over the KKT columns, when it equals the complementarity
+    sum of ``kkt_system(g)`` on its equalities; None otherwise.
+
+    That holds when no player has a nonzero Q, the stacked strategy
+    coupling K is skew (K + K' = 0) and the stacked price coupling is
+    the clearing rows transposed (or there is no market).  Player i's
+    stationarity rows give -v_i' A_i' lam_i = c_i.v_i + v_i' K_i w +
+    b_eq_i.mu_i, so its pairs sum to lam_i.(b_i - A_i v_i) = c_i.v_i +
+    b_i.lam_i + b_eq_i.mu_i + v_i' K_i w.  Summed over the players, the
+    coupling terms are v' K v = 0 and v' clearing' pi = (clearing v).pi
+    = 0.  The gap is nonnegative on the KKT relaxation and zero exactly
+    at its complementary points.
+    """
+    if g.n_param or any(p.q is not None and np.any(p.q) for p in g.players):
+        return None
+    width = g.strategy_dim + g.n_market
+    coupling = sp.vstack(
+        [sp.csr_matrix((p.n, width) if p.coupling is None else p.coupling) for p in g.players],
+        format="csr",
+    )
+    strat = coupling[:, : g.strategy_dim]
+    price = coupling[:, g.strategy_dim :]
+    if (strat + strat.T).count_nonzero():
+        return None
+    if g.n_market and (price - sp.csr_matrix(g.clearing).T).count_nonzero():
+        return None
+    gap = np.zeros(lay.total)
+    for i, p in enumerate(g.players):
+        gap[lay.var_slices[i]] = p.c
+        gap[lay.mult_slices[i]] = p.b
+        gap[lay.eq_mult_slices[i]] = p.b_eq
+    return gap
+
+
 @dataclass(frozen=True)
 class PneOutcome:
     found: bool
@@ -252,7 +288,9 @@ def find_pne(
         if len(selection) != g.strategy_dim:
             raise DimensionMismatch("selection objective spans the strategy blocks")
         c[lay.var_slices[0].start : lay.var_slices[0].start + g.strategy_dim] = selection
-    out = optimize_over_set(set_, c, deadline=deadline, binaries=binaries)
+    out = optimize_over_set(
+        set_, c, deadline=deadline, binaries=binaries, gap=duality_gap(g, lay)
+    )
     if out.status is LpStatus.OPTIMAL:
         return PneOutcome(found=True, point=out.point, layout=lay)
     if out.status is LpStatus.INFEASIBLE:

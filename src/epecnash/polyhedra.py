@@ -253,8 +253,12 @@ class PieceRows:
         rows active at x and E the equality rows (active in both
         directions), the piece is {x} exactly when no d != 0 has
         A_I d <= 0 and E d = 0, that is (Stiemke's lemma) when some
-        y_I >= 1 and free y_E have A_I^T y_I + E^T y_E = 0 (one more LP,
-        on ``cone``) and [A_I; E] has rank n.
+        y_I >= 1 and free y_E have A_I^T y_I + E^T y_E = 0 and [A_I; E]
+        has rank n.  The rank decides first: below n, not a point; n with
+        no active ``<=`` row, a point; n with linearly independent rows of
+        which one is a ``<=`` row, not a point, as only y = 0 solves the
+        system.  Only dependent rows with a ``<=`` row among them take the
+        LP, on ``cone``.
         """
         n = self.set.n
         _, x = self.witness(encoding)
@@ -267,7 +271,11 @@ class PieceRows:
         active = (norms[ineq] > 0) & (slack <= _POINT_TOL * norms[ineq])
         eq = eq[norms[eq] > 0]
         tight = rows[np.concatenate([ineq[active], eq])]
-        if len(tight) < n:
+        if len(tight) < n or (rank := np.linalg.matrix_rank(tight)) < n:
+            return None
+        if not active.any():
+            return x
+        if rank == len(tight):
             return None
         # y >= 1 on an active row, y <= -1 on an active negated one (the
         # other side of a pair), y free on an equality
@@ -277,10 +285,7 @@ class PieceRows:
         }
         cols.update((int(r), (-INF, INF)) for r in eq)
         self.cone.move_to({}, cols)
-        if self.cone.solve()[0] is not LpStatus.OPTIMAL:
-            return None
-        # a piece that contains a line passes the cone LP
-        return x if np.linalg.matrix_rank(tight) == n else None
+        return x if self.cone.solve()[0] is LpStatus.OPTIMAL else None
 
 
 def _sides(s: ComplementaritySet) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -580,6 +585,7 @@ def optimize_over_set(
     c: np.ndarray,
     deadline: Deadline | None = None,
     binaries: tuple[BinaryVar, ...] = (),
+    gap: np.ndarray | None = None,
 ) -> LpOutcome:
     """Global min of c @ x over the set by disjunctive branch-and-bound.
 
@@ -592,10 +598,17 @@ def optimize_over_set(
     set itself, reports the set unbounded.  With a zero objective the
     search stops at the first complementary leaf, and it looks ahead:
     both children are solved, and the one with fewer violated pairs is
-    explored first, the first-visited one on a tie.  There the root is
-    solved under the guide sum_i (x_{c_i} + z_i), then at most once more
-    under the linearization of sum_i x_{c_i} z_i at that optimum; every
-    other node is one LP, under the linearization at its parent's point.
+    explored first, the first-visited one on a tie.
+
+    In that zero-objective search, ``gap`` (``nashgame.duality_gap``) is
+    a linear form equal to sum_i x_{c_i} z_i on the set's equalities.
+    With it, every node is one LP under ``gap``, so the LP's optimum is
+    the least complementarity sum over the node, and a node whose sum
+    there exceeds ``num_pairs * COMP_TOL`` holds no complementary point
+    and is pruned.  Without it, the root is solved under the guide
+    sum_i (x_{c_i} + z_i), then at most once more under the
+    linearization of sum_i x_{c_i} z_i at that optimum; every other node
+    is one LP, under the linearization at its parent's point.
     """
     c = np.asarray(c, dtype=float)
     if len(c) != s.n:
@@ -605,7 +618,10 @@ def optimize_over_set(
     bin_idx = np.array([bv.index for bv in binaries], dtype=int)
 
     feasibility_mode = not np.any(c)
-    if feasibility_mode and p:
+    gapped = feasibility_mode and p > 0 and gap is not None
+    if gapped:
+        guide = np.asarray(gap, dtype=float)
+    elif feasibility_mode and p:
         # Guiding objective sum_i (x_{c_i} + z_i): nonnegative on the
         # relaxation, and zero exactly at complementary points.
         guide = np.zeros(s.n)
@@ -621,6 +637,11 @@ def optimize_over_set(
     def violated(x: np.ndarray, pins=()) -> int:
         """Number of free pairs with x_{c_i} z_i > COMP_TOL."""
         return int(np.sum(free(x[comp_idx] * s.slacks(x), pins) > COMP_TOL))
+
+    def beyond_gap(x: np.ndarray) -> bool:
+        """Whether the complementarity sum at the node's optimum x, the
+        least over the node under ``gap``, shows no complementary point."""
+        return bool(gapped and np.sum(x[comp_idx] * s.slacks(x)) > p * COMP_TOL)
 
     def linearization(x: np.ndarray) -> np.ndarray:
         """Gradient of sum_i x_{c_i} z_i at x, negative parts cut to 0 and
@@ -665,9 +686,9 @@ def optimize_over_set(
         rows.deadline.tick()
         if x is None:
             status, x = visit(pins, bins)
-            if status is LpStatus.INFEASIBLE:
+            if status is LpStatus.INFEASIBLE or (x is not None and beyond_gap(x)):
                 continue
-            if feasibility_mode and p and (nv := violated(x)):
+            if feasibility_mode and p and not gapped and (nv := violated(x)):
                 # the root only: one re-solve under the linearization at
                 # the guide's optimum, kept when it leaves fewer pairs violated
                 status, x_lin = visit(pins, bins, linearization(x))
@@ -702,18 +723,18 @@ def optimize_over_set(
             if not feasibility_mode:
                 stack.extend((*child, None) for child in reversed(children))
                 continue
-            # Look ahead: solve both children, each by one LP under the
-            # linearization at this node's point, and push the one with more
-            # violated pairs first, so the other pops first (on a tie, the
-            # first visited).  A child keeps its point, so it is not solved
-            # again when popped; without binaries, one that ends clean is a
-            # leaf.  The linearization is bounded below, so a child ends
-            # optimal or infeasible.
-            c_lin = linearization(x)
+            # Look ahead: solve both children, each by one LP under ``gap``
+            # or else the linearization at this node's point, and push the
+            # one with more violated pairs first, so the other pops first (on
+            # a tie, the first visited).  A child keeps its point, so it is
+            # not solved again when popped; without binaries, one that ends
+            # clean is a leaf.  Both objectives are bounded below, so a child
+            # ends optimal or infeasible.
+            c_lin = None if gapped else linearization(x)
             scored = []
             for order, (cpins, cbins) in enumerate(children):
                 st2, x2 = visit(cpins, cbins, c_lin)
-                if st2 is not LpStatus.OPTIMAL:
+                if st2 is not LpStatus.OPTIMAL or beyond_gap(x2):
                     continue
                 nv = violated(x2, cpins)
                 if nv == 0 and not binaries:

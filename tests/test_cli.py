@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from epecnash import cli
-from epecnash.cli import EXIT_INPUT, EXIT_MEMORY, EXIT_NUMERICAL, main
+from epecnash.cli import EXIT_INPUT, EXIT_MEMORY, main
 from epecnash.generators import matching_pennies_game, split_interval_game
 from epecnash.serialize import (
     dumps,
@@ -19,7 +19,7 @@ from epecnash.serialize import (
 from epecnash.algorithms import LeaderPieces, _assemble_hull_game, full_enumeration
 from epecnash.leadergame import leader_feasible_set
 from epecnash.nashgame import kkt_system
-from epecnash.polyhedra import Deadline
+from epecnash.polyhedra import Deadline, optimize_over_set
 from epecnash.energy import PARADIGMS, ProfileMismatch, build_game, report
 from epecnash.generators import GenConfig, gen_energy
 from epecnash.serialize import profile_from_dict
@@ -167,8 +167,8 @@ class TestCli:
         self, tmp_path, capsys, paradigm, trade, tax_revenue
     ):
         # validate reads the clearing rows of the game, report the
-        # country totals of the energy instance: both refuse the same
-        # profiles, with the same tolerance
+        # country totals of the energy instance: on every profile a solve
+        # returns, both accept, and validate certifies it
         inst = tmp_path / "inst.json"
         res = tmp_path / "res.json"
         energy = symmetric_pair(trade=trade, tax_revenue=tax_revenue, paradigm=paradigm)
@@ -176,23 +176,36 @@ class TestCli:
         for algorithm in ("full", "inner"):
             code = main(["solve", "--in", str(inst), "--algorithm", algorithm,
                          "--out", str(res)])
-            if algorithm == "full" and trade and tax_revenue and paradigm != "single":
-                # full's profile breaks market clearing here; the solve
-                # refuses it and writes no result
-                assert code == EXIT_NUMERICAL
-                assert "market clearing" in capsys.readouterr().err
-                continue
-            assert code == 0
-            try:
-                report(energy, profile_from_dict(json.loads(res.read_text())))
-                cleared = True
-            except ProfileMismatch as exc:
-                assert "market clearing" in str(exc)
-                cleared = False
+            assert code == 0, algorithm
+            report(energy, profile_from_dict(json.loads(res.read_text())))
             capsys.readouterr()
-            code = main(["validate", "--in", str(inst), "--result", str(res)])
-            assert code == (0 if cleared else EXIT_INPUT), algorithm
-            assert "clearing residual" in capsys.readouterr().err
+            assert main(["validate", "--in", str(inst), "--result", str(res)]) == 0, algorithm
+            err = capsys.readouterr().err
+            assert "clearing residual" in err and "certified equilibrium" in err
+
+    def test_validate_and_report_refuse_a_profile_that_breaks_clearing(
+        self, tmp_path, capsys
+    ):
+        # a crafted profile: the first country's point is its least export
+        # over its own set, the second's is its equilibrium point, so each
+        # point lies in its set but the trade no longer balances
+        energy = symmetric_pair(trade=True)
+        inst = tmp_path / "inst.json"
+        res = tmp_path / "res.json"
+        inst.write_text(dumps(energy_to_dict(energy)))
+        assert main(["solve", "--in", str(inst), "--algorithm", "pure", "--out", str(res)]) == 0
+        game = build_game(energy)
+        data = json.loads(res.read_text())
+        s0 = leader_feasible_set(game.leaders[0])
+        c = np.zeros(s0.n)
+        c[np.flatnonzero(_dense(game.clearing)[0, : s0.n])[0]] = 1.0
+        data["leaders"][0]["support"][0]["point"] = optimize_over_set(s0, c).point.tolist()
+        res.write_text(json.dumps(data))
+        with pytest.raises(ProfileMismatch, match="market clearing"):
+            report(energy, profile_from_dict(data))
+        capsys.readouterr()
+        assert main(["validate", "--in", str(inst), "--result", str(res)]) == EXIT_INPUT
+        assert "market clearing violated" in capsys.readouterr().err
 
     def test_solve_deterministic_bytes(self, tmp_path):
         inst = tmp_path / "inst.json"

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from epecnash.algorithms import (
+    MixedProfile,
+    _report,
+    clearing_residual,
     deviation_check,
     full_enumeration,
     inner_approximation,
@@ -21,7 +24,8 @@ from epecnash.energy import (
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import NumericalFailure
 from epecnash.nashgame import kkt_layout
-from epecnash.polyhedra import contains
+from epecnash.polyhedra import Deadline, contains, optimize_over_set
+from epecnash.tolerances import REPORT_TOL
 
 from tests.helpers import symmetric_pair
 
@@ -104,13 +108,10 @@ class TestBuild:
     def test_mccormick_envelope_holds(self):
         inst = symmetric_pair(tax_revenue=True, paradigm="carbon")
         g = build_game(inst)
-        # full's profile on this game drops a zero-weight piece's imports
-        # and breaks market clearing, so the solve refuses it
-        with pytest.raises(NumericalFailure, match="market clearing"):
-            full_enumeration(g, budget=120)
-        for solve in (pure_enumeration, inner_approximation):
+        for solve in (full_enumeration, pure_enumeration, inner_approximation):
             rep = solve(g, budget=120)
             assert rep.status in ("PNE", "MNE")
+            report(inst, rep.profile)
             for i, spec in enumerate(inst.countries):
                 lay = country_layout(inst, i)
                 quantity = kkt_layout(g.leaders[i].followers).var_slices
@@ -133,18 +134,26 @@ class TestEverySolveClearsTheMarket:
     @pytest.mark.parametrize("tax_revenue", [False, True])
     def test_report_accepts_every_returned_profile(self, solve, paradigm, trade, tax_revenue):
         inst = symmetric_pair(trade=trade, tax_revenue=tax_revenue, paradigm=paradigm)
-        try:
-            rep = solve(build_game(inst), budget=120)
-        except NumericalFailure as exc:
-            # only full is known to return such a profile: its hull weights
-            # drop a zero-weight piece's imports on the traded tax-revenue
-            # games of the standard and carbon paradigms
-            assert "market clearing" in str(exc)
-            assert solve is full_enumeration and trade and tax_revenue
-            assert paradigm != "single"
-            return
+        rep = solve(build_game(inst), budget=120)
         assert rep.status in ("PNE", "MNE")
         report(inst, rep.profile)
+
+    def test_a_solve_refuses_a_profile_that_breaks_clearing(self):
+        # the first country plays its least export over its own set, the
+        # second its equilibrium point: the trade no longer balances
+        game = build_game(symmetric_pair(trade=True))
+        rep = pure_enumeration(game)
+        s0 = leader_feasible_set(game.leaders[0])
+        c = np.zeros(s0.n)
+        c[np.flatnonzero(np.asarray(game.clearing)[0, : s0.n])[0]] = 1.0
+        point = optimize_over_set(s0, c).point
+        profile = MixedProfile(
+            supports=(((point, 1.0),),) + rep.profile.supports[1:], market=rep.profile.market
+        )
+        assert clearing_residual(game, profile) > REPORT_TOL
+        with pytest.raises(NumericalFailure, match="market clearing violated"):
+            _report(game, [], Deadline(), profile)
+        assert _report(game, [], Deadline(), rep.profile).status == "PNE"
 
 
 class TestLayoutIsTheKktLayout:

@@ -560,8 +560,7 @@ class TestSinglePoint:
                 [1, -1, 1, -1, 0, 0],
                 None,
             ),
-            # the line x_0 = 0: two active rows pass the cone LP, but
-            # their rank is 1
+            # the line x_0 = 0: two active rows of rank 1
             ([[1, 0], [-1, 0]], [0, 0], None),
         ],
     )
@@ -577,6 +576,36 @@ class TestSinglePoint:
             else:
                 assert got == pytest.approx(point, abs=1e-9)
                 assert want == pytest.approx(point, abs=1e-9)
+
+    def test_the_rank_decides_before_the_cone_model_is_built(self):
+        # the quadrant (two independent active rows, both inequalities),
+        # the line x_0 = 0 (rank 1) and a point cut out by equalities alone
+        # are decided by the rank; only dependent active rows with an
+        # inequality among them, as at the corner of x, y <= 1, x + y >= 2,
+        # build and run the cone LP
+        cases = [
+            (ComplementaritySet(-np.eye(2), np.zeros(2)), None, False),
+            (ComplementaritySet(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2)), None, False),
+            (
+                ComplementaritySet(
+                    np.zeros((0, 2)), np.zeros(0), a_eq=np.eye(2), b_eq=np.array([1.0, 2.0])
+                ),
+                [1.0, 2.0],
+                False,
+            ),
+            (
+                ComplementaritySet(
+                    np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.array([1.0, 1.0, -2.0])
+                ),
+                [1.0, 1.0],
+                True,
+            ),
+        ]
+        for s, point, cone in cases:
+            rows = PieceRows(s)
+            got = rows.single_point(())
+            assert got is None if point is None else got == pytest.approx(point, abs=1e-9)
+            assert ("cone" in vars(rows)) is cone
 
     def test_hand_made_pairs(self):
         # x_0 perp x_1 - x_0 >= 0 with x_1 <= 0: both pieces are {(0, 0)},
