@@ -2,7 +2,10 @@
 
 Three entry points over one pipeline: each leader's pieces enter its
 hull through one ``LeaderPieces`` selection, and one step assembles,
-solves and decodes the hull game.
+solves and decodes the hull game.  ``find_pne`` solves a hull game
+whose leaders meet only through the market price (every energy game)
+as one planner LP, unless binaries or a selection criterion ask for
+its KKT search.
 
 ``full_enumeration``
     Enumerate every polyhedral piece of every leader's feasible set,
@@ -284,13 +287,14 @@ class LeaderPieces:
     """The pieces of one leader's set that enter its hull, kept as
     encodings over the set's ``PieceRows``.
 
-    ``pending`` yields the encodings of nonempty pieces in ``order``:
-    ``seq``/``rseq`` enumerate lazily, in lexicographic order and its
-    reverse; ``rand`` (a uniform shuffle) and ``None`` (every piece, for
-    full and pure enumeration) enumerate up front.  A piece's
-    single-point test runs once, when it is included; ``found`` holds
-    every nonempty encoding seen, from ``pending`` or a deviation.  Every
-    LP runs within ``deadline``, which the set's ``PieceRows`` holds.
+    ``pending`` yields the nonempty pieces in ``order``, each as its
+    encoding and a point of it: ``seq``/``rseq`` enumerate lazily, in
+    lexicographic order and its reverse; ``rand`` (a uniform shuffle) and
+    ``None`` (every piece, for full and pure enumeration) enumerate up
+    front.  A piece's single-point test runs once, when it is included,
+    at that point; ``found`` holds every nonempty encoding seen, from
+    ``pending`` or a deviation.  Every LP runs within ``deadline``, which
+    the set's ``PieceRows`` holds.
     """
 
     def __init__(
@@ -304,30 +308,30 @@ class LeaderPieces:
         self.included: set[tuple[int, ...]] = set()
         self.encodings: list[tuple[int, ...]] = []
         self.points: list[np.ndarray | None] = []
-        self._next: tuple[int, ...] | None = None
+        self._next: tuple[tuple[int, ...], np.ndarray] | None = None
         if order in ("seq", "rseq"):
             self.pending = iter_encodings(self.rows, int(order == "rseq"))
             self.found: set[tuple[int, ...]] = set()
         else:
-            encodings = enumerate_pieces(self.rows)
+            pieces = enumerate_pieces(self.rows)
             if order == "rand":
-                rng.shuffle(encodings)
-            self.pending = iter(encodings)
-            self.found = set(encodings)
+                rng.shuffle(pieces)
+            self.pending = iter(pieces)
+            self.found = {encoding for encoding, _ in pieces}
 
-    def _fresh(self) -> tuple[int, ...] | None:
-        """The next pending encoding that is not included yet."""
-        while self._next is None or self._next in self.included:
+    def _fresh(self) -> tuple[tuple[int, ...], np.ndarray] | None:
+        """The next pending piece that is not included yet."""
+        while self._next is None or self._next[0] in self.included:
             self._next = next(self.pending, None)
             if self._next is None:
                 return None
-            self.found.add(self._next)
+            self.found.add(self._next[0])
         return self._next
 
-    def _include(self, encoding: tuple[int, ...]) -> None:
+    def _include(self, encoding: tuple[int, ...], x: np.ndarray) -> None:
         self.included.add(encoding)
         self.encodings.append(encoding)
-        self.points.append(self.rows.single_point(encoding))
+        self.points.append(self.rows.single_point(encoding, x))
 
     @property
     def exhausted(self) -> bool:
@@ -337,16 +341,19 @@ class LeaderPieces:
         """Include up to ``count`` more pending pieces (all by default)."""
         added = 0
         while added < count and self._fresh() is not None:
-            self._include(self._next)
+            self._include(*self._next)
             added += 1
         return added
 
     def add(self, encoding: tuple[int, ...]) -> bool:
         """Include a piece found by a deviation, if nonempty and new."""
-        if encoding in self.included or not self.rows.witness(encoding)[0]:
+        if encoding in self.included:
+            return False
+        feasible, x = self.rows.witness(encoding)
+        if not feasible:
             return False
         self.found.add(encoding)
-        self._include(encoding)
+        self._include(encoding, x)
         return True
 
     def hull(self) -> HullFormulation:

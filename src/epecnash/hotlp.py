@@ -32,12 +32,17 @@ _RETRY = (
     _hc.HighsModelStatus.kNotset,
 )
 
+_PRIMAL_SIMPLEX = 4  # HiGHS ``simplex_strategy`` value
+
 
 class RangedLp:
     """min c x  s.t.  row_lo <= A x <= row_hi,  col_lo <= x <= col_hi; each
-    HiGHS run is capped by what ``deadline`` (if any) has left when it starts."""
+    HiGHS run is capped by what ``deadline`` (if any) has left when it starts.
+    HiGHS runs dual simplex unless ``primal`` asks for primal simplex."""
 
-    def __init__(self, objective, a, row_lo, row_hi, col_lo=None, col_hi=None, deadline=None):
+    def __init__(
+        self, objective, a, row_lo, row_hi, col_lo=None, col_hi=None, deadline=None, primal=False
+    ):
         self.deadline = deadline or Deadline()
         self.n = len(objective)
         self.m = a.shape[0]
@@ -67,6 +72,8 @@ class RangedLp:
         self._h.setOptionValue("output_flag", False)
         self._h.setOptionValue("threads", 1)
         self._h.setOptionValue("random_seed", 0)
+        if primal:
+            self._h.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
         if self._h.passModel(lp) == _hc.HighsStatus.kError:
             raise NumericalFailure("could not build incremental LP")
 
@@ -144,6 +151,14 @@ class RangedLp:
                 else (LpStatus.INFEASIBLE, None, None)
             )
         raise NumericalFailure(f"incremental LP ended with status {status}")
+
+    def row_duals(self) -> np.ndarray:
+        """HiGHS's row duals of the last optimal solve: d(optimum)/d(row
+        bound), so a binding ``<=`` row of a minimization has one <= 0."""
+        solution = self._h.getSolution()
+        if not solution.dual_valid:
+            raise NumericalFailure("incremental LP has no valid row duals")
+        return np.array(solution.row_dual)
 
     def feasible_point(self) -> np.ndarray | None:
         """A point of the current node system, or None if it is empty: one

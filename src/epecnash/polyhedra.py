@@ -246,11 +246,33 @@ class PieceRows:
         zero, origin = np.zeros(len(rows)), np.zeros(self.set.n)
         return RangedLp(zero, rows.T, origin, origin, zero, zero, self.deadline)
 
-    def single_point(self, encoding: tuple[int, ...]) -> np.ndarray | None:
+    @cached_property
+    def unit_cols(self) -> np.ndarray:
+        """Per row of ``block``, the column of its one nonzero entry, or -1
+        for a row with none or several."""
+        nonzero = self.block[0] != 0
+        return np.where(nonzero.sum(axis=1) == 1, np.argmax(nonzero, axis=1), -1)
+
+    def rank(self, idx: np.ndarray) -> int:
+        """Rank of the rows ``idx`` of ``block``.  Its rows with one
+        nonzero entry span exactly the unit vectors of their columns P, so
+        the rank is |P| plus that of the other rows on the columns outside
+        P: an SVD of the smaller rest."""
+        cols = self.unit_cols[idx]
+        unit = cols >= 0
+        free = np.ones(self.set.n, dtype=bool)
+        free[cols[unit]] = False
+        rest = self.block[0][idx[~unit]][:, free]
+        pinned = self.set.n - int(free.sum())
+        return pinned + (int(np.linalg.matrix_rank(rest)) if rest.size else 0)
+
+    def single_point(
+        self, encoding: tuple[int, ...], x: np.ndarray | None = None
+    ) -> np.ndarray | None:
         """The piece's unique point if it is a singleton, else None.
 
-        ``witness`` gives a point x of the piece.  With A_I the ``<=``
-        rows active at x and E the equality rows (active in both
+        ``x`` is a point of the piece, by default ``witness``'s.  With A_I
+        the ``<=`` rows active at x and E the equality rows (active in both
         directions), the piece is {x} exactly when no d != 0 has
         A_I d <= 0 and E d = 0, that is (Stiemke's lemma) when some
         y_I >= 1 and free y_E have A_I^T y_I + E^T y_E = 0 and [A_I; E]
@@ -261,17 +283,18 @@ class PieceRows:
         LP, on ``cone``.
         """
         n = self.set.n
-        _, x = self.witness(encoding)
         if x is None:
-            return None
+            _, x = self.witness(encoding)
+            if x is None:
+                return None
         (ineq,), sign, (eq,) = self.piece_rows([encoding])
         rows, rhs = self.block
         norms = self.norms
         slack = sign * (rhs[ineq] - rows[ineq] @ x)
         active = (norms[ineq] > 0) & (slack <= _POINT_TOL * norms[ineq])
         eq = eq[norms[eq] > 0]
-        tight = rows[np.concatenate([ineq[active], eq])]
-        if len(tight) < n or (rank := np.linalg.matrix_rank(tight)) < n:
+        tight = np.concatenate([ineq[active], eq])
+        if len(tight) < n or (rank := self.rank(tight)) < n:
             return None
         if not active.any():
             return x
@@ -326,8 +349,11 @@ def selected_polyhedron(s: ComplementaritySet, encoding: tuple[int, ...]) -> Com
     )
 
 
-def iter_encodings(rows: PieceRows, first: int = 0) -> Iterator[tuple[int, ...]]:
-    """Encodings with a nonempty selected polyhedron, depth-first and lazily.
+def iter_encodings(
+    rows: PieceRows, first: int = 0
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Encodings with a nonempty selected polyhedron, depth-first and
+    lazily, each with a point of its piece.
 
     Each pair tries side ``first`` before the other, so 0 gives the
     lexicographic order and 1 exactly its reverse.  A prefix whose
@@ -335,7 +361,9 @@ def iter_encodings(rows: PieceRows, first: int = 0) -> Iterator[tuple[int, ...]]
     the cost scales with the number of nonempty pieces rather than
     2^pairs, and a lazy walk has no cap on the number of pairs.  A child
     whose new pin holds exactly at its parent's LP point is feasible
-    with that point and runs no LP.  Every node ticks the rows' deadline.
+    with that point and runs no LP; a leaf's point is the last LP point
+    on its path, which ``PieceRows.single_point`` takes instead of
+    solving ``witness`` again.  Every node ticks the rows' deadline.
     """
     p = rows.num_pairs
     stack: list[tuple[tuple[int, ...], np.ndarray | None]] = [((), None)]
@@ -347,16 +375,16 @@ def iter_encodings(rows: PieceRows, first: int = 0) -> Iterator[tuple[int, ...]]
             if not feasible:
                 continue
         if len(prefix) == p:
-            yield prefix
+            yield prefix, x
             continue
         stack.append((prefix + (1 - first,), x))
         stack.append((prefix + (first,), x))
 
 
-def enumerate_pieces(rows: PieceRows) -> list[tuple[int, ...]]:
+def enumerate_pieces(rows: PieceRows) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """All encodings with a nonempty selected polyhedron of the set of
-    ``rows``, lexicographic; a set with more than ``ENUM_CAP`` pairs is
-    refused."""
+    ``rows``, lexicographic, each with a point of its piece; a set with
+    more than ``ENUM_CAP`` pairs is refused."""
     if rows.num_pairs > ENUM_CAP:
         raise TooManyComplementarities(f"{rows.num_pairs} pairs exceeds cap {ENUM_CAP}")
     return list(iter_encodings(rows))
@@ -492,10 +520,7 @@ def balas_hull(
     # an equality row with one nonzero entry and a right-hand side of 0
     # pins its column at 0: the column leaves the copy, whose kept columns
     # map to consecutive lifted copy columns (-1 where pinned)
-    nonzero = block != 0
-    pin_col = np.where(
-        (nonzero.sum(axis=1) == 1) & (rhs == 0), np.argmax(nonzero, axis=1), -1
-    )[eq]
+    pin_col = np.where(rhs == 0, rows.unit_cols, -1)[eq]
     kept = np.ones((len(fat), n), dtype=bool)
     at = np.nonzero(pin_col >= 0)
     kept[at[0], pin_col[at]] = False

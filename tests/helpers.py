@@ -39,7 +39,7 @@ def interval_of(poly: ComplementaritySet, coord: int) -> tuple[float, float]:
 def pieces_of(s: ComplementaritySet) -> list[tuple[tuple[int, ...], ComplementaritySet]]:
     """Every nonempty piece of a set with its encoding, lexicographic,
     each built by the ``selected_polyhedron`` oracle."""
-    return [(e, selected_polyhedron(s, e)) for e in enumerate_pieces(PieceRows(s))]
+    return [(e, selected_polyhedron(s, e)) for e, _ in enumerate_pieces(PieceRows(s))]
 
 
 def _nonzero_rows(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -339,3 +339,24 @@ class TestStatuses:
         lp = self._interval(lo)
         _scripted(lp, _S.kUnboundedOrInfeasible)
         assert lp.solve() == (status, None, None)
+
+
+class TestDuals:
+    @pytest.mark.parametrize("primal", [False, True])
+    def test_row_duals_are_derivatives_of_the_optimum(self, primal):
+        # min -x - 2y  s.t.  x + y <= 3,  y - x = 1:  the optimum x = 1,
+        # y = 2 moves by -3/2 per unit of the first row's bound and by
+        # -1/2 per unit of the second's
+        a = np.array([[1.0, 1.0], [-1.0, 1.0]])
+        lp = RangedLp([-1.0, -2.0], a, [-INF, 1.0], [3.0, 1.0], primal=primal)
+        status, x, value = lp.solve()
+        assert status is LpStatus.OPTIMAL
+        assert x == pytest.approx([1.0, 2.0]) and value == pytest.approx(-5.0)
+        assert lp.row_duals() == pytest.approx([-1.5, -0.5])
+        assert lp._h.getOptionValue("simplex_strategy")[1] == (4 if primal else 1)
+
+    def test_no_duals_without_an_optimum(self):
+        lp = RangedLp([1.0], np.array([[1.0]]), [2.0], [1.0])
+        assert lp.solve()[0] is LpStatus.INFEASIBLE
+        with pytest.raises(NumericalFailure):
+            lp.row_duals()

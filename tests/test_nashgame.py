@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from epecnash.algorithms import LeaderPieces, _assemble_hull_game
+from epecnash import nashgame
+from epecnash.algorithms import (
+    LeaderPieces,
+    _assemble_hull_game,
+    full_enumeration,
+    inner_approximation,
+)
 from epecnash.energy import PARADIGMS, build_game
 from epecnash.generators import (
     GenConfig,
     gen_energy,
     matching_pennies_game,
+    random_trivial_game,
     split_interval_game,
 )
 from epecnash.hotlp import RangedLp
@@ -21,6 +28,7 @@ from epecnash.nashgame import (
     find_pne,
     kkt_layout,
     kkt_system,
+    planner_lp,
 )
 from epecnash.polyhedra import Deadline, PieceRows, contains, optimize_over_set
 from epecnash.rng import Lcg
@@ -198,6 +206,10 @@ def _gap_of(g):
     return duality_gap(g, kkt_layout(g))
 
 
+def _planner_of(g):
+    return planner_lp(g, kkt_layout(g))
+
+
 def _energy(seed, countries, followers):
     cfg = GenConfig(seed=seed, countries=countries, followers=(followers, followers))
     return build_game(gen_energy(cfg))
@@ -248,12 +260,12 @@ class TestDualityGap:
             ),
             clearing=one,
         )
-        assert _gap_of(priced) is not None
+        assert _gap_of(priced) is not None and _planner_of(priced) is not None
         lopsided = PolyhedralNashGame(
             players=(priced.players[0], _player([0.0], *BOX01, coupling=[[0.0, 0.0, 0.0]])),
             clearing=one,
         )
-        assert _gap_of(lopsided) is None
+        assert _gap_of(lopsided) is None and _planner_of(lopsided) is None
 
     @pytest.mark.parametrize("countries, followers", [(2, 4), (2, 6), (2, 8), (3, 4), (3, 6)])
     @pytest.mark.parametrize("seed", range(3))
@@ -308,3 +320,76 @@ class TestDualityGap:
         out = optimize_over_set(s, np.zeros(s.n), binaries=binaries, gap=duality_gap(g, lay))
         assert out.status is LpStatus.INFEASIBLE
         assert calls == []
+
+
+def _priced_pair(lo, hi):
+    """A seller of cost 1 and a buyer of value 2 over boxes [lo_i, hi_i]
+    who trade one good at the price pi: the seller minimizes (1 - pi) v_1,
+    the buyer (pi - 2) v_2, and the clearing row is v_2 - v_1 = 0."""
+    players = tuple(
+        _player([c], [[-1.0], [1.0]], [-l, h], coupling=[[0.0, 0.0, sign]])
+        for c, l, h, sign in zip((1.0, -2.0), lo, hi, (-1.0, 1.0))
+    )
+    return PolyhedralNashGame(players=players, clearing=np.array([[-1.0, 1.0]]))
+
+
+class TestPlanner:
+    @pytest.mark.parametrize("countries, followers, seed", [(2, 4, 0), (2, 6, 1), (3, 4, 0)])
+    def test_planner_point_is_a_kkt_point_with_the_search_prices(
+        self, countries, followers, seed
+    ):
+        g, _ = _hull_game(_energy(seed, countries, followers))
+        out = find_pne(g)
+        s, lay = kkt_system(g)
+        assert out.found and contains(s, out.point, 1e-6)
+        search = optimize_over_set(s, np.zeros(s.n), gap=duality_gap(g, lay))
+        assert search.status is LpStatus.OPTIMAL
+        assert out.market() == pytest.approx(lay.market(search.point), abs=1e-6)
+
+    def test_energy_solves_never_assemble_the_kkt_system(self, monkeypatch):
+        def no_kkt(g):
+            raise AssertionError("KKT system assembled for a planner game")
+
+        monkeypatch.setattr(nashgame, "kkt_system", no_kkt)
+        game = _energy(0, 2, 4)
+        assert full_enumeration(game).status in ("MNE", "PNE")
+        assert inner_approximation(game, "seq").status in ("MNE", "PNE")
+
+    def test_games_with_a_strategy_coupling_have_none(self, monkeypatch):
+        # their leaders meet through each other's strategies, so full
+        # enumeration searches their KKT systems
+        def no_duals(lp):
+            raise AssertionError("planner LP solved")
+
+        monkeypatch.setattr(RangedLp, "row_duals", no_duals)
+        games = (matching_pennies_game(), split_interval_game(), random_trivial_game(20_001))
+        for game in games:
+            assert _planner_of(_hull_game(game)[0]) is None
+            assert full_enumeration(game).status in ("MNE", "PNE", "NoEquilibrium")
+        # a skew coupling has a duality gap, but no planner
+        for game in (split_interval_game(flipped=True), random_trivial_game(20_007)):
+            g, _ = _hull_game(game)
+            assert _gap_of(g) is not None and _planner_of(g) is None
+        assert _planner_of(PolyhedralNashGame(players=(_player([-1.0], *BOX01, q=[[1.0]]),))) is None
+
+    def test_a_priced_pair_clears_at_the_dual_price(self):
+        # both quantities reach the seller's cap 1, at a price between the
+        # seller's cost and the buyer's value
+        g = _priced_pair((0.0, 0.0), (1.0, 3.0))
+        out = find_pne(g)
+        assert out.found
+        assert np.concatenate(out.strategies()) == pytest.approx([1.0, 1.0], abs=1e-9)
+        assert 1.0 - 1e-9 <= out.market()[0] <= 2.0 + 1e-9
+        assert contains(kkt_system(g)[0], out.point, 1e-9)
+
+    def test_empty_and_unbounded_planners_have_no_equilibrium(self):
+        # boxes that the clearing row cannot meet, and one player who
+        # gains without limit: in both the KKT system is empty
+        empty = _priced_pair((0.0, 2.0), (1.0, 3.0))
+        unbounded = PolyhedralNashGame(players=(_player([-1.0], [[-1.0]], [0.0]),))
+        for g in (empty, unbounded):
+            assert _planner_of(g) is not None
+            assert not find_pne(g).found
+            s, lay = kkt_system(g)
+            search = optimize_over_set(s, np.zeros(s.n), gap=duality_gap(g, lay))
+            assert search.status is LpStatus.INFEASIBLE

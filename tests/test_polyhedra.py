@@ -111,11 +111,16 @@ def _energy_sets(seed, countries, followers):
     return [leader_feasible_set(l) for l in game.leaders]
 
 
+def _encodings(rows):
+    """The encodings ``enumerate_pieces`` yields, without their points."""
+    return [e for e, _ in enumerate_pieces(rows)]
+
+
 def _with_pieces(sets):
     """Each set with its nonempty encodings and their oracle pieces."""
     out = []
     for s in sets:
-        encodings = enumerate_pieces(PieceRows(s))
+        encodings = _encodings(PieceRows(s))
         out.append((s, encodings, [selected_polyhedron(s, e) for e in encodings]))
     return out
 
@@ -207,7 +212,7 @@ class TestDeadline:
 
 class TestEnumeration:
     def test_no_pairs(self):
-        assert enumerate_pieces(PieceRows(box_set(0.0, 2.0))) == [()]
+        assert _encodings(PieceRows(box_set(0.0, 2.0))) == [()]
 
     def test_split_interval_pieces(self):
         pieces = pieces_of(split_interval_set())
@@ -240,7 +245,7 @@ class TestEnumeration:
         s = ComplementaritySet(
             a=np.zeros((0, n)), b=np.zeros(0), m_mat=np.eye(n), q=np.ones(n), comp=tuple(range(n))
         )
-        assert next(iter_encodings(PieceRows(s))) == (0,) * n
+        assert next(iter_encodings(PieceRows(s)))[0] == (0,) * n
         with pytest.raises(TooManyComplementarities):
             enumerate_pieces(PieceRows(s))
 
@@ -276,7 +281,7 @@ class TestEnumeration:
         deadline = Deadline()
         with monkeypatch.context() as m:
             m.setattr(RangedLp, "solve", counted)
-            encodings = enumerate_pieces(PieceRows(s, deadline))
+            encodings = _encodings(PieceRows(s, deadline))
         return encodings, count[0], deadline.nodes
 
     @pytest.mark.parametrize("countries, followers", LADDER)
@@ -303,12 +308,22 @@ class TestEnumeration:
                 for e in itertools.product((0, 1), repeat=s.num_pairs)
                 if is_feasible(selected_polyhedron(s, e))
             ]
-            assert enumerate_pieces(PieceRows(s)) == want
-            assert list(iter_encodings(PieceRows(s), 1)) == want[::-1]
+            assert _encodings(PieceRows(s)) == want
+            assert [e for e, _ in iter_encodings(PieceRows(s), 1)] == want[::-1]
+
+    def test_each_piece_comes_with_a_point_of_it(self):
+        # the walk's last LP point on a leaf's path, which the singleton
+        # test takes instead of solving the leaf again
+        sets = [split_interval_set(), scalar_set(1.0, -1.0)] + _energy_sets(0, 2, 4)
+        sets += [random_comp_set(9000 + seed) for seed in range(8)]
+        for s in sets:
+            for first in (0, 1):
+                for e, x in iter_encodings(PieceRows(s), first):
+                    assert contains(selected_polyhedron(s, e), x, 1e-9)
 
     def test_small_ladder_pieces_are_nonempty(self):
         for s in _energy_sets(0, 2, 4) + _energy_sets(0, 3, 4):
-            pieces = enumerate_pieces(PieceRows(s))
+            pieces = _encodings(PieceRows(s))
             assert all(is_feasible(selected_polyhedron(s, e)) for e in pieces)
 
     def test_a_pin_must_hold_exactly(self):
@@ -447,6 +462,21 @@ class TestBalasHull:
 class TestSinglePoint:
     """The singleton test on a set's shared models agrees with the
     piece-by-piece Stiemke oracle and the coordinate-wise one."""
+
+    def test_rank_sets_the_unit_rows_apart(self):
+        # rows with one nonzero entry, among them repeated and negated
+        # ones, beside rows that also touch their columns
+        rng = Lcg(11)
+        sets = _energy_sets(0, 2, 4) + [random_comp_set(9000 + seed) for seed in range(8)]
+        for s in sets:
+            rows = PieceRows(s)
+            block = rows.block[0]
+            for _ in range(20):
+                idx = np.array(
+                    [r for r in range(len(block)) if rng.randint(3) == 0], dtype=int
+                )
+                want = np.linalg.matrix_rank(block[idx]) if len(idx) else 0
+                assert rows.rank(idx) == want
 
     def _assert_matches_oracle(self, with_pieces) -> int:
         points = 0
