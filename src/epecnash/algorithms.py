@@ -9,10 +9,14 @@ its KKT search.
 
 ``full_enumeration``
     Enumerate every polyhedral piece of every leader's feasible set,
-    lift each union to its convex hull, solve the resulting one-shot
-    game of linear players over polytopes, and read a mixed strategy
-    off the hull weights.  Finds a mixed equilibrium whenever one
-    exists; an empty equilibrium set certifies that none does.
+    lift the unions to their convex hulls, solve the resulting game of
+    linear players over polytopes, and read a mixed strategy off the
+    hull weights.  The hull game is solved by column generation over
+    the enumerated pieces: restricted hulls grow by the pieces that
+    beat a restricted equilibrium, until none does, and a restricted
+    game without equilibrium takes every piece.  Finds a mixed
+    equilibrium whenever one exists; an empty equilibrium set of the
+    hull game over every piece certifies that none does.
 
 ``inner_approximation``
     Grow each leader's hull from a few pieces, solve the restricted
@@ -20,6 +24,8 @@ its KKT search.
     sets to decide which piece to add next.  Falls back to adding
     pieces in a configurable order when the restricted game has no
     equilibrium; its terminal iteration coincides with full enumeration.
+    It runs full enumeration's loop (``_grow``) with another pricing
+    step and fallback.
 
 ``pure_enumeration``
     Same hull game as full enumeration, but the convex weights are
@@ -31,11 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
 
+from .hotlp import RangedLp
 from .leadergame import MultiLeaderGame, leader_feasible_set
 from .lp import LpStatus, NumericalFailure
 from .nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne
@@ -228,7 +236,9 @@ def deviation_check(
     the expected payoff of any reply equals its payoff at the rivals'
     mean, so one exact best response per leader settles whether the
     profile is an equilibrium.  An unbounded best response counts as a
-    deviation and carries its ray.
+    deviation and carries its ray.  The search looks only below the
+    played value minus ``DEVIATION_TOL``, so it prunes every node that
+    cannot hold a deviation, and finding nothing there means none.
     """
     if sets is None:
         sets = [leader_feasible_set(l) for l in game.leaders]
@@ -237,20 +247,13 @@ def deviation_check(
     for i in range(len(game.leaders)):
         obj = game.rival_objective(i, means, profile.market)
         played = float(obj @ means[i])
-        br = optimize_over_set(sets[i], obj, deadline=deadline)
+        br = optimize_over_set(sets[i], obj, deadline=deadline, bound=played - DEVIATION_TOL)
         if br.status is LpStatus.UNBOUNDED:
             out.append(Deviation(leader=i, improvement=np.inf, point=br.point, ray=br.ray))
-        elif br.status is LpStatus.OPTIMAL:
-            gain = played - br.value
-            out.append(
-                Deviation(leader=i, improvement=gain, point=br.point)
-                if gain > DEVIATION_TOL
-                else None
-            )
+        elif br.status is LpStatus.OPTIMAL and (gain := played - br.value) > DEVIATION_TOL:
+            out.append(Deviation(leader=i, improvement=gain, point=br.point))
         else:
-            raise NumericalFailure(
-                f"best response of leader {i} infeasible at a certified profile"
-            )
+            out.append(None)
     return out
 
 
@@ -291,10 +294,11 @@ class LeaderPieces:
     encoding and a point of it: ``seq``/``rseq`` enumerate lazily, in
     lexicographic order and its reverse; ``rand`` (a uniform shuffle) and
     ``None`` (every piece, for full and pure enumeration) enumerate up
-    front.  A piece's single-point test runs once, when it is included,
-    at that point; ``found`` holds every nonempty encoding seen, from
-    ``pending`` or a deviation.  Every LP runs within ``deadline``, which
-    the set's ``PieceRows`` holds.
+    front, and ``pieces`` keeps that list for ``include_extremes`` and
+    ``enter``.  A piece's single-point test runs once, when it is
+    included, at that point; ``found`` holds every nonempty encoding
+    seen, from ``pending`` or a deviation.  Every LP runs within
+    ``deadline``, which the set's ``PieceRows`` holds.
     """
 
     def __init__(
@@ -313,11 +317,11 @@ class LeaderPieces:
             self.pending = iter_encodings(self.rows, int(order == "rseq"))
             self.found: set[tuple[int, ...]] = set()
         else:
-            pieces = enumerate_pieces(self.rows)
+            self.pieces = enumerate_pieces(self.rows)
             if order == "rand":
-                rng.shuffle(pieces)
-            self.pending = iter(pieces)
-            self.found = {encoding for encoding, _ in pieces}
+                rng.shuffle(self.pieces)
+            self.pending = iter(self.pieces)
+            self.found = {encoding for encoding, _ in self.pieces}
 
     def _fresh(self) -> tuple[tuple[int, ...], np.ndarray] | None:
         """The next pending piece that is not included yet."""
@@ -359,19 +363,78 @@ class LeaderPieces:
     def hull(self) -> HullFormulation:
         return balas_hull(self.rows, self.encodings, self.points)
 
+    # -- pricing over the pieces enumerated up front ----------------------
+    @cached_property
+    def piece_points(self) -> np.ndarray:
+        """The enumeration's point of every piece, one row each."""
+        return np.array([x for _, x in self.pieces])
+
+    @cached_property
+    def pricing(self) -> RangedLp:
+        """The relaxation as one LP, kept for the whole solve: ``enter``
+        moves it to a piece and sets its objective."""
+        return self.rows.ranged(np.zeros(self.rows.set.n))
+
+    def include_extremes(self, rows) -> None:
+        """Include the pieces whose points are smallest and largest along
+        each of ``rows`` (one per column of the set)."""
+        values = np.asarray(rows @ self.piece_points.T).reshape(-1, len(self.pieces))
+        for j in np.column_stack([values.argmin(axis=1), values.argmax(axis=1)]).ravel():
+            encoding, x = self.pieces[j]
+            if encoding not in self.included:
+                self._include(encoding, x)
+
+    def enter(self, w: np.ndarray, bound: float) -> tuple[float, np.ndarray] | None:
+        """Include a piece not yet included on which min w.x falls below
+        ``bound``; w.x and x at the point of the piece that showed it
+        (-inf and the enumeration's point on an unbounded piece), or None
+        if no piece has one.
+
+        The pieces' points are tested first, by one product.  Only when
+        none beats the bound does one LP per piece run (min w.x over it,
+        on ``pricing``), in ascending order of the points' values, up to
+        the first piece that beats it.
+        """
+        left = [j for j, (enc, _) in enumerate(self.pieces) if enc not in self.included]
+        if not left:
+            return None
+        values = self.piece_points[left] @ w
+        order = np.argsort(values, kind="stable")
+        if values[order[0]] < bound:
+            j = left[order[0]]
+            self._include(*self.pieces[j])
+            return float(values[order[0]]), self.pieces[j][1]
+        self.pricing.set_objective(w)
+        for t in order:
+            j = left[t]
+            self.pricing.move_to(*self.rows.pin_bounds(enumerate(self.pieces[j][0])))
+            status, x, value = self.pricing.solve()
+            if status is LpStatus.UNBOUNDED:
+                value, x = -np.inf, self.pieces[j][1]
+            if status is not LpStatus.INFEASIBLE and value < bound:
+                self._include(*self.pieces[j])
+                return value, x
+        return None
+
 
 def _start(game, order, k, deadline, selections, rng: Lcg | None = None) -> bool:
     """Append each leader's selection to ``selections`` as it is built (a
     budget cut keeps the counts reached), then extend each by ``k``
-    pieces; False, extending none, when a leader's set is empty."""
+    pieces; False, extending none, when a leader's set is empty.  With
+    every piece enumerated up front in order (``order`` None), a leader
+    also takes the pieces whose points are extreme along each clearing
+    row, so that a restricted market can clear."""
     for i, leader in enumerate(game.leaders):
         split = None if rng is None else rng.split(i)
         selections.append(LeaderPieces(leader_feasible_set(leader), order, deadline, split))
     deadline.check()
     if any(sel.exhausted for sel in selections):
         return False
-    for sel in selections:
+    for i, sel in enumerate(selections):
         sel.extend(k)
+        if order is None and game.n_market:
+            offset = game.ambient_offset(i)
+            sel.include_extremes(game.clearing[:, offset : offset + game.ambients[i]])
     return True
 
 
@@ -420,13 +483,102 @@ def _enumeration(
         return _report(game, selections, deadline, None, "TimeLimit")
 
 
+def _grow(game, budget, order, k, price, fallback, rng: Lcg | None = None) -> SolveReport:
+    """Column generation over the leaders' pieces (Dantzig and Wolfe, 1960).
+
+    Each leader starts from ``k`` pieces in ``order`` (``_start``).  Every
+    iteration solves the hull game over the included pieces.  ``price``
+    then takes its profile, includes per leader a piece on which the
+    leader does better than it plays, and returns per leader what it
+    found, or None; a profile on which every leader finds nothing is
+    returned.  A restricted game with no equilibrium extends every leader
+    by ``fallback`` pieces, and once every piece is in, shows that none
+    exists.
+    """
+    deadline = Deadline(budget)
+    trace: list[dict] = []
+    selections: list[LeaderPieces] = []
+    try:
+        if not _start(game, order, k, deadline, selections, rng):
+            return _report(game, selections, deadline, None)
+        while True:
+            deadline.check()
+            profile = _restricted_equilibrium(game, selections, deadline)
+            found = None if profile is None else price(game, selections, profile, deadline)
+            trace.append({"restricted": profile, "deviations": found})
+            if profile is None:
+                if all(sel.exhausted for sel in selections):
+                    return _report(
+                        game, selections, deadline, None, iterations=len(trace), trace=trace
+                    )
+                for sel in selections:
+                    sel.extend(fallback)
+            elif all(f is None for f in found):
+                return _report(
+                    game, selections, deadline, profile, iterations=len(trace), trace=trace
+                )
+    except TimeLimitReached:
+        return _report(
+            game, selections, deadline, None, "TimeLimit", len(trace) + 1, trace
+        )
+
+
+def _scan(game, selections, profile, deadline) -> list[Deviation | None]:
+    """Full enumeration's pricing: per leader, include a piece with a
+    point that beats the leader's play by more than ``DEVIATION_TOL``
+    (``LeaderPieces.enter``), and return it as a deviation to that point."""
+    means = profile.means()
+    out: list[Deviation | None] = []
+    for i, sel in enumerate(selections):
+        w = game.rival_objective(i, means, profile.market)
+        played = float(w @ means[i])
+        entered = sel.enter(w, played - DEVIATION_TOL)
+        out.append(
+            None
+            if entered is None
+            else Deviation(leader=i, improvement=played - entered[0], point=entered[1])
+        )
+    return out
+
+
+def _deviations(game, selections, profile, deadline) -> list[Deviation | None]:
+    """The inner approximation's pricing: ``deviation_check`` against the
+    true sets, and per profitable deviation the piece containing its
+    point, or else the leader's next pending piece."""
+    sets = [sel.rows.set for sel in selections]
+    devs = deviation_check(game, profile, sets=sets, deadline=deadline)
+    added = False
+    for dev in devs:
+        if dev is None or dev.point is None:
+            continue
+        sel = selections[dev.leader]
+        if sel.add(_piece_encoding_at(sets[dev.leader], dev.point)) or sel.extend(1):
+            added = True
+    if not added and any(d is not None for d in devs):
+        raise NumericalFailure("deviation found but no piece left to add; tolerances disagree")
+    return devs
+
+
 def full_enumeration(
     game: MultiLeaderGame,
     selection: np.ndarray | None = None,
     budget: float | None = None,
 ) -> SolveReport:
-    """Mixed equilibrium by complete piece enumeration and hull lifting."""
-    return _enumeration(game, selection, budget, pure=False)
+    """Mixed equilibrium by complete piece enumeration and hull lifting.
+
+    Every piece of every leader is enumerated, but the hull game over
+    all of them is solved by column generation (``_grow``): each leader
+    starts from its first piece and the pieces extreme along the clearing
+    rows, and after each restricted game every leader prices every piece
+    left out, by its point and else by one LP over it.  A profile no
+    piece beats by more than ``DEVIATION_TOL`` is an equilibrium of the
+    hull game over every piece.  A restricted game with no equilibrium
+    takes every piece at once, so a ``NoEquilibrium`` is the one-shot
+    hull game's.  With a ``selection`` the one-shot hull game is solved.
+    """
+    if selection is not None:
+        return _enumeration(game, selection, budget, pure=False)
+    return _grow(game, budget, None, 1, _scan, math.inf)
 
 
 def pure_enumeration(
@@ -465,60 +617,11 @@ def inner_approximation(
     the true sets is returned; a profitable deviation adds a piece
     containing the deviating point; a restricted game with no
     equilibrium extends every leader by k pieces.  Once every piece is
-    in, the iteration coincides with full enumeration.
+    in, the iteration coincides with full enumeration.  The loop is full
+    enumeration's (``_grow``), priced by ``deviation_check``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown extension strategy {strategy!r}")
-    deadline = Deadline(budget)
-    trace: list[dict] = []
-    selections: list[LeaderPieces] = []
-
-    try:
-        if not _start(game, strategy, k, deadline, selections, Lcg(seed)):
-            return _report(game, selections, deadline, None)
-        sets = [sel.rows.set for sel in selections]
-
-        iterations = 0
-        while True:
-            iterations += 1
-            deadline.check()
-            profile = _restricted_equilibrium(game, selections, deadline)
-
-            if profile is None:
-                if all(sel.exhausted for sel in selections):
-                    trace.append({"restricted": None, "deviations": None})
-                    return _report(
-                        game, selections, deadline, None, iterations=iterations, trace=trace
-                    )
-                for sel in selections:
-                    sel.extend(k)
-                trace.append({"restricted": None, "deviations": None})
-                continue
-
-            devs = deviation_check(game, profile, sets=sets, deadline=deadline)
-            trace.append({"restricted": profile, "deviations": devs})
-            if all(d is None for d in devs):
-                return _report(
-                    game, selections, deadline, profile, iterations=iterations, trace=trace
-                )
-
-            added = False
-            for dev in devs:
-                if dev is None or dev.point is None:
-                    continue
-                i = dev.leader
-                enc = _piece_encoding_at(sets[i], dev.point)
-                if selections[i].add(enc):
-                    added = True
-                elif selections[i].extend(1):
-                    added = True
-            if not added:
-                raise NumericalFailure(
-                    "deviation found but no piece left to add; tolerances disagree"
-                )
-    except TimeLimitReached:
-        return _report(
-            game, selections, deadline, None, "TimeLimit", len(trace) + 1, trace
-        )
+    return _grow(game, budget, strategy, k, _deviations, k, Lcg(seed))

@@ -486,8 +486,13 @@ class Triplets:
         """Add ``block`` (dense or sparse) with its corner at (row0, col0)."""
         if 0 in block.shape:
             return
-        coo = sp.coo_matrix(block)
-        self.add(coo.row + row0, coo.col + col0, coo.data)
+        if sp.issparse(block):
+            coo = block.tocoo()
+            self.add(coo.row + row0, coo.col + col0, coo.data)
+        else:
+            block = np.asarray(block)
+            rows, cols = np.nonzero(block)
+            self.add(rows + row0, cols + col0, block[rows, cols])
 
     def csr(self, shape) -> sp.csr_matrix:
         """The matrix, duplicates summed and explicit zeros dropped."""
@@ -611,6 +616,7 @@ def optimize_over_set(
     deadline: Deadline | None = None,
     binaries: tuple[BinaryVar, ...] = (),
     gap: np.ndarray | None = None,
+    bound: float = np.inf,
 ) -> LpOutcome:
     """Global min of c @ x over the set by disjunctive branch-and-bound.
 
@@ -634,6 +640,11 @@ def optimize_over_set(
     sum_i (x_{c_i} + z_i), then at most once more under the
     linearization of sum_i x_{c_i} z_i at that optimum; every other node
     is one LP, under the linearization at its parent's point.
+
+    With an objective, ``bound`` is the search's first incumbent value: a
+    node whose relaxation value reaches it is pruned, so the search finds
+    the minimum only where it lies below ``bound`` and is ``INFEASIBLE``
+    otherwise.
     """
     c = np.asarray(c, dtype=float)
     if len(c) != s.n:
@@ -698,7 +709,7 @@ def optimize_over_set(
             score[[i for i, _ in pins]] = -np.inf
         return score
 
-    best_val = np.inf
+    best_val = bound
     best_pt: np.ndarray | None = None
 
     # Node = (pair pins, binary pins, point): the pins as immutable

@@ -24,6 +24,7 @@ from epecnash.energy import build_game
 from epecnash.generators import GenConfig, gen_energy
 from epecnash.generators import (
     SubsetSumInterval,
+    gen_mne_hardness,
     gen_pne_hardness,
     matching_pennies_game,
     random_trivial_game,
@@ -234,7 +235,8 @@ class TestFullEnumeration:
     def test_budget_holds_on_a_large_hull_game(self, seed):
         # without a budget, the pure search on C2F8 seed 0 takes about 3 s
         # and on seed 1 about 13 s, from about 0.6 s in on the hull game's
-        # KKT system (full, one planner LP, takes about 1.2 s on either)
+        # KKT system (full, column generation over restricted planner LPs,
+        # takes about 0.3 s on either)
         game = build_game(gen_energy(GenConfig(seed=seed, countries=2, followers=(8, 8))))
         budget = (1.0, 0.6)[seed]
         t0 = time.perf_counter()
@@ -268,6 +270,129 @@ class TestFullEnumeration:
         assert rep.status in ("MNE", "PNE")
         assert rep.pieces_per_leader == (96, 440)
         assert deviation_check(game, rep.profile) == [None, None]
+
+
+LADDER = [(2, 4), (2, 6), (2, 8), (3, 4), (3, 6)]
+
+
+def _recording_solves(monkeypatch) -> list[RangedLp]:
+    """The model of every ``RangedLp.solve`` call from here on."""
+    solved = []
+    solve = RangedLp.solve
+
+    def recorded(lp, *args, **kwargs):
+        solved.append(lp)
+        return solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(RangedLp, "solve", recorded)
+    return solved
+
+
+def _recording_hulls(monkeypatch) -> list[int]:
+    """The piece count of every hull the solver lifts from here on."""
+    sizes = []
+
+    def recorded(rows, encodings, points):
+        sizes.append(len(encodings))
+        return balas_hull(rows, encodings, points)
+
+    monkeypatch.setattr(algorithms, "balas_hull", recorded)
+    return sizes
+
+
+class TestColumnGeneration:
+    @pytest.mark.parametrize("countries, followers", LADDER)
+    def test_ladder_profiles_are_certified_and_match_the_one_shot_hull_game(
+        self, countries, followers
+    ):
+        for seed in range(3):
+            game = build_game(
+                gen_energy(GenConfig(seed=seed, countries=countries, followers=(followers,) * 2))
+            )
+            rep = full_enumeration(game)
+            one_shot = algorithms._enumeration(game, None, None, pure=False)
+            assert rep.status == one_shot.status and rep.status in ("MNE", "PNE")
+            assert rep.pieces_per_leader == one_shot.pieces_per_leader
+            assert rep.objective_values == pytest.approx(
+                one_shot.objective_values, rel=1e-6, abs=1e-9
+            )
+            assert deviation_check(game, rep.profile) == [None] * countries
+
+    def test_a_piece_whose_point_beats_the_bound_enters_without_an_lp(self, monkeypatch):
+        # split interval pieces: (0, 1) is xi in [1, 5], (1, 0) is xi in
+        # [-5, -1]; min xi there is below 0 already at the piece's point
+        sel = LeaderPieces(split_interval_set(), None, Deadline())
+        sel.extend(1)
+        solved = _recording_solves(monkeypatch)
+        value, point = sel.enter(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+        assert value == point[0] <= -1.0
+        assert sel.encodings == [(0, 1), (1, 0)]
+        # only the entering piece's singleton test solves an LP
+        assert "pricing" not in vars(sel) and all(lp is sel.rows.cone for lp in solved)
+
+    def test_the_lp_scan_finds_a_piece_whose_point_does_not_beat_the_bound(self, monkeypatch):
+        sel = LeaderPieces(split_interval_set(), None, Deadline())
+        sel.extend(1)
+        w = np.array([-1.0, 0.0, 0.0, 0.0])  # max xi: 1 at xi = -1 on (1, 0)
+        assert sel.pieces[1][1] @ w == pytest.approx(5.0)  # its point: xi = -5
+        solved = _recording_solves(monkeypatch)
+        value, point = sel.enter(w, 3.0)
+        assert value == pytest.approx(1.0) and point[0] == pytest.approx(-1.0)
+        assert sel.encodings == [(0, 1), (1, 0)]
+        assert solved.count(sel.pricing) == 1
+
+    def test_the_scan_finds_nothing_when_no_piece_beats_the_bound(self, monkeypatch):
+        sel = LeaderPieces(split_interval_set(), None, Deadline())
+        sel.extend(1)
+        solved = _recording_solves(monkeypatch)
+        assert sel.enter(np.array([-1.0, 0.0, 0.0, 0.0]), 0.5) is None
+        assert sel.encodings == [(0, 1)]
+        assert solved == [sel.pricing]  # the one piece left out, by its LP
+        sel.extend()
+        assert sel.enter(np.array([1.0, 0.0, 0.0, 0.0]), 100.0) is None  # nothing left out
+
+    def test_the_start_takes_the_pieces_extreme_along_the_clearing_row(self):
+        # C2F8 seed 0: with only each leader's first piece the restricted
+        # market cannot clear; with the extreme pieces it can
+        game = _energy_game(0, 8)
+        deadline = Deadline()
+        selections = []
+        assert algorithms._start(game, None, 1, deadline, selections)
+        clearing = np.asarray(game.clearing)
+        for i, sel in enumerate(selections):
+            offset = game.ambient_offset(i)
+            along = clearing[:, offset : offset + game.ambients[i]]
+            values = [along @ x for _, x in sel.pieces]
+            expected = {sel.pieces[0][0]}
+            for r in range(game.n_market):
+                row = [v[r] for v in values]
+                expected |= {sel.pieces[int(np.argmin(row))][0], sel.pieces[int(np.argmax(row))][0]}
+            assert set(sel.encodings) == expected and len(sel.encodings) == len(expected) > 1
+        assert algorithms._restricted_equilibrium(game, selections, deadline) is not None
+        first_only = [LeaderPieces(sel.rows.set, None, deadline) for sel in selections]
+        for sel in first_only:
+            sel.extend(1)
+        assert algorithms._restricted_equilibrium(game, first_only, deadline) is None
+
+    def test_no_equilibrium_comes_from_the_hull_game_over_every_piece(self, monkeypatch):
+        game = gen_mne_hardness(SubsetSumInterval(q=(1, 2), p=1, t=3, r=1))
+        sizes = _recording_hulls(monkeypatch)
+        rep = full_enumeration(game)
+        assert rep.status == "NoEquilibrium"
+        # the first restricted game without equilibrium takes every piece,
+        # and that hull game has none either
+        empty = [t["restricted"] is None for t in rep.trace]
+        assert empty.index(True) == len(empty) - 2 and empty[-1]
+        assert sizes[-len(game.leaders) :] == list(rep.pieces_per_leader)
+        assert sizes[0] < rep.pieces_per_leader[0]
+
+    def test_pieces_per_leader_counts_every_enumerated_piece(self, monkeypatch):
+        game = _energy_game(0, 8)
+        sizes = _recording_hulls(monkeypatch)
+        rep = full_enumeration(game)
+        assert rep.status == "PNE"
+        assert rep.pieces_per_leader == (12, 720)
+        assert max(sizes) < 720
 
 
 def _interval_hull() -> HullFormulation:
@@ -549,8 +674,8 @@ class TestPureEnumeration:
         assert all(c > 0 for c in rep.pieces_per_leader)
 
     # RangedLp.solve calls of whole solves (enumeration, singleton tests,
-    # branch-and-bound or the planner LP and, for inner, deviation
-    # checks).  HiGHS runs with threads=1 and random_seed=0, so a count is
+    # branch-and-bound or planner LPs, and the pricing of full and inner:
+    # the scan's piece LPs or the deviation checks).  HiGHS runs with threads=1 and random_seed=0, so a count is
     # fixed for one HiGHS build; these were measured on SciPy 1.17.1.
     PINNED_SCIPY = "1.17.1"
     # the solve behind a pin, by the last word of its name; any other
@@ -578,28 +703,24 @@ class TestPureEnumeration:
             ),
             # optimization mode with binaries
             ("C2F2s0-select", lambda: _energy_game(0, 2), "PNE", 39),
-            # enumeration, singleton tests and one planner LP
+            # enumeration, the singleton tests of the 4 pieces that enter the
+            # hulls, one restricted planner LP and a pricing LP for each of
+            # the 66 pieces left out (the same count as one singleton test
+            # per piece and one planner LP over every piece)
             ("C2F6s1-full", lambda: _energy_game(1, 6), "MNE", 327),
             # deviation best responses
             ("C2F6s1-rseq", lambda: _energy_game(1, 6), "MNE", 196),
         ],
     )
     def test_lp_solve_count_is_pinned(self, monkeypatch, name, game, status, solves):
-        count = [0]
-        solve = RangedLp.solve
-
-        def counted(lp, *args, **kwargs):
-            count[0] += 1
-            return solve(lp, *args, **kwargs)
-
         game = game()  # generating an instance solves LPs of its own
         run = self.PINNED_RUNS.get(name.rsplit("-", 1)[-1], pure_enumeration)
-        monkeypatch.setattr(RangedLp, "solve", counted)
+        solved = _recording_solves(monkeypatch)
         assert run(game).status == status
         if scipy.__version__ == self.PINNED_SCIPY:
-            assert count[0] == solves
+            assert len(solved) == solves
         else:  # another HiGHS build pivots differently; only the answer is fixed
-            assert count[0] > 0
+            assert len(solved) > 0
 
     def test_matching_pennies_has_no_pure_equilibrium(self):
         assert pure_enumeration(matching_pennies_game()).status == "NoEquilibrium"

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from epecnash.algorithms import _assemble_hull_game
 from epecnash.energy import build_game
 from epecnash.generators import (
     GenConfig,
@@ -20,6 +21,7 @@ from epecnash.generators import (
 from epecnash.hotlp import RangedLp
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
+from epecnash.nashgame import kkt_system, planner_lp
 from epecnash.polyhedra import (
     BinaryVar,
     ComplementaritySet,
@@ -29,6 +31,7 @@ from epecnash.polyhedra import (
     PieceRows,
     TimeLimitReached,
     TooManyComplementarities,
+    Triplets,
     _sides,
     balas_hull,
     contains,
@@ -355,6 +358,47 @@ def _hull_min(hull, c_agg):
     c[hull.agg_slice] = c_agg
     out = solve_lp(LinearProgram(c, hull.a, np.zeros(hull.a.shape[0]), a_eq=hull.a_eq, b_eq=hull.b_eq))
     return out
+
+
+class TestTriplets:
+    @staticmethod
+    def _coo_put(out, block, row0, col0):
+        """``Triplets.put`` by way of SciPy's ``coo_matrix``: the reference
+        the direct route is checked against."""
+        if 0 in block.shape:
+            return
+        coo = sp.coo_matrix(block)
+        out.add(coo.row + row0, coo.col + col0, coo.data)
+
+    @staticmethod
+    def _matrices(countries, followers):
+        """Every matrix that ``Triplets.put`` builds for one ladder rung,
+        seeds 0-2: the leader sets, and the KKT system and planner LP of
+        the hull game over every piece."""
+        out = []
+        pieces = iter(_ladder(countries, followers))
+        for seed in range(3):
+            cfg = GenConfig(seed=seed, countries=countries, followers=(followers, followers))
+            game = build_game(gen_energy(cfg))
+            hulls = []
+            for leader in game.leaders:
+                s = leader_feasible_set(leader)
+                out += [s.a, s.a_eq, s.m_mat]
+                _, encodings, _ = next(pieces)
+                hulls.append(balas_hull(PieceRows(s), encodings, [None] * len(encodings)))
+            hull_game = _assemble_hull_game(game, hulls).game
+            kkt, lay = kkt_system(hull_game)
+            out += [kkt.a, kkt.a_eq, kkt.m_mat, planner_lp(hull_game, lay)._a]
+        return out
+
+    @pytest.mark.parametrize("countries, followers", LADDER)
+    def test_direct_put_matches_the_coo_route_bytes(self, monkeypatch, countries, followers):
+        direct = self._matrices(countries, followers)
+        monkeypatch.setattr(Triplets, "put", self._coo_put)
+        reference = self._matrices(countries, followers)
+        assert len(direct) == len(reference)
+        for i, (got, want) in enumerate(zip(direct, reference)):
+            assert _same_bytes(got, want), i
 
 
 class TestBalasHull:
@@ -689,6 +733,23 @@ class TestOptimizeOverSet:
         out = optimize_over_set(s, c)
         assert out.status is LpStatus.OPTIMAL
         assert out.point[0] == pytest.approx(-5.0, abs=1e-7)
+
+    def test_a_bound_finds_the_minimum_below_it_and_nothing_else(self):
+        checked = 0
+        for seed in range(12):
+            s = random_comp_set(9100 + seed)
+            rng = Lcg(9200 + seed)
+            c = np.array([rng.uniform(-1, 1) for _ in range(s.n)])
+            free = optimize_over_set(s, c)
+            if free.status is not LpStatus.OPTIMAL:
+                continue
+            below = optimize_over_set(s, c, bound=free.value + 1e-3)
+            assert below.status is LpStatus.OPTIMAL
+            assert below.value == pytest.approx(free.value, abs=1e-9)
+            for bound in (free.value, free.value - 1e-3):
+                assert optimize_over_set(s, c, bound=bound).status is LpStatus.INFEASIBLE
+            checked += 1
+        assert checked >= 8
 
     def test_box_min(self):
         out = optimize_over_set(box_set(0.0, 1.0), np.array([1.0]))
