@@ -313,6 +313,7 @@ class LeaderPieces:
         self.encodings: list[tuple[int, ...]] = []
         self.points: list[np.ndarray | None] = []
         self._next: tuple[tuple[int, ...], np.ndarray] | None = None
+        self.duals: list[np.ndarray] = []  # of the LP scans' optima, for ``enter``
         if order in ("seq", "rseq"):
             self.pending = iter_encodings(self.rows, int(order == "rseq"))
             self.found: set[tuple[int, ...]] = set()
@@ -370,10 +371,26 @@ class LeaderPieces:
         return np.array([x for _, x in self.pieces])
 
     @cached_property
+    def piece_ones(self) -> np.ndarray:
+        """Per piece, the bitmask of the pairs its encoding pins at side 1."""
+        bits = np.array([e for e, _ in self.pieces], dtype=np.int64)
+        return bits.reshape(len(self.pieces), -1) @ (1 << np.arange(self.rows.num_pairs))
+
+    @cached_property
     def pricing(self) -> RangedLp:
         """The relaxation as one LP, kept for the whole solve: ``enter``
         moves it to a piece and sets its objective."""
         return self.rows.ranged(np.zeros(self.rows.set.n))
+
+    def _certified(self, y: np.ndarray, w: np.ndarray, bound: float) -> np.ndarray:
+        """Per piece, whether the row duals y prove min w.x >= ``bound``
+        over it (``PieceRows.certificate``)."""
+        cert = self.rows.certificate(y, w)
+        if cert is None or cert[2] < bound:
+            return np.zeros(len(self.pieces), dtype=bool)
+        need1, need0, _ = cert
+        ones = self.piece_ones
+        return (ones & need1 == need1) & (ones & need0 == 0)
 
     def include_extremes(self, rows) -> None:
         """Include the pieces whose points are smallest and largest along
@@ -391,9 +408,13 @@ class LeaderPieces:
         if no piece has one.
 
         The pieces' points are tested first, by one product.  Only when
-        none beats the bound does one LP per piece run (min w.x over it,
-        on ``pricing``), in ascending order of the points' values, up to
-        the first piece that beats it.
+        none beats the bound does the LP scan run, in ascending order of
+        the points' values, up to the first piece that beats it: min w.x
+        over a piece on ``pricing``, unless row duals already prove it at
+        least the bound (weak duality, ``PieceRows.certificate``).  The row
+        duals of every scan LP that does not beat the bound cover each
+        piece with the pins they need, in this scan and, under their new
+        w, in every later one.
         """
         left = [j for j, (enc, _) in enumerate(self.pieces) if enc not in self.included]
         if not left:
@@ -405,8 +426,13 @@ class LeaderPieces:
             self._include(*self.pieces[j])
             return float(values[order[0]]), self.pieces[j][1]
         self.pricing.set_objective(w)
+        skip = np.zeros(len(self.pieces), dtype=bool)
+        for y in self.duals:
+            skip |= self._certified(y, w, bound)
         for t in order:
             j = left[t]
+            if skip[j]:
+                continue
             self.pricing.move_to(*self.rows.pin_bounds(enumerate(self.pieces[j][0])))
             status, x, value = self.pricing.solve()
             if status is LpStatus.UNBOUNDED:
@@ -414,6 +440,9 @@ class LeaderPieces:
             if status is not LpStatus.INFEASIBLE and value < bound:
                 self._include(*self.pieces[j])
                 return value, x
+            if status is LpStatus.OPTIMAL:
+                self.duals.append(self.pricing.row_duals())
+                skip |= self._certified(self.duals[-1], w, bound)
         return None
 
 
@@ -570,7 +599,9 @@ def full_enumeration(
     all of them is solved by column generation (``_grow``): each leader
     starts from its first piece and the pieces extreme along the clearing
     rows, and after each restricted game every leader prices every piece
-    left out, by its point and else by one LP over it.  A profile no
+    left out, by its point and else by an LP over it, unless the row
+    duals of an earlier scan LP already prove the piece no better
+    (``LeaderPieces.enter``).  A profile no
     piece beats by more than ``DEVIATION_TOL`` is an equilibrium of the
     hull game over every piece.  A restricted game with no equilibrium
     takes every piece at once, so a ``NoEquilibrium`` is the one-shot

@@ -5,7 +5,8 @@ base relaxation only in row/column *bounds* (a pinned complementarity
 side fixes its column at 0 or turns its pair row into an equation; a
 branched convex weight turns into a fixed column).  Moving between nodes edits only the bounds
 that differ, and warm-started re-solves are orders of magnitude cheaper
-than rebuilding the LP per node.
+than rebuilding the LP per node.  A solve also leaves its certificates:
+the row duals of an optimum and the dual ray of an infeasible node.
 
 Imports the HiGHS bindings vendored with SciPy 1.15 and later
 unconditionally: with an older SciPy, importing this module (and so
@@ -159,6 +160,17 @@ class RangedLp:
         if not solution.dual_valid:
             raise NumericalFailure("incremental LP has no valid row duals")
         return np.array(solution.row_dual)
+
+    def dual_ray(self) -> np.ndarray | None:
+        """HiGHS's dual ray of the last solve, if it ended infeasible: row
+        multipliers y that prove the node empty (Farkas) under one of their
+        two signs.  None when HiGHS has none, or when the bindings cannot
+        read one."""
+        read = getattr(self._h, "getDualRay", None)
+        if read is None:
+            return None
+        status, exists, y = read()
+        return np.array(y) if exists and status != _hc.HighsStatus.kError else None
 
     def feasible_point(self) -> np.ndarray | None:
         """A point of the current node system, or None if it is empty: one

@@ -118,6 +118,11 @@ def is_feasible(s: ComplementaritySet) -> bool:
 _POINT_TOL = 1e-9
 
 
+def _bitmask(flags: np.ndarray) -> int:
+    """The int whose bit i is ``flags[i]``."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 class PieceRows:
     """Every selected polyhedron of one set, as rows of one shared system.
 
@@ -166,6 +171,53 @@ class PieceRows:
             deadline=self.deadline,
         )
 
+    @cached_property
+    def _farkas(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
+        """What ``certificate`` reads, built once per set from ``block``:
+        ``ranged``'s rows ``[a; a_eq; m_mat]`` transposed, their largest
+        absolute entry, the value each row holds where its finite bound or
+        its pin binds, ``[b; b_eq; -q]``, each pair's column, and the free
+        columns."""
+        s, p = self.set, self.num_pairs
+        rows, rhs = self.block
+        keep = np.r_[0 : len(rhs) - 2 * p, len(rhs) - p : len(rhs)]
+        at = np.ascontiguousarray(rows[keep].T)
+        comp = np.array(s.comp, dtype=int)
+        free = np.setdiff1d(np.arange(s.n), comp)
+        return at, float(np.abs(at).max(initial=0.0)), rhs[keep], comp, free
+
+    def certificate(
+        self, y: np.ndarray, w: np.ndarray | None = None
+    ) -> tuple[int, int, float] | None:
+        """What row multipliers y on ``ranged``'s rows prove about min w.x
+        (w = 0 for a dual ray): the pins y needs, as bitmasks of the pairs
+        whose side 1 and whose side 0 must be pinned, and the bound y.rhs
+        that holds on every node with those pins.  None if y needs an
+        infinite bound, or both pins of one pair.
+
+        With d = w - A'y, w.x = d.x + y.(A x), and each term has a finite
+        lower bound where: an ``a`` row has y <= 0; a pair row has y >= 0,
+        or its side-1 pin; a pair's column has d >= 0, or its side-0 pin;
+        a free column has d = 0.  An entry of y below 1e-9 of y's largest
+        counts as 0, and so does an entry of d below 1e-9 of the larger of
+        w's largest and A's largest times y's.
+        """
+        at, a_max, rhs, comp, free = self._farkas
+        size = np.abs(y)
+        y_max = size.max(initial=0.0)
+        y = np.where(size > 1e-9 * y_max, y, 0.0)
+        if y[: self.set.a.shape[0]].max(initial=0.0) > 0:
+            return None
+        d = -(at @ y) if w is None else w - at @ y
+        tol = 1e-9 * max(a_max * y_max, 0.0 if w is None else np.abs(w).max(initial=0.0))
+        if np.abs(d[free]).max(initial=0.0) > tol:
+            return None
+        need0 = _bitmask(d[comp] < -tol)
+        need1 = _bitmask(y[len(y) - self.num_pairs :] < 0)
+        if need0 & need1:
+            return None
+        return need1, need0, float(y @ rhs)
+
     def pin_bounds(self, pins, cols: dict | None = None) -> tuple[dict, dict]:
         """Row and column bounds of ``ranged`` that pin side ``bit`` of each
         ``(pair, bit)``, beside the column bounds ``cols``: side 0 fixes
@@ -186,6 +238,21 @@ class PieceRows:
         self.lp.move_to(*self.pin_bounds(enumerate(prefix)))
         status, x, _ = self.lp.solve()
         return status is not LpStatus.INFEASIBLE, x
+
+    def conflict(self) -> tuple[int, int] | None:
+        """The pins that empty every node having them, read off the dual ray
+        of the last ``witness`` LP, which was infeasible: the ``certificate``
+        masks of the ray, under the sign that makes its Farkas gap y.rhs
+        positive, if that gap exceeds ``FEAS_TOL`` with the ray scaled to a
+        largest entry of 1; else None."""
+        ray = self.lp.dual_ray()
+        if ray is None or not ray.any():
+            return None
+        y = ray / np.abs(ray).max()
+        if y @ self._farkas[2] < 0:
+            y = -y
+        cert = self.certificate(y)
+        return cert[:2] if cert is not None and cert[2] > FEAS_TOL else None
 
     def holds(self, pair: int, bit: int, x: np.ndarray) -> bool:
         """Whether side ``bit`` of ``pair`` is exactly at its pin at x:
@@ -363,22 +430,36 @@ def iter_encodings(
     whose new pin holds exactly at its parent's LP point is feasible
     with that point and runs no LP; a leaf's point is the last LP point
     on its path, which ``PieceRows.single_point`` takes instead of
-    solving ``witness`` again.  Every node ticks the rows' deadline.
+    solving ``witness`` again.  An infeasible LP's dual ray names the
+    pins that empty it (``PieceRows.conflict``), and for the rest of the
+    walk a node that has every pin of such a conflict is pruned with no
+    LP (conflict analysis, Achterberg 2007).  Every node ticks the rows'
+    deadline.
     """
     p = rows.num_pairs
-    stack: list[tuple[tuple[int, ...], np.ndarray | None]] = [((), None)]
+    conflicts: list[tuple[int, int]] = []
+    # node: prefix, its parent's point, and its pins as bitmasks of the
+    # pairs pinned at side 1 and at side 0
+    stack: list[tuple[tuple[int, ...], np.ndarray | None, int, int]] = [((), None, 0, 0)]
     while stack:
-        prefix, x = stack.pop()
+        prefix, x, ones, zeros = stack.pop()
         rows.deadline.tick()
         if x is None or not rows.holds(len(prefix) - 1, prefix[-1], x):
+            if any(n1 & ones == n1 and n0 & zeros == n0 for n1, n0 in conflicts):
+                continue
             feasible, x = rows.witness(prefix)
             if not feasible:
+                if (pins := rows.conflict()) is not None:
+                    conflicts.append(pins)
                 continue
-        if len(prefix) == p:
+        depth = len(prefix)
+        if depth == p:
             yield prefix, x
             continue
-        stack.append((prefix + (1 - first,), x))
-        stack.append((prefix + (first,), x))
+        bit = 1 << depth
+        for side in (1 - first, first):
+            child = (ones | bit, zeros) if side else (ones, zeros | bit)
+            stack.append((prefix + (side,), x, *child))
 
 
 def enumerate_pieces(rows: PieceRows) -> list[tuple[tuple[int, ...], np.ndarray]]:

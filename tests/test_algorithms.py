@@ -34,7 +34,7 @@ from epecnash.leadergame import MultiLeaderGame, StackelbergLeader, leader_feasi
 from epecnash.nashgame import PolyhedralNashGame, QuadraticPlayer, kkt_system
 from epecnash.generators import _abs_gadget_follower
 from epecnash.hotlp import RangedLp
-from epecnash.lp import NumericalFailure
+from epecnash.lp import LpStatus, NumericalFailure
 from epecnash.polyhedra import (
     ComplementaritySet,
     Deadline,
@@ -234,9 +234,9 @@ class TestFullEnumeration:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_budget_holds_on_a_large_hull_game(self, seed):
         # without a budget, the pure search on C2F8 seed 0 takes about 3 s
-        # and on seed 1 about 13 s, from about 0.6 s in on the hull game's
+        # and on seed 1 about 13 s, from about 0.35 s in on the hull game's
         # KKT system (full, column generation over restricted planner LPs,
-        # takes about 0.3 s on either)
+        # takes about 0.15 s on either)
         game = build_game(gen_energy(GenConfig(seed=seed, countries=2, followers=(8, 8))))
         budget = (1.0, 0.6)[seed]
         t0 = time.perf_counter()
@@ -350,6 +350,54 @@ class TestColumnGeneration:
         assert solved == [sel.pricing]  # the one piece left out, by its LP
         sel.extend()
         assert sel.enter(np.array([1.0, 0.0, 0.0, 0.0]), 100.0) is None  # nothing left out
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_piece_the_last_scan_skips_has_its_minimum_at_the_bound(
+        self, monkeypatch, seed
+    ):
+        # C2F8: the last scan of each leader runs the LP of few of the
+        # pieces left out; row duals of those LPs prove the others no better
+        solved = _recording_solves(monkeypatch)
+        scans = {}
+        enter = LeaderPieces.enter
+
+        def recorded(sel, w, bound):
+            left = [e for e, _ in sel.pieces if e not in sel.included]
+            start = len(solved)
+            out = enter(sel, w, bound)
+            lps = sum(lp is vars(sel).get("pricing") for lp in solved[start:])
+            scans[id(sel)] = (sel, w, bound, left, lps, out)
+            return out
+
+        monkeypatch.setattr(LeaderPieces, "enter", recorded)
+        assert full_enumeration(_energy_game(seed, 8)).status in ("MNE", "PNE")
+        assert len(scans) == 2
+        for sel, w, bound, left, lps, out in scans.values():
+            assert out is None and lps < len(left)
+            fresh = sel.rows.ranged(w)
+            for encoding in left:
+                fresh.move_to(*sel.rows.pin_bounds(enumerate(encoding)))
+                status, _, value = fresh.solve()
+                assert status is LpStatus.OPTIMAL and value >= bound
+
+    def test_duals_kept_from_an_earlier_scan_cover_pieces_under_a_new_objective(self):
+        # split interval (xi, chi, mu1, mu2): min -xi over (1, 0), xi in
+        # [-5, -1], is 1 at xi = -1; its row duals prove -xi + mu1 >= 1 on
+        # every piece with pair 0 at side 1, as mu1 >= 0, but nothing about
+        # -xi - mu1, whose bound needs pair 0 at side 0 as well
+        sel = LeaderPieces(split_interval_set(), None, Deadline())
+        sel.extend(1)
+        assert sel.enter(np.array([-1.0, 0.0, 0.0, 0.0]), 0.5) is None
+        assert len(sel.duals) == 1
+        y = sel.duals[0]
+        assert sel._certified(y, np.array([-1.0, 0.0, 1.0, 0.0]), 0.5).tolist() == [False, True]
+        assert sel._certified(y, np.array([-1.0, 0.0, 1.0, 0.0]), 2.0).tolist() == [False, False]
+        assert sel._certified(y, np.array([-1.0, 0.0, -1.0, 0.0]), -10.0).tolist() == [False, False]
+        # y = 0 proves -mu2 >= 0 only where side 0 of pair 1 pins mu2 at 0
+        assert sel._certified(np.zeros(7), np.array([0.0, 0.0, 0.0, -1.0]), -1.0).tolist() == [
+            False,
+            True,
+        ]
 
     def test_the_start_takes_the_pieces_extreme_along_the_clearing_row(self):
         # C2F8 seed 0: with only each leader's first piece the restricted
@@ -662,7 +710,7 @@ class TestPureEnumeration:
         # end the solve through the time limit of a HiGHS run: here the
         # root LP of the pure search on C2F8 s0's hull game, one run of
         # about 1.9 s that starts once the pieces are enumerated and the
-        # KKT system assembled (about 0.6 s in)
+        # KKT system assembled (about 0.35 s in)
         monkeypatch.setattr(Deadline, "check", lambda self: None)
         game = _energy_game(0, 8)
         budget = 1.4
@@ -693,23 +741,23 @@ class TestPureEnumeration:
                 "ss-no",
                 lambda: gen_pne_hardness(SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)),
                 "NoEquilibrium",
-                844,
+                544,
             ),
             (
                 "C2F2s8-first",
                 lambda: build_game(gen_energy(GenConfig(seed=8, countries=2, followers=(2, 2)))),
                 "NoEquilibrium",
-                35,
+                30,
             ),
             # optimization mode with binaries
-            ("C2F2s0-select", lambda: _energy_game(0, 2), "PNE", 39),
-            # enumeration, the singleton tests of the 4 pieces that enter the
-            # hulls, one restricted planner LP and a pricing LP for each of
-            # the 66 pieces left out (the same count as one singleton test
-            # per piece and one planner LP over every piece)
-            ("C2F6s1-full", lambda: _energy_game(1, 6), "MNE", 327),
+            ("C2F2s0-select", lambda: _energy_game(0, 2), "PNE", 36),
+            # enumeration (72 LPs; dual rays prune the rest of the walk), the
+            # singleton tests of the 4 pieces that enter the hulls, one
+            # restricted planner LP, and 20 pricing LPs for the 66 pieces
+            # left out, whose row duals prove the other 46 no better
+            ("C2F6s1-full", lambda: _energy_game(1, 6), "MNE", 97),
             # deviation best responses
-            ("C2F6s1-rseq", lambda: _energy_game(1, 6), "MNE", 196),
+            ("C2F6s1-rseq", lambda: _energy_game(1, 6), "MNE", 184),
         ],
     )
     def test_lp_solve_count_is_pinned(self, monkeypatch, name, game, status, solves):
@@ -721,6 +769,31 @@ class TestPureEnumeration:
             assert len(solved) == solves
         else:  # another HiGHS build pivots differently; only the answer is fixed
             assert len(solved) > 0
+
+    @pytest.mark.parametrize(
+        "game, status, solves",
+        [
+            (
+                lambda: gen_pne_hardness(SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)),
+                "NoEquilibrium",
+                844,
+            ),
+            (lambda: _energy_game(8, 2), "NoEquilibrium", 35),
+        ],
+        ids=("ss-no", "C2F2s8-first"),
+    )
+    def test_without_dual_rays_a_pure_solve_runs_every_walk_lp(
+        self, monkeypatch, game, status, solves
+    ):
+        # bindings that cannot read a dual ray: the walk learns no conflict
+        # and solves the LP of every node whose pin does not hold, as it
+        # did before it read rays (ss-no and C2F2s8-first of the pins above)
+        game = game()
+        monkeypatch.setattr(RangedLp, "dual_ray", lambda self: None)
+        solved = _recording_solves(monkeypatch)
+        assert pure_enumeration(game).status == status
+        if scipy.__version__ == self.PINNED_SCIPY:
+            assert len(solved) == solves
 
     def test_matching_pennies_has_no_pure_equilibrium(self):
         assert pure_enumeration(matching_pennies_game()).status == "NoEquilibrium"

@@ -360,3 +360,20 @@ class TestDuals:
         assert lp.solve()[0] is LpStatus.INFEASIBLE
         with pytest.raises(NumericalFailure):
             lp.row_duals()
+
+    def test_a_dual_ray_proves_an_infeasible_node_empty(self):
+        # x + y <= 1 and x + y >= 3 over x, y >= 0: under one of its two
+        # signs the ray y gives y.A = 0 and a positive Farkas gap
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        lp = RangedLp([0.0, 0.0], a, [-INF, 3.0], [1.0, INF], [0.0, 0.0])
+        assert lp.solve()[0] is LpStatus.INFEASIBLE
+        ray = lp.dual_ray()
+        assert ray is not None and ray @ a == pytest.approx([0.0, 0.0])
+        y = ray if ray[0] < 0 else -ray
+        assert y[1] > 0 and y @ [1.0, 3.0] > 0
+
+    def test_no_dual_ray_without_the_bindings_to_read_it(self):
+        lp = RangedLp([1.0], np.array([[1.0]]), [2.0], [1.0])
+        assert lp.solve()[0] is LpStatus.INFEASIBLE
+        lp._h = object()  # bindings without getDualRay
+        assert lp.dual_ray() is None

@@ -358,10 +358,15 @@ class TestPlanner:
     def test_games_with_a_strategy_coupling_have_none(self, monkeypatch):
         # their leaders meet through each other's strategies, so full
         # enumeration searches their KKT systems
-        def no_duals(lp):
-            raise AssertionError("planner LP solved")
+        planner = nashgame.planner_lp
 
-        monkeypatch.setattr(RangedLp, "row_duals", no_duals)
+        def no_planner(*args):
+            lp = planner(*args)
+            if lp is not None:
+                raise AssertionError("planner LP solved")
+            return lp
+
+        monkeypatch.setattr(nashgame, "planner_lp", no_planner)
         games = (matching_pennies_game(), split_interval_game(), random_trivial_game(20_001))
         for game in games:
             assert _planner_of(_hull_game(game)[0]) is None

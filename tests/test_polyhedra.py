@@ -139,14 +139,18 @@ def _game_sets(game):
     return [leader_feasible_set(l) for l in game.leaders]
 
 
+def _subset_sum_sets():
+    """The leader sets of the pure-bnb workload's subset-sum pair."""
+    designs = (SubsetSumInterval(q=(1,), p=2, t=4, r=1), SubsetSumInterval(q=(1, 2), p=1, t=3, r=1))
+    return [s for d in designs for s in _game_sets(gen_pne_hardness(d))]
+
+
 @functools.cache
 def _pure_bnb():
     """``_with_pieces`` of the sets the pure-bnb workload solves over,
     shared like ``_ladder``."""
     sets = [s for seed in range(10) for s in _energy_sets(seed, 2, 2)]
-    for d in (SubsetSumInterval(q=(1,), p=2, t=4, r=1), SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)):
-        sets += _game_sets(gen_pne_hardness(d))
-    return _with_pieces(sets)
+    return _with_pieces(sets + _subset_sum_sets())
 
 
 def _generator_sets():
@@ -213,6 +217,22 @@ class TestDeadline:
         assert deadline.nodes == 2
 
 
+def _counted_walk(monkeypatch, s, first=0):
+    """The encodings of one walk, its LP count and nodes."""
+    count = [0]
+    solve = RangedLp.solve
+
+    def counted(lp, *args, **kwargs):
+        count[0] += 1
+        return solve(lp, *args, **kwargs)
+
+    deadline = Deadline()
+    with monkeypatch.context() as m:
+        m.setattr(RangedLp, "solve", counted)
+        encodings = [e for e, _ in iter_encodings(PieceRows(s, deadline), first)]
+    return encodings, count[0], deadline.nodes
+
+
 class TestEnumeration:
     def test_no_pairs(self):
         assert _encodings(PieceRows(box_set(0.0, 2.0))) == [()]
@@ -271,33 +291,19 @@ class TestEnumeration:
             enumerate_pieces(PieceRows(s, Deadline(0.0)))
         assert 0 < count[0] < walk
 
-    @staticmethod
-    def _counted_walk(monkeypatch, s):
-        """The encodings of one lexicographic walk, its LP count and nodes."""
-        count = [0]
-        solve = RangedLp.solve
-
-        def counted(lp, *args, **kwargs):
-            count[0] += 1
-            return solve(lp, *args, **kwargs)
-
-        deadline = Deadline()
-        with monkeypatch.context() as m:
-            m.setattr(RangedLp, "solve", counted)
-            encodings = _encodings(PieceRows(s, deadline))
-        return encodings, count[0], deadline.nodes
-
     @pytest.mark.parametrize("countries, followers", LADDER)
     def test_witness_walk_matches_a_walk_that_solves_every_node(
         self, monkeypatch, countries, followers
     ):
         # a child whose pin holds exactly at its parent's point skips its
-        # LP; the walk yields what an LP at every node yields, with fewer LPs
+        # LP; without dual rays (no node pruned by a conflict), the walk
+        # yields what an LP at every node yields, with fewer LPs
         for s in (s for seed in range(3) for s in _energy_sets(seed, countries, followers)):
-            got, lps, nodes = self._counted_walk(monkeypatch, s)
             with monkeypatch.context() as m:
+                m.setattr(RangedLp, "dual_ray", lambda self: None)
+                got, lps, nodes = _counted_walk(monkeypatch, s)
                 m.setattr(PieceRows, "holds", lambda self, pair, bit, x: False)
-                want, every, also_nodes = self._counted_walk(monkeypatch, s)
+                want, every, also_nodes = _counted_walk(monkeypatch, s)
             assert got == want
             assert every == nodes == also_nodes and lps < every
 
@@ -338,8 +344,11 @@ class TestEnumeration:
         assert not rows.holds(0, 1, np.array([1.0 + 1e-12]))
 
     def test_a_pin_that_holds_within_tolerance_runs_its_lp(self, monkeypatch):
+        # without dual rays, so that every node whose pin does not hold
+        # runs its LP
+        monkeypatch.setattr(RangedLp, "dual_ray", lambda self: None)
         s = _energy_sets(0, 2, 4)[0]
-        exact, lps, nodes = self._counted_walk(monkeypatch, s)
+        exact, lps, nodes = _counted_walk(monkeypatch, s)
         assert lps < nodes
         witness = PieceRows.witness
 
@@ -348,9 +357,103 @@ class TestEnumeration:
             return feasible, None if x is None else np.where(x == 0.0, 1e-12, x * (1 + 1e-12))
 
         monkeypatch.setattr(PieceRows, "witness", nudged)
-        got, lps, nodes = self._counted_walk(monkeypatch, s)
+        got, lps, nodes = _counted_walk(monkeypatch, s)
         assert got == exact
         assert lps == nodes
+
+
+def _pins(ones: int, zeros: int, p: int) -> list[tuple[int, int]]:
+    """The (pair, side) pins of a conflict's two bitmasks."""
+    return [(i, 1) for i in range(p) if ones >> i & 1] + [(i, 0) for i in range(p) if zeros >> i & 1]
+
+
+class TestConflicts:
+    @staticmethod
+    def _assert_rays_change_no_piece(monkeypatch, sets) -> tuple[int, int]:
+        """Both walk orders of every set yield, with rays, the encodings of
+        the walk without them; the LP counts with and without, summed."""
+        lps = [0, 0]
+        for s in sets:
+            for first in (0, 1):
+                got, with_rays, _ = _counted_walk(monkeypatch, s, first)
+                with monkeypatch.context() as m:
+                    m.setattr(RangedLp, "dual_ray", lambda self: None)
+                    want, without, _ = _counted_walk(monkeypatch, s, first)
+                assert got == want
+                lps[0] += with_rays
+                lps[1] += without
+        return lps[0], lps[1]
+
+    @pytest.mark.parametrize("countries, followers", LADDER)
+    def test_the_ladder_walks_yield_the_walks_without_rays(
+        self, monkeypatch, countries, followers
+    ):
+        sets = [s for seed in range(6) for s in _energy_sets(seed, countries, followers)]
+        with_rays, without = self._assert_rays_change_no_piece(monkeypatch, sets)
+        assert with_rays < without
+
+    def test_the_small_walks_yield_the_walks_without_rays(self, monkeypatch):
+        sets = [random_comp_set(9000 + seed) for seed in range(30)] + _subset_sum_sets()
+        with_rays, without = self._assert_rays_change_no_piece(monkeypatch, sets)
+        assert with_rays < without
+
+    def test_the_pins_of_each_conflict_alone_empty_the_relaxation(self, monkeypatch):
+        learned = []
+        conflict = PieceRows.conflict
+
+        def recorded(rows):
+            pins = conflict(rows)
+            if pins is not None:
+                learned.append((rows.set, pins))
+            return pins
+
+        monkeypatch.setattr(PieceRows, "conflict", recorded)
+        sets = _energy_sets(0, 2, 8) + _energy_sets(1, 3, 6) + _subset_sum_sets()
+        sets += [random_comp_set(9000 + seed) for seed in range(30)]
+        for s in sets:
+            for first in (0, 1):
+                list(iter_encodings(PieceRows(s), first))
+        assert len(learned) > 100
+        for s, (ones, zeros) in learned:
+            rows = PieceRows(s)
+            rows.lp.move_to(*rows.pin_bounds(_pins(ones, zeros, s.num_pairs)))
+            assert rows.lp.solve()[0] is LpStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_ray_is_read_with_either_sign(self, monkeypatch, sign):
+        # {0 <= x perp x + 1 >= 0} with side 1 pinned: x + 1 == 0 and x >= 0
+        rows = PieceRows(scalar_set(1.0, 1.0))
+        assert not rows.witness((1,))[0]
+        ray = rows.lp.dual_ray()
+        assert ray is not None and ray.any()
+        monkeypatch.setattr(RangedLp, "dual_ray", lambda self: sign * ray)
+        assert rows.conflict() == (1, 0)
+        # the multiplier -1 on the pair row proves 0 >= 1 under the pin; +1
+        # proves only 0 >= -1, under the other side's pin
+        assert rows.certificate(np.array([-1.0])) == (1, 0, 1.0)
+        assert rows.certificate(np.array([1.0])) == (0, 1, -1.0)
+
+    def test_a_feasible_node_leaves_no_conflict(self):
+        rows = PieceRows(scalar_set(1.0, 1.0))
+        assert rows.witness((0,))[0]
+        assert rows.conflict() is None
+
+    def test_multipliers_that_need_an_infinite_bound_prove_nothing(self):
+        # split interval: rows -xi <= 5, xi <= 5, -chi <= 0, mu1 + mu2 <= 1,
+        # -mu1 - mu2 <= -1, then the pair rows chi + xi + 1 >= 0 and
+        # chi - xi + 1 >= 0; xi and chi free, mu1 and mu2 >= 0
+        rows = PieceRows(split_interval_set())
+        e = np.eye(7)
+        # xi >= -5 from the row -xi <= 5 ...
+        assert rows.certificate(-e[0], np.array([1.0, 0.0, 0.0, 0.0])) == (0, 0, -5.0)
+        # ... but a positive multiplier on it needs the row's lower bound
+        assert rows.certificate(e[0], np.array([-1.0, 0.0, 0.0, 0.0])) is None
+        # a reduced cost on the free xi needs one of its bounds
+        assert rows.certificate(np.zeros(7), np.array([1.0, 0.0, 0.0, 0.0])) is None
+        # -xi - chi + mu1 >= 1 where side 1 of pair 0 is pinned ...
+        assert rows.certificate(-e[5], np.array([-1.0, -1.0, 1.0, 0.0])) == (1, 0, 1.0)
+        # ... and with the cost of mu1 negative it needs side 0 too
+        assert rows.certificate(-e[5], np.array([-1.0, -1.0, -1.0, 0.0])) is None
 
 
 def _hull_min(hull, c_agg):
