@@ -1,11 +1,15 @@
 """Equilibrium algorithms for games among Stackelberg leaders.
 
 Three entry points over one pipeline: each leader's pieces enter its
-hull through one ``LeaderPieces`` selection, and one step assembles,
-solves and decodes the hull game.  ``find_pne`` solves a hull game
-whose leaders meet only through the market price (every energy game)
-as one planner LP, unless binaries or a selection criterion ask for
-its KKT search.
+hull through one ``LeaderPieces`` selection, and one step solves and
+decodes the hull game.  When the leaders meet only through the market
+price (every energy game), that game's equilibria are the optimal
+primal-dual pairs of one planner LP.  ``full`` and ``inner`` grow their
+hulls a few pieces at a time, so they keep that LP for the whole solve
+as a ``RestrictedPlanner`` and add each included piece's columns and
+rows in place.  The one-shot hull game (``pure``, ``full`` with a
+selection) and any game whose leaders meet through each other's
+strategies are lifted, assembled and solved by ``find_pne``.
 
 ``full_enumeration``
     Enumerate every polyhedral piece of every leader's feasible set,
@@ -25,7 +29,8 @@ its KKT search.
     pieces in a configurable order when the restricted game has no
     equilibrium; its terminal iteration coincides with full enumeration.
     It runs full enumeration's loop (``_grow``) with another pricing
-    step and fallback.
+    step and fallback; each leader's best responses search one
+    relaxation model kept for the whole solve.
 
 ``pure_enumeration``
     Same hull game as full enumeration, but the convex weights are
@@ -37,21 +42,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
 
-from .hotlp import RangedLp
+from .hotlp import INF, RangedLp
 from .leadergame import MultiLeaderGame, leader_feasible_set
 from .lp import LpStatus, NumericalFailure
-from .nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne
+from .nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne, strategy_coupling
 from .polyhedra import (
     BinaryVar,
     ComplementaritySet,
     Deadline,
     HullFormulation,
+    HullLayout,
     PieceRows,
     TimeLimitReached,
     Triplets,
@@ -60,6 +66,7 @@ from .polyhedra import (
     enumerate_pieces,
     iter_encodings,
     optimize_over_set,
+    piece_block,
 )
 from .rng import Lcg
 from .tolerances import DELTA_MIN, DEVIATION_TOL, FEAS_TOL, REPORT_TOL
@@ -120,9 +127,7 @@ class SolveReport:
     trace: tuple = ()
 
 
-def decompose_mixed(
-    lifted: np.ndarray, hull: HullFormulation
-) -> list[tuple[np.ndarray, float]]:
+def decompose_mixed(lifted: np.ndarray, hull: HullLayout) -> list[tuple[np.ndarray, float]]:
     """Convex-combination support implied by a lifted hull point.
 
     Each copy block with weight above the dust threshold contributes
@@ -229,6 +234,7 @@ def deviation_check(
     profile: MixedProfile,
     sets: list[ComplementaritySet] | None = None,
     deadline: Deadline | None = None,
+    models: list[RangedLp] | None = None,
 ) -> list[Deviation | None]:
     """Per-leader best response against the true feasible set.
 
@@ -239,6 +245,9 @@ def deviation_check(
     deviation and carries its ray.  The search looks only below the
     played value minus ``DEVIATION_TOL``, so it prunes every node that
     cannot hold a deviation, and finding nothing there means none.
+    ``models`` gives, per leader, a relaxation model of its set that the
+    caller keeps across checks (``LeaderPieces.pricing``); each search
+    runs on it, warm, instead of building one.
     """
     if sets is None:
         sets = [leader_feasible_set(l) for l in game.leaders]
@@ -247,7 +256,13 @@ def deviation_check(
     for i in range(len(game.leaders)):
         obj = game.rival_objective(i, means, profile.market)
         played = float(obj @ means[i])
-        br = optimize_over_set(sets[i], obj, deadline=deadline, bound=played - DEVIATION_TOL)
+        br = optimize_over_set(
+            sets[i],
+            obj,
+            deadline=deadline,
+            bound=played - DEVIATION_TOL,
+            model=None if models is None else models[i],
+        )
         if br.status is LpStatus.UNBOUNDED:
             out.append(Deviation(leader=i, improvement=np.inf, point=br.point, ray=br.ray))
         elif br.status is LpStatus.OPTIMAL and (gain := played - br.value) > DEVIATION_TOL:
@@ -379,7 +394,8 @@ class LeaderPieces:
     @cached_property
     def pricing(self) -> RangedLp:
         """The relaxation as one LP, kept for the whole solve: ``enter``
-        moves it to a piece and sets its objective."""
+        moves it to a piece and sets its objective, and the inner
+        approximation's best responses (``deviation_check``) search on it."""
         return self.rows.ranged(np.zeros(self.rows.set.n))
 
     def _certified(self, y: np.ndarray, w: np.ndarray, bound: float) -> np.ndarray:
@@ -467,15 +483,27 @@ def _start(game, order, k, deadline, selections, rng: Lcg | None = None) -> bool
     return True
 
 
+def _decode(lifted, hulls, selections, market, pure=False) -> MixedProfile:
+    """The profile of a solved hull game: per leader its lifted point and
+    hull layout.  With ``pure`` each aggregate is the leader's single
+    point.  Otherwise an aggregate in the true set is played purely, and
+    any other is split into its hull support."""
+    supports = []
+    for point, hull, sel in zip(lifted, hulls, selections):
+        agg = point[hull.agg_slice]
+        if pure or contains(sel.rows.set, agg, FEAS_TOL):
+            supports.append(((agg, 1.0),))
+        else:
+            supports.append(tuple(decompose_mixed(point, hull)))
+    return MixedProfile(supports=tuple(supports), market=market)
+
+
 def _restricted_equilibrium(
     game, selections, deadline, criterion=None, pure=False
 ) -> MixedProfile | None:
-    """An equilibrium of the hull game over the included pieces, or None.
-
-    With ``pure`` the hull weights are binary and each aggregate is read
-    as the leader's single point.  Otherwise an aggregate in the true
-    set is played purely, and any other is split into its hull support.
-    """
+    """An equilibrium of the hull game over the included pieces, or None:
+    the hulls lifted, assembled and solved once (``find_pne``).  With
+    ``pure`` the hull weights are binary."""
     hulls = [sel.hull() for sel in selections]
     deadline.check()
     asm = _assemble_hull_game(game, hulls)
@@ -487,14 +515,171 @@ def _restricted_equilibrium(
     )
     if not res.found:
         return None
-    supports = []
-    for lifted, hull, sel in zip(res.strategies(), hulls, selections):
-        agg = lifted[hull.agg_slice]
-        if pure or contains(sel.rows.set, agg, FEAS_TOL):
-            supports.append(((agg, 1.0),))
-        else:
-            supports.append(tuple(decompose_mixed(lifted, hull)))
-    return MixedProfile(supports=tuple(supports), market=res.market())
+    return _decode(res.strategies(), hulls, selections, res.market(), pure)
+
+
+def _meets_at_the_price(game: MultiLeaderGame) -> bool:
+    """Whether the leaders meet only through the market price:
+    ``strategy_coupling`` of the game's leaders as linear players gives
+    K = 0, so its hull games have a planner LP."""
+    players = tuple(
+        QuadraticPlayer(c=c, a=np.zeros((0, len(c))), b=np.zeros(0), coupling=k)
+        for c, k in zip(game.objectives, game.couplings)
+    )
+    strat = strategy_coupling(PolyhedralNashGame(players=players, clearing=game.clearing))
+    return strat is not None and not strat.count_nonzero()
+
+
+@dataclass
+class _GrownHull:
+    """One leader's part of a ``RestrictedPlanner``: its ``HullLayout``
+    data, where the master keeps each lifted column, and where the
+    one-shot hull's rows lie in it (piece rows in hull order)."""
+
+    x_cols: np.ndarray
+    points: list = field(default_factory=list)
+    copy_cols: list = field(default_factory=list)
+    copy_start: list = field(default_factory=list)
+    copy_vars: int = 0
+    copy_idx: list = field(default_factory=list)  # master columns of each copy, fat order
+    delta_idx: list = field(default_factory=list)  # master column of each delta
+    ineq_rows: list = field(default_factory=list)  # master rows of each batch's Balas <= rows
+    eq_rows: list = field(default_factory=list)  # and of its Balas equalities
+
+    def layout(self) -> HullLayout:
+        return HullLayout(
+            n=len(self.x_cols),
+            k=len(self.points),
+            points=tuple(self.points),
+            copy_cols=tuple(self.copy_cols),
+            copy_start=tuple(self.copy_start),
+            num_copies=sum(pt is None for pt in self.points),
+            copy_vars=self.copy_vars,
+        )
+
+    @property
+    def lifted_cols(self) -> np.ndarray:
+        """Master column of each column of the leader's lifted hull."""
+        return np.concatenate(self.copy_idx + [np.array(self.delta_idx, dtype=int), self.x_cols])
+
+
+class RestrictedPlanner:
+    """The planner LP of the hull game over the included pieces, kept for
+    the whole solve and grown in place: the restricted master of column
+    generation (Dantzig and Wolfe, 1960) for a game whose leaders meet
+    only through the market price.
+
+    Columns: every leader's aggregate x_i, then each piece as it is
+    included: its kept copy columns and its weight delta in [0, inf), or,
+    for a single point, the weight alone.  Rows: each leader's aggregation
+    rows sum copies + sum_j delta_j v_j - x_i = 0 and its convexity row
+    sum delta = 1, the clearing rows over the aggregates, then each fat
+    piece's Balas rows (``piece_block``).  The objective is each leader's
+    own, on its aggregate.  A new piece's columns and rows leave the last
+    basis primal feasible, so each solve runs primal simplex from it.
+    """
+
+    def __init__(self, game: MultiLeaderGame, selections, deadline: Deadline):
+        self.game = game
+        self.selections = selections
+        n, n_l, n_mkt = game.total_ambient, len(game.leaders), game.n_market
+        self.hulls = [
+            _GrownHull(x_cols=game.ambient_offset(i) + np.arange(amb))
+            for i, amb in enumerate(game.ambients)
+        ]
+        blocks = [-sp.identity(n, format="csr"), sp.csr_matrix((n_l, n))]
+        if n_mkt:
+            blocks.append(sp.csr_matrix(game.clearing))
+        rhs = np.concatenate([np.zeros(n), np.ones(n_l), np.zeros(n_mkt)])
+        self.clearing_rows = n + n_l + np.arange(n_mkt)
+        self.lp = RangedLp(
+            np.concatenate(game.objectives),
+            sp.vstack(blocks, format="csr"),
+            rhs,
+            rhs,
+            deadline=deadline,
+            primal=True,
+        )
+
+    def include(self, i: int, rows: PieceRows, encodings, points) -> None:
+        """Add pieces of leader i, with their single points or None."""
+        hull, lp = self.hulls[i], self.lp
+        fat = [j for j, pt in enumerate(points) if pt is None]
+        solid = [j for j, pt in enumerate(points) if pt is not None]
+        blk = piece_block(rows, [encodings[j] for j in fat])
+        n0, m0 = lp.n, lp.m
+        copies = blk.copy_vars
+        width = copies + len(fat) + len(solid)
+        # new columns: the copies and the fat pieces' deltas as ``blk``
+        # lays them out, then the points' deltas.  Their entries in the
+        # rows the master has: a copy column in its aggregation row, a
+        # delta in the convexity row, and a point's delta in the
+        # aggregation rows, as v_j
+        delta = np.empty(len(points), dtype=int)
+        delta[fat] = n0 + copies + np.arange(len(fat))
+        delta[solid] = n0 + copies + len(fat) + np.arange(len(solid))
+        _, amb = np.nonzero(blk.kept)
+        values = [points[j] for j in solid]
+        nonzero = [np.flatnonzero(v) for v in values]
+        lp.add_cols(
+            np.zeros(width),
+            np.concatenate([np.full(copies, -INF), np.zeros(width - copies)]),
+            np.full(width, INF),
+            (
+                np.concatenate(
+                    [hull.x_cols[amb], np.full(width - copies, self.game.total_ambient + i)]
+                    + [hull.x_cols[z] for z in nonzero]
+                ),
+                np.concatenate(
+                    [np.arange(width)]
+                    + [np.full(len(z), delta[j] - n0) for j, z in zip(solid, nonzero)]
+                ),
+                np.concatenate([np.ones(width)] + [v[z] for v, z in zip(values, nonzero)]),
+            ),
+        )
+        r, col, v, n_ineq = blk.ineq
+        r_eq, col_eq, v_eq, n_eq = blk.eq
+        lp.add_rows(
+            np.concatenate([np.full(n_ineq, -INF), np.zeros(n_eq)]),
+            np.zeros(n_ineq + n_eq),
+            (
+                np.concatenate([r, n_ineq + r_eq]),
+                n0 + np.concatenate([col, col_eq]),
+                np.concatenate([v, v_eq]),
+            ),
+        )
+        hull.ineq_rows.append(m0 + np.arange(n_ineq))
+        hull.eq_rows.append(m0 + n_ineq + np.arange(n_eq))
+        starts = blk.starts
+        copy_of = dict(zip(fat, range(len(fat))))
+        for j, pt in enumerate(points):
+            f = copy_of.get(j)
+            hull.points.append(pt)
+            hull.delta_idx.append(int(delta[j]))
+            hull.copy_cols.append(None if f is None else np.flatnonzero(blk.kept[f]))
+            hull.copy_start.append(-1 if f is None else hull.copy_vars + int(starts[f]))
+            if f is not None:
+                hull.copy_idx.append(n0 + starts[f] + np.arange(len(hull.copy_cols[-1])))
+        hull.copy_vars += copies
+
+    def equilibrium(self, deadline: Deadline) -> MixedProfile | None:
+        """Include what each leader included since the last solve, solve
+        warm, and decode; None when the master is infeasible or unbounded."""
+        for i, sel in enumerate(self.selections):
+            k = len(self.hulls[i].points)
+            if len(sel.encodings) > k:
+                self.include(i, sel.rows, sel.encodings[k:], sel.points[k:])
+        deadline.check()
+        status, x, _ = self.lp.solve()
+        if status is not LpStatus.OPTIMAL:
+            return None
+        market = -self.lp.row_duals()[self.clearing_rows]
+        return _decode(
+            [x[h.lifted_cols] for h in self.hulls],
+            [h.layout() for h in self.hulls],
+            self.selections,
+            market,
+        )
 
 
 def _enumeration(
@@ -523,6 +708,12 @@ def _grow(game, budget, order, k, price, fallback, rng: Lcg | None = None) -> So
     returned.  A restricted game with no equilibrium extends every leader
     by ``fallback`` pieces, and once every piece is in, shows that none
     exists.
+
+    When the leaders meet only through the market price, the restricted
+    game is one ``RestrictedPlanner`` kept for the whole solve: each
+    iteration adds the pieces included since the last one and re-solves
+    warm.  Any other restricted game is lifted, assembled and searched
+    anew (``_restricted_equilibrium``).
     """
     deadline = Deadline(budget)
     trace: list[dict] = []
@@ -530,9 +721,13 @@ def _grow(game, budget, order, k, price, fallback, rng: Lcg | None = None) -> So
     try:
         if not _start(game, order, k, deadline, selections, rng):
             return _report(game, selections, deadline, None)
+        if _meets_at_the_price(game):
+            restricted = RestrictedPlanner(game, selections, deadline).equilibrium
+        else:
+            restricted = partial(_restricted_equilibrium, game, selections)
         while True:
             deadline.check()
-            profile = _restricted_equilibrium(game, selections, deadline)
+            profile = restricted(deadline)
             found = None if profile is None else price(game, selections, profile, deadline)
             trace.append({"restricted": profile, "deviations": found})
             if profile is None:
@@ -572,10 +767,12 @@ def _scan(game, selections, profile, deadline) -> list[Deviation | None]:
 
 def _deviations(game, selections, profile, deadline) -> list[Deviation | None]:
     """The inner approximation's pricing: ``deviation_check`` against the
-    true sets, and per profitable deviation the piece containing its
-    point, or else the leader's next pending piece."""
+    true sets, each leader's search on its kept ``pricing`` model, and per
+    profitable deviation the piece containing its point, or else the
+    leader's next pending piece."""
     sets = [sel.rows.set for sel in selections]
-    devs = deviation_check(game, profile, sets=sets, deadline=deadline)
+    models = [sel.pricing for sel in selections]
+    devs = deviation_check(game, profile, sets=sets, deadline=deadline, models=models)
     added = False
     for dev in devs:
         if dev is None or dev.point is None:
@@ -649,7 +846,8 @@ def inner_approximation(
     containing the deviating point; a restricted game with no
     equilibrium extends every leader by k pieces.  Once every piece is
     in, the iteration coincides with full enumeration.  The loop is full
-    enumeration's (``_grow``), priced by ``deviation_check``.
+    enumeration's (``_grow``), priced by ``deviation_check`` on each
+    leader's kept ``pricing`` model.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -5,8 +5,10 @@ base relaxation only in row/column *bounds* (a pinned complementarity
 side fixes its column at 0 or turns its pair row into an equation; a
 branched convex weight turns into a fixed column).  Moving between nodes edits only the bounds
 that differ, and warm-started re-solves are orders of magnitude cheaper
-than rebuilding the LP per node.  A solve also leaves its certificates:
-the row duals of an optimum and the dual ray of an infeasible node.
+than rebuilding the LP per node.  A model can also grow: columns and rows
+added in place keep the basis, so a restricted master that takes new
+pieces re-solves warm.  A solve also leaves its certificates: the row
+duals of an optimum and the dual ray of an infeasible node.
 
 Imports the HiGHS bindings vendored with SciPy 1.15 and later
 unconditionally: with an older SciPy, importing this module (and so
@@ -34,6 +36,21 @@ _RETRY = (
 )
 
 _PRIMAL_SIMPLEX = 4  # HiGHS ``simplex_strategy`` value
+_ERROR = _hc.HighsStatus.kError
+
+
+def _compressed(major, minor, values, count: int):
+    """Triplets as HiGHS takes added rows or columns: the start of each of
+    ``count`` major indices, then the minor index and value of each entry,
+    grouped by major index."""
+    order = np.argsort(major, kind="stable")
+    counts = np.bincount(major, minlength=count)
+    starts = np.cumsum(counts) - counts
+    return (
+        starts.astype(np.int32),
+        np.asarray(minor)[order].astype(np.int32),
+        np.asarray(values, float)[order],
+    )
 
 
 class RangedLp:
@@ -48,6 +65,7 @@ class RangedLp:
         self.n = len(objective)
         self.m = a.shape[0]
         self._a = sp.csr_matrix(a)
+        self._added: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # entries not in _a yet
         self._base_row = (np.asarray(row_lo, float).copy(), np.asarray(row_hi, float).copy())
         self._base_col = (
             np.full(self.n, -INF) if col_lo is None else np.asarray(col_lo, float).copy(),
@@ -75,8 +93,48 @@ class RangedLp:
         self._h.setOptionValue("random_seed", 0)
         if primal:
             self._h.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
-        if self._h.passModel(lp) == _hc.HighsStatus.kError:
+        if self._h.passModel(lp) == _ERROR:
             raise NumericalFailure("could not build incremental LP")
+
+    # -- growth --------------------------------------------------------
+    def add_cols(self, cost, col_lo, col_hi, entries) -> None:
+        """Append ``len(cost)`` columns.  ``entries`` are their (row,
+        column, value) triplets in the rows the model has, columns counted
+        from the first new one.  The basis is kept, the new columns
+        nonbasic."""
+        k = len(cost)
+        starts, index, value = _compressed(entries[1], entries[0], entries[2], k)
+        if self._h.addCols(k, cost, col_lo, col_hi, len(value), starts, index, value) == _ERROR:
+            raise NumericalFailure("could not add columns to the incremental LP")
+        self._added.append((entries[0], entries[1] + self.n, entries[2]))
+        self._objective = np.concatenate([self._objective, cost])
+        self._base_col = tuple(np.concatenate(b) for b in zip(self._base_col, (col_lo, col_hi)))
+        self.n += k
+
+    def add_rows(self, row_lo, row_hi, entries) -> None:
+        """Append ``len(row_lo)`` rows.  ``entries`` are their (row, column,
+        value) triplets, rows counted from the first new one, over every
+        column of the model.  The basis is kept, the new rows basic."""
+        k = len(row_lo)
+        starts, index, value = _compressed(entries[0], entries[1], entries[2], k)
+        if self._h.addRows(k, row_lo, row_hi, len(value), starts, index, value) == _ERROR:
+            raise NumericalFailure("could not add rows to the incremental LP")
+        self._added.append((entries[0] + self.m, entries[1], entries[2]))
+        self._base_row = tuple(np.concatenate(b) for b in zip(self._base_row, (row_lo, row_hi)))
+        self.m += k
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The constraint matrix, grown columns and rows included."""
+        if self._added:
+            rows, cols, vals = map(np.concatenate, zip(*self._added))
+            a = self._a.tocoo()
+            self._a = sp.csr_matrix(
+                (np.r_[a.data, vals], (np.r_[a.row, rows], np.r_[a.col, cols])),
+                shape=(self.m, self.n),
+            )
+            self._added = []
+        return self._a
 
     # -- node edits ----------------------------------------------------
     def move_to(self, rows: dict, cols: dict | None = None) -> None:
@@ -205,7 +263,7 @@ class RangedLp:
         (row_lo, row_hi), (col_lo, col_hi) = bounds
         cone = RangedLp(
             self._objective,
-            self._a,
+            self.matrix,
             row_lo,
             row_hi,
             np.maximum(col_lo, -1.0),

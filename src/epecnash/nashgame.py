@@ -177,7 +177,8 @@ def kkt_system(g: PolyhedralNashGame) -> tuple[ComplementaritySet, KktLayout]:
         if p.q is not None and np.any(p.q):
             eq.put(p.q, top, lay.var_slices[i].start)
         if p.coupling is not None:
-            coup = sp.csr_matrix(p.coupling)
+            # a dense coupling is sliced as it is; a sparse one as CSR
+            coup = sp.csr_matrix(p.coupling) if sp.issparse(p.coupling) else p.coupling
             eq.put(coup[:, : g.strategy_dim], top, strat0)
             if g.n_market:
                 eq.put(coup[:, g.strategy_dim :], top, lay.market_slice.start)
@@ -336,7 +337,9 @@ def find_pne(
     HiGHS's duals are d(optimum)/d(bound)) make a point of
     ``kkt_system(g)``, and an infeasible or unbounded LP leaves the KKT
     system empty.  Any other game is searched on its KKT system, under
-    its ``duality_gap`` where it has one.
+    its ``duality_gap`` where it has one.  The solvers that grow a hull
+    game piece by piece keep its planner LP instead and grow it in place
+    (``algorithms.RestrictedPlanner``); this is the one-shot form.
     """
     if g.n_param:
         raise LpError("cannot solve a game that still has free parameters")

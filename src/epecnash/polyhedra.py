@@ -493,29 +493,16 @@ def contains(s: ComplementaritySet, x: np.ndarray, tol: float = FEAS_TOL) -> boo
 
 
 @dataclass(frozen=True)
-class HullFormulation:
-    """Balas lift of cl conv of a finite union of nonempty polyhedra.
+class HullLayout:
+    """Where a Balas lift of k pieces keeps each piece's columns.
 
-    Variables are laid out ``[copies of fat pieces | delta (k) | x (n)]``
-    with rows
-
-        A^i x^i <= delta_i b^i,  A_eq^i x^i = delta_i b_eq^i  (fat pieces),
-        delta >= 0,
-        sum_w x^w + sum_j delta_j v_j = x,   sum_w delta_w = 1,
-
-    the inequalities as ``a v <= 0`` and the equalities in ``a_eq``/
-    ``b_eq``.  A piece that is a single point v_j needs no copy block:
-    its Balas system ``A x <= delta b`` forces exactly ``x = delta v_j``,
-    so it enters the aggregation row directly.  A copy leaves out every
-    column that a one-entry equality row with right-hand side 0 fixes at
-    0 (with the row), so ``copy_cols[i]`` lists the ambient columns it
-    keeps.  Any point of piece i is recovered with delta the i-th unit
-    vector.
+    Variables are laid out ``[copies of fat pieces | delta (k) | x (n)]``.
+    A piece that is a single point v_j has no copy block: it enters the
+    aggregation row as delta_j v_j.  A copy leaves out every column that a
+    one-entry equality row with right-hand side 0 fixes at 0, so
+    ``copy_cols[i]`` lists the ambient columns it keeps.
     """
 
-    a: object
-    a_eq: object
-    b_eq: np.ndarray
     n: int
     k: int
     points: tuple  # per piece: its single point, or None if fat
@@ -550,6 +537,26 @@ class HullFormulation:
         point = np.zeros(self.n)
         point[self.copy_cols[i]] = np.asarray(lifted[self.copy_slice(i)]) / w
         return point
+
+
+@dataclass(frozen=True)
+class HullFormulation(HullLayout):
+    """Balas lift of cl conv of a finite union of nonempty polyhedra, laid
+    out as its ``HullLayout``, with rows
+
+        A^i x^i <= delta_i b^i,  A_eq^i x^i = delta_i b_eq^i  (fat pieces),
+        delta >= 0,
+        sum_w x^w + sum_j delta_j v_j = x,   sum_w delta_w = 1,
+
+    the inequalities as ``a v <= 0`` and the equalities in ``a_eq``/
+    ``b_eq``.  A single point v_j needs no copy block: its Balas system
+    ``A x <= delta b`` forces exactly ``x = delta v_j``.  Any point of piece
+    i is recovered with delta the i-th unit vector.
+    """
+
+    a: object
+    a_eq: object
+    b_eq: np.ndarray
 
 
 class Triplets:
@@ -587,54 +594,93 @@ class Triplets:
         return out
 
 
+@dataclass(frozen=True)
+class PieceBlock:
+    """The Balas rows of some fat pieces, over local columns: every kept
+    copy column, piece by piece in order, then one delta per piece.
+
+    ``ineq`` holds the rows A^i x^i - b^i delta_i <= 0 and ``eq`` the rows
+    A_eq^i x^i - b_eq^i delta_i = 0, each as (row, column, value) triplets
+    and a row count, the rows of one piece after those of the one before.
+    """
+
+    kept: np.ndarray  # (pieces, n): the ambient columns each copy keeps
+    ineq: tuple[np.ndarray, np.ndarray, np.ndarray, int]
+    eq: tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+    @property
+    def copy_vars(self) -> int:
+        return int(self.kept.sum())
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Each piece's first local copy column."""
+        sizes = self.kept.sum(axis=1)
+        return np.cumsum(sizes) - sizes
+
+
+def piece_block(rows: PieceRows, encodings) -> PieceBlock:
+    """The Balas rows of the fat pieces of ``encodings``, read off
+    ``rows.block`` at once.
+
+    An equality row with one nonzero entry and a right-hand side of 0 pins
+    its column at 0: the column leaves the copy.  A row left with no copy
+    column is dropped where delta_i >= 0 implies it (a pin row is one).
+    """
+    block, rhs = rows.block
+    ineq, sign, eq = rows.piece_rows(encodings)
+    pin_col = np.where(rhs == 0, rows.unit_cols, -1)[eq]
+    kept = np.ones((len(encodings), rows.set.n), dtype=bool)
+    at = np.nonzero(pin_col >= 0)
+    kept[at[0], pin_col[at]] = False
+    # local copy column of each kept (piece, ambient column), -1 where pinned
+    col_map = np.where(kept, np.cumsum(kept).reshape(kept.shape) - 1, -1)
+    d_off = int(kept.sum())
+
+    def copy_rows(idx, signs, implied):
+        vals = signs[:, None] * block[idx]
+        r = signs * rhs[idx]
+        keep = (vals != 0) & kept[:, None, :]
+        live = keep.any(axis=2) | ~implied(r)
+        row_of = np.cumsum(live).reshape(live.shape) - 1
+        f, j, c = np.nonzero(keep)
+        g, i = np.nonzero(live)
+        return (
+            np.concatenate([row_of[f, j], row_of[g, i]]),
+            np.concatenate([col_map[f, c], d_off + g]),
+            np.concatenate([vals[f, j, c], -r[g, i]]),
+            int(live.sum()),
+        )
+
+    return PieceBlock(
+        kept=kept,
+        ineq=copy_rows(ineq, sign, lambda r: r >= 0),
+        eq=copy_rows(eq, np.ones(eq.shape[1]), lambda r: r == 0),
+    )
+
+
 def balas_hull(
     rows: PieceRows, encodings: list[tuple[int, ...]], points: list[np.ndarray | None]
 ) -> HullFormulation:
     """Balas lift of the pieces of ``encodings``; ``points`` gives, per
     piece, its single point (``PieceRows.single_point``) or None.  Every
-    copy block is read off ``rows.block`` at once."""
+    copy block comes from one ``piece_block``."""
     if not encodings:
         raise EmptyPieceList("hull of zero pieces is undefined")
     n = rows.set.n
     k = len(encodings)
     span = np.arange(n)
-    block, rhs = rows.block
     fat = np.array([i for i, pt in enumerate(points) if pt is None], dtype=int)
     solid = np.array([i for i, pt in enumerate(points) if pt is not None], dtype=int)
-    ineq, sign, eq = rows.piece_rows([encodings[i] for i in fat])
-
-    # an equality row with one nonzero entry and a right-hand side of 0
-    # pins its column at 0: the column leaves the copy, whose kept columns
-    # map to consecutive lifted copy columns (-1 where pinned)
-    pin_col = np.where(rhs == 0, rows.unit_cols, -1)[eq]
-    kept = np.ones((len(fat), n), dtype=bool)
-    at = np.nonzero(pin_col >= 0)
-    kept[at[0], pin_col[at]] = False
-    sizes = kept.sum(axis=1)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
-    col_map = np.where(kept, starts[:, None] + np.cumsum(kept, axis=1) - 1, -1)
-    d_off = int(sizes.sum())
+    blk = piece_block(rows, [encodings[i] for i in fat])
+    d_off = blk.copy_vars
     x_off = d_off + k
-
-    def copy_rows(out: Triplets, row0: int, idx, signs, implied) -> int:
-        """Add the rows ``signs * block[idx] x^i - signs * rhs[idx] delta_i``
-        of every fat piece i from ``row0``; their count.  A row left with
-        no copy column is dropped when ``implied(rhs)`` says delta_i >= 0
-        implies it (a pin row is one)."""
-        vals = signs[:, None] * block[idx]
-        r = signs * rhs[idx]
-        keep = (vals != 0) & kept[:, None, :]
-        live = keep.any(axis=2) | ~implied(r)
-        row_of = row0 + np.cumsum(live).reshape(live.shape) - 1
-        f, j, c = np.nonzero(keep)
-        out.add(row_of[f, j], col_map[f, c], vals[f, j, c])
-        f, j = np.nonzero(live)
-        out.add(row_of[f, j], d_off + fat[f], -r[f, j])
-        return int(live.sum())
+    lifted = np.concatenate([np.arange(d_off), d_off + fat])  # local column -> lifted
 
     # inequalities: A^i x^i - b^i delta_i <= 0, then delta >= 0
     ineq_rows = Triplets()
-    top = copy_rows(ineq_rows, 0, ineq, sign, lambda r: r >= 0)
+    r, c, v, top = blk.ineq
+    ineq_rows.add(r, lifted[c], v)
     ineq_rows.add(top + np.arange(k), d_off + np.arange(k), -np.ones(k))
     top += k
     a = ineq_rows.csr((top, x_off + n))
@@ -642,9 +688,10 @@ def balas_hull(
     # equalities: A_eq^i x^i - b_eq^i delta_i = 0, the aggregation
     # sum_w x^w + sum_j delta_j v_j - x = 0, and sum_w delta_w = 1
     eq_rows = Triplets()
-    top = copy_rows(eq_rows, 0, eq, np.ones(eq.shape[1]), lambda r: r == 0)
-    f, c = np.nonzero(kept)
-    eq_rows.add(top + c, col_map[f, c], np.ones(len(c)))
+    r, c, v, top = blk.eq
+    eq_rows.add(r, lifted[c], v)
+    _, c = np.nonzero(blk.kept)
+    eq_rows.add(top + c, np.arange(d_off), np.ones(d_off))
     eq_rows.add(
         top + np.tile(span, len(solid)),
         d_off + np.repeat(solid, n),
@@ -658,9 +705,9 @@ def balas_hull(
     b_eq[-1] = 1.0
     copy_cols: list[np.ndarray | None] = [None] * k
     copy_start = [-1] * k
-    for f, i in enumerate(fat):
-        copy_cols[i] = span[kept[f]]
-        copy_start[i] = int(starts[f])
+    for f, (i, start) in enumerate(zip(fat, blk.starts)):
+        copy_cols[i] = span[blk.kept[f]]
+        copy_start[i] = int(start)
     return HullFormulation(
         a=a,
         a_eq=eq_rows.csr((top, x_off + n)),
@@ -698,6 +745,7 @@ def optimize_over_set(
     binaries: tuple[BinaryVar, ...] = (),
     gap: np.ndarray | None = None,
     bound: float = np.inf,
+    model: RangedLp | None = None,
 ) -> LpOutcome:
     """Global min of c @ x over the set by disjunctive branch-and-bound.
 
@@ -726,6 +774,11 @@ def optimize_over_set(
     node whose relaxation value reaches it is pruned, so the search finds
     the minimum only where it lies below ``bound`` and is ``INFEASIBLE``
     otherwise.
+
+    ``model`` is the set's relaxation as ``PieceRows.ranged`` builds it,
+    kept by the caller across searches: the search sets its objective and
+    bounds and runs on it, warm from wherever the last search left it,
+    instead of building a model of its own.
     """
     c = np.asarray(c, dtype=float)
     if len(c) != s.n:
@@ -748,7 +801,11 @@ def optimize_over_set(
         guide = c
 
     rows = PieceRows(s, deadline)
-    lp = rows.ranged(guide)
+    if model is None:
+        lp = rows.ranged(guide)
+    else:
+        lp = model
+        lp.set_objective(guide)
     m_t = s.m_mat.T
 
     def violated(x: np.ndarray, pins=()) -> int:

@@ -1,5 +1,6 @@
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -31,7 +32,13 @@ from epecnash.generators import (
     split_interval_game,
 )
 from epecnash.leadergame import MultiLeaderGame, StackelbergLeader, leader_feasible_set
-from epecnash.nashgame import PolyhedralNashGame, QuadraticPlayer, kkt_system
+from epecnash.nashgame import (
+    PolyhedralNashGame,
+    QuadraticPlayer,
+    kkt_layout,
+    kkt_system,
+    planner_lp,
+)
 from epecnash.generators import _abs_gadget_follower
 from epecnash.hotlp import RangedLp
 from epecnash.lp import LpStatus, NumericalFailure
@@ -300,6 +307,21 @@ def _recording_hulls(monkeypatch) -> list[int]:
     return sizes
 
 
+def _recording_masters(monkeypatch) -> list[tuple[int, ...]]:
+    """Per leader, the pieces in the restricted planner at each of its
+    solves from here on."""
+    sizes = []
+    equilibrium = algorithms.RestrictedPlanner.equilibrium
+
+    def recorded(master, deadline):
+        out = equilibrium(master, deadline)
+        sizes.append(tuple(len(h.points) for h in master.hulls))
+        return out
+
+    monkeypatch.setattr(algorithms.RestrictedPlanner, "equilibrium", recorded)
+    return sizes
+
+
 class TestColumnGeneration:
     @pytest.mark.parametrize("countries, followers", LADDER)
     def test_ladder_profiles_are_certified_and_match_the_one_shot_hull_game(
@@ -436,11 +458,91 @@ class TestColumnGeneration:
 
     def test_pieces_per_leader_counts_every_enumerated_piece(self, monkeypatch):
         game = _energy_game(0, 8)
-        sizes = _recording_hulls(monkeypatch)
+        sizes = _recording_masters(monkeypatch)
         rep = full_enumeration(game)
         assert rep.status == "PNE"
         assert rep.pieces_per_leader == (12, 720)
-        assert max(sizes) < 720
+        assert max(k for _, k in sizes) < 720
+
+
+def _one_shot(game, sels):
+    """The hull game over the pieces of ``sels``, lifted and assembled
+    once, and its planner LP solved: (game, its KKT layout, status, value)."""
+    asm = _assemble_hull_game(game, [balas_hull(s.rows, s.encodings, s.points) for s in sels])
+    lay = kkt_layout(asm.game)
+    status, _, value = planner_lp(asm.game, lay).solve()
+    return asm.game, lay, status, value
+
+
+class TestRestrictedPlanner:
+    @pytest.mark.parametrize("algorithm", ["full", "inner"])
+    @pytest.mark.parametrize("countries, followers, seed", [(2, 4, 0), (2, 6, 1), (3, 4, 0)])
+    def test_every_restricted_game_is_the_one_shot_planner(
+        self, monkeypatch, algorithm, countries, followers, seed
+    ):
+        # at each solve of the grown master: the one-shot planner LP over the
+        # same pieces has its value, [x; -duals] is a KKT point of the
+        # assembled hull game, and a master grown in reverse order agrees
+        game = build_game(
+            gen_energy(GenConfig(seed=seed, countries=countries, followers=(followers,) * 2))
+        )
+        solved = []
+        equilibrium = algorithms.RestrictedPlanner.equilibrium
+
+        def checked(master, deadline):
+            out = equilibrium(master, deadline)
+            status, x, value = master.lp.solve()  # warm from its optimum: the same point
+            g, lay, one_status, one_value = _one_shot(game, master.selections)
+            assert status is one_status
+            solved.append(status)
+            if status is not LpStatus.OPTIMAL:
+                return out
+            assert value == pytest.approx(one_value, rel=1e-7)
+            y, d = -master.lp.row_duals(), np.array(master.lp._h.getSolution().col_dual)
+            hulls = master.hulls
+            point = np.concatenate(
+                [x[h.lifted_cols] for h in hulls]
+                + [np.concatenate([y[np.concatenate(h.ineq_rows)], d[h.delta_idx]]) for h in hulls]
+                + [
+                    np.concatenate([y[np.concatenate(h.eq_rows)], y[h.x_cols], y[[game.total_ambient + i]]])
+                    for i, h in enumerate(hulls)
+                ]
+                + [y[master.clearing_rows]]
+            )
+            assert contains(kkt_system(g)[0], point, 1e-6)
+            weights = np.concatenate([h.delta_idx for h in hulls])
+            assert (np.array(master.lp._h.getLp().col_lower_)[weights] == 0).all()
+            reverse = algorithms.RestrictedPlanner(
+                game,
+                [
+                    types.SimpleNamespace(rows=s.rows, encodings=s.encodings[::-1], points=s.points[::-1])
+                    for s in master.selections
+                ],
+                Deadline(),
+            )
+            assert equilibrium(reverse, Deadline()) is not None
+            assert reverse.lp.solve()[2] == pytest.approx(value, rel=1e-7)
+            return out
+
+        monkeypatch.setattr(algorithms.RestrictedPlanner, "equilibrium", checked)
+        if algorithm == "full":
+            rep = full_enumeration(game)
+        else:
+            rep = inner_approximation(game, ("seq", "rseq")[seed], 1, seed=0)
+        assert rep.status in ("MNE", "PNE")
+        assert len(solved) == rep.iterations and solved[-1] is LpStatus.OPTIMAL
+
+    def test_games_with_a_strategy_coupling_get_no_master(self, monkeypatch):
+        def no_master(*args):
+            raise AssertionError("restricted planner built")
+
+        monkeypatch.setattr(algorithms, "RestrictedPlanner", no_master)
+        for game in (matching_pennies_game(), split_interval_game(), random_trivial_game(20_001)):
+            assert not algorithms._meets_at_the_price(game)
+            assert full_enumeration(game).status in ("MNE", "PNE", "NoEquilibrium")
+            assert inner_approximation(game).status in ("MNE", "PNE", "NoEquilibrium")
+        assert algorithms._meets_at_the_price(_energy_game(0, 4))
+        assert algorithms._meets_at_the_price(single_leader_game())
 
 
 def _interval_hull() -> HullFormulation:
@@ -670,7 +772,10 @@ class TestInnerApproximation:
         monkeypatch.setattr(
             algorithms,
             "deviation_check",
-            lambda game, profile, sets, deadline: [Deviation(0, 1.0, point=profile.mean(0)), None],
+            lambda game, profile, sets, deadline, models: [
+                Deviation(0, 1.0, point=profile.mean(0)),
+                None,
+            ],
         )
         with pytest.raises(NumericalFailure, match="no piece left"):
             inner_approximation(matching_pennies_game(), "seq", 10, seed=0)
@@ -753,11 +858,12 @@ class TestPureEnumeration:
             ("C2F2s0-select", lambda: _energy_game(0, 2), "PNE", 36),
             # enumeration (72 LPs; dual rays prune the rest of the walk), the
             # singleton tests of the 4 pieces that enter the hulls, one
-            # restricted planner LP, and 20 pricing LPs for the 66 pieces
+            # restricted planner solve, and 20 pricing LPs for the 66 pieces
             # left out, whose row duals prove the other 46 no better
             ("C2F6s1-full", lambda: _energy_game(1, 6), "MNE", 97),
-            # deviation best responses
-            ("C2F6s1-rseq", lambda: _energy_game(1, 6), "MNE", 184),
+            # deviation best responses, each leader's on its kept pricing
+            # model, warm from the last search
+            ("C2F6s1-rseq", lambda: _energy_game(1, 6), "MNE", 178),
         ],
     )
     def test_lp_solve_count_is_pinned(self, monkeypatch, name, game, status, solves):
@@ -769,6 +875,26 @@ class TestPureEnumeration:
             assert len(solved) == solves
         else:  # another HiGHS build pivots differently; only the answer is fixed
             assert len(solved) > 0
+
+    def test_inner_model_builds_are_pinned(self, monkeypatch):
+        # inner C2F6 s1 rseq, 5 iterations: per leader the witness model, the
+        # singleton cone model and the pricing model its best responses
+        # search on, and one restricted planner grown in place (13 builds
+        # when each restricted game and each best response built its own)
+        game = _energy_game(1, 6)
+        builds = []
+        init = RangedLp.__init__
+
+        def counted(lp, *args, **kwargs):
+            builds.append(lp)
+            init(lp, *args, **kwargs)
+
+        monkeypatch.setattr(RangedLp, "__init__", counted)
+        rep = inner_approximation(game, "rseq", 1, seed=0)
+        assert rep.status == "MNE" and rep.iterations == 5
+        assert len(builds) <= 3 * len(game.leaders) + 1
+        if scipy.__version__ == self.PINNED_SCIPY:
+            assert len(builds) == 7
 
     @pytest.mark.parametrize(
         "game, status, solves",

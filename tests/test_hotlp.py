@@ -227,6 +227,71 @@ def _slow_lp(deadline: Deadline | None = None) -> RangedLp:
     )
 
 
+def _random_lp(seed: int, m: int, n: int):
+    """A bounded LP: random rows with finite sides, columns in [-1, 2]."""
+    rng = Lcg(seed)
+    a = np.array([[rng.uniform(-1, 1) if rng.randint(3) else 0.0 for _ in range(n)] for _ in range(m)])
+    lo = np.array([rng.uniform(-3, -1) for _ in range(m)])
+    hi = np.array([rng.uniform(1, 3) for _ in range(m)])
+    c = np.array([rng.uniform(-1, 1) for _ in range(n)])
+    return c, a, lo, hi
+
+
+def _triplets(block: np.ndarray):
+    rows, cols = np.nonzero(block)
+    return rows, cols, block[rows, cols]
+
+
+class TestGrowth:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_grown_model_is_the_model_built_whole(self, seed):
+        # the first 4 columns and 3 rows, then 3 columns, then 4 rows
+        c, a, lo, hi = _random_lp(seed, 7, 7)
+        col_lo, col_hi = np.full(7, -1.0), np.full(7, 2.0)
+        whole = RangedLp(c, a, lo, hi, col_lo, col_hi)
+        grown = RangedLp(c[:4], a[:3, :4], lo[:3], hi[:3], col_lo[:4], col_hi[:4])
+        assert grown.solve()[0] is LpStatus.OPTIMAL
+        grown.add_cols(c[4:], col_lo[4:], col_hi[4:], _triplets(a[:3, 4:]))
+        grown.add_rows(lo[3:], hi[3:], _triplets(a[3:]))
+        assert (grown.m, grown.n) == (7, 7)
+        assert grown.matrix.toarray() == pytest.approx(a)
+        for got, want in zip(_bounds(grown), _bounds(whole)):
+            assert got == pytest.approx(want)
+        status, x, value = grown.solve()
+        assert status is LpStatus.OPTIMAL
+        assert value == pytest.approx(whole.solve()[2], abs=1e-9)
+        # an edit of a grown bound comes back to it
+        grown.move_to({6: (0.0, 0.0)}, {6: (0.0, 0.0)})
+        grown.move_to({})
+        assert _bounds(grown)[0][6] == pytest.approx(lo[6])
+        assert _bounds(grown)[2][6] == pytest.approx(-1.0)
+
+    def test_growth_keeps_the_basis(self):
+        # min -x0 - x1 over x0 + x1 <= 1: a new column that does not pay
+        # and a new row that the optimum meets leave nothing to pivot
+        lp = RangedLp([-1.0, -1.0], np.array([[1.0, 1.0]]), [-INF], [1.0], [0.0, 0.0])
+        assert lp.solve()[2] == pytest.approx(-1.0)
+        lp.add_cols(np.array([1.0]), np.zeros(1), np.full(1, INF), (np.array([0]), np.array([0]), np.array([1.0])))
+        lp.add_rows(np.array([-INF]), np.array([5.0]), (np.array([0]), np.array([2]), np.array([1.0])))
+        status, x, value = lp.solve()
+        assert status is LpStatus.OPTIMAL and value == pytest.approx(-1.0) and x[2] == 0.0
+        assert lp._h.getInfoValue("simplex_iteration_count")[1] == 0
+
+    def test_a_grown_unbounded_model_has_a_ray(self):
+        # min -x1 over x0 >= 0, x1 >= 0 and the grown row x1 - x0 <= 0:
+        # every ray raises x0 with x1, which the cone LP sees only through
+        # the grown rows
+        lp = RangedLp([0.0], np.array([[1.0]]), [0.0], [INF])
+        none = np.zeros(0, dtype=int)
+        lp.add_cols(np.array([-1.0]), np.zeros(1), np.full(1, INF), (none, none, np.zeros(0)))
+        lp.add_rows(
+            np.array([-INF]), np.array([0.0]), (np.array([0, 0]), np.array([0, 1]), np.array([-1.0, 1.0]))
+        )
+        assert lp.solve()[0] is LpStatus.UNBOUNDED
+        d = lp.ray()
+        assert d[1] > 0 and d[0] >= d[1] - 1e-9
+
+
 class TestTimeLimit:
     def test_limit_stops_a_run_midway(self):
         full = _slow_lp()

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from epecnash import nashgame
@@ -213,6 +216,29 @@ def _planner_of(g):
 def _energy(seed, countries, followers):
     cfg = GenConfig(seed=seed, countries=countries, followers=(followers, followers))
     return build_game(gen_energy(cfg))
+
+
+class TestKktAssembly:
+    @pytest.mark.parametrize("countries, followers, seed", [(2, 4, 0), (3, 6, 1)])
+    def test_dense_and_csr_couplings_give_the_same_bytes(self, countries, followers, seed):
+        # the energy followers' couplings are dense rows; the same game with
+        # CSR couplings assembles the same system, byte for byte
+        for leader in _energy(seed, countries, followers).leaders:
+            g = leader.followers
+            assert all(isinstance(p.coupling, np.ndarray) for p in g.players)
+            csr = PolyhedralNashGame(
+                players=tuple(
+                    dataclasses.replace(p, coupling=sp.csr_matrix(p.coupling)) for p in g.players
+                ),
+                n_param=g.n_param,
+            )
+            dense_set, _ = kkt_system(g)
+            csr_set, _ = kkt_system(csr)
+            for m in ("a", "a_eq", "m_mat"):
+                want, got = getattr(dense_set, m), getattr(csr_set, m)
+                assert got.shape == want.shape
+                for part in ("indptr", "indices", "data"):
+                    assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
 class TestDualityGap:

@@ -966,6 +966,20 @@ class TestOptimizeOverSet:
         assert bb.status is LpStatus.OPTIMAL
         assert bb.value == pytest.approx(best, abs=1e-7)
 
+    @given(st.integers(0, 30))
+    def test_a_kept_model_finds_what_fresh_models_find(self, seed):
+        # one relaxation model for several searches, each warm from the last
+        s = random_comp_set(9000 + seed)
+        rng = Lcg(91 + seed)
+        model = PieceRows(s).ranged(np.zeros(s.n))
+        for _ in range(4):
+            c = np.array([round(rng.uniform(-1, 1), 2) for _ in range(s.n)])
+            fresh = optimize_over_set(s, c)
+            kept = optimize_over_set(s, c, model=model)
+            assert kept.status is fresh.status
+            if fresh.status is LpStatus.OPTIMAL:
+                assert kept.value == pytest.approx(fresh.value, abs=1e-7)
+
     @given(st.integers(0, 25))
     def test_piece_union_soundness(self, seed):
         s = random_comp_set(12000 + seed)
