@@ -7,9 +7,12 @@ price (every energy game), that game's equilibria are the optimal
 primal-dual pairs of one planner LP.  ``full`` and ``inner`` grow their
 hulls a few pieces at a time, so they keep that LP for the whole solve
 as a ``RestrictedPlanner`` and add each included piece's columns and
-rows in place.  The one-shot hull game (``pure``, ``full`` with a
-selection) and any game whose leaders meet through each other's
-strategies are lifted, assembled and solved by ``find_pne``.
+rows in place; ``pure`` grows it too, for the planner's optimal value
+and prices, and then searches the leaders' own sets side by side.  The
+one-shot hull game (``full`` with a selection, and ``pure`` on any
+other game) and the restricted games of a game whose leaders meet
+through each other's strategies are lifted, assembled and searched by
+``find_pne``.
 
 ``full_enumeration``
     Enumerate every polyhedral piece of every leader's feasible set,
@@ -33,9 +36,11 @@ strategies are lifted, assembled and solved by ``find_pne``.
     relaxation model kept for the whole solve.
 
 ``pure_enumeration``
-    Same hull game as full enumeration, but the convex weights are
-    branched to {0,1}, so any solution lies in an original piece: a
-    pure equilibrium, or a proof that no pure equilibrium exists.
+    A pure equilibrium, or a proof that none exists.  On a market game:
+    an optimal point of the hull game's planner LP whose every block lies
+    in its leader's true set, found by one search over those sets side
+    by side.  On any other game: the hull game with its convex weights
+    branched to {0,1}, so any solution lies in an original piece.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import scipy.sparse as sp
 
 from .hotlp import INF, RangedLp
 from .leadergame import MultiLeaderGame, leader_feasible_set
-from .lp import LpStatus, NumericalFailure
+from .lp import LpError, LpStatus, NumericalFailure
 from .nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne, strategy_coupling
 from .polyhedra import (
     BinaryVar,
@@ -69,7 +74,7 @@ from .polyhedra import (
     piece_block,
 )
 from .rng import Lcg
-from .tolerances import DELTA_MIN, DEVIATION_TOL, FEAS_TOL, REPORT_TOL
+from .tolerances import DELTA_MIN, DEVIATION_TOL, FEAS_TOL, PLANNER_SLACK, REPORT_TOL
 
 Strategy = Literal["seq", "rseq", "rand"]
 STRATEGIES = ("seq", "rseq", "rand")
@@ -109,13 +114,15 @@ class SolveReport:
     """Outcome of one solve.
 
     ``pieces_per_leader[i]`` is the number of nonempty pieces of leader
-    i's feasible set that the solve found.  ``full``, ``pure`` and
-    ``inner`` with ``rand`` enumerate every piece, so there it is the
-    total; ``inner`` with ``seq``/``rseq`` enumerates lazily and counts
-    the pieces its enumeration reached plus those its deviations added.
-    A ``TimeLimit`` report keeps the counts reached when the budget ran
-    out (0 for a leader whose up-front enumeration had not finished:
-    ``full``, ``pure`` and ``inner`` with ``rand``).
+    i's feasible set that the solve found.  ``full``, ``inner`` with
+    ``rand`` and ``pure`` on a game that is not a market game enumerate
+    every piece, so there it is the total; ``inner`` with ``seq``/``rseq``
+    and ``pure`` on a market game enumerate lazily and count the pieces
+    their enumeration reached plus those their deviations added.  A
+    ``TimeLimit`` report keeps the counts reached when the budget ran out
+    (0 for a leader whose up-front enumeration had not finished).
+    ``iterations`` counts the restricted hull games solved: 1 for a
+    one-shot hull game.
     """
 
     status: Literal["MNE", "PNE", "NoEquilibrium", "TimeLimit"]
@@ -211,11 +218,14 @@ def _assemble_hull_game(game: MultiLeaderGame, hulls: list[HullFormulation]) -> 
     return _Assembly(game=hull_game, lifted_col=lifted_col, binaries=tuple(binaries))
 
 
+def _check_selection(game: MultiLeaderGame, selection) -> None:
+    if selection is not None and len(selection) != game.total_ambient:
+        raise NumericalFailure("selection objective must span all leader blocks")
+
+
 def _embed_selection(asm: _Assembly, game: MultiLeaderGame, selection) -> np.ndarray | None:
     if selection is None:
         return None
-    if len(selection) != game.total_ambient:
-        raise NumericalFailure("selection objective must span all leader blocks")
     c = np.zeros(asm.game.strategy_dim)
     c[asm.lifted_col[: game.total_ambient]] = selection
     return c
@@ -281,12 +291,37 @@ def clearing_residual(game: MultiLeaderGame, profile: MixedProfile) -> float:
     return float(np.max(np.abs(rows), initial=0.0))
 
 
+def _check_clearing(game: MultiLeaderGame, profile: MixedProfile) -> None:
+    """Raise ``NumericalFailure`` if ``profile`` breaks market clearing."""
+    if (residual := clearing_residual(game, profile)) > REPORT_TOL:
+        raise NumericalFailure(f"market clearing violated by {residual:.2e}")
+
+
+def _certified(game, selections, profile: MixedProfile, deadline: Deadline) -> MixedProfile:
+    """``profile``, once ``deviation_check`` finds no leader deviating from
+    it, each leader's search on its kept ``pricing`` model; a deviation
+    raises ``NumericalFailure``."""
+    devs = deviation_check(
+        game,
+        profile,
+        sets=[sel.rows.set for sel in selections],
+        deadline=deadline,
+        models=[sel.pricing for sel in selections],
+    )
+    for dev in devs:
+        if dev is not None:
+            raise NumericalFailure(
+                f"leader {dev.leader} deviates from the profile found by {dev.improvement:.2e}"
+            )
+    return profile
+
+
 def _report(game, selections, deadline, profile, status=None, iterations=1, trace=()):
     """Without ``status``, the one ``profile`` implies; a leader whose
     selection was not built yet counts 0 pieces found.  A profile that
     breaks market clearing raises ``NumericalFailure``."""
-    if profile is not None and (residual := clearing_residual(game, profile)) > REPORT_TOL:
-        raise NumericalFailure(f"market clearing violated by {residual:.2e}")
+    if profile is not None:
+        _check_clearing(game, profile)
     found = [len(sel.found) for sel in selections]
     if status is None:
         status = "NoEquilibrium" if profile is None else "PNE" if profile.is_pure() else "MNE"
@@ -685,19 +720,24 @@ class RestrictedPlanner:
 def _enumeration(
     game: MultiLeaderGame, selection: np.ndarray | None, budget: float | None, pure: bool
 ) -> SolveReport:
-    """The hull game over every piece of every leader, solved once."""
+    """The hull game over every piece of every leader, solved once; an
+    equilibrium found is certified (``_certified``)."""
     deadline = Deadline(budget)
     selections: list[LeaderPieces] = []
     try:
         profile = None
         if _start(game, None, math.inf, deadline, selections):
             profile = _restricted_equilibrium(game, selections, deadline, selection, pure)
+            if profile is not None:
+                profile = _certified(game, selections, profile, deadline)
         return _report(game, selections, deadline, profile)
     except TimeLimitReached:
         return _report(game, selections, deadline, None, "TimeLimit")
 
 
-def _grow(game, budget, order, k, price, fallback, rng: Lcg | None = None) -> SolveReport:
+def _grow(
+    game, budget, order, k, price, fallback, rng: Lcg | None = None, finish=None
+) -> SolveReport:
     """Column generation over the leaders' pieces (Dantzig and Wolfe, 1960).
 
     Each leader starts from ``k`` pieces in ``order`` (``_start``).  Every
@@ -705,15 +745,17 @@ def _grow(game, budget, order, k, price, fallback, rng: Lcg | None = None) -> So
     then takes its profile, includes per leader a piece on which the
     leader does better than it plays, and returns per leader what it
     found, or None; a profile on which every leader finds nothing is
-    returned.  A restricted game with no equilibrium extends every leader
-    by ``fallback`` pieces, and once every piece is in, shows that none
-    exists.
+    returned, or, with ``finish``, what ``finish(game, selections, profile,
+    deadline)`` makes of it (None: no equilibrium).  A restricted game
+    with no equilibrium extends every leader by ``fallback`` pieces, and
+    once every piece is in, shows that none exists.
 
     When the leaders meet only through the market price, the restricted
     game is one ``RestrictedPlanner`` kept for the whole solve: each
     iteration adds the pieces included since the last one and re-solves
     warm.  Any other restricted game is lifted, assembled and searched
-    anew (``_restricted_equilibrium``).
+    anew (``_restricted_equilibrium``).  ``finish`` comes only with a game
+    that its caller has found to be a market game (``pure_enumeration``).
     """
     deadline = Deadline(budget)
     trace: list[dict] = []
@@ -721,7 +763,7 @@ def _grow(game, budget, order, k, price, fallback, rng: Lcg | None = None) -> So
     try:
         if not _start(game, order, k, deadline, selections, rng):
             return _report(game, selections, deadline, None)
-        if _meets_at_the_price(game):
+        if finish is not None or _meets_at_the_price(game):
             restricted = RestrictedPlanner(game, selections, deadline).equilibrium
         else:
             restricted = partial(_restricted_equilibrium, game, selections)
@@ -738,6 +780,8 @@ def _grow(game, budget, order, k, price, fallback, rng: Lcg | None = None) -> So
                 for sel in selections:
                     sel.extend(fallback)
             elif all(f is None for f in found):
+                if finish is not None:
+                    profile = finish(game, selections, profile, deadline)
                 return _report(
                     game, selections, deadline, profile, iterations=len(trace), trace=trace
                 )
@@ -804,6 +848,7 @@ def full_enumeration(
     takes every piece at once, so a ``NoEquilibrium`` is the one-shot
     hull game's.  With a ``selection`` the one-shot hull game is solved.
     """
+    _check_selection(game, selection)
     if selection is not None:
         return _enumeration(game, selection, budget, pure=False)
     return _grow(game, budget, None, 1, _scan, math.inf)
@@ -814,15 +859,100 @@ def pure_enumeration(
     selection: np.ndarray | None = None,
     budget: float | None = None,
 ) -> SolveReport:
-    """Pure equilibrium, or proof that none exists, via binary hull weights.
+    """Pure equilibrium, or proof that none exists.
 
-    The search branches on fractional hull weights before any pair, so
-    it picks each leader's piece first.  At a 0-branch the corresponding
-    piece copy is pinned to zero as well, so recession directions of
-    switched-off unbounded pieces cannot leak into the aggregate: the
-    solution's aggregate block lies in the single active piece.
+    When the leaders meet only through the market price
+    (``_meets_at_the_price``), the hull game's equilibria are the optimal
+    primal-dual pairs of its planner LP, and any optimal point pairs with
+    any optimal dual, so a pure equilibrium is a planner optimum with
+    every block in its leader's true set.  The inner approximation's loop
+    (``seq``, k = 1) solves the hull game, enumerating pieces lazily: a
+    hull game without equilibrium has no pure one either.  Otherwise its
+    profile gives the prices and the planner value OPT = sum_i c_i.mean_i,
+    and ``_pure_equilibrium`` searches the leaders' own sets side by side
+    for a point with c.x <= OPT + ``PLANNER_SLACK`` and certifies it.  The
+    last pricing pass proved min over S_i of w_i.y >= w_i.mean_i -
+    ``DEVIATION_TOL`` at the prices, so by Lagrangian duality the hull
+    game's value lies in [OPT - leaders * ``DEVIATION_TOL``, OPT]: the row
+    cuts off no pure equilibrium.
+
+    Any other game searches its one-shot hull game with binary hull
+    weights.  The search branches on fractional hull weights before any
+    pair, so it picks each leader's piece first.  At a 0-branch the
+    corresponding piece copy is pinned to zero as well, so recession
+    directions of switched-off unbounded pieces cannot leak into the
+    aggregate: the solution's aggregate block lies in the single active
+    piece.  Its equilibrium is certified by ``deviation_check`` too.
     """
-    return _enumeration(game, selection, budget, pure=True)
+    _check_selection(game, selection)
+    if not _meets_at_the_price(game):
+        return _enumeration(game, selection, budget, pure=True)
+    finish = partial(_pure_equilibrium, selection)
+    return _grow(game, budget, "seq", 1, _deviations, 1, finish=finish)
+
+
+def _equilibrium_set(
+    game: MultiLeaderGame, sets, c: np.ndarray, cap: float
+) -> ComplementaritySet:
+    """The leaders' own sets side by side, each on its ambient block, with
+    the clearing rows as equalities and one more row c.x <= cap."""
+    n = game.total_ambient
+    a, a_eq, m_mat = Triplets(), Triplets(), Triplets()
+    b, b_eq, q, comp = [], [], [], []
+    for i, s in enumerate(sets):
+        offset = game.ambient_offset(i)
+        a.put(s.a, sum(map(len, b)), offset)
+        a_eq.put(s.a_eq, sum(map(len, b_eq)), offset)
+        m_mat.put(s.m_mat, len(comp), offset)
+        b.append(np.asarray(s.b, dtype=float))
+        b_eq.append(np.asarray(s.b_eq, dtype=float))
+        q.append(np.asarray(s.q, dtype=float))
+        comp.extend(offset + j for j in s.comp)
+    a.put(c[None, :], sum(map(len, b)), 0)
+    b.append(np.array([cap]))
+    if game.n_market:
+        a_eq.put(game.clearing, sum(map(len, b_eq)), 0)
+        b_eq.append(np.zeros(game.n_market))
+    return ComplementaritySet(
+        a=a.csr((sum(map(len, b)), n)),
+        b=np.concatenate(b),
+        m_mat=m_mat.csr((len(comp), n)),
+        q=np.concatenate(q),
+        comp=tuple(comp),
+        a_eq=a_eq.csr((sum(map(len, b_eq)), n)),
+        b_eq=np.concatenate(b_eq),
+    )
+
+
+def _pure_equilibrium(
+    selection, game, selections, profile: MixedProfile, deadline: Deadline
+) -> MixedProfile | None:
+    """A certified pure equilibrium of a market game at the prices of the
+    hull game's equilibrium ``profile``, or None: one search of
+    ``_equilibrium_set``, under the selection, else under the planner's c
+    with its first incumbent bound just above the row's.  A pure
+    ``profile`` passed the last pricing pass's ``deviation_check``: it is
+    the answer without a selection, and the selected search's first
+    incumbent with one."""
+    known = profile if profile.is_pure() else None
+    if known is not None and selection is None:
+        return known
+    _check_clearing(game, profile)
+    c = np.concatenate(game.objectives)
+    cap = float(c @ np.concatenate(profile.means())) + PLANNER_SLACK
+    s = _equilibrium_set(game, [sel.rows.set for sel in selections], c, cap)
+    if selection is None:
+        found = optimize_over_set(s, c, deadline, bound=cap + PLANNER_SLACK)
+    else:
+        bound = np.inf if known is None else float(selection @ np.concatenate(known.means()))
+        found = optimize_over_set(s, selection, deadline, bound=bound)
+    if found.status is LpStatus.UNBOUNDED:
+        raise LpError("selection objective is unbounded over the equilibrium set")
+    if found.status is not LpStatus.OPTIMAL:
+        return known
+    blocks = np.split(found.point, np.cumsum(game.ambients)[:-1])
+    pure = MixedProfile(supports=tuple(((x, 1.0),) for x in blocks), market=profile.market)
+    return _certified(game, selections, pure, deadline)
 
 
 def _piece_encoding_at(s: ComplementaritySet, x: np.ndarray) -> tuple[int, ...]:

@@ -11,9 +11,7 @@ free multipliers ``pi`` act as prices the players take as given (the
 "invisible hand": the clearing rows are the stationarity conditions of
 a fictitious price-setting agent, so the game stays a standard Nash
 game).  Stacking every player's KKT system yields one complementarity
-set whose solutions are exactly the game's pure equilibria.  When the
-players are linear and meet only through the price, those solutions are
-the optimal primal-dual pairs of one LP, the ``planner_lp``.
+set whose solutions are exactly the game's pure equilibria.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .hotlp import INF, RangedLp
 from .lp import DimensionMismatch, LpError, LpStatus
 from .polyhedra import (
     BinaryVar,
@@ -227,7 +224,11 @@ def strategy_coupling(g: PolyhedralNashGame) -> sp.csr_matrix | None:
 
     That is a game with no free parameter, no nonzero Q and a stacked
     price coupling equal to the clearing rows transposed (or no market).
-    ``duality_gap`` needs K skew (K + K' = 0), ``planner_lp`` K = 0.
+    ``duality_gap`` needs K skew (K + K' = 0).  With K = 0 the players
+    meet only through the price, and the game's equilibria are the
+    optimal primal-dual pairs of one planner LP (Samuelson, "Spatial
+    price equilibrium and linear programming", AER 1952), which the
+    solvers in ``algorithms`` keep as ``RestrictedPlanner``.
     """
     if g.n_param or any(p.q is not None and np.any(p.q) for p in g.players):
         return None
@@ -266,47 +267,6 @@ def duality_gap(g: PolyhedralNashGame, lay: KktLayout) -> np.ndarray | None:
     return gap
 
 
-def planner_lp(
-    g: PolyhedralNashGame, lay: KktLayout, deadline: Deadline | None = None
-) -> RangedLp | None:
-    """The planner LP of a game whose players meet only through the
-    market price; None for any other game.
-
-    With ``strategy_coupling`` K = 0, player i's KKT conditions are
-    c_i + A_i' lam_i + E_i' mu_i + clearing_i' pi = 0, lam_i >= 0 perp
-    b_i - A_i v_i >= 0 and E_i v_i = e_i, and clearing v = 0 ties the
-    players together.  These are the optimality conditions of
-
-        min sum_i c_i.v_i  s.t.  A_i v_i <= b_i,  E_i v_i = e_i,  clearing v = 0
-
-    with lam, mu and pi as its row multipliers (Samuelson, "Spatial price
-    equilibrium and linear programming", AER 1952), so the game's
-    equilibria are this LP's optimal primal-dual pairs.  Its columns are
-    the strategies, and the multiplier of row r is KKT column
-    ``strategy_dim + r``.  It runs primal simplex.
-    """
-    strat = strategy_coupling(g)
-    if strat is None or strat.count_nonzero():
-        return None
-    n = g.strategy_dim
-    rows = Triplets()
-    for i, p in enumerate(g.players):
-        rows.put(p.a, lay.mult_slices[i].start - n, lay.var_slices[i].start)
-        rows.put(p.a_eq, lay.eq_mult_slices[i].start - n, lay.var_slices[i].start)
-    if g.n_market:
-        rows.put(g.clearing, lay.market_slice.start - n, 0)
-    b = [np.asarray(p.b, float) for p in g.players]
-    b_eq = [np.asarray(p.b_eq, float) for p in g.players] + [np.zeros(g.n_market)]
-    return RangedLp(
-        np.concatenate([p.c for p in g.players]),
-        rows.csr((lay.total - n, n)),
-        np.concatenate([np.full(sum(map(len, b)), -INF)] + b_eq),
-        np.concatenate(b + b_eq),
-        deadline=deadline,
-        primal=True,
-    )
-
-
 @dataclass(frozen=True)
 class PneOutcome:
     found: bool
@@ -332,26 +292,17 @@ def find_pne(
     equilibria by minimizing a linear criterion over the whole KKT set;
     without it the search stops at the first equilibrium found.
 
-    Without a selection or binaries, a game that has a ``planner_lp`` is
-    solved as that one LP: an optimum and its row duals (negated, as
-    HiGHS's duals are d(optimum)/d(bound)) make a point of
-    ``kkt_system(g)``, and an infeasible or unbounded LP leaves the KKT
-    system empty.  Any other game is searched on its KKT system, under
-    its ``duality_gap`` where it has one.  The solvers that grow a hull
-    game piece by piece keep its planner LP instead and grow it in place
-    (``algorithms.RestrictedPlanner``); this is the one-shot form.
+    The game is searched on its KKT system, under its ``duality_gap``
+    where it has one.  A game whose players meet only through the market
+    price has a planner LP instead, which the solvers in ``algorithms``
+    keep and grow in place (``RestrictedPlanner``); they reach this search
+    only for the one-shot hull game of a selection, a pure search of any
+    other game, and restricted games whose leaders meet through each
+    other's strategies.
     """
     if g.n_param:
         raise LpError("cannot solve a game that still has free parameters")
     deadline = deadline or Deadline()
-    if selection is None and not binaries:
-        lay = kkt_layout(g)
-        lp = planner_lp(g, lay, deadline)
-        if lp is not None:
-            status, x, _ = lp.solve()
-            if status is not LpStatus.OPTIMAL:
-                return PneOutcome(found=False)
-            return PneOutcome(found=True, point=np.concatenate([x, -lp.row_duals()]), layout=lay)
     set_, lay = kkt_system(g)
     deadline.check()
     c = np.zeros(lay.total)

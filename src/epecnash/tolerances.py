@@ -21,5 +21,9 @@ DEVIATION_TOL = 1e-6
 # the CLI's ``validate``) and on an energy price cap (``report``).
 REPORT_TOL = 1e-6
 
+# Slack on the planner's optimal value in the row that keeps a pure search of
+# a market game to the planner's optima (``algorithms.pure_enumeration``).
+PLANNER_SLACK = 1e-7
+
 # Refuse to enumerate pieces of a complementarity set beyond this many pairs.
 ENUM_CAP = 24

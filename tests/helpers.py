@@ -1,12 +1,21 @@
 """Shared fixtures: hand-built sets with known piece structure."""
 
+import dataclasses
+
 import numpy as np
 import scipy.sparse as sp
 
 from epecnash.energy import CountrySpec, EnergyInstance, ProducerSpec
 from epecnash.hotlp import INF, RangedLp
+from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import DimensionMismatch, LinearProgram, LpStatus, solve_lp
-from epecnash.nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne
+from epecnash.nashgame import (
+    KktLayout,
+    PolyhedralNashGame,
+    QuadraticPlayer,
+    find_pne,
+    strategy_coupling,
+)
 from epecnash.polyhedra import (
     _POINT_TOL,
     ComplementaritySet,
@@ -15,6 +24,7 @@ from epecnash.polyhedra import (
     PieceRows,
     Triplets,
     enumerate_pieces,
+    optimize_over_set,
     selected_polyhedron,
 )
 from epecnash.rng import Lcg
@@ -186,6 +196,61 @@ def hull_of(pieces: list[ComplementaritySet], points=None) -> HullFormulation:
         num_copies=len(fat),
         copy_vars=d_off,
     )
+
+
+def planner_lp(g: PolyhedralNashGame, lay: KktLayout) -> RangedLp | None:
+    """The planner LP of a game whose players meet only through the
+    market price; None for any other game: the one-shot reference that
+    ``algorithms.RestrictedPlanner`` is tested against.
+
+    With ``strategy_coupling`` K = 0, player i's KKT conditions are
+    c_i + A_i' lam_i + E_i' mu_i + clearing_i' pi = 0, lam_i >= 0 perp
+    b_i - A_i v_i >= 0 and E_i v_i = e_i, and clearing v = 0 ties the
+    players together.  These are the optimality conditions of
+
+        min sum_i c_i.v_i  s.t.  A_i v_i <= b_i,  E_i v_i = e_i,  clearing v = 0
+
+    with lam, mu and pi as its row multipliers (Samuelson, "Spatial price
+    equilibrium and linear programming", AER 1952), so the game's
+    equilibria are this LP's optimal primal-dual pairs.  Its columns are
+    the strategies, and the multiplier of row r is KKT column
+    ``strategy_dim + r``.  It runs primal simplex.
+    """
+    strat = strategy_coupling(g)
+    if strat is None or strat.count_nonzero():
+        return None
+    n = g.strategy_dim
+    rows = Triplets()
+    for i, p in enumerate(g.players):
+        rows.put(p.a, lay.mult_slices[i].start - n, lay.var_slices[i].start)
+        rows.put(p.a_eq, lay.eq_mult_slices[i].start - n, lay.var_slices[i].start)
+    if g.n_market:
+        rows.put(g.clearing, lay.market_slice.start - n, 0)
+    b = [np.asarray(p.b, float) for p in g.players]
+    b_eq = [np.asarray(p.b_eq, float) for p in g.players] + [np.zeros(g.n_market)]
+    return RangedLp(
+        np.concatenate([p.c for p in g.players]),
+        rows.csr((lay.total - n, n)),
+        np.concatenate([np.full(sum(map(len, b)), -INF)] + b_eq),
+        np.concatenate(b + b_eq),
+        primal=True,
+    )
+
+
+def exporting_point(game, export: float = 1.0) -> np.ndarray:
+    """The point of the first leader's own set that is least, among those
+    at least ``export``, in its first column of the first clearing row:
+    beside the other leaders' points of an equilibrium that trades less
+    than that, the market no longer clears."""
+    s = leader_feasible_set(game.leaders[0])
+    clearing = game.clearing.toarray() if sp.issparse(game.clearing) else game.clearing
+    col = np.flatnonzero(np.asarray(clearing)[0, : s.n])[0]
+    row = np.zeros((1, s.n))
+    row[0, col] = -1.0
+    at_least = dataclasses.replace(
+        s, a=sp.vstack([s.a, row], format="csr"), b=np.append(s.b, -export)
+    )
+    return optimize_over_set(at_least, -row[0]).point
 
 
 def untaxed_supply(producers, alpha: float, beta: float) -> float:

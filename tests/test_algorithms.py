@@ -14,6 +14,7 @@ from epecnash.algorithms import (
     MixedProfile,
     LeaderPieces,
     _assemble_hull_game,
+    clearing_residual,
     decompose_mixed,
     deviation_check,
     full_enumeration,
@@ -37,7 +38,6 @@ from epecnash.nashgame import (
     QuadraticPlayer,
     kkt_layout,
     kkt_system,
-    planner_lp,
 )
 from epecnash.generators import _abs_gadget_follower
 from epecnash.hotlp import RangedLp
@@ -54,9 +54,9 @@ from epecnash.polyhedra import (
     enumerate_pieces,
 )
 from epecnash.rng import Lcg
-from epecnash.tolerances import ENUM_CAP
+from epecnash.tolerances import ENUM_CAP, REPORT_TOL
 
-from tests.helpers import hull_of, interval_of, pieces_of, split_interval_set
+from tests.helpers import hull_of, interval_of, pieces_of, planner_lp, split_interval_set
 
 
 def _energy_game(seed: int, followers: int) -> MultiLeaderGame:
@@ -240,14 +240,14 @@ class TestFullEnumeration:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_budget_holds_on_a_large_hull_game(self, seed):
-        # without a budget, the pure search on C2F8 seed 0 takes about 3 s
-        # and on seed 1 about 13 s, from about 0.35 s in on the hull game's
-        # KKT system (full, column generation over restricted planner LPs,
-        # takes about 0.15 s on either)
+        # without a budget, the KKT search of the one-shot hull game with
+        # binary weights on C2F8 seed 0 takes about 3 s and on seed 1 about
+        # 13 s, from about 0.35 s in (pure_enumeration on these market games
+        # takes another path, of about 0.15 s, and so does full)
         game = build_game(gen_energy(GenConfig(seed=seed, countries=2, followers=(8, 8))))
         budget = (1.0, 0.6)[seed]
         t0 = time.perf_counter()
-        rep = pure_enumeration(game, budget=budget)
+        rep = algorithms._enumeration(game, None, budget, pure=True)
         elapsed = time.perf_counter() - t0
         assert rep.status == "TimeLimit"
         assert elapsed <= budget + 0.5
@@ -783,18 +783,23 @@ class TestInnerApproximation:
 
 class TestPureEnumeration:
     def test_budget_holds_on_a_slow_search(self):
-        # without a budget, the selected search runs past 60 s on this
-        # instance, while the first-found one proves in a few hundredths
-        # of a second that no pure equilibrium exists
-        game = _energy_game(2, 3)
-        budget = 0.5
-        assert pure_enumeration(game, budget=budget).status == "NoEquilibrium"
-        t0 = time.perf_counter()
-        rep = pure_enumeration(game, selection=_selection_vector(game), budget=budget)
-        elapsed = time.perf_counter() - t0
-        assert rep.status == "TimeLimit"
-        assert elapsed <= budget + 0.25
-        assert all(c > 0 for c in rep.pieces_per_leader)  # counts reached, kept
+        # the subset-sum game q=(1, 2, 3), p=1, t=3, r=1 is not a market
+        # game, so its pure search is the KKT search of its hull game: about
+        # 1.5 s first-found and 0.65 s selected without a budget, once its
+        # pieces are enumerated (about 0.1 s)
+        game = gen_pne_hardness(SubsetSumInterval(q=(1, 2, 3), p=1, t=3, r=1))
+        assert not algorithms._meets_at_the_price(game)
+        for selection, budget in ((None, 0.5), (_selection_vector(game), 0.3)):
+            t0 = time.perf_counter()
+            rep = pure_enumeration(game, selection=selection, budget=budget)
+            elapsed = time.perf_counter() - t0
+            assert rep.status == "TimeLimit"
+            assert elapsed <= budget + 0.25
+            assert all(c > 0 for c in rep.pieces_per_leader)  # counts reached, kept
+        # C2F3 s2, which once ran past 60 s selected, is decided in both modes
+        market = _energy_game(2, 3)
+        for selection in (None, _selection_vector(market)):
+            assert pure_enumeration(market, selection, budget=5).status == "NoEquilibrium"
 
     @pytest.mark.parametrize("seed", [10, 13])
     def test_both_modes_decide_the_stalled_seeds(self, seed):
@@ -813,23 +818,25 @@ class TestPureEnumeration:
     def test_lp_time_limit_ends_the_solve(self, monkeypatch):
         # the clock is never read between nodes, so the budget can only
         # end the solve through the time limit of a HiGHS run: here the
-        # root LP of the pure search on C2F8 s0's hull game, one run of
-        # about 1.9 s that starts once the pieces are enumerated and the
-        # KKT system assembled (about 0.35 s in)
+        # root LP of the KKT search of C2F8 s0's one-shot hull game with
+        # binary weights, one run of about 1.9 s that starts once the pieces
+        # are enumerated and the KKT system assembled (about 0.35 s in)
         monkeypatch.setattr(Deadline, "check", lambda self: None)
         game = _energy_game(0, 8)
         budget = 1.4
         t0 = time.perf_counter()
-        rep = pure_enumeration(game, budget=budget)
+        rep = algorithms._enumeration(game, None, budget, pure=True)
         elapsed = time.perf_counter() - t0
         assert rep.status == "TimeLimit"
         assert elapsed <= budget + 0.25
         assert all(c > 0 for c in rep.pieces_per_leader)
 
     # RangedLp.solve calls of whole solves (enumeration, singleton tests,
-    # branch-and-bound or planner LPs, and the pricing of full and inner:
-    # the scan's piece LPs or the deviation checks).  HiGHS runs with threads=1 and random_seed=0, so a count is
-    # fixed for one HiGHS build; these were measured on SciPy 1.17.1.
+    # branch-and-bound or planner LPs, the pricing of full and inner: the
+    # scan's piece LPs or the deviation checks, and the deviation checks
+    # that certify a pure answer).  HiGHS runs with threads=1 and
+    # random_seed=0, so a count is fixed for one HiGHS build; these were
+    # measured on SciPy 1.17.1.
     PINNED_SCIPY = "1.17.1"
     # the solve behind a pin, by the last word of its name; any other
     # name is a first-found pure solve
@@ -848,14 +855,20 @@ class TestPureEnumeration:
                 "NoEquilibrium",
                 544,
             ),
+            # a market game: the hull game's value over 2 restricted games
+            # (lazy enumeration, singleton tests, master solves and deviation
+            # best responses, 37 LPs), then a search of the leaders' own sets
+            # that finds no planner optimum in them (13 LPs)
             (
                 "C2F2s8-first",
                 lambda: build_game(gen_energy(GenConfig(seed=8, countries=2, followers=(2, 2)))),
                 "NoEquilibrium",
-                30,
+                50,
             ),
-            # optimization mode with binaries
-            ("C2F2s0-select", lambda: _energy_game(0, 2), "PNE", 36),
+            # the same, selected: the value (19 LPs), whose profile is pure
+            # and so already certified, then the search under the selection
+            # (9), which finds no point that the selection ranks below it
+            ("C2F2s0-select", lambda: _energy_game(0, 2), "PNE", 28),
             # enumeration (72 LPs; dual rays prune the rest of the walk), the
             # singleton tests of the 4 pieces that enter the hulls, one
             # restricted planner solve, and 20 pricing LPs for the 66 pieces
@@ -904,7 +917,7 @@ class TestPureEnumeration:
                 "NoEquilibrium",
                 844,
             ),
-            (lambda: _energy_game(8, 2), "NoEquilibrium", 35),
+            (lambda: _energy_game(8, 2), "NoEquilibrium", 50),
         ],
         ids=("ss-no", "C2F2s8-first"),
     )
@@ -913,13 +926,111 @@ class TestPureEnumeration:
     ):
         # bindings that cannot read a dual ray: the walk learns no conflict
         # and solves the LP of every node whose pin does not hold, as it
-        # did before it read rays (ss-no and C2F2s8-first of the pins above)
+        # did before it read rays (ss-no and C2F2s8-first of the pins above;
+        # the lazy walk of C2F2s8-first learns no conflict with rays either)
         game = game()
         monkeypatch.setattr(RangedLp, "dual_ray", lambda self: None)
         solved = _recording_solves(monkeypatch)
         assert pure_enumeration(game).status == status
         if scipy.__version__ == self.PINNED_SCIPY:
             assert len(solved) == solves
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_the_market_search_agrees_with_the_kkt_search(self, seed):
+        # C2F2 seeds 0-19 first-found and 0-9 selected: the status of the
+        # KKT search of the one-shot hull game with binary weights, its
+        # selected value, and every PNE certified against the true sets
+        game = _energy_game(seed, 2)
+        sets = [leader_feasible_set(l) for l in game.leaders]
+        for selection in (None, _selection_vector(game))[: 2 if seed < 10 else 1]:
+            rep = pure_enumeration(game, selection)
+            kkt = algorithms._enumeration(game, selection, None, pure=True)
+            assert rep.status == kkt.status
+            if rep.profile is None:
+                continue
+            assert rep.status == "PNE" and rep.profile.is_pure()
+            assert deviation_check(game, rep.profile, sets=sets) == [None, None]
+            for s, support in zip(sets, rep.profile.supports):
+                assert all(contains(s, pt, 1e-6) for pt, _ in support)
+            assert clearing_residual(game, rep.profile) <= REPORT_TOL
+            if selection is not None:
+                value = [float(selection @ np.concatenate(r.profile.means())) for r in (rep, kkt)]
+                assert value[0] == pytest.approx(value[1], rel=1e-6)
+
+    def test_a_market_game_is_decided_without_the_hull_game(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("one-shot hull game assembled")
+
+        monkeypatch.setattr(algorithms, "_assemble_hull_game", refused)
+        monkeypatch.setattr(nashgame, "kkt_system", refused)
+        for seed, followers, status in ((0, 2, "PNE"), (8, 2, "NoEquilibrium"), (0, 8, "PNE")):
+            game = _energy_game(seed, followers)
+            for selection in (None, _selection_vector(game)):
+                assert pure_enumeration(game, selection).status == status
+
+    def test_the_budget_reaches_the_market_search(self, monkeypatch):
+        # C2F2 s8's hull game has a mixed equilibrium, so the search runs;
+        # a budget that runs out while its set is built ends the solve there
+        build = algorithms._equilibrium_set
+
+        def slow(*args):
+            time.sleep(0.3)
+            return build(*args)
+
+        monkeypatch.setattr(algorithms, "_equilibrium_set", slow)
+        t0 = time.perf_counter()
+        rep = pure_enumeration(_energy_game(8, 2), budget=0.2)
+        assert rep.status == "TimeLimit"
+        assert time.perf_counter() - t0 <= 0.3 + 0.25
+        assert rep.pieces_per_leader == (2, 2)
+
+    def test_a_market_game_past_the_enumeration_cap_is_decided(self):
+        # 14 producers per country: 28 pairs per leader, above ENUM_CAP,
+        # which the lazy value step does not reach
+        game = _energy_game(0, 14)
+        assert all(leader_feasible_set(l).num_pairs > ENUM_CAP for l in game.leaders)
+        rep = pure_enumeration(game, budget=30)
+        assert rep.status == "PNE"
+        assert deviation_check(game, rep.profile) == [None, None]
+
+    def test_a_deviation_from_the_answer_is_a_numerical_failure(self, monkeypatch):
+        # the check that certifies the answer of the one-shot hull game
+        # (pure on a game that is not a market game, full with a selection)
+        # reports a deviation: the solve fails instead of returning it
+        monkeypatch.setattr(
+            algorithms,
+            "deviation_check",
+            lambda game, profile, sets, deadline, models: [None, Deviation(1, 1.0)],
+        )
+        game = split_interval_game(flipped=True)
+        with pytest.raises(NumericalFailure, match="leader 1 deviates"):
+            pure_enumeration(game)
+        with pytest.raises(NumericalFailure, match="leader 1 deviates"):
+            full_enumeration(game, selection=np.ones(game.total_ambient))
+
+    def test_a_deviation_from_the_market_search_point_is_a_numerical_failure(
+        self, monkeypatch
+    ):
+        # the value step's deviation checks run as they are; the check of the
+        # point the selected search found below the hull game's pure profile
+        # reports a deviation
+        searched = []
+        build = algorithms._equilibrium_set
+        monkeypatch.setattr(
+            algorithms, "_equilibrium_set", lambda *args: searched.append(1) or build(*args)
+        )
+        check = algorithms.deviation_check
+
+        def stub(game, profile, sets, deadline, models):
+            if searched:
+                return [None, Deviation(1, 1.0)]
+            return check(game, profile, sets=sets, deadline=deadline, models=models)
+
+        monkeypatch.setattr(algorithms, "deviation_check", stub)
+        game = _energy_game(7, 2)
+        with pytest.raises(NumericalFailure, match="leader 1 deviates"):
+            pure_enumeration(game, _selection_vector(game))
+        assert searched
 
     def test_matching_pennies_has_no_pure_equilibrium(self):
         assert pure_enumeration(matching_pennies_game()).status == "NoEquilibrium"

@@ -19,12 +19,12 @@ from epecnash.serialize import (
 from epecnash.algorithms import LeaderPieces, _assemble_hull_game, full_enumeration
 from epecnash.leadergame import leader_feasible_set
 from epecnash.nashgame import kkt_system
-from epecnash.polyhedra import Deadline, optimize_over_set
+from epecnash.polyhedra import Deadline
 from epecnash.energy import PARADIGMS, ProfileMismatch, build_game, report
 from epecnash.generators import GenConfig, gen_energy
 from epecnash.serialize import profile_from_dict
 
-from tests.helpers import symmetric_pair
+from tests.helpers import exporting_point, symmetric_pair
 
 
 def _write_game(path, game):
@@ -187,19 +187,16 @@ class TestCli:
         self, tmp_path, capsys
     ):
         # a crafted profile: the first country's point is its least export
-        # over its own set, the second's is its equilibrium point, so each
-        # point lies in its set but the trade no longer balances
+        # of at least 1 over its own set, the second's is its equilibrium
+        # point, at which the countries do not trade, so each point lies in
+        # its set but the trade no longer balances
         energy = symmetric_pair(trade=True)
         inst = tmp_path / "inst.json"
         res = tmp_path / "res.json"
         inst.write_text(dumps(energy_to_dict(energy)))
         assert main(["solve", "--in", str(inst), "--algorithm", "pure", "--out", str(res)]) == 0
-        game = build_game(energy)
         data = json.loads(res.read_text())
-        s0 = leader_feasible_set(game.leaders[0])
-        c = np.zeros(s0.n)
-        c[np.flatnonzero(_dense(game.clearing)[0, : s0.n])[0]] = 1.0
-        data["leaders"][0]["support"][0]["point"] = optimize_over_set(s0, c).point.tolist()
+        data["leaders"][0]["support"][0]["point"] = exporting_point(build_game(energy)).tolist()
         res.write_text(json.dumps(data))
         with pytest.raises(ProfileMismatch, match="market clearing"):
             report(energy, profile_from_dict(data))

@@ -24,10 +24,10 @@ from epecnash.energy import (
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import NumericalFailure
 from epecnash.nashgame import kkt_layout
-from epecnash.polyhedra import Deadline, contains, optimize_over_set
+from epecnash.polyhedra import Deadline, contains
 from epecnash.tolerances import REPORT_TOL
 
-from tests.helpers import symmetric_pair
+from tests.helpers import exporting_point, symmetric_pair
 
 
 def solo_instance(lin=100.0, quad=0.0, alpha=300.0, beta=0.5, cap=1000.0,
@@ -139,14 +139,13 @@ class TestEverySolveClearsTheMarket:
         report(inst, rep.profile)
 
     def test_a_solve_refuses_a_profile_that_breaks_clearing(self):
-        # the first country plays its least export over its own set, the
-        # second its equilibrium point: the trade no longer balances
+        # the first country plays its least export of at least 1 over its
+        # own set, the second its equilibrium point, at which the countries
+        # do not trade: the trade no longer balances
         game = build_game(symmetric_pair(trade=True))
         rep = pure_enumeration(game)
-        s0 = leader_feasible_set(game.leaders[0])
-        c = np.zeros(s0.n)
-        c[np.flatnonzero(np.asarray(game.clearing)[0, : s0.n])[0]] = 1.0
-        point = optimize_over_set(s0, c).point
+        point = exporting_point(game)
+        assert contains(leader_feasible_set(game.leaders[0]), point)
         profile = MixedProfile(
             supports=(((point, 1.0),),) + rep.profile.supports[1:], market=rep.profile.market
         )

@@ -11,6 +11,7 @@ from epecnash.algorithms import (
     _assemble_hull_game,
     full_enumeration,
     inner_approximation,
+    pure_enumeration,
 )
 from epecnash.energy import PARADIGMS, build_game
 from epecnash.generators import (
@@ -31,12 +32,11 @@ from epecnash.nashgame import (
     find_pne,
     kkt_layout,
     kkt_system,
-    planner_lp,
 )
 from epecnash.polyhedra import Deadline, PieceRows, contains, optimize_over_set
 from epecnash.rng import Lcg
 
-from tests.helpers import symmetric_pair
+from tests.helpers import planner_lp, symmetric_pair
 
 BOX01 = (np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]))
 
@@ -213,6 +213,17 @@ def _planner_of(g):
     return planner_lp(g, kkt_layout(g))
 
 
+def _planner_point(g):
+    """The planner LP's optimum and its row duals (negated, as HiGHS's
+    duals are d(optimum)/d(bound)) as one point over the columns of
+    ``kkt_system(g)``; None when the LP has no optimum."""
+    lp = _planner_of(g)
+    status, x, _ = lp.solve()
+    if status is not LpStatus.OPTIMAL:
+        return None
+    return np.concatenate([x, -lp.row_duals()])
+
+
 def _energy(seed, countries, followers):
     cfg = GenConfig(seed=seed, countries=countries, followers=(followers, followers))
     return build_game(gen_energy(cfg))
@@ -365,12 +376,12 @@ class TestPlanner:
         self, countries, followers, seed
     ):
         g, _ = _hull_game(_energy(seed, countries, followers))
-        out = find_pne(g)
+        point = _planner_point(g)
         s, lay = kkt_system(g)
-        assert out.found and contains(s, out.point, 1e-6)
+        assert point is not None and contains(s, point, 1e-6)
         search = optimize_over_set(s, np.zeros(s.n), gap=duality_gap(g, lay))
         assert search.status is LpStatus.OPTIMAL
-        assert out.market() == pytest.approx(lay.market(search.point), abs=1e-6)
+        assert lay.market(point) == pytest.approx(lay.market(search.point), abs=1e-6)
 
     def test_energy_solves_never_assemble_the_kkt_system(self, monkeypatch):
         def no_kkt(g):
@@ -380,19 +391,11 @@ class TestPlanner:
         game = _energy(0, 2, 4)
         assert full_enumeration(game).status in ("MNE", "PNE")
         assert inner_approximation(game, "seq").status in ("MNE", "PNE")
+        assert pure_enumeration(game).status == "NoEquilibrium"
 
-    def test_games_with_a_strategy_coupling_have_none(self, monkeypatch):
+    def test_games_with_a_strategy_coupling_have_none(self):
         # their leaders meet through each other's strategies, so full
         # enumeration searches their KKT systems
-        planner = nashgame.planner_lp
-
-        def no_planner(*args):
-            lp = planner(*args)
-            if lp is not None:
-                raise AssertionError("planner LP solved")
-            return lp
-
-        monkeypatch.setattr(nashgame, "planner_lp", no_planner)
         games = (matching_pennies_game(), split_interval_game(), random_trivial_game(20_001))
         for game in games:
             assert _planner_of(_hull_game(game)[0]) is None
@@ -407,11 +410,11 @@ class TestPlanner:
         # both quantities reach the seller's cap 1, at a price between the
         # seller's cost and the buyer's value
         g = _priced_pair((0.0, 0.0), (1.0, 3.0))
-        out = find_pne(g)
-        assert out.found
-        assert np.concatenate(out.strategies()) == pytest.approx([1.0, 1.0], abs=1e-9)
-        assert 1.0 - 1e-9 <= out.market()[0] <= 2.0 + 1e-9
-        assert contains(kkt_system(g)[0], out.point, 1e-9)
+        s, lay = kkt_system(g)
+        for point in (_planner_point(g), find_pne(g).point):
+            assert np.concatenate(lay.strategies(point)) == pytest.approx([1.0, 1.0], abs=1e-9)
+            assert 1.0 - 1e-9 <= lay.market(point)[0] <= 2.0 + 1e-9
+            assert contains(s, point, 1e-9)
 
     def test_empty_and_unbounded_planners_have_no_equilibrium(self):
         # boxes that the clearing row cannot meet, and one player who
@@ -419,7 +422,7 @@ class TestPlanner:
         empty = _priced_pair((0.0, 2.0), (1.0, 3.0))
         unbounded = PolyhedralNashGame(players=(_player([-1.0], [[-1.0]], [0.0]),))
         for g in (empty, unbounded):
-            assert _planner_of(g) is not None
+            assert _planner_of(g) is not None and _planner_point(g) is None
             assert not find_pne(g).found
             s, lay = kkt_system(g)
             search = optimize_over_set(s, np.zeros(s.n), gap=duality_gap(g, lay))

@@ -21,7 +21,7 @@ from epecnash.generators import (
 from epecnash.hotlp import RangedLp
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
-from epecnash.nashgame import kkt_system, planner_lp
+from epecnash.nashgame import kkt_system
 from epecnash.polyhedra import (
     BinaryVar,
     ComplementaritySet,
@@ -49,6 +49,7 @@ from tests.helpers import (
     hull_of,
     interval_of,
     pieces_of,
+    planner_lp,
     random_comp_set,
     scalar_set,
     single_point_by_coordinates,
