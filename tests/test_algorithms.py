@@ -957,6 +957,26 @@ class TestPureEnumeration:
                 value = [float(selection @ np.concatenate(r.profile.means())) for r in (rep, kkt)]
                 assert value[0] == pytest.approx(value[1], rel=1e-6)
 
+    def test_the_search_set_is_the_leaders_sets_side_by_side(self):
+        # C2F8 s0: each leader's rows and pairs on its own block, the
+        # clearing rows as equalities and one planner-value row last; the
+        # PNE found lies in it
+        game = _energy_game(0, 8)
+        sets = [leader_feasible_set(l) for l in game.leaders]
+        rep = pure_enumeration(game)
+        x = np.concatenate(rep.profile.means())
+        c = np.concatenate(game.objectives)
+        s = algorithms._equilibrium_set(game, sets, c, float(c @ x))
+        assert s.n == game.total_ambient
+        assert s.a.shape[0] == sum(t.a.shape[0] for t in sets) + 1
+        assert s.a_eq.shape[0] == sum(t.a_eq.shape[0] for t in sets) + game.n_market
+        assert s.comp == sets[0].comp + tuple(sets[0].n + j for j in sets[1].comp)
+        assert np.array_equal(s.a[-1].toarray().ravel(), c) and s.b[-1] == float(c @ x)
+        assert contains(s, x, 1e-6)
+        for i, t in enumerate(sets):
+            block = slice(game.ambient_offset(i), game.ambient_offset(i) + t.n)
+            assert contains(t, x[block], 1e-6)
+
     def test_a_market_game_is_decided_without_the_hull_game(self, monkeypatch):
         def refused(*args):
             raise AssertionError("one-shot hull game assembled")
