@@ -7,12 +7,12 @@ price (every energy game), that game's equilibria are the optimal
 primal-dual pairs of one planner LP.  ``full`` and ``inner`` grow their
 hulls a few pieces at a time, so they keep that LP for the whole solve
 as a ``RestrictedPlanner`` and add each included piece's columns and
-rows in place; ``pure`` grows it too, for the planner's optimal value
-and prices, and then searches the leaders' own sets side by side.  The
-one-shot hull game (``full`` with a selection, and ``pure`` on any
-other game) and the restricted games of a game whose leaders meet
-through each other's strategies are lifted, assembled and searched by
-``find_pne``.
+rows in place; ``full`` with a selection builds it over every piece at
+once and minimizes the selection over its optima; ``pure`` grows it, for
+the planner's optimal value and prices, and then searches the leaders'
+own sets side by side.  The hull games of a game whose leaders meet
+through each other's strategies, and the one-shot hull game of ``pure``
+on such a game, are lifted, assembled and searched by ``find_pne``.
 
 ``full_enumeration``
     Enumerate every polyhedral piece of every leader's feasible set,
@@ -56,7 +56,7 @@ import scipy.sparse as sp
 from .hotlp import INF, RangedLp
 from .leadergame import MultiLeaderGame, leader_feasible_set
 from .lp import LpError, LpStatus, NumericalFailure
-from .nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne, strategy_coupling
+from .nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne
 from .polyhedra import (
     BinaryVar,
     ComplementaritySet,
@@ -553,16 +553,30 @@ def _restricted_equilibrium(
     return _decode(res.strategies(), hulls, selections, res.market(), pure)
 
 
+def _dense(m) -> np.ndarray:
+    return m.toarray() if sp.issparse(m) else np.asarray(m)
+
+
 def _meets_at_the_price(game: MultiLeaderGame) -> bool:
-    """Whether the leaders meet only through the market price:
-    ``strategy_coupling`` of the game's leaders as linear players gives
-    K = 0, so its hull games have a planner LP."""
-    players = tuple(
-        QuadraticPlayer(c=c, a=np.zeros((0, len(c))), b=np.zeros(0), coupling=k)
-        for c, k in zip(game.objectives, game.couplings)
-    )
-    strat = strategy_coupling(PolyhedralNashGame(players=players, clearing=game.clearing))
-    return strat is not None and not strat.count_nonzero()
+    """Whether the leaders meet only through the market price: each
+    leader's coupling is zero on the strategy columns and equals its block
+    of the clearing rows, transposed, on the price columns.  Then the hull
+    game's equilibria are the optimal primal-dual pairs of one planner LP
+    (Samuelson, "Spatial price equilibrium and linear programming", AER
+    1952), which the solvers keep as ``RestrictedPlanner``."""
+    n, m = game.total_ambient, game.n_market
+    blocks = zip(game.ambients, game.couplings)
+    stacked = np.vstack([np.zeros((a, n + m)) if k is None else _dense(k) for a, k in blocks])
+    price = np.zeros((n, m)) if game.clearing is None else _dense(game.clearing).T
+    return not stacked[:, :n].any() and np.array_equal(stacked[:, n:], price)
+
+
+def _optimality_row(game: MultiLeaderGame, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The planner's objective c over the leaders' blocks, and the cap OPT +
+    ``PLANNER_SLACK`` on c.x with OPT = c.x at the planner optimum x: the
+    row that keeps a search to the planner's optima."""
+    c = np.concatenate(game.objectives)
+    return c, float(c @ x) + PLANNER_SLACK
 
 
 @dataclass
@@ -697,9 +711,16 @@ class RestrictedPlanner:
                 hull.copy_idx.append(n0 + starts[f] + np.arange(len(hull.copy_cols[-1])))
         hull.copy_vars += copies
 
-    def equilibrium(self, deadline: Deadline) -> MixedProfile | None:
+    def equilibrium(self, deadline: Deadline, selection=None) -> MixedProfile | None:
         """Include what each leader included since the last solve, solve
-        warm, and decode; None when the master is infeasible or unbounded."""
+        warm, and decode at the prices, the negated clearing-row duals;
+        None when the master is infeasible or unbounded.
+
+        With a ``selection``, the point decoded is the planner optimum
+        least under it: one row c.x <= OPT + ``PLANNER_SLACK`` joins the
+        master on the aggregates, and the master is solved once more under
+        the selection.  Any optimal point pairs with any optimal dual, so
+        the prices stay the first solve's.  The master is then spent."""
         for i, sel in enumerate(self.selections):
             k = len(self.hulls[i].points)
             if len(sel.encodings) > k:
@@ -709,6 +730,17 @@ class RestrictedPlanner:
         if status is not LpStatus.OPTIMAL:
             return None
         market = -self.lp.row_duals()[self.clearing_rows]
+        if selection is not None:
+            n = self.game.total_ambient
+            c, cap = _optimality_row(self.game, x[:n])
+            cols = np.flatnonzero(c)
+            self.lp.add_rows([-INF], [cap], (np.zeros(len(cols), dtype=int), cols, c[cols]))
+            self.lp.set_objective(np.concatenate([selection, np.zeros(self.lp.n - n)]))
+            status, x, _ = self.lp.solve()
+            if status is LpStatus.UNBOUNDED:
+                raise LpError("selection objective is unbounded over the equilibrium set")
+            if status is not LpStatus.OPTIMAL:
+                raise NumericalFailure("the planner's optima are empty under their own value")
         return _decode(
             [x[h.lifted_cols] for h in self.hulls],
             [h.layout() for h in self.hulls],
@@ -720,14 +752,21 @@ class RestrictedPlanner:
 def _enumeration(
     game: MultiLeaderGame, selection: np.ndarray | None, budget: float | None, pure: bool
 ) -> SolveReport:
-    """The hull game over every piece of every leader, solved once; an
-    equilibrium found is certified (``_certified``)."""
+    """The hull game over every piece of every leader, solved once: on a
+    market game without ``pure``, as one ``RestrictedPlanner`` under the
+    selection, and otherwise lifted and searched
+    (``_restricted_equilibrium``).  An equilibrium found is certified
+    (``_certified``)."""
     deadline = Deadline(budget)
     selections: list[LeaderPieces] = []
     try:
         profile = None
         if _start(game, None, math.inf, deadline, selections):
-            profile = _restricted_equilibrium(game, selections, deadline, selection, pure)
+            if pure or not _meets_at_the_price(game):
+                profile = _restricted_equilibrium(game, selections, deadline, selection, pure)
+            else:
+                master = RestrictedPlanner(game, selections, deadline)
+                profile = master.equilibrium(deadline, selection)
             if profile is not None:
                 profile = _certified(game, selections, profile, deadline)
         return _report(game, selections, deadline, profile)
@@ -846,7 +885,14 @@ def full_enumeration(
     piece beats by more than ``DEVIATION_TOL`` is an equilibrium of the
     hull game over every piece.  A restricted game with no equilibrium
     takes every piece at once, so a ``NoEquilibrium`` is the one-shot
-    hull game's.  With a ``selection`` the one-shot hull game is solved.
+    hull game's.
+
+    With a ``selection``, the one-shot hull game is solved.  On a market
+    game that is one planner LP over every piece (``RestrictedPlanner``):
+    solved once for its value OPT and the prices, then under the selection
+    with one row c.x <= OPT + ``PLANNER_SLACK``, and decoded at those
+    prices.  On any other game its KKT system is searched under the
+    selection.  Either answer is certified by ``deviation_check``.
     """
     _check_selection(game, selection)
     if selection is not None:
@@ -938,8 +984,7 @@ def _pure_equilibrium(
     if known is not None and selection is None:
         return known
     _check_clearing(game, profile)
-    c = np.concatenate(game.objectives)
-    cap = float(c @ np.concatenate(profile.means())) + PLANNER_SLACK
+    c, cap = _optimality_row(game, np.concatenate(profile.means()))
     s = _equilibrium_set(game, [sel.rows.set for sel in selections], c, cap)
     if selection is None:
         found = optimize_over_set(s, c, deadline, bound=cap + PLANNER_SLACK)

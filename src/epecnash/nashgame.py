@@ -218,55 +218,6 @@ def kkt_system(g: PolyhedralNashGame) -> tuple[ComplementaritySet, KktLayout]:
     return set_, lay
 
 
-def strategy_coupling(g: PolyhedralNashGame) -> sp.csr_matrix | None:
-    """The stacked strategy coupling K of a game whose players are linear
-    and take the market price as given; None for any other game.
-
-    That is a game with no free parameter, no nonzero Q and a stacked
-    price coupling equal to the clearing rows transposed (or no market).
-    ``duality_gap`` needs K skew (K + K' = 0).  With K = 0 the players
-    meet only through the price, and the game's equilibria are the
-    optimal primal-dual pairs of one planner LP (Samuelson, "Spatial
-    price equilibrium and linear programming", AER 1952), which the
-    solvers in ``algorithms`` keep as ``RestrictedPlanner``.
-    """
-    if g.n_param or any(p.q is not None and np.any(p.q) for p in g.players):
-        return None
-    width = g.strategy_dim + g.n_market
-    coupling = sp.vstack(
-        [sp.csr_matrix((p.n, width) if p.coupling is None else p.coupling) for p in g.players],
-        format="csr",
-    )
-    price = coupling[:, g.strategy_dim :]
-    if g.n_market and (price - sp.csr_matrix(g.clearing).T).count_nonzero():
-        return None
-    return coupling[:, : g.strategy_dim]
-
-
-def duality_gap(g: PolyhedralNashGame, lay: KktLayout) -> np.ndarray | None:
-    """The stacked duality gap sum_i (c_i.v_i + b_i.lam_i + b_eq_i.mu_i),
-    as a vector over the KKT columns, when it equals the complementarity
-    sum of ``kkt_system(g)`` on its equalities; None otherwise.
-
-    That holds when ``strategy_coupling`` gives a skew K.  Player i's
-    stationarity rows give -v_i' A_i' lam_i = c_i.v_i + v_i' K_i w +
-    b_eq_i.mu_i, so its pairs sum to lam_i.(b_i - A_i v_i) = c_i.v_i +
-    b_i.lam_i + b_eq_i.mu_i + v_i' K_i w.  Summed over the players, the
-    coupling terms are v' K v = 0 and v' clearing' pi = (clearing v).pi
-    = 0.  The gap is nonnegative on the KKT relaxation and zero exactly
-    at its complementary points.
-    """
-    strat = strategy_coupling(g)
-    if strat is None or (strat + strat.T).count_nonzero():
-        return None
-    gap = np.zeros(lay.total)
-    for i, p in enumerate(g.players):
-        gap[lay.var_slices[i]] = p.c
-        gap[lay.mult_slices[i]] = p.b
-        gap[lay.eq_mult_slices[i]] = p.b_eq
-    return gap
-
-
 @dataclass(frozen=True)
 class PneOutcome:
     found: bool
@@ -292,13 +243,13 @@ def find_pne(
     equilibria by minimizing a linear criterion over the whole KKT set;
     without it the search stops at the first equilibrium found.
 
-    The game is searched on its KKT system, under its ``duality_gap``
-    where it has one.  A game whose players meet only through the market
-    price has a planner LP instead, which the solvers in ``algorithms``
-    keep and grow in place (``RestrictedPlanner``); they reach this search
-    only for the one-shot hull game of a selection, a pure search of any
-    other game, and restricted games whose leaders meet through each
-    other's strategies.
+    The game is searched on its KKT system.  A game whose players meet
+    only through the market price has a planner LP instead, which the
+    solvers in ``algorithms`` keep and grow in place
+    (``RestrictedPlanner``).  They reach this search only for games whose
+    leaders meet through each other's strategies: their restricted hull
+    games, and their one-shot hull game under a selection or, with binary
+    weights, in a pure search.
     """
     if g.n_param:
         raise LpError("cannot solve a game that still has free parameters")
@@ -310,9 +261,7 @@ def find_pne(
         if len(selection) != g.strategy_dim:
             raise DimensionMismatch("selection objective spans the strategy blocks")
         c[lay.var_slices[0].start : lay.var_slices[0].start + g.strategy_dim] = selection
-    out = optimize_over_set(
-        set_, c, deadline=deadline, binaries=binaries, gap=duality_gap(g, lay)
-    )
+    out = optimize_over_set(set_, c, deadline=deadline, binaries=binaries)
     if out.status is LpStatus.OPTIMAL:
         return PneOutcome(found=True, point=out.point, layout=lay)
     if out.status is LpStatus.INFEASIBLE:

@@ -743,7 +743,6 @@ def optimize_over_set(
     c: np.ndarray,
     deadline: Deadline | None = None,
     binaries: tuple[BinaryVar, ...] = (),
-    gap: np.ndarray | None = None,
     bound: float = np.inf,
     model: RangedLp | None = None,
 ) -> LpOutcome:
@@ -760,12 +759,7 @@ def optimize_over_set(
     both children are solved, and the one with fewer violated pairs is
     explored first, the first-visited one on a tie.
 
-    In that zero-objective search, ``gap`` (``nashgame.duality_gap``) is
-    a linear form equal to sum_i x_{c_i} z_i on the set's equalities.
-    With it, every node is one LP under ``gap``, so the LP's optimum is
-    the least complementarity sum over the node, and a node whose sum
-    there exceeds ``num_pairs * COMP_TOL`` holds no complementary point
-    and is pruned.  Without it, the root is solved under the guide
+    In that zero-objective search, the root is solved under the guide
     sum_i (x_{c_i} + z_i), then at most once more under the
     linearization of sum_i x_{c_i} z_i at that optimum; every other node
     is one LP, under the linearization at its parent's point.
@@ -788,10 +782,7 @@ def optimize_over_set(
     bin_idx = np.array([bv.index for bv in binaries], dtype=int)
 
     feasibility_mode = not np.any(c)
-    gapped = feasibility_mode and p > 0 and gap is not None
-    if gapped:
-        guide = np.asarray(gap, dtype=float)
-    elif feasibility_mode and p:
+    if feasibility_mode and p:
         # Guiding objective sum_i (x_{c_i} + z_i): nonnegative on the
         # relaxation, and zero exactly at complementary points.
         guide = np.zeros(s.n)
@@ -811,11 +802,6 @@ def optimize_over_set(
     def violated(x: np.ndarray, pins=()) -> int:
         """Number of free pairs with x_{c_i} z_i > COMP_TOL."""
         return int(np.sum(free(x[comp_idx] * s.slacks(x), pins) > COMP_TOL))
-
-    def beyond_gap(x: np.ndarray) -> bool:
-        """Whether the complementarity sum at the node's optimum x, the
-        least over the node under ``gap``, shows no complementary point."""
-        return bool(gapped and np.sum(x[comp_idx] * s.slacks(x)) > p * COMP_TOL)
 
     def linearization(x: np.ndarray) -> np.ndarray:
         """Gradient of sum_i x_{c_i} z_i at x, negative parts cut to 0 and
@@ -860,9 +846,9 @@ def optimize_over_set(
         rows.deadline.tick()
         if x is None:
             status, x = visit(pins, bins)
-            if status is LpStatus.INFEASIBLE or (x is not None and beyond_gap(x)):
+            if status is LpStatus.INFEASIBLE:
                 continue
-            if feasibility_mode and p and not gapped and (nv := violated(x)):
+            if feasibility_mode and p and (nv := violated(x)):
                 # the root only: one re-solve under the linearization at
                 # the guide's optimum, kept when it leaves fewer pairs violated
                 status, x_lin = visit(pins, bins, linearization(x))
@@ -897,18 +883,18 @@ def optimize_over_set(
             if not feasibility_mode:
                 stack.extend((*child, None) for child in reversed(children))
                 continue
-            # Look ahead: solve both children, each by one LP under ``gap``
-            # or else the linearization at this node's point, and push the
-            # one with more violated pairs first, so the other pops first (on
-            # a tie, the first visited).  A child keeps its point, so it is
-            # not solved again when popped; without binaries, one that ends
-            # clean is a leaf.  Both objectives are bounded below, so a child
-            # ends optimal or infeasible.
-            c_lin = None if gapped else linearization(x)
+            # Look ahead: solve both children, each by one LP under the
+            # linearization at this node's point, and push the one with more
+            # violated pairs first, so the other pops first (on a tie, the
+            # first visited).  A child keeps its point, so it is not solved
+            # again when popped; without binaries, one that ends clean is a
+            # leaf.  The linearization is bounded below, so a child ends
+            # optimal or infeasible.
+            c_lin = linearization(x)
             scored = []
             for order, (cpins, cbins) in enumerate(children):
                 st2, x2 = visit(cpins, cbins, c_lin)
-                if st2 is not LpStatus.OPTIMAL or beyond_gap(x2):
+                if st2 is not LpStatus.OPTIMAL:
                     continue
                 nv = violated(x2, cpins)
                 if nv == 0 and not binaries:

@@ -9,13 +9,7 @@ from epecnash.energy import CountrySpec, EnergyInstance, ProducerSpec
 from epecnash.hotlp import INF, RangedLp
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import DimensionMismatch, LinearProgram, LpStatus, solve_lp
-from epecnash.nashgame import (
-    KktLayout,
-    PolyhedralNashGame,
-    QuadraticPlayer,
-    find_pne,
-    strategy_coupling,
-)
+from epecnash.nashgame import KktLayout, PolyhedralNashGame, QuadraticPlayer, find_pne
 from epecnash.polyhedra import (
     _POINT_TOL,
     ComplementaritySet,
@@ -196,6 +190,26 @@ def hull_of(pieces: list[ComplementaritySet], points=None) -> HullFormulation:
         num_copies=len(fat),
         copy_vars=d_off,
     )
+
+
+def strategy_coupling(g: PolyhedralNashGame) -> sp.csr_matrix | None:
+    """The stacked strategy coupling K of a game whose players are linear
+    and take the market price as given; None for any other game.
+
+    That is a game with no free parameter, no nonzero Q and a stacked
+    price coupling equal to the clearing rows transposed (or no market).
+    """
+    if g.n_param or any(p.q is not None and np.any(p.q) for p in g.players):
+        return None
+    width = g.strategy_dim + g.n_market
+    coupling = sp.vstack(
+        [sp.csr_matrix((p.n, width) if p.coupling is None else p.coupling) for p in g.players],
+        format="csr",
+    )
+    price = coupling[:, g.strategy_dim :]
+    if g.n_market and (price - sp.csr_matrix(g.clearing).T).count_nonzero():
+        return None
+    return coupling[:, : g.strategy_dim]
 
 
 def planner_lp(g: PolyhedralNashGame, lay: KktLayout) -> RangedLp | None:

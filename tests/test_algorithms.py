@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import types
@@ -5,6 +6,7 @@ import types
 import numpy as np
 import pytest
 import scipy
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from epecnash import algorithms, nashgame
@@ -22,7 +24,7 @@ from epecnash.algorithms import (
     pure_enumeration,
 )
 from epecnash.cli import _selection_vector
-from epecnash.energy import build_game
+from epecnash.energy import PARADIGMS, build_game
 from epecnash.generators import GenConfig, gen_energy
 from epecnash.generators import (
     SubsetSumInterval,
@@ -40,8 +42,8 @@ from epecnash.nashgame import (
     kkt_system,
 )
 from epecnash.generators import _abs_gadget_follower
-from epecnash.hotlp import RangedLp
-from epecnash.lp import LpStatus, NumericalFailure
+from epecnash.hotlp import INF, RangedLp
+from epecnash.lp import LpError, LpStatus, NumericalFailure
 from epecnash.polyhedra import (
     ComplementaritySet,
     Deadline,
@@ -54,9 +56,17 @@ from epecnash.polyhedra import (
     enumerate_pieces,
 )
 from epecnash.rng import Lcg
-from epecnash.tolerances import ENUM_CAP, REPORT_TOL
+from epecnash.tolerances import ENUM_CAP, PLANNER_SLACK, REPORT_TOL
 
-from tests.helpers import hull_of, interval_of, pieces_of, planner_lp, split_interval_set
+from tests.helpers import (
+    hull_of,
+    interval_of,
+    pieces_of,
+    planner_lp,
+    split_interval_set,
+    strategy_coupling,
+    symmetric_pair,
+)
 
 
 def _energy_game(seed: int, followers: int) -> MultiLeaderGame:
@@ -332,6 +342,7 @@ class TestColumnGeneration:
                 gen_energy(GenConfig(seed=seed, countries=countries, followers=(followers,) * 2))
             )
             rep = full_enumeration(game)
+            # the one-shot hull game: one planner LP over every piece
             one_shot = algorithms._enumeration(game, None, None, pure=False)
             assert rep.status == one_shot.status and rep.status in ("MNE", "PNE")
             assert rep.pieces_per_leader == one_shot.pieces_per_leader
@@ -543,6 +554,202 @@ class TestRestrictedPlanner:
             assert inner_approximation(game).status in ("MNE", "PNE", "NoEquilibrium")
         assert algorithms._meets_at_the_price(_energy_game(0, 4))
         assert algorithms._meets_at_the_price(single_leader_game())
+
+    def test_the_market_test_agrees_with_the_stacked_coupling(self):
+        # the leaders as linear players with no rows of their own: a market
+        # game is one whose stacked strategy coupling K exists and is zero
+        def zero_k(game):
+            players = tuple(
+                QuadraticPlayer(c=c, a=np.zeros((0, len(c))), b=np.zeros(0), coupling=k)
+                for c, k in zip(game.objectives, game.couplings)
+            )
+            k = strategy_coupling(PolyhedralNashGame(players=players, clearing=game.clearing))
+            return k is not None and not k.count_nonzero()
+
+        def recoupled(game, i, change):
+            couplings = list(game.couplings)
+            couplings[i] = change(np.array(couplings[i], dtype=float))
+            return dataclasses.replace(game, couplings=tuple(couplings))
+
+        energy = _energy_game(0, 2)
+        n = energy.total_ambient
+        games = [
+            matching_pennies_game(),
+            split_interval_game(),
+            split_interval_game(flipped=True),
+            random_trivial_game(20_001),
+            random_trivial_game(20_007),
+            gen_pne_hardness(SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)),
+            cleared_market_game(),
+            single_leader_game(),
+            energy,
+            _energy_game(1, 4),
+            # sparse couplings and clearing rows
+            dataclasses.replace(
+                energy,
+                couplings=tuple(sp.csr_matrix(k) for k in energy.couplings),
+                clearing=sp.csr_matrix(energy.clearing),
+            ),
+            # one leader's price column off by a factor, or left out
+            recoupled(energy, 0, lambda k: np.hstack([k[:, :n], 2.0 * k[:, n:]])),
+            recoupled(energy, 1, lambda k: np.hstack([k[:, :n], 0.0 * k[:, n:]])),
+            # a strategy coupling beside the price
+            recoupled(energy, 0, lambda k: k + np.eye(*k.shape, k=energy.ambients[0])),
+        ]
+        games += [
+            build_game(symmetric_pair(trade, tax_revenue, paradigm))
+            for paradigm in PARADIGMS
+            for trade in (True, False)
+            for tax_revenue in (False, True)
+        ]
+        verdicts = [algorithms._meets_at_the_price(game) for game in games]
+        assert verdicts == [zero_k(game) for game in games]
+        assert verdicts[:8] == [False] * 7 + [True]
+        assert verdicts[8:11] == [True] * 3 and verdicts[11:14] == [False] * 3
+
+
+def _kkt_selected(game, selection) -> MixedProfile | None:
+    """The selected equilibrium of the one-shot hull game by the KKT search:
+    ``find_pne`` on ``_assemble_hull_game`` with ``_embed_selection``."""
+    deadline = Deadline()
+    selections = []
+    assert algorithms._start(game, None, math.inf, deadline, selections)
+    return algorithms._restricted_equilibrium(game, selections, deadline, selection)
+
+
+def _planner_selected(game, selection) -> float:
+    """min selection.x over the optima of the one-shot planner LP of the
+    assembled hull game (``planner_lp``), with one row c.x <= OPT +
+    ``PLANNER_SLACK`` added."""
+    deadline = Deadline()
+    selections = []
+    assert algorithms._start(game, None, math.inf, deadline, selections)
+    asm = _assemble_hull_game(game, [sel.hull() for sel in selections])
+    lp = planner_lp(asm.game, kkt_layout(asm.game))
+    status, _, opt = lp.solve()
+    assert status is LpStatus.OPTIMAL
+    c = np.concatenate(game.objectives)
+    nonzero = np.flatnonzero(c)
+    cols = asm.lifted_col[nonzero]
+    lp.add_rows([-INF], [opt + PLANNER_SLACK], (np.zeros(len(cols), dtype=int), cols, c[nonzero]))
+    lp.set_objective(algorithms._embed_selection(asm, game, selection))
+    status, _, value = lp.solve()
+    assert status is LpStatus.OPTIMAL
+    return value
+
+
+def _selected_value(selection, profile: MixedProfile) -> float:
+    return float(selection @ np.concatenate(profile.means()))
+
+
+def _assert_certified(game, profile: MixedProfile) -> None:
+    """No leader deviates, every support point lies in its leader's true
+    set, and the market clears."""
+    sets = [leader_feasible_set(l) for l in game.leaders]
+    assert deviation_check(game, profile, sets=sets) == [None] * len(sets)
+    for s, support in zip(sets, profile.supports):
+        assert all(contains(s, pt, 1e-6) for pt, _ in support)
+    assert clearing_residual(game, profile) <= REPORT_TOL
+
+
+def _own_cost(game, i) -> np.ndarray:
+    """Leader i's own linear cost as a selection, zero on the others."""
+    out = np.zeros(game.total_ambient)
+    offset = game.ambient_offset(i)
+    out[offset : offset + game.ambients[i]] = game.objectives[i]
+    return out
+
+
+class TestSelectedMaster:
+    """``full --select`` on a market game: one planner LP over every piece,
+    solved for its value and prices, then under the selection over its
+    optima."""
+
+    @pytest.mark.parametrize(
+        "countries, followers, seed",
+        [(2, 2, s) for s in range(20)]
+        + [(c, f, s) for c, f in LADDER for s in range(3) if (c, f) != (2, 8) or s == 2],
+    )
+    def test_the_master_agrees_with_the_kkt_search(self, countries, followers, seed):
+        # C2F2 s0-19 and the ladder under the CLI's selection; C2F8 s0-1,
+        # whose KKT searches take several seconds, are checked against the
+        # one-shot planner LP below
+        game = build_game(
+            gen_energy(GenConfig(seed=seed, countries=countries, followers=(followers,) * 2))
+        )
+        selection = _selection_vector(game)
+        rep = full_enumeration(game, selection)
+        kkt = _kkt_selected(game, selection)
+        assert (rep.profile is None) == (kkt is None)
+        if kkt is not None:
+            assert rep.status in ("MNE", "PNE")
+            _assert_certified(game, rep.profile)
+            assert _selected_value(selection, rep.profile) == pytest.approx(
+                _selected_value(selection, kkt), rel=1e-6
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_master_agrees_with_the_one_shot_planner_on_c2f8(self, seed):
+        game = _energy_game(seed, 8)
+        selection = _selection_vector(game)
+        rep = full_enumeration(game, selection)
+        assert rep.status in ("MNE", "PNE")
+        _assert_certified(game, rep.profile)
+        assert _selected_value(selection, rep.profile) == pytest.approx(
+            _planner_selected(game, selection), rel=1e-6
+        )
+
+    @pytest.mark.parametrize("seed", [0, 7, 18, 19])
+    def test_each_leaders_own_cost_agrees_with_the_kkt_search(self, seed):
+        # instances whose KKT searches end within a fraction of a second
+        # under each leader's own cost; on C2F2 s0 the master finds a pure
+        # point and the KKT search a mixed one of the same value
+        game = _energy_game(seed, 2)
+        for i in range(len(game.leaders)):
+            selection = _own_cost(game, i)
+            rep = full_enumeration(game, selection)
+            kkt = _kkt_selected(game, selection)
+            assert (rep.profile is None) == (kkt is None)
+            if kkt is not None:
+                _assert_certified(game, rep.profile)
+                assert _selected_value(selection, rep.profile) == pytest.approx(
+                    _selected_value(selection, kkt), rel=1e-6
+                )
+
+    def test_an_unbounded_selection_raises_at_once(self):
+        # the KKT search of the one-shot hull game ran out any budget here
+        game = _energy_game(0, 2)
+        selection = np.random.default_rng(0).normal(size=game.total_ambient)
+        t0 = time.perf_counter()
+        with pytest.raises(LpError, match="unbounded over the equilibrium set"):
+            full_enumeration(game, selection, budget=10)
+        assert time.perf_counter() - t0 < 5
+
+    def test_an_empty_or_unbounded_master_is_no_equilibrium(self):
+        # boxes [0, 1] and [2, 3] that the clearing row x_1 = x_2 cannot
+        # meet, and one leader who gains without limit; the KKT search
+        # finds no equilibrium either
+        def boxed(name, lo, hi):
+            box = np.array([[-1.0], [1.0]])
+            return StackelbergLeader(name=name, n_leader=1, poly_a=box, poly_b=np.array([-lo, hi]))
+
+        empty = MultiLeaderGame(
+            leaders=(boxed("a", 0.0, 1.0), boxed("b", 2.0, 3.0)),
+            objectives=(np.array([1.0]), np.array([-2.0])),
+            couplings=(np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, -1.0]])),
+            clearing=np.array([[1.0, -1.0]]),
+        )
+        ray = StackelbergLeader(
+            name="ray", n_leader=1, poly_a=np.array([[-1.0]]), poly_b=np.zeros(1)
+        )
+        unbounded = MultiLeaderGame(
+            leaders=(ray,), objectives=(np.array([-1.0]),), couplings=(None,)
+        )
+        for game in (empty, unbounded):
+            assert algorithms._meets_at_the_price(game)
+            selection = np.ones(game.total_ambient)
+            assert full_enumeration(game, selection).status == "NoEquilibrium"
+            assert _kkt_selected(game, selection) is None
 
 
 def _interval_hull() -> HullFormulation:
@@ -784,12 +991,13 @@ class TestInnerApproximation:
 class TestPureEnumeration:
     def test_budget_holds_on_a_slow_search(self):
         # the subset-sum game q=(1, 2, 3), p=1, t=3, r=1 is not a market
-        # game, so its pure search is the KKT search of its hull game: about
-        # 1.5 s first-found and 0.65 s selected without a budget, once its
-        # pieces are enumerated (about 0.1 s)
+        # game, so its pure search is the KKT search of its hull game: on a
+        # 2-vCPU Xeon VM about 0.6 s first-found and 0.27 s selected without
+        # a budget, once its pieces are enumerated (about 0.07 s); each
+        # budget is about half the search's time and twice the enumeration's
         game = gen_pne_hardness(SubsetSumInterval(q=(1, 2, 3), p=1, t=3, r=1))
         assert not algorithms._meets_at_the_price(game)
-        for selection, budget in ((None, 0.5), (_selection_vector(game), 0.3)):
+        for selection, budget in ((None, 0.3), (_selection_vector(game), 0.15)):
             t0 = time.perf_counter()
             rep = pure_enumeration(game, selection=selection, budget=budget)
             elapsed = time.perf_counter() - t0
@@ -1015,8 +1223,9 @@ class TestPureEnumeration:
 
     def test_a_deviation_from_the_answer_is_a_numerical_failure(self, monkeypatch):
         # the check that certifies the answer of the one-shot hull game
-        # (pure on a game that is not a market game, full with a selection)
-        # reports a deviation: the solve fails instead of returning it
+        # (pure or full with a selection on a game that is not a market game,
+        # full with a selection on the planner LP of one that is) reports a
+        # deviation: the solve fails instead of returning it
         monkeypatch.setattr(
             algorithms,
             "deviation_check",
@@ -1025,8 +1234,9 @@ class TestPureEnumeration:
         game = split_interval_game(flipped=True)
         with pytest.raises(NumericalFailure, match="leader 1 deviates"):
             pure_enumeration(game)
-        with pytest.raises(NumericalFailure, match="leader 1 deviates"):
-            full_enumeration(game, selection=np.ones(game.total_ambient))
+        for game in (game, _energy_game(0, 2)):
+            with pytest.raises(NumericalFailure, match="leader 1 deviates"):
+                full_enumeration(game, selection=np.ones(game.total_ambient))
 
     def test_a_deviation_from_the_market_search_point_is_a_numerical_failure(
         self, monkeypatch

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from epecnash import nashgame
+from epecnash import algorithms, nashgame
 from epecnash.algorithms import (
     LeaderPieces,
     _assemble_hull_game,
@@ -13,7 +13,8 @@ from epecnash.algorithms import (
     inner_approximation,
     pure_enumeration,
 )
-from epecnash.energy import PARADIGMS, build_game
+from epecnash.cli import _selection_vector
+from epecnash.energy import build_game
 from epecnash.generators import (
     GenConfig,
     gen_energy,
@@ -21,22 +22,20 @@ from epecnash.generators import (
     random_trivial_game,
     split_interval_game,
 )
-from epecnash.hotlp import RangedLp
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import LpStatus
 from epecnash.nashgame import (
     NonPsdObjective,
     PolyhedralNashGame,
     QuadraticPlayer,
-    duality_gap,
     find_pne,
     kkt_layout,
     kkt_system,
 )
-from epecnash.polyhedra import Deadline, PieceRows, contains, optimize_over_set
+from epecnash.polyhedra import Deadline, contains, optimize_over_set
 from epecnash.rng import Lcg
 
-from tests.helpers import planner_lp, symmetric_pair
+from tests.helpers import planner_lp
 
 BOX01 = (np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]))
 
@@ -193,20 +192,15 @@ class TestGridOracle:
             assert played <= best + 1e-3
 
 
-def _hull_game(game, pure=False):
-    """The hull game over every piece of every leader, as ``full`` and
-    ``pure`` solve it, with its binaries when ``pure``."""
+def _hull_game(game):
+    """The hull game over every piece of every leader, lifted and
+    assembled once."""
     hulls = []
     for leader in game.leaders:
         sel = LeaderPieces(leader_feasible_set(leader), None, Deadline())
         sel.extend()
         hulls.append(sel.hull())
-    asm = _assemble_hull_game(game, hulls)
-    return asm.game, asm.binaries if pure else ()
-
-
-def _gap_of(g):
-    return duality_gap(g, kkt_layout(g))
+    return _assemble_hull_game(game, hulls).game
 
 
 def _planner_of(g):
@@ -252,113 +246,6 @@ class TestKktAssembly:
                     assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
-class TestDualityGap:
-    @pytest.mark.parametrize("paradigm", PARADIGMS)
-    @pytest.mark.parametrize("trade", [True, False])
-    @pytest.mark.parametrize("tax_revenue", [False, True])
-    def test_energy_hull_games_have_one(self, paradigm, trade, tax_revenue):
-        # leaders meet only through the market price, whose coupling is
-        # the clearing rows transposed
-        g, _ = _hull_game(build_game(symmetric_pair(trade, tax_revenue, paradigm)))
-        lay = kkt_layout(g)
-        gap = duality_gap(g, lay)
-        assert gap is not None
-        for i, p in enumerate(g.players):
-            assert gap[lay.var_slices[i]].tolist() == list(p.c)
-            assert gap[lay.eq_mult_slices[i]].tolist() == list(p.b_eq)
-        assert not gap[lay.market_slice].any()
-
-    def test_games_outside_the_conditions_have_none(self):
-        # matching pennies and the plain split-interval game couple their
-        # leaders by a K that is not skew; the flipped game's K is skew
-        assert _gap_of(_hull_game(matching_pennies_game())[0]) is None
-        assert _gap_of(_hull_game(split_interval_game())[0]) is None
-        assert _gap_of(_hull_game(split_interval_game(flipped=True))[0]) is not None
-        # a nonzero Q, alone or beside a skew coupling
-        quad = _player([-1.0], *BOX01, q=[[1.0]])
-        assert _gap_of(PolyhedralNashGame(players=(quad,))) is None
-        assert _gap_of(PolyhedralNashGame(players=(_player([-1.0], *BOX01),))) is not None
-        skew = (
-            _player([0.0], *BOX01, coupling=[[0.0, 1.0]]),
-            _player([0.0], *BOX01, q=[[2.0]], coupling=[[-1.0, 0.0]]),
-        )
-        assert _gap_of(PolyhedralNashGame(players=skew)) is None
-        linear = _player([0.0], *BOX01, coupling=[[-1.0, 0.0]])
-        assert _gap_of(PolyhedralNashGame(players=(skew[0], linear))) is not None
-
-    def test_a_price_coupling_that_is_not_the_clearing_rows_has_none(self):
-        # a price that enters one player's objective while the clearing
-        # row spans both strategies
-        one = np.array([[1.0, 1.0]])
-        priced = PolyhedralNashGame(
-            players=(
-                _player([0.0], *BOX01, coupling=[[0.0, 0.0, 1.0]]),
-                _player([0.0], *BOX01, coupling=[[0.0, 0.0, 1.0]]),
-            ),
-            clearing=one,
-        )
-        assert _gap_of(priced) is not None and _planner_of(priced) is not None
-        lopsided = PolyhedralNashGame(
-            players=(priced.players[0], _player([0.0], *BOX01, coupling=[[0.0, 0.0, 0.0]])),
-            clearing=one,
-        )
-        assert _gap_of(lopsided) is None and _planner_of(lopsided) is None
-
-    @pytest.mark.parametrize("countries, followers", [(2, 4), (2, 6), (2, 8), (3, 4), (3, 6)])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_gap_is_the_complementarity_sum_on_the_ladder(self, countries, followers, seed):
-        # at the optimum of the guide sum_i (x_{c_i} + z_i) over the KKT
-        # relaxation, and at two nodes below it that pin the pair of
-        # largest product on either side
-        g, _ = _hull_game(_energy(seed, countries, followers))
-        s, lay = kkt_system(g)
-        gap = duality_gap(g, lay)
-        comp = np.array(s.comp)
-        guide = np.zeros(s.n)
-        np.add.at(guide, comp, 1.0)
-        guide += np.asarray(s.m_mat.sum(axis=0)).ravel()
-        rows = PieceRows(s)
-        lp = rows.ranged(guide)
-        status, x, _ = lp.solve()
-        assert status is LpStatus.OPTIMAL
-        worst = int(np.argmax(x[comp] * s.slacks(x)))
-        points = [x]
-        for side in (0, 1):
-            lp.move_to(*rows.pin_bounds([(worst, side)]))
-            status, y, _ = lp.solve()
-            if status is LpStatus.OPTIMAL:
-                points.append(y)
-        assert len(points) > 1
-        for y in points:
-            linear = float(gap @ y)
-            assert abs(float(y[comp] @ s.slacks(y)) - linear) <= 1e-6 * (1 + abs(linear))
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_search_with_and_without_the_gap_agree(self, seed):
-        # on C2F2 hull games, as full (no binaries) and pure search them
-        for pure in (False, True):
-            g, binaries = _hull_game(_energy(seed, 2, 2), pure)
-            s, lay = kkt_system(g)
-            gap = duality_gap(g, lay)
-            assert gap is not None
-            zero = np.zeros(s.n)
-            with_gap = optimize_over_set(s, zero, binaries=binaries, gap=gap)
-            without = optimize_over_set(s, zero, binaries=binaries)
-            assert with_gap.status is without.status, (seed, pure)
-            if with_gap.status is LpStatus.OPTIMAL:
-                assert contains(s, with_gap.point, 1e-6)
-
-    def test_the_gap_search_only_edits_bounds(self, monkeypatch):
-        # every node is one LP under the gap: no objective is ever set
-        g, binaries = _hull_game(_energy(8, 2, 2), pure=True)
-        s, lay = kkt_system(g)
-        calls = []
-        monkeypatch.setattr(RangedLp, "set_objective", lambda lp, c: calls.append(c))
-        out = optimize_over_set(s, np.zeros(s.n), binaries=binaries, gap=duality_gap(g, lay))
-        assert out.status is LpStatus.INFEASIBLE
-        assert calls == []
-
-
 def _priced_pair(lo, hi):
     """A seller of cost 1 and a buyer of value 2 over boxes [lo_i, hi_i]
     who trade one good at the price pi: the seller minimizes (1 - pi) v_1,
@@ -375,21 +262,23 @@ class TestPlanner:
     def test_planner_point_is_a_kkt_point_with_the_search_prices(
         self, countries, followers, seed
     ):
-        g, _ = _hull_game(_energy(seed, countries, followers))
+        g = _hull_game(_energy(seed, countries, followers))
         point = _planner_point(g)
         s, lay = kkt_system(g)
         assert point is not None and contains(s, point, 1e-6)
-        search = optimize_over_set(s, np.zeros(s.n), gap=duality_gap(g, lay))
+        search = optimize_over_set(s, np.zeros(s.n))
         assert search.status is LpStatus.OPTIMAL
         assert lay.market(point) == pytest.approx(lay.market(search.point), abs=1e-6)
 
     def test_energy_solves_never_assemble_the_kkt_system(self, monkeypatch):
-        def no_kkt(g):
+        def no_kkt(*args, **kwargs):
             raise AssertionError("KKT system assembled for a planner game")
 
         monkeypatch.setattr(nashgame, "kkt_system", no_kkt)
+        monkeypatch.setattr(algorithms, "find_pne", no_kkt)
         game = _energy(0, 2, 4)
         assert full_enumeration(game).status in ("MNE", "PNE")
+        assert full_enumeration(game, _selection_vector(game)).status in ("MNE", "PNE")
         assert inner_approximation(game, "seq").status in ("MNE", "PNE")
         assert pure_enumeration(game).status == "NoEquilibrium"
 
@@ -398,12 +287,11 @@ class TestPlanner:
         # enumeration searches their KKT systems
         games = (matching_pennies_game(), split_interval_game(), random_trivial_game(20_001))
         for game in games:
-            assert _planner_of(_hull_game(game)[0]) is None
+            assert _planner_of(_hull_game(game)) is None
             assert full_enumeration(game).status in ("MNE", "PNE", "NoEquilibrium")
-        # a skew coupling has a duality gap, but no planner
+        # nor does a skew one
         for game in (split_interval_game(flipped=True), random_trivial_game(20_007)):
-            g, _ = _hull_game(game)
-            assert _gap_of(g) is not None and _planner_of(g) is None
+            assert _planner_of(_hull_game(game)) is None
         assert _planner_of(PolyhedralNashGame(players=(_player([-1.0], *BOX01, q=[[1.0]]),))) is None
 
     def test_a_priced_pair_clears_at_the_dual_price(self):
@@ -425,5 +313,5 @@ class TestPlanner:
             assert _planner_of(g) is not None and _planner_point(g) is None
             assert not find_pne(g).found
             s, lay = kkt_system(g)
-            search = optimize_over_set(s, np.zeros(s.n), gap=duality_gap(g, lay))
+            search = optimize_over_set(s, np.zeros(s.n))
             assert search.status is LpStatus.INFEASIBLE
