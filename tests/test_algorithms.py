@@ -688,6 +688,23 @@ class TestSelectedMaster:
                 _selected_value(selection, kkt), rel=1e-6
             )
 
+    @pytest.mark.parametrize("paradigm", PARADIGMS)
+    @pytest.mark.parametrize("trade", [True, False])
+    @pytest.mark.parametrize("tax_revenue", [False, True])
+    def test_every_tax_paradigm_agrees_with_the_kkt_search(self, paradigm, trade, tax_revenue):
+        # two identical countries under the CLI's selection; with tax
+        # revenue some selected values are 0 up to rounding, hence abs
+        game = build_game(symmetric_pair(trade, tax_revenue, paradigm))
+        assert algorithms._meets_at_the_price(game)
+        selection = _selection_vector(game)
+        rep = full_enumeration(game, selection)
+        kkt = _kkt_selected(game, selection)
+        assert rep.status in ("MNE", "PNE") and kkt is not None
+        _assert_certified(game, rep.profile)
+        assert _selected_value(selection, rep.profile) == pytest.approx(
+            _selected_value(selection, kkt), rel=1e-6, abs=1e-6
+        )
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_the_master_agrees_with_the_one_shot_planner_on_c2f8(self, seed):
         game = _energy_game(seed, 8)

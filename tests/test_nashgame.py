@@ -294,6 +294,26 @@ class TestPlanner:
             assert _planner_of(_hull_game(game)) is None
         assert _planner_of(PolyhedralNashGame(players=(_player([-1.0], *BOX01, q=[[1.0]]),))) is None
 
+    def test_a_price_coupling_that_is_not_the_clearing_rows_has_none(self):
+        # a price that enters both players' objectives as the clearing row
+        # spans both strategies has a planner, whose optimum is a KKT point;
+        # one that enters only one player's objective has none
+        one = np.array([[1.0, 1.0]])
+        priced = PolyhedralNashGame(
+            players=(
+                _player([0.0], *BOX01, coupling=[[0.0, 0.0, 1.0]]),
+                _player([0.0], *BOX01, coupling=[[0.0, 0.0, 1.0]]),
+            ),
+            clearing=one,
+        )
+        point = _planner_point(priced)
+        assert point is not None and contains(kkt_system(priced)[0], point, 1e-9)
+        lopsided = PolyhedralNashGame(
+            players=(priced.players[0], _player([0.0], *BOX01, coupling=[[0.0, 0.0, 0.0]])),
+            clearing=one,
+        )
+        assert _planner_of(lopsided) is None
+
     def test_a_priced_pair_clears_at_the_dual_price(self):
         # both quantities reach the seller's cap 1, at a price between the
         # seller's cost and the buyer's value
