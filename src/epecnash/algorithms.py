@@ -32,8 +32,8 @@ on such a game, are lifted, assembled and searched by ``find_pne``.
     pieces in a configurable order when the restricted game has no
     equilibrium; its terminal iteration coincides with full enumeration.
     It runs full enumeration's loop (``_grow``) with another pricing
-    step and fallback; each leader's best responses search one
-    relaxation model kept for the whole solve.
+    step and fallback; each leader's best responses search its set's one
+    relaxation model (``PieceRows.lp``), kept for the whole solve.
 
 ``pure_enumeration``
     A pure equilibrium, or a proof that none exists.  On a market game:
@@ -243,8 +243,7 @@ def deviation_check(
     game: MultiLeaderGame,
     profile: MixedProfile,
     sets: list[ComplementaritySet] | None = None,
-    deadline: Deadline | None = None,
-    models: list[RangedLp] | None = None,
+    rows: list[PieceRows] | None = None,
 ) -> list[Deviation | None]:
     """Per-leader best response against the true feasible set.
 
@@ -255,24 +254,19 @@ def deviation_check(
     deviation and carries its ray.  The search looks only below the
     played value minus ``DEVIATION_TOL``, so it prunes every node that
     cannot hold a deviation, and finding nothing there means none.
-    ``models`` gives, per leader, a relaxation model of its set that the
-    caller keeps across checks (``LeaderPieces.pricing``); each search
-    runs on it, warm, instead of building one.
+    ``rows`` gives, per leader, the ``PieceRows`` of its set that the
+    caller keeps across checks (``LeaderPieces.rows``); without it, each
+    set of ``sets`` (by default the leaders' own) gets a fresh one.
     """
-    if sets is None:
-        sets = [leader_feasible_set(l) for l in game.leaders]
+    if rows is None:
+        sets = sets or [leader_feasible_set(l) for l in game.leaders]
+        rows = [PieceRows(s) for s in sets]
     means = profile.means()
     out: list[Deviation | None] = []
     for i in range(len(game.leaders)):
         obj = game.rival_objective(i, means, profile.market)
         played = float(obj @ means[i])
-        br = optimize_over_set(
-            sets[i],
-            obj,
-            deadline=deadline,
-            bound=played - DEVIATION_TOL,
-            model=None if models is None else models[i],
-        )
+        br = optimize_over_set(rows[i], obj, bound=played - DEVIATION_TOL)
         if br.status is LpStatus.UNBOUNDED:
             out.append(Deviation(leader=i, improvement=np.inf, point=br.point, ray=br.ray))
         elif br.status is LpStatus.OPTIMAL and (gain := played - br.value) > DEVIATION_TOL:
@@ -297,17 +291,11 @@ def _check_clearing(game: MultiLeaderGame, profile: MixedProfile) -> None:
         raise NumericalFailure(f"market clearing violated by {residual:.2e}")
 
 
-def _certified(game, selections, profile: MixedProfile, deadline: Deadline) -> MixedProfile:
+def _certified(game, selections, profile: MixedProfile) -> MixedProfile:
     """``profile``, once ``deviation_check`` finds no leader deviating from
-    it, each leader's search on its kept ``pricing`` model; a deviation
+    it, each leader's search on its set's kept ``rows``; a deviation
     raises ``NumericalFailure``."""
-    devs = deviation_check(
-        game,
-        profile,
-        sets=[sel.rows.set for sel in selections],
-        deadline=deadline,
-        models=[sel.pricing for sel in selections],
-    )
+    devs = deviation_check(game, profile, rows=[sel.rows for sel in selections])
     for dev in devs:
         if dev is not None:
             raise NumericalFailure(
@@ -347,8 +335,8 @@ class LeaderPieces:
     front, and ``pieces`` keeps that list for ``include_extremes`` and
     ``enter``.  A piece's single-point test runs once, when it is
     included, at that point; ``found`` holds every nonempty encoding
-    seen, from ``pending`` or a deviation.  Every LP runs within
-    ``deadline``, which the set's ``PieceRows`` holds.
+    seen, from ``pending`` or a deviation.  Every LP over the set's
+    relaxation runs on ``rows.lp``, within ``deadline``, which ``rows`` holds.
     """
 
     def __init__(
@@ -426,13 +414,6 @@ class LeaderPieces:
         bits = np.array([e for e, _ in self.pieces], dtype=np.int64)
         return bits.reshape(len(self.pieces), -1) @ (1 << np.arange(self.rows.num_pairs))
 
-    @cached_property
-    def pricing(self) -> RangedLp:
-        """The relaxation as one LP, kept for the whole solve: ``enter``
-        moves it to a piece and sets its objective, and the inner
-        approximation's best responses (``deviation_check``) search on it."""
-        return self.rows.ranged(np.zeros(self.rows.set.n))
-
     def _certified(self, y: np.ndarray, w: np.ndarray, bound: float) -> np.ndarray:
         """Per piece, whether the row duals y prove min w.x >= ``bound``
         over it (``PieceRows.certificate``)."""
@@ -461,7 +442,7 @@ class LeaderPieces:
         The pieces' points are tested first, by one product.  Only when
         none beats the bound does the LP scan run, in ascending order of
         the points' values, up to the first piece that beats it: min w.x
-        over a piece on ``pricing``, unless row duals already prove it at
+        over a piece on ``rows.lp``, unless row duals already prove it at
         least the bound (weak duality, ``PieceRows.certificate``).  The row
         duals of every scan LP that does not beat the bound cover each
         piece with the pins they need, in this scan and, under their new
@@ -476,7 +457,8 @@ class LeaderPieces:
             j = left[order[0]]
             self._include(*self.pieces[j])
             return float(values[order[0]]), self.pieces[j][1]
-        self.pricing.set_objective(w)
+        lp = self.rows.lp
+        lp.set_objective(w)
         skip = np.zeros(len(self.pieces), dtype=bool)
         for y in self.duals:
             skip |= self._certified(y, w, bound)
@@ -484,15 +466,15 @@ class LeaderPieces:
             j = left[t]
             if skip[j]:
                 continue
-            self.pricing.move_to(*self.rows.pin_bounds(enumerate(self.pieces[j][0])))
-            status, x, value = self.pricing.solve()
+            lp.move_to(*self.rows.pin_bounds(enumerate(self.pieces[j][0])))
+            status, x, value = lp.solve()
             if status is LpStatus.UNBOUNDED:
                 value, x = -np.inf, self.pieces[j][1]
             if status is not LpStatus.INFEASIBLE and value < bound:
                 self._include(*self.pieces[j])
                 return value, x
             if status is LpStatus.OPTIMAL:
-                self.duals.append(self.pricing.row_duals())
+                self.duals.append(lp.row_duals())
                 skip |= self._certified(self.duals[-1], w, bound)
         return None
 
@@ -768,7 +750,7 @@ def _enumeration(
                 master = RestrictedPlanner(game, selections, deadline)
                 profile = master.equilibrium(deadline, selection)
             if profile is not None:
-                profile = _certified(game, selections, profile, deadline)
+                profile = _certified(game, selections, profile)
         return _report(game, selections, deadline, profile)
     except TimeLimitReached:
         return _report(game, selections, deadline, None, "TimeLimit")
@@ -809,7 +791,7 @@ def _grow(
         while True:
             deadline.check()
             profile = restricted(deadline)
-            found = None if profile is None else price(game, selections, profile, deadline)
+            found = None if profile is None else price(game, selections, profile)
             trace.append({"restricted": profile, "deviations": found})
             if profile is None:
                 if all(sel.exhausted for sel in selections):
@@ -830,7 +812,7 @@ def _grow(
         )
 
 
-def _scan(game, selections, profile, deadline) -> list[Deviation | None]:
+def _scan(game, selections, profile) -> list[Deviation | None]:
     """Full enumeration's pricing: per leader, include a piece with a
     point that beats the leader's play by more than ``DEVIATION_TOL``
     (``LeaderPieces.enter``), and return it as a deviation to that point."""
@@ -848,20 +830,18 @@ def _scan(game, selections, profile, deadline) -> list[Deviation | None]:
     return out
 
 
-def _deviations(game, selections, profile, deadline) -> list[Deviation | None]:
+def _deviations(game, selections, profile) -> list[Deviation | None]:
     """The inner approximation's pricing: ``deviation_check`` against the
-    true sets, each leader's search on its kept ``pricing`` model, and per
+    true sets, each leader's search on its set's kept ``rows``, and per
     profitable deviation the piece containing its point, or else the
     leader's next pending piece."""
-    sets = [sel.rows.set for sel in selections]
-    models = [sel.pricing for sel in selections]
-    devs = deviation_check(game, profile, sets=sets, deadline=deadline, models=models)
+    devs = deviation_check(game, profile, rows=[sel.rows for sel in selections])
     added = False
     for dev in devs:
         if dev is None or dev.point is None:
             continue
         sel = selections[dev.leader]
-        if sel.add(_piece_encoding_at(sets[dev.leader], dev.point)) or sel.extend(1):
+        if sel.add(_piece_encoding_at(sel.rows.set, dev.point)) or sel.extend(1):
             added = True
     if not added and any(d is not None for d in devs):
         raise NumericalFailure("deviation found but no piece left to add; tolerances disagree")
@@ -986,18 +966,19 @@ def _pure_equilibrium(
     _check_clearing(game, profile)
     c, cap = _optimality_row(game, np.concatenate(profile.means()))
     s = _equilibrium_set(game, [sel.rows.set for sel in selections], c, cap)
+    rows = PieceRows(s, deadline)
     if selection is None:
-        found = optimize_over_set(s, c, deadline, bound=cap + PLANNER_SLACK)
+        found = optimize_over_set(rows, c, bound=cap + PLANNER_SLACK)
     else:
         bound = np.inf if known is None else float(selection @ np.concatenate(known.means()))
-        found = optimize_over_set(s, selection, deadline, bound=bound)
+        found = optimize_over_set(rows, selection, bound=bound)
     if found.status is LpStatus.UNBOUNDED:
         raise LpError("selection objective is unbounded over the equilibrium set")
     if found.status is not LpStatus.OPTIMAL:
         return known
     blocks = np.split(found.point, np.cumsum(game.ambients)[:-1])
     pure = MixedProfile(supports=tuple(((x, 1.0),) for x in blocks), market=profile.market)
-    return _certified(game, selections, pure, deadline)
+    return _certified(game, selections, pure)
 
 
 def _piece_encoding_at(s: ComplementaritySet, x: np.ndarray) -> tuple[int, ...]:
@@ -1022,7 +1003,7 @@ def inner_approximation(
     equilibrium extends every leader by k pieces.  Once every piece is
     in, the iteration coincides with full enumeration.  The loop is full
     enumeration's (``_grow``), priced by ``deviation_check`` on each
-    leader's kept ``pricing`` model.
+    leader's kept relaxation model (``PieceRows.lp``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")

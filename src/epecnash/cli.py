@@ -130,6 +130,12 @@ def cmd_validate(args) -> int:
     if len(profile.supports) != len(game.leaders):
         print("validate: wrong number of leaders", file=sys.stderr)
         return EXIT_INPUT
+    if len(profile.market) != game.n_market:
+        print(
+            f"validate: {len(profile.market)} market prices for {game.n_market} clearing rows",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
     sets = [leader_feasible_set(leader) for leader in game.leaders]
     for i, sup in enumerate(profile.supports):
         probs = [pr for _, pr in sup]

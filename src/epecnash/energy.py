@@ -304,6 +304,10 @@ def report(inst: EnergyInstance, profile: MixedProfile) -> EnergyReport:
     """
     if len(profile.supports) != len(inst.countries):
         raise ProfileMismatch("profile has wrong number of leaders")
+    if len(profile.market) != int(inst.trade):
+        raise ProfileMismatch(
+            f"{len(profile.market)} market prices for {int(inst.trade)} clearing rows"
+        )
     countries = []
     total_emission = 0.0
     volume = 0.0

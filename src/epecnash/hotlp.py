@@ -1,9 +1,10 @@
 """Incremental LP used by the branch-and-bound inner loops.
 
-One HiGHS model is built per search; every tree node differs from the
-base relaxation only in row/column *bounds* (a pinned complementarity
-side fixes its column at 0 or turns its pair row into an equation; a
-branched convex weight turns into a fixed column).  Moving between nodes edits only the bounds
+One HiGHS model is kept per relaxation for every LP over it: witnesses,
+scans and every tree node differ from the base relaxation only in the
+objective and row/column *bounds* (a pinned complementarity side fixes
+its column at 0 or turns its pair row into an equation; a branched
+convex weight turns into a fixed column).  Moving between nodes edits only the bounds
 that differ, and warm-started re-solves are orders of magnitude cheaper
 than rebuilding the LP per node.  A model can also grow: columns and rows
 added in place keep the basis, so a restricted master that takes new
@@ -160,7 +161,11 @@ class RangedLp:
         self._cols = dict(cols)
 
     def set_objective(self, c: np.ndarray) -> None:
-        self._objective = np.asarray(c, float).copy()
+        """Make ``c`` the objective; no HiGHS call when it already is."""
+        c = np.asarray(c, float)
+        if np.array_equal(c, self._objective):
+            return
+        self._objective = c.copy()
         self._h.changeColsCost(
             self.n, np.arange(self.n, dtype=np.int64), self._objective
         )

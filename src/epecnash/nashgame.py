@@ -26,6 +26,7 @@ from .polyhedra import (
     BinaryVar,
     ComplementaritySet,
     Deadline,
+    PieceRows,
     Triplets,
     default_equalities,
     optimize_over_set,
@@ -261,7 +262,7 @@ def find_pne(
         if len(selection) != g.strategy_dim:
             raise DimensionMismatch("selection objective spans the strategy blocks")
         c[lay.var_slices[0].start : lay.var_slices[0].start + g.strategy_dim] = selection
-    out = optimize_over_set(set_, c, deadline=deadline, binaries=binaries)
+    out = optimize_over_set(PieceRows(set_, deadline), c, binaries=binaries)
     if out.status is LpStatus.OPTIMAL:
         return PneOutcome(found=True, point=out.point, layout=lay)
     if out.status is LpStatus.INFEASIBLE:

@@ -128,12 +128,13 @@ class PieceRows:
 
     Each pair has two sides: x_{c_i} and [M x]_i, pinned at 0 and -q_i.
     Encoding e pins side e_i of each pair as an equality and keeps the
-    other side as one ``>=`` row.  The ranged LP instead bounds each
-    complementary column to [0, inf) and keeps M x + q >= 0 as one row
-    per pair, so a 0-side pin is a column-bound edit and a 1-side pin a
-    row-bound edit.  A piece stays an encoding: its rows are indexed out
-    of one dense ``block`` (``piece_rows``), and its singleton test edits
-    the bounds of the set's two models, ``lp`` and ``cone``.  Every model
+    other side as one ``>=`` row.  The ranged LP ``lp``, the set's one
+    model of its relaxation, instead bounds each complementary column to
+    [0, inf) and keeps M x + q >= 0 as one row per pair, so a 0-side pin
+    is a column-bound edit and a 1-side pin a row-bound edit; witnesses,
+    scans and searches all run on it.  A piece stays an encoding: its
+    rows are indexed out of one dense ``block`` (``piece_rows``), and its
+    singleton test edits the bounds of ``lp`` and ``cone``.  Every model
     runs under ``deadline``, which the enumeration walk also ticks.
     """
 
@@ -147,12 +148,8 @@ class PieceRows:
 
     @cached_property
     def lp(self) -> RangedLp:
-        """Zero-objective ranged LP behind ``witness``; its objective
-        never changes."""
-        return self.ranged(np.zeros(self.set.n))
-
-    def ranged(self, objective: np.ndarray) -> RangedLp:
-        """The relaxation as one incremental LP whose nodes are bound edits.
+        """The relaxation as one incremental LP whose nodes are bound edits,
+        kept for every LP over it; it starts at a zero objective.
 
         Rows: ``a`` as <= b rows, the equalities with lo = hi, then one
         M x + q >= 0 row per pair; every complementary column is bounded
@@ -163,7 +160,7 @@ class PieceRows:
         col_lo = np.full(s.n, -INF)
         col_lo[list(s.comp)] = 0.0
         return RangedLp(
-            objective,
+            np.zeros(s.n),
             sp.vstack([sp.csr_matrix(m) for m in (s.a, s.a_eq, s.m_mat)], format="csr"),
             np.concatenate([np.full(s.a.shape[0], -INF), s.b_eq, -q]),
             np.concatenate([np.asarray(s.b, float), s.b_eq, np.full(s.num_pairs, INF)]),
@@ -174,7 +171,7 @@ class PieceRows:
     @cached_property
     def _farkas(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
         """What ``certificate`` reads, built once per set from ``block``:
-        ``ranged``'s rows ``[a; a_eq; m_mat]`` transposed, their largest
+        ``lp``'s rows ``[a; a_eq; m_mat]`` transposed, their largest
         absolute entry, the value each row holds where its finite bound or
         its pin binds, ``[b; b_eq; -q]``, each pair's column, and the free
         columns."""
@@ -189,7 +186,7 @@ class PieceRows:
     def certificate(
         self, y: np.ndarray, w: np.ndarray | None = None
     ) -> tuple[int, int, float] | None:
-        """What row multipliers y on ``ranged``'s rows prove about min w.x
+        """What row multipliers y on ``lp``'s rows prove about min w.x
         (w = 0 for a dual ray): the pins y needs, as bitmasks of the pairs
         whose side 1 and whose side 0 must be pinned, and the bound y.rhs
         that holds on every node with those pins.  None if y needs an
@@ -219,7 +216,7 @@ class PieceRows:
         return need1, need0, float(y @ rhs)
 
     def pin_bounds(self, pins, cols: dict | None = None) -> tuple[dict, dict]:
-        """Row and column bounds of ``ranged`` that pin side ``bit`` of each
+        """Row and column bounds of ``lp`` that pin side ``bit`` of each
         ``(pair, bit)``, beside the column bounds ``cols``: side 0 fixes
         x_{c_i} at 0, side 1 fixes pair row i at -q_i."""
         s = self.set
@@ -234,7 +231,8 @@ class PieceRows:
 
     def witness(self, prefix: tuple[int, ...]) -> tuple[bool, np.ndarray | None]:
         """Whether the relaxation with the pairs of ``prefix`` pinned is
-        nonempty, and the LP's point if it has one."""
+        nonempty, and the LP's point if it has one, under a zero objective."""
+        self.lp.set_objective(np.zeros(self.set.n))
         self.lp.move_to(*self.pin_bounds(enumerate(prefix)))
         status, x, _ = self.lp.solve()
         return status is not LpStatus.INFEASIBLE, x
@@ -739,14 +737,12 @@ _BIN_TOL = 1e-7
 
 
 def optimize_over_set(
-    s: ComplementaritySet,
+    rows: PieceRows,
     c: np.ndarray,
-    deadline: Deadline | None = None,
     binaries: tuple[BinaryVar, ...] = (),
     bound: float = np.inf,
-    model: RangedLp | None = None,
 ) -> LpOutcome:
-    """Global min of c @ x over the set by disjunctive branch-and-bound.
+    """Global min of c @ x over ``rows.set`` by disjunctive branch-and-bound.
 
     Depth-first.  A node branches on its most fractional free binary,
     select (1) child first; with none, on the pair with the largest
@@ -769,11 +765,11 @@ def optimize_over_set(
     the minimum only where it lies below ``bound`` and is ``INFEASIBLE``
     otherwise.
 
-    ``model`` is the set's relaxation as ``PieceRows.ranged`` builds it,
-    kept by the caller across searches: the search sets its objective and
-    bounds and runs on it, warm from wherever the last search left it,
-    instead of building a model of its own.
+    The search sets the objective of the set's one relaxation model,
+    ``rows.lp``, and runs on it, warm from wherever the last LP on it left
+    it, within ``rows.deadline``.
     """
+    s = rows.set
     c = np.asarray(c, dtype=float)
     if len(c) != s.n:
         raise DimensionMismatch("objective length mismatch")
@@ -791,12 +787,8 @@ def optimize_over_set(
     else:
         guide = c
 
-    rows = PieceRows(s, deadline)
-    if model is None:
-        lp = rows.ranged(guide)
-    else:
-        lp = model
-        lp.set_objective(guide)
+    lp = rows.lp
+    lp.set_objective(guide)
     m_t = s.m_mat.T
 
     def violated(x: np.ndarray, pins=()) -> int:

@@ -264,7 +264,7 @@ def exporting_point(game, export: float = 1.0) -> np.ndarray:
     at_least = dataclasses.replace(
         s, a=sp.vstack([s.a, row], format="csr"), b=np.append(s.b, -export)
     )
-    return optimize_over_set(at_least, -row[0]).point
+    return optimize_over_set(PieceRows(at_least), -row[0]).point
 
 
 def untaxed_supply(producers, alpha: float, beta: float) -> float:

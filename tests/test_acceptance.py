@@ -180,7 +180,7 @@ def test_criterion_4_algorithm_agreement(random_games, random_full_reports):
 # criterion 5: branch-and-bound against piece enumeration
 # --------------------------------------------------------------------
 def test_criterion_5_branch_and_bound_oracle_equivalence():
-    from epecnash.polyhedra import optimize_over_set
+    from epecnash.polyhedra import PieceRows, optimize_over_set
 
     t0 = time.monotonic()
     rng = Lcg(123)
@@ -188,7 +188,7 @@ def test_criterion_5_branch_and_bound_oracle_equivalence():
     for trial in range(100):
         s = random_comp_set(60_000 + trial, max_dim=5, max_pairs=8)
         c = np.array([round(rng.uniform(-1, 1), 2) for _ in range(s.n)])
-        bb = optimize_over_set(s, c)
+        bb = optimize_over_set(PieceRows(s), c)
         pieces = pieces_of(s)
         outs = [solve_lp(program(poly, c)) for _, poly in pieces]
         if not pieces:

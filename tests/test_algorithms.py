@@ -279,7 +279,7 @@ class TestFullEnumeration:
         )
         assert s.n == s.a_eq.shape[0] + s.num_pairs
         # the search model: the equalities and one row per pair
-        assert PieceRows(s).ranged(np.zeros(s.n)).m == s.n
+        assert PieceRows(s).lp.m == s.n
 
     def test_c2f8_seed_1_is_certified(self):
         game = build_game(gen_energy(GenConfig(seed=1, countries=2, followers=(8, 8))))
@@ -361,7 +361,7 @@ class TestColumnGeneration:
         assert value == point[0] <= -1.0
         assert sel.encodings == [(0, 1), (1, 0)]
         # only the entering piece's singleton test solves an LP
-        assert "pricing" not in vars(sel) and all(lp is sel.rows.cone for lp in solved)
+        assert all(lp is sel.rows.cone for lp in solved)
 
     def test_the_lp_scan_finds_a_piece_whose_point_does_not_beat_the_bound(self, monkeypatch):
         sel = LeaderPieces(split_interval_set(), None, Deadline())
@@ -372,7 +372,7 @@ class TestColumnGeneration:
         value, point = sel.enter(w, 3.0)
         assert value == pytest.approx(1.0) and point[0] == pytest.approx(-1.0)
         assert sel.encodings == [(0, 1), (1, 0)]
-        assert solved.count(sel.pricing) == 1
+        assert solved.count(sel.rows.lp) == 1
 
     def test_the_scan_finds_nothing_when_no_piece_beats_the_bound(self, monkeypatch):
         sel = LeaderPieces(split_interval_set(), None, Deadline())
@@ -380,7 +380,7 @@ class TestColumnGeneration:
         solved = _recording_solves(monkeypatch)
         assert sel.enter(np.array([-1.0, 0.0, 0.0, 0.0]), 0.5) is None
         assert sel.encodings == [(0, 1)]
-        assert solved == [sel.pricing]  # the one piece left out, by its LP
+        assert solved == [sel.rows.lp]  # the one piece left out, by its LP
         sel.extend()
         assert sel.enter(np.array([1.0, 0.0, 0.0, 0.0]), 100.0) is None  # nothing left out
 
@@ -398,7 +398,7 @@ class TestColumnGeneration:
             left = [e for e, _ in sel.pieces if e not in sel.included]
             start = len(solved)
             out = enter(sel, w, bound)
-            lps = sum(lp is vars(sel).get("pricing") for lp in solved[start:])
+            lps = sum(lp is sel.rows.lp for lp in solved[start:])
             scans[id(sel)] = (sel, w, bound, left, lps, out)
             return out
 
@@ -407,7 +407,8 @@ class TestColumnGeneration:
         assert len(scans) == 2
         for sel, w, bound, left, lps, out in scans.values():
             assert out is None and lps < len(left)
-            fresh = sel.rows.ranged(w)
+            fresh = PieceRows(sel.rows.set).lp
+            fresh.set_objective(w)
             for encoding in left:
                 fresh.move_to(*sel.rows.pin_bounds(enumerate(encoding)))
                 status, _, value = fresh.solve()
@@ -996,7 +997,7 @@ class TestInnerApproximation:
         monkeypatch.setattr(
             algorithms,
             "deviation_check",
-            lambda game, profile, sets, deadline, models: [
+            lambda game, profile, rows: [
                 Deviation(0, 1.0, point=profile.mean(0)),
                 None,
             ],
@@ -1082,13 +1083,13 @@ class TestPureEnumeration:
             ),
             # a market game: the hull game's value over 2 restricted games
             # (lazy enumeration, singleton tests, master solves and deviation
-            # best responses, 37 LPs), then a search of the leaders' own sets
+            # best responses, 36 LPs), then a search of the leaders' own sets
             # that finds no planner optimum in them (13 LPs)
             (
                 "C2F2s8-first",
                 lambda: build_game(gen_energy(GenConfig(seed=8, countries=2, followers=(2, 2)))),
                 "NoEquilibrium",
-                50,
+                49,
             ),
             # the same, selected: the value (19 LPs), whose profile is pure
             # and so already certified, then the search under the selection
@@ -1099,9 +1100,9 @@ class TestPureEnumeration:
             # restricted planner solve, and 20 pricing LPs for the 66 pieces
             # left out, whose row duals prove the other 46 no better
             ("C2F6s1-full", lambda: _energy_game(1, 6), "MNE", 97),
-            # deviation best responses, each leader's on its kept pricing
-            # model, warm from the last search
-            ("C2F6s1-rseq", lambda: _energy_game(1, 6), "MNE", 178),
+            # deviation best responses, each leader's on its set's one
+            # relaxation model, warm from the last LP on it (witness or search)
+            ("C2F6s1-rseq", lambda: _energy_game(1, 6), "MNE", 160),
         ],
     )
     def test_lp_solve_count_is_pinned(self, monkeypatch, name, game, status, solves):
@@ -1115,24 +1116,42 @@ class TestPureEnumeration:
             assert len(solved) > 0
 
     def test_inner_model_builds_are_pinned(self, monkeypatch):
-        # inner C2F6 s1 rseq, 5 iterations: per leader the witness model, the
-        # singleton cone model and the pricing model its best responses
-        # search on, and one restricted planner grown in place (13 builds
-        # when each restricted game and each best response built its own)
+        # inner C2F6 s1 rseq, 5 iterations: per leader the one relaxation
+        # model its witnesses and best responses run on and the singleton
+        # cone model, and one restricted planner grown in place (7 builds
+        # with a separate model for the best responses, 13 when each
+        # restricted game and each best response built its own)
         game = _energy_game(1, 6)
-        builds = []
+        builds, selections, masters = [], [], []
         init = RangedLp.__init__
+        leader_init = LeaderPieces.__init__
+        master_init = algorithms.RestrictedPlanner.__init__
 
         def counted(lp, *args, **kwargs):
             builds.append(lp)
             init(lp, *args, **kwargs)
 
+        def kept(store, init_):
+            def recorded(obj, *args, **kwargs):
+                store.append(obj)
+                init_(obj, *args, **kwargs)
+
+            return recorded
+
         monkeypatch.setattr(RangedLp, "__init__", counted)
+        monkeypatch.setattr(LeaderPieces, "__init__", kept(selections, leader_init))
+        monkeypatch.setattr(
+            algorithms.RestrictedPlanner, "__init__", kept(masters, master_init)
+        )
         rep = inner_approximation(game, "rseq", 1, seed=0)
         assert rep.status == "MNE" and rep.iterations == 5
-        assert len(builds) <= 3 * len(game.leaders) + 1
+        # no model of a relaxation beyond each set's ``rows.lp``
+        cones = [vars(sel.rows).get("cone") for sel in selections]
+        relaxations = [lp for lp in builds if lp not in cones and lp is not masters[0].lp]
+        assert len(masters) == 1 and relaxations == [sel.rows.lp for sel in selections]
+        assert len(builds) <= 2 * len(game.leaders) + 1
         if scipy.__version__ == self.PINNED_SCIPY:
-            assert len(builds) == 7
+            assert len(builds) == 5
 
     @pytest.mark.parametrize(
         "game, status, solves",
@@ -1142,7 +1161,7 @@ class TestPureEnumeration:
                 "NoEquilibrium",
                 844,
             ),
-            (lambda: _energy_game(8, 2), "NoEquilibrium", 50),
+            (lambda: _energy_game(8, 2), "NoEquilibrium", 49),
         ],
         ids=("ss-no", "C2F2s8-first"),
     )
@@ -1246,7 +1265,7 @@ class TestPureEnumeration:
         monkeypatch.setattr(
             algorithms,
             "deviation_check",
-            lambda game, profile, sets, deadline, models: [None, Deviation(1, 1.0)],
+            lambda game, profile, rows: [None, Deviation(1, 1.0)],
         )
         game = split_interval_game(flipped=True)
         with pytest.raises(NumericalFailure, match="leader 1 deviates"):
@@ -1268,10 +1287,10 @@ class TestPureEnumeration:
         )
         check = algorithms.deviation_check
 
-        def stub(game, profile, sets, deadline, models):
+        def stub(game, profile, rows):
             if searched:
                 return [None, Deviation(1, 1.0)]
-            return check(game, profile, sets=sets, deadline=deadline, models=models)
+            return check(game, profile, rows=rows)
 
         monkeypatch.setattr(algorithms, "deviation_check", stub)
         game = _energy_game(7, 2)

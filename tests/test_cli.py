@@ -204,6 +204,36 @@ class TestCli:
         assert main(["validate", "--in", str(inst), "--result", str(res)]) == EXIT_INPUT
         assert "market clearing violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    @pytest.mark.parametrize(
+        "prices",
+        [None, [], [1.0, 1.0]],
+        ids=["missing", "short", "long"],
+    )
+    def test_a_wrong_count_of_market_prices_is_an_input_error(
+        self, tmp_path, capsys, command, prices
+    ):
+        # a traded instance has one clearing row, so its result carries one
+        # price; validate and report refuse any other count
+        energy = symmetric_pair(trade=True)
+        inst = tmp_path / "inst.json"
+        res = tmp_path / "res.json"
+        inst.write_text(dumps(energy_to_dict(energy)))
+        assert main(["solve", "--in", str(inst), "--algorithm", "pure", "--out", str(res)]) == 0
+        data = json.loads(res.read_text())
+        assert len(data["market_prices"]) == 1
+        if prices is None:
+            del data["market_prices"]
+        else:
+            data["market_prices"] = prices
+        res.write_text(json.dumps(data))
+        argv = [command, "--in", str(inst), "--result", str(res)]
+        if command == "report":
+            argv += ["--out", str(tmp_path / "out.json")]
+        capsys.readouterr()
+        assert main(argv) == EXIT_INPUT
+        assert "market prices for 1 clearing rows" in capsys.readouterr().err
+
     def test_solve_deterministic_bytes(self, tmp_path):
         inst = tmp_path / "inst.json"
         assert main(["generate", "--seed", "21", "--countries", "2",

@@ -20,7 +20,7 @@ def _bounds(lp: RangedLp) -> list[np.ndarray]:
 
 
 class _CountingHighs:
-    """Forwards to a HiGHS object and counts its bound edits."""
+    """Forwards to a HiGHS object and counts its bound and cost edits."""
 
     def __init__(self, h):
         self._inner = h
@@ -28,7 +28,7 @@ class _CountingHighs:
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
-        if name in ("changeRowBounds", "changeColBounds"):
+        if name in ("changeRowBounds", "changeColBounds", "changeColsCost"):
             def counted(*args):
                 self.edits += 1
                 return attr(*args)
@@ -62,10 +62,10 @@ class TestNodeMoves:
         for seed in range(4):
             s = random_comp_set(9000 + seed)
             rows = PieceRows(s)
-            moved = rows.ranged(np.zeros(s.n))
+            moved = rows.lp
             for node in _random_walk(Lcg(seed), s.num_pairs, s.n, 60):
                 _apply(rows, moved, node)
-                repinned = rows.ranged(np.zeros(s.n))
+                repinned = PieceRows(s).lp
                 repinned.move_to({})
                 _apply(rows, repinned, node)
                 for got, want in zip(_bounds(moved), _bounds(repinned)):
@@ -75,7 +75,7 @@ class TestNodeMoves:
     def test_back_to_the_root_restores_the_base(self):
         s = random_comp_set(9003)
         rows = PieceRows(s)
-        lp = rows.ranged(np.zeros(s.n))
+        lp = rows.lp
         base = _bounds(lp)
         for node in _random_walk(Lcg(7), s.num_pairs, s.n, 20):
             _apply(rows, lp, node)
@@ -87,7 +87,7 @@ class TestNodeMoves:
         s = random_comp_set(9001)
         assert s.num_pairs >= 2
         rows = PieceRows(s)
-        lp = rows.ranged(np.zeros(s.n))
+        lp = rows.lp
         lp._h = counter = _CountingHighs(lp._h)
         lp.move_to(*rows.pin_bounds([(0, 1)]))
         assert counter.edits == 1
@@ -99,6 +99,20 @@ class TestNodeMoves:
         assert counter.edits == 4
         lp.move_to(*rows.pin_bounds([(0, 1)], {0: (0.0, 0.0)}))  # backtrack, one column
         assert counter.edits == 6
+
+    def test_an_unchanged_objective_is_not_edited(self):
+        # a witness resets the shared model's objective to zero before each
+        # LP; during a walk that reset costs no HiGHS call
+        s = random_comp_set(9001)
+        lp = PieceRows(s).lp
+        lp._h = counter = _CountingHighs(lp._h)
+        lp.set_objective(np.zeros(s.n))
+        assert counter.edits == 0
+        lp.set_objective(np.ones(s.n))
+        lp.set_objective(np.ones(s.n))
+        assert counter.edits == 1
+        lp.set_objective(np.zeros(s.n))
+        assert counter.edits == 2
 
 
 def _assert_ray(lp: RangedLp, d: np.ndarray) -> None:
@@ -152,7 +166,8 @@ class TestRay:
             comp=(1,),
         )
         rows = PieceRows(s)
-        lp = rows.ranged(np.array([-1.0, 1.0, 0.0]))
+        lp = rows.lp
+        lp.set_objective(np.array([-1.0, 1.0, 0.0]))
         lp.move_to(*rows.pin_bounds([(0, 1)], {2: (1.0, INF)}))
         assert lp.solve()[0] is LpStatus.UNBOUNDED
         d = lp.ray()
@@ -193,7 +208,7 @@ class TestRay:
             return ray(lp)
 
         monkeypatch.setattr(RangedLp, "ray", spied)
-        out = optimize_over_set(self._wedge(), np.array([-1.0, 1.0]), deadline=Deadline(60.0))
+        out = optimize_over_set(PieceRows(self._wedge(), Deadline(60.0)), np.array([-1.0, 1.0]))
         assert out.status is LpStatus.UNBOUNDED
         assert len(limits) == 1 and 0.0 < limits[0] <= 60.0
 
@@ -209,7 +224,7 @@ class TestRay:
 
         monkeypatch.setattr(RangedLp, "ray", expiring)
         with pytest.raises(TimeLimitReached):
-            optimize_over_set(self._wedge(), np.array([-1.0, 1.0]), deadline=deadline)
+            optimize_over_set(PieceRows(self._wedge(), deadline), np.array([-1.0, 1.0]))
 
 
 def _slow_lp_rows():
@@ -334,7 +349,7 @@ class TestTimeLimit:
         rhs = np.concatenate([np.ones(n), np.full(n, 10.0), np.zeros(n)])
         s = ComplementaritySet(a=box, b=rhs, m_mat=np.zeros((0, n)), q=np.zeros(0), comp=())
         with pytest.raises(TimeLimitReached):
-            optimize_over_set(s, -np.ones(n), deadline=Deadline(1e-3))
+            optimize_over_set(PieceRows(s, Deadline(1e-3)), -np.ones(n))
 
 
 class _ScriptedHighs:

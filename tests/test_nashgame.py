@@ -32,7 +32,7 @@ from epecnash.nashgame import (
     kkt_layout,
     kkt_system,
 )
-from epecnash.polyhedra import Deadline, contains, optimize_over_set
+from epecnash.polyhedra import Deadline, PieceRows, contains, optimize_over_set
 from epecnash.rng import Lcg
 
 from tests.helpers import planner_lp
@@ -266,7 +266,7 @@ class TestPlanner:
         point = _planner_point(g)
         s, lay = kkt_system(g)
         assert point is not None and contains(s, point, 1e-6)
-        search = optimize_over_set(s, np.zeros(s.n))
+        search = optimize_over_set(PieceRows(s), np.zeros(s.n))
         assert search.status is LpStatus.OPTIMAL
         assert lay.market(point) == pytest.approx(lay.market(search.point), abs=1e-6)
 
@@ -333,5 +333,5 @@ class TestPlanner:
             assert _planner_of(g) is not None and _planner_point(g) is None
             assert not find_pne(g).found
             s, lay = kkt_system(g)
-            search = optimize_over_set(s, np.zeros(s.n))
+            search = optimize_over_set(PieceRows(s), np.zeros(s.n))
             assert search.status is LpStatus.INFEASIBLE

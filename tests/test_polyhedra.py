@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from epecnash.algorithms import _assemble_hull_game
+from epecnash.algorithms import _assemble_hull_game, deviation_check, full_enumeration
 from epecnash.energy import build_game
 from epecnash.generators import (
     GenConfig,
@@ -810,6 +810,71 @@ class TestSinglePoint:
         assert PieceRows(scalar_set(1.0, -1.0)).single_point((0,)) is None
 
 
+class TestSharedModel:
+    """Every LP over a set's relaxation runs on its one model,
+    ``PieceRows.lp``: what a search leaves on it changes no later answer."""
+
+    @staticmethod
+    def _runaway_set() -> ComplementaritySet:
+        # (x0, x1, x2, y0, y1, y2): y_i >= 0 perp 1 - x_i + y_i >= 0, so
+        # side 0 keeps x_i <= 1 and side 1 makes x_i = 1 + y_i >= 1, and
+        # x0 + x1 >= 3 empties the pieces with both of pairs 0 and 1 at 0
+        m_mat = np.hstack([-np.eye(3), np.eye(3)])
+        return ComplementaritySet(
+            a=np.array([[-1.0, -1.0, 0.0, 0.0, 0.0, 0.0]]),
+            b=np.array([-3.0]),
+            m_mat=m_mat,
+            q=np.ones(3),
+            comp=(3, 4, 5),
+        )
+
+    def test_a_witness_after_an_unbounded_search_matches_a_fresh_model(self):
+        s = self._runaway_set()
+        c = np.array([-1.0, -1.0, -1.0, 0.0, 0.0, 0.0])
+        rows = PieceRows(s)
+        rows.lp.set_objective(c)
+        assert rows.lp.solve()[0] is LpStatus.UNBOUNDED  # on the relaxation
+        assert optimize_over_set(rows, c).status is LpStatus.UNBOUNDED
+        # the search left its model at a leaf, under its objective
+        assert len(rows.lp._rows) + len(rows.lp._cols) == s.num_pairs
+        assert np.array_equal(rows.lp._objective, c)
+        feasible = 0
+        for e in itertools.product((0, 1), repeat=s.num_pairs):
+            got, x = rows.witness(e)
+            assert not np.any(rows.lp._objective)
+            assert got == PieceRows(s).witness(e)[0] == is_feasible(selected_polyhedron(s, e))
+            if got:
+                assert contains(selected_polyhedron(s, e), x, 1e-9), e
+                feasible += 1
+        assert 0 < feasible < 2**s.num_pairs
+
+    @pytest.mark.parametrize(
+        "game, points",
+        [
+            (lambda: build_game(gen_energy(GenConfig(seed=0, countries=2, followers=(4, 4)))), 0),
+            (lambda: gen_pne_hardness(SubsetSumInterval(q=(1, 2), p=1, t=3, r=1)), 41),
+        ],
+        ids=["C2F4s0", "ss-no"],
+    )
+    def test_a_deviation_check_flips_no_singleton_decision(self, game, points):
+        # a piece tested on the model a best response searched decides as
+        # on a fresh model, with the same point to 1e-9
+        game = game()
+        sets = _game_sets(game)
+        kept = [PieceRows(s) for s in sets]
+        assert deviation_check(game, full_enumeration(game).profile, rows=kept) == [None] * len(sets)
+        found = 0
+        for s, rows in zip(sets, kept):
+            assert np.any(rows.lp._objective)
+            for e, _ in enumerate_pieces(PieceRows(s)):
+                got, want = rows.single_point(e), PieceRows(s).single_point(e)
+                assert (got is None) == (want is None), e
+                if got is not None:
+                    assert np.abs(got - want).max() <= 1e-9, e
+                    found += 1
+        assert found == points
+
+
 class TestContains:
     def test_scalar_examples(self):
         s = scalar_set(1.0, -1.0)  # {0 <= x perp x-1 >= 0}
@@ -834,7 +899,7 @@ class TestOptimizeOverSet:
     def test_split_interval_linear_min(self):
         s = split_interval_set()
         c = np.array([1.0, 0.0, 0.0, 0.0])
-        out = optimize_over_set(s, c)
+        out = optimize_over_set(PieceRows(s), c)
         assert out.status is LpStatus.OPTIMAL
         assert out.point[0] == pytest.approx(-5.0, abs=1e-7)
 
@@ -844,19 +909,19 @@ class TestOptimizeOverSet:
             s = random_comp_set(9100 + seed)
             rng = Lcg(9200 + seed)
             c = np.array([rng.uniform(-1, 1) for _ in range(s.n)])
-            free = optimize_over_set(s, c)
+            free = optimize_over_set(PieceRows(s), c)
             if free.status is not LpStatus.OPTIMAL:
                 continue
-            below = optimize_over_set(s, c, bound=free.value + 1e-3)
+            below = optimize_over_set(PieceRows(s), c, bound=free.value + 1e-3)
             assert below.status is LpStatus.OPTIMAL
             assert below.value == pytest.approx(free.value, abs=1e-9)
             for bound in (free.value, free.value - 1e-3):
-                assert optimize_over_set(s, c, bound=bound).status is LpStatus.INFEASIBLE
+                assert optimize_over_set(PieceRows(s), c, bound=bound).status is LpStatus.INFEASIBLE
             checked += 1
         assert checked >= 8
 
     def test_box_min(self):
-        out = optimize_over_set(box_set(0.0, 1.0), np.array([1.0]))
+        out = optimize_over_set(PieceRows(box_set(0.0, 1.0)), np.array([1.0]))
         assert out.status is LpStatus.OPTIMAL
         assert out.value == pytest.approx(0.0, abs=1e-9)
 
@@ -868,7 +933,7 @@ class TestOptimizeOverSet:
             q=np.zeros(0),
             comp=(),
         )
-        out = optimize_over_set(s, np.array([-5.0]))
+        out = optimize_over_set(PieceRows(s), np.array([-5.0]))
         assert out.status is LpStatus.UNBOUNDED
         assert out.ray is not None and out.ray[0] > 0
         assert contains(s, out.point)
@@ -880,7 +945,7 @@ class TestOptimizeOverSet:
             a=np.zeros((0, 1)), b=np.zeros(0), m_mat=np.zeros((0, 1)), q=np.zeros(0), comp=()
         )
         c = np.array([-1.0])
-        out = optimize_over_set(s, c)
+        out = optimize_over_set(PieceRows(s), c)
         assert out.status is LpStatus.UNBOUNDED
         assert out.point is not None and c @ out.ray < 0
 
@@ -895,7 +960,7 @@ class TestOptimizeOverSet:
             comp=(0,),
         )
         deadline = Deadline()
-        out = optimize_over_set(s, np.array([-1.0, -1.0]), deadline)
+        out = optimize_over_set(PieceRows(s, deadline), np.array([-1.0, -1.0]))
         assert out.status is LpStatus.OPTIMAL
         assert out.value == pytest.approx(-1.0, abs=1e-9)
         assert contains(s, out.point)
@@ -913,7 +978,7 @@ class TestOptimizeOverSet:
         )
         c = np.array([-1.0, 0.0])
         deadline = Deadline()
-        out = optimize_over_set(s, c, deadline)
+        out = optimize_over_set(PieceRows(s, deadline), c)
         assert out.status is LpStatus.UNBOUNDED
         assert c @ out.ray < 0
         for t in (1.0, 10.0):
@@ -931,7 +996,7 @@ class TestOptimizeOverSet:
         )
         c = np.array([-1.0, 0.0])
         deadline = Deadline()
-        out = optimize_over_set(s, c, deadline, binaries=(BinaryVar(index=1),))
+        out = optimize_over_set(PieceRows(s, deadline), c, binaries=(BinaryVar(index=1),))
         assert out.status is LpStatus.UNBOUNDED
         assert c @ out.ray < 0
         assert out.point[1] == pytest.approx(1.0)  # the delta = 1 child pops first
@@ -939,7 +1004,7 @@ class TestOptimizeOverSet:
 
     def test_feasibility_mode_returns_member(self):
         s = split_interval_set()
-        out = optimize_over_set(s, np.zeros(4))
+        out = optimize_over_set(PieceRows(s), np.zeros(4))
         assert out.status is LpStatus.OPTIMAL
         assert contains(s, out.point, 1e-6)
 
@@ -950,12 +1015,12 @@ class TestOptimizeOverSet:
         c = np.array([round(rng.uniform(-1, 1), 2) for _ in range(s.n)])
         pieces = pieces_of(s)
         # feasibility mode: a point of the set exactly when it has a piece
-        found = optimize_over_set(s, np.zeros(s.n))
+        found = optimize_over_set(PieceRows(s), np.zeros(s.n))
         if pieces:
             assert found.status is LpStatus.OPTIMAL and contains(s, found.point)
         else:
             assert found.status is LpStatus.INFEASIBLE
-        bb = optimize_over_set(s, c)
+        bb = optimize_over_set(PieceRows(s), c)
         if not pieces:
             assert bb.status is LpStatus.INFEASIBLE
             return
@@ -972,11 +1037,11 @@ class TestOptimizeOverSet:
         # one relaxation model for several searches, each warm from the last
         s = random_comp_set(9000 + seed)
         rng = Lcg(91 + seed)
-        model = PieceRows(s).ranged(np.zeros(s.n))
+        rows = PieceRows(s)
         for _ in range(4):
             c = np.array([round(rng.uniform(-1, 1), 2) for _ in range(s.n)])
-            fresh = optimize_over_set(s, c)
-            kept = optimize_over_set(s, c, model=model)
+            fresh = optimize_over_set(PieceRows(s), c)
+            kept = optimize_over_set(rows, c)
             assert kept.status is fresh.status
             if fresh.status is LpStatus.OPTIMAL:
                 assert kept.value == pytest.approx(fresh.value, abs=1e-7)
