@@ -7,10 +7,10 @@ price (every energy game), that game's equilibria are the optimal
 primal-dual pairs of one planner LP.  ``full`` and ``inner`` grow their
 hulls a few pieces at a time, so they keep that LP for the whole solve
 as a ``RestrictedPlanner`` and add each included piece's columns and
-rows in place; ``full`` with a selection builds it over every piece at
-once and minimizes the selection over its optima; ``pure`` grows it, for
-the planner's optimal value and prices, and then searches the leaders'
-own sets side by side.  The hull games of a game whose leaders meet
+rows in place; ``full`` with a selection then goes on pricing on it
+under the selection over its optima; ``pure`` grows it, for the
+planner's optimal value and prices, and then searches the leaders' own
+sets side by side.  The hull games of a game whose leaders meet
 through each other's strategies, and the one-shot hull game of ``pure``
 on such a game, are lifted, assembled and searched by ``find_pne``.
 
@@ -46,7 +46,7 @@ on such a game, are lifted, assembled and searched by ``find_pne``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Literal
 
@@ -121,8 +121,8 @@ class SolveReport:
     their enumeration reached plus those their deviations added.  A
     ``TimeLimit`` report keeps the counts reached when the budget ran out
     (0 for a leader whose up-front enumeration had not finished).
-    ``iterations`` counts the restricted hull games solved: 1 for a
-    one-shot hull game.
+    ``iterations`` counts the restricted hull games solved before a
+    selection's phase 2: 1 for a one-shot hull game.
     """
 
     status: Literal["MNE", "PNE", "NoEquilibrium", "TimeLimit"]
@@ -693,62 +693,61 @@ class RestrictedPlanner:
                 hull.copy_idx.append(n0 + starts[f] + np.arange(len(hull.copy_cols[-1])))
         hull.copy_vars += copies
 
-    def equilibrium(self, deadline: Deadline, selection=None) -> MixedProfile | None:
+    def equilibrium(self, deadline: Deadline) -> MixedProfile | None:
         """Include what each leader included since the last solve, solve
         warm, and decode at the prices, the negated clearing-row duals;
-        None when the master is infeasible or unbounded.
-
-        With a ``selection``, the point decoded is the planner optimum
-        least under it: one row c.x <= OPT + ``PLANNER_SLACK`` joins the
-        master on the aggregates, and the master is solved once more under
-        the selection.  Any optimal point pairs with any optimal dual, so
-        the prices stay the first solve's.  The master is then spent."""
+        None when the master is infeasible or unbounded (``status``)."""
         for i, sel in enumerate(self.selections):
             k = len(self.hulls[i].points)
             if len(sel.encodings) > k:
                 self.include(i, sel.rows, sel.encodings[k:], sel.points[k:])
         deadline.check()
-        status, x, _ = self.lp.solve()
-        if status is not LpStatus.OPTIMAL:
+        self.status, x, _ = self.lp.solve()
+        if self.status is not LpStatus.OPTIMAL:
             return None
-        market = -self.lp.row_duals()[self.clearing_rows]
-        if selection is not None:
-            n = self.game.total_ambient
-            c, cap = _optimality_row(self.game, x[:n])
-            cols = np.flatnonzero(c)
-            self.lp.add_rows([-INF], [cap], (np.zeros(len(cols), dtype=int), cols, c[cols]))
-            self.lp.set_objective(np.concatenate([selection, np.zeros(self.lp.n - n)]))
-            status, x, _ = self.lp.solve()
-            if status is LpStatus.UNBOUNDED:
+        lifted = [x[h.lifted_cols] for h in self.hulls]
+        layouts = [h.layout() for h in self.hulls]
+        return _decode(lifted, layouts, self.selections, -self.lp.row_duals()[self.clearing_rows])
+
+    def selected(self, selection: np.ndarray, profile: MixedProfile) -> MixedProfile:
+        """Phase 2 (Desrosiers and Lübbecke, 2005), once no piece prices out
+        under ``profile``: the selection's optimum under one more row c.x <=
+        OPT + ``PLANNER_SLACK``, priced until no piece enters; a point v of
+        leader i has the reduced cost w_i.v - y_conv, with w_i = -y on its
+        aggregation rows and y_conv on its convexity row.  Any optimal point
+        pairs with any optimal dual, so it decodes at ``profile``'s prices."""
+        n = self.game.total_ambient
+        c, cap = _optimality_row(self.game, np.concatenate(profile.means()))
+        cols = np.flatnonzero(c)
+        self.lp.add_rows([-INF], [cap], (np.zeros(len(cols), dtype=int), cols, c[cols]))
+        self.lp.set_objective(np.concatenate([selection, np.zeros(self.lp.n - n)]))
+        while True:
+            found = self.equilibrium(self.lp.deadline)
+            if self.status is LpStatus.UNBOUNDED:
                 raise LpError("selection objective is unbounded over the equilibrium set")
-            if status is not LpStatus.OPTIMAL:
+            if found is None:
                 raise NumericalFailure("the planner's optima are empty under their own value")
-        return _decode(
-            [x[h.lifted_cols] for h in self.hulls],
-            [h.layout() for h in self.hulls],
-            self.selections,
-            market,
-        )
+            y = self.lp.row_duals()
+            entered = [
+                sel.enter(-y[h.x_cols], y[n + i] - DEVIATION_TOL)
+                for i, (sel, h) in enumerate(zip(self.selections, self.hulls))
+            ]
+            if all(e is None for e in entered):
+                return _certified(self.game, self.selections, replace(found, market=profile.market))
 
 
 def _enumeration(
     game: MultiLeaderGame, selection: np.ndarray | None, budget: float | None, pure: bool
 ) -> SolveReport:
-    """The hull game over every piece of every leader, solved once: on a
-    market game without ``pure``, as one ``RestrictedPlanner`` under the
-    selection, and otherwise lifted and searched
-    (``_restricted_equilibrium``).  An equilibrium found is certified
-    (``_certified``)."""
+    """The hull game of a game that is not a market game over every piece
+    of every leader, lifted and searched once (``_restricted_equilibrium``);
+    an equilibrium found is certified (``_certified``)."""
     deadline = Deadline(budget)
     selections: list[LeaderPieces] = []
     try:
         profile = None
         if _start(game, None, math.inf, deadline, selections):
-            if pure or not _meets_at_the_price(game):
-                profile = _restricted_equilibrium(game, selections, deadline, selection, pure)
-            else:
-                master = RestrictedPlanner(game, selections, deadline)
-                profile = master.equilibrium(deadline, selection)
+            profile = _restricted_equilibrium(game, selections, deadline, selection, pure)
             if profile is not None:
                 profile = _certified(game, selections, profile)
         return _report(game, selections, deadline, profile)
@@ -766,8 +765,8 @@ def _grow(
     then takes its profile, includes per leader a piece on which the
     leader does better than it plays, and returns per leader what it
     found, or None; a profile on which every leader finds nothing is
-    returned, or, with ``finish``, what ``finish(game, selections, profile,
-    deadline)`` makes of it (None: no equilibrium).  A restricted game
+    returned, or, with ``finish``, what ``finish(master, profile)`` makes
+    of it on the grown master (None: no equilibrium).  A restricted game
     with no equilibrium extends every leader by ``fallback`` pieces, and
     once every piece is in, shows that none exists.
 
@@ -775,8 +774,8 @@ def _grow(
     game is one ``RestrictedPlanner`` kept for the whole solve: each
     iteration adds the pieces included since the last one and re-solves
     warm.  Any other restricted game is lifted, assembled and searched
-    anew (``_restricted_equilibrium``).  ``finish`` comes only with a game
-    that its caller has found to be a market game (``pure_enumeration``).
+    anew (``_restricted_equilibrium``).  ``finish`` comes only with a
+    market game (``full_enumeration`` with a selection, ``pure_enumeration``).
     """
     deadline = Deadline(budget)
     trace: list[dict] = []
@@ -785,7 +784,8 @@ def _grow(
         if not _start(game, order, k, deadline, selections, rng):
             return _report(game, selections, deadline, None)
         if finish is not None or _meets_at_the_price(game):
-            restricted = RestrictedPlanner(game, selections, deadline).equilibrium
+            master = RestrictedPlanner(game, selections, deadline)
+            restricted = master.equilibrium
         else:
             restricted = partial(_restricted_equilibrium, game, selections)
         while True:
@@ -802,7 +802,7 @@ def _grow(
                     sel.extend(fallback)
             elif all(f is None for f in found):
                 if finish is not None:
-                    profile = finish(game, selections, profile, deadline)
+                    profile = finish(master, profile)
                 return _report(
                     game, selections, deadline, profile, iterations=len(trace), trace=trace
                 )
@@ -867,17 +867,18 @@ def full_enumeration(
     takes every piece at once, so a ``NoEquilibrium`` is the one-shot
     hull game's.
 
-    With a ``selection``, the one-shot hull game is solved.  On a market
-    game that is one planner LP over every piece (``RestrictedPlanner``):
-    solved once for its value OPT and the prices, then under the selection
-    with one row c.x <= OPT + ``PLANNER_SLACK``, and decoded at those
-    prices.  On any other game its KKT system is searched under the
-    selection.  Either answer is certified by ``deviation_check``.
+    With a ``selection`` on a market game, the loop's master then goes on
+    pricing under the selection (``RestrictedPlanner.selected``); on any
+    other game the one-shot hull game's KKT system is searched under it
+    (``_enumeration``).  Either answer is certified by ``deviation_check``.
     """
     _check_selection(game, selection)
-    if selection is not None:
+    if selection is None:
+        return _grow(game, budget, None, 1, _scan, math.inf)
+    if not _meets_at_the_price(game):
         return _enumeration(game, selection, budget, pure=False)
-    return _grow(game, budget, None, 1, _scan, math.inf)
+    finish = lambda master, profile: master.selected(selection, profile)
+    return _grow(game, budget, None, 1, _scan, math.inf, finish=finish)
 
 
 def pure_enumeration(
@@ -950,9 +951,7 @@ def _equilibrium_set(
     )
 
 
-def _pure_equilibrium(
-    selection, game, selections, profile: MixedProfile, deadline: Deadline
-) -> MixedProfile | None:
+def _pure_equilibrium(selection, master, profile: MixedProfile) -> MixedProfile | None:
     """A certified pure equilibrium of a market game at the prices of the
     hull game's equilibrium ``profile``, or None: one search of
     ``_equilibrium_set``, under the selection, else under the planner's c
@@ -960,13 +959,14 @@ def _pure_equilibrium(
     ``profile`` passed the last pricing pass's ``deviation_check``: it is
     the answer without a selection, and the selected search's first
     incumbent with one."""
+    game, selections = master.game, master.selections
     known = profile if profile.is_pure() else None
     if known is not None and selection is None:
         return known
     _check_clearing(game, profile)
     c, cap = _optimality_row(game, np.concatenate(profile.means()))
     s = _equilibrium_set(game, [sel.rows.set for sel in selections], c, cap)
-    rows = PieceRows(s, deadline)
+    rows = PieceRows(s, master.lp.deadline)
     if selection is None:
         found = optimize_over_set(rows, c, bound=cap + PLANNER_SLACK)
     else:

@@ -209,6 +209,12 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    if not (value := float(text)) > 0:  # NaN is not
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="epecnash",
@@ -233,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--strategy", choices=("seq", "rseq", "rand"), default="seq")
     s.add_argument("--k", type=positive_int, default=1)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--timelimit", type=float, default=DEFAULT_TIME_LIMIT)
+    s.add_argument("--timelimit", type=positive_float, default=DEFAULT_TIME_LIMIT)
     s.add_argument("--select", action="store_true", help="equilibrium selection")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_solve)

@@ -342,13 +342,15 @@ class TestColumnGeneration:
                 gen_energy(GenConfig(seed=seed, countries=countries, followers=(followers,) * 2))
             )
             rep = full_enumeration(game)
-            # the one-shot hull game: one planner LP over every piece
-            one_shot = algorithms._enumeration(game, None, None, pure=False)
-            assert rep.status == one_shot.status and rep.status in ("MNE", "PNE")
-            assert rep.pieces_per_leader == one_shot.pieces_per_leader
-            assert rep.objective_values == pytest.approx(
-                one_shot.objective_values, rel=1e-6, abs=1e-9
-            )
+            # the one-shot hull game: the planner LP over every piece, whose
+            # value is the leaders' summed payoff, as clearing makes the
+            # price terms sum to 0
+            selections = []
+            assert algorithms._start(game, None, math.inf, Deadline(), selections)
+            _, _, status, value = _one_shot(game, selections)
+            assert status is LpStatus.OPTIMAL and rep.status in ("MNE", "PNE")
+            assert rep.pieces_per_leader == tuple(len(sel.pieces) for sel in selections)
+            assert sum(rep.objective_values) == pytest.approx(value, rel=1e-6)
             assert deviation_check(game, rep.profile) == [None] * countries
 
     def test_a_piece_whose_point_beats_the_bound_enters_without_an_lp(self, monkeypatch):
@@ -662,9 +664,10 @@ def _own_cost(game, i) -> np.ndarray:
 
 
 class TestSelectedMaster:
-    """``full --select`` on a market game: one planner LP over every piece,
-    solved for its value and prices, then under the selection over its
-    optima."""
+    """``full --select`` on a market game: ``full``'s column generation
+    reaches the planner's value and prices, and its master then goes on
+    pricing under the selection over the planner's optima (phase 2,
+    ``RestrictedPlanner.selected``)."""
 
     @pytest.mark.parametrize(
         "countries, followers, seed",
@@ -716,6 +719,53 @@ class TestSelectedMaster:
         assert _selected_value(selection, rep.profile) == pytest.approx(
             _planner_selected(game, selection), rel=1e-6
         )
+
+    @pytest.mark.parametrize("seed, followers", [(0, 8), (2, 10)])
+    def test_the_master_never_holds_every_piece(self, monkeypatch, seed, followers):
+        # C2F8 s0 has 732 pieces and C2F10 s2 2 376; both phases grow one
+        # master by the few that price out
+        included = []
+        include = algorithms.RestrictedPlanner.include
+
+        def counted(master, i, rows, encodings, points):
+            included.append(len(encodings))
+            return include(master, i, rows, encodings, points)
+
+        monkeypatch.setattr(algorithms.RestrictedPlanner, "include", counted)
+        game = _energy_game(seed, followers)
+        rep = full_enumeration(game, _selection_vector(game))
+        assert rep.status in ("MNE", "PNE")
+        assert sum(included) < sum(rep.pieces_per_leader)
+
+    @pytest.mark.parametrize(
+        "seed, selection, value",
+        [(4, lambda g: _own_cost(g, 1), 2200.0), (18, lambda g: np.ones(g.total_ambient), 749.118)],
+        ids=["s4-own-cost-1", "s18-ones"],
+    )
+    def test_phase_two_enters_a_piece_that_prices_out_under_the_selection(
+        self, monkeypatch, seed, selection, value
+    ):
+        # C2F2: the planner optimum least under the selection needs a piece
+        # that no restricted game of the first phase priced out
+        sizes = []
+        selected = algorithms.RestrictedPlanner.selected
+
+        def recorded(master, selection, profile):
+            before = sum(len(h.points) for h in master.hulls)
+            out = selected(master, selection, profile)
+            sizes.append((before, sum(len(h.points) for h in master.hulls)))
+            return out
+
+        monkeypatch.setattr(algorithms.RestrictedPlanner, "selected", recorded)
+        game = _energy_game(seed, 2)
+        selection = selection(game)
+        rep = full_enumeration(game, selection)
+        [(before, after)] = sizes
+        assert after > before
+        _assert_certified(game, rep.profile)
+        found = _selected_value(selection, rep.profile)
+        assert found == pytest.approx(_planner_selected(game, selection), rel=1e-6)
+        assert found == pytest.approx(value, rel=1e-6)
 
     @pytest.mark.parametrize("seed", [0, 7, 18, 19])
     def test_each_leaders_own_cost_agrees_with_the_kkt_search(self, seed):

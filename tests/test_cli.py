@@ -321,8 +321,15 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--algorithm", "nope"], ["--timelimit", "abc"], ["--algorithm", "inner", "--k", "0"]],
-        ids=["bad-choice", "bad-float", "k-below-one"],
+        [
+            ["--algorithm", "nope"],
+            ["--timelimit", "abc"],
+            ["--algorithm", "inner", "--k", "0"],
+            ["--timelimit", "nan"],
+            ["--timelimit", "-1"],
+            ["--timelimit", "0"],
+        ],
+        ids=["bad-choice", "bad-float", "k-below-one", "nan-limit", "negative-limit", "zero-limit"],
     )
     def test_usage_error_is_an_input_error(self, tmp_path, capsys, extra):
         inst = tmp_path / "game.json"
