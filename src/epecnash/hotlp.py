@@ -11,21 +11,36 @@ added in place keep the basis, so a restricted master that takes new
 pieces re-solves warm.  A solve also leaves its certificates: the row
 duals of an optimum and the dual ray of an infeasible node.
 
-Imports the HiGHS bindings vendored with SciPy 1.15 and later
-unconditionally: with an older SciPy, importing this module (and so
-``epecnash``) fails.
+Loads SciPy's HiGHS extension ``scipy.optimize._highspy._core`` (SciPy 1.15
+and later) from its file, so ``scipy.optimize``'s ``__init__`` never runs;
+with an older SciPy, importing this module (and ``epecnash``) fails.
 """
 
 from __future__ import annotations
 
+from importlib import machinery, util
+
 import numpy as np
-import scipy.optimize._highspy._core as _hc
+import scipy
 import scipy.sparse as sp
 
 from .lp import Deadline, LpStatus, NumericalFailure, TimeLimitReached
 from .tolerances import FEAS_TOL
 
 INF = 1e30
+
+
+def _load_core(directory: str):
+    """The extension ``scipy.optimize._highspy._core`` in ``directory``."""
+    spec = machinery.PathFinder.find_spec("scipy.optimize._highspy._core", [directory])
+    if spec is None:
+        raise ImportError(f"no HiGHS extension (_core) in {directory}; epecnash needs SciPy >= 1.15")
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_hc = _load_core(f"{scipy.__path__[0]}/optimize/_highspy")
 
 # Model statuses of a HiGHS run that a stale warm basis can cause; the
 # solve retries them cold.  A warm run can also end in error with the

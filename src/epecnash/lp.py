@@ -1,14 +1,14 @@
 """The LP types of the solver stack, and one-shot LP solving.
 
 ``solve_lp`` is a thin, deterministic wrapper around
-``scipy.optimize.linprog`` (HiGHS); only ``polyhedra.is_feasible`` and
-the tests reach it, as every search runs on the incremental models of
-``hotlp``.  Problems are minimization over ``A x <= b`` and
-``A_eq x = b_eq`` with optional variable bounds.  Unbounded problems
-come back with an explicit recession ray so callers can report
-unboundedness meaningfully (a best response with no optimum is
-game-relevant information, not an error).  ``Deadline`` is
-the wall-clock budget of one solve, which every incremental LP reads.
+``scipy.optimize.linprog`` (HiGHS, imported on first use); only
+``polyhedra.is_feasible`` and the tests reach it, as every search runs
+on the incremental models of ``hotlp``.  Problems are minimization over
+``A x <= b`` and ``A_eq x = b_eq`` with optional variable bounds.
+Unbounded problems come back with an explicit recession ray so callers
+can report unboundedness meaningfully (a best response with no optimum
+is game-relevant information, not an error).  ``Deadline`` is the
+wall-clock budget of one solve, which every incremental LP reads.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .tolerances import FEAS_TOL
 
@@ -131,6 +129,8 @@ def _bounds_list(lp: LinearProgram) -> list[tuple[float | None, float | None]]:
 
 
 def _run_highs(c, a, b, bounds, a_eq=None, b_eq=None):
+    from scipy.optimize import linprog
+
     kwargs = {}
     if a is not None and a.shape[0] > 0:
         kwargs["A_ub"] = a
