@@ -51,9 +51,8 @@ from functools import cached_property, partial
 from typing import Literal
 
 import numpy as np
-import scipy.sparse as sp
 
-from .hotlp import INF, RangedLp
+from .hotlp import INF, RangedLp, SparseMatrix, triplets
 from .leadergame import MultiLeaderGame, leader_feasible_set
 from .lp import LpError, LpStatus, NumericalFailure
 from .nashgame import PolyhedralNashGame, QuadraticPlayer, find_pne
@@ -175,11 +174,11 @@ def _assemble_hull_game(game: MultiLeaderGame, hulls: list[HullFormulation]) -> 
         + [total_lifted + np.arange(n_mkt)]
     )
 
-    def lift(src, row0: int, shape) -> sp.csr_matrix:
-        block = sp.coo_matrix(src)
+    def lift(src, row0: int, shape) -> SparseMatrix:
+        rows, cols, vals = triplets(src)
         out = Triplets()
-        out.add(block.row + row0, lifted_col[block.col], block.data)
-        return out.csr(shape)
+        out.add(rows + row0, lifted_col[cols], vals)
+        return out.matrix(shape)
 
     players = []
     for i, hull in enumerate(hulls):
@@ -536,7 +535,7 @@ def _restricted_equilibrium(
 
 
 def _dense(m) -> np.ndarray:
-    return m.toarray() if sp.issparse(m) else np.asarray(m)
+    return m.toarray() if hasattr(m, "toarray") else np.asarray(m)
 
 
 def _meets_at_the_price(game: MultiLeaderGame) -> bool:
@@ -618,14 +617,15 @@ class RestrictedPlanner:
             _GrownHull(x_cols=game.ambient_offset(i) + np.arange(amb))
             for i, amb in enumerate(game.ambients)
         ]
-        blocks = [-sp.identity(n, format="csr"), sp.csr_matrix((n_l, n))]
+        rows = Triplets()
+        rows.add(np.arange(n), np.arange(n), -np.ones(n))
         if n_mkt:
-            blocks.append(sp.csr_matrix(game.clearing))
+            rows.put(game.clearing, n + n_l, 0)
         rhs = np.concatenate([np.zeros(n), np.ones(n_l), np.zeros(n_mkt)])
         self.clearing_rows = n + n_l + np.arange(n_mkt)
         self.lp = RangedLp(
             np.concatenate(game.objectives),
-            sp.vstack(blocks, format="csr"),
+            rows.matrix((len(rhs), n)),
             rhs,
             rhs,
             deadline=deadline,
@@ -941,12 +941,12 @@ def _equilibrium_set(
         a_eq.put(game.clearing, sum(map(len, b_eq)), 0)
         b_eq.append(np.zeros(game.n_market))
     return ComplementaritySet(
-        a=a.csr((sum(map(len, b)), n)),
+        a=a.matrix((sum(map(len, b)), n)),
         b=np.concatenate(b),
-        m_mat=m_mat.csr((len(comp), n)),
+        m_mat=m_mat.matrix((len(comp), n)),
         q=np.concatenate(q),
         comp=tuple(comp),
-        a_eq=a_eq.csr((sum(map(len, b_eq)), n)),
+        a_eq=a_eq.matrix((sum(map(len, b_eq)), n)),
         b_eq=np.concatenate(b_eq),
     )
 

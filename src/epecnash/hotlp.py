@@ -11,6 +11,12 @@ added in place keep the basis, so a restricted master that takes new
 pieces re-solves warm.  A solve also leaves its certificates: the row
 duals of an optimum and the dual ray of an infeasible node.
 
+Models take their rows as a :class:`SparseMatrix`, the solver's one sparse
+type: sorted COO triplets whose rows ``_compressed`` groups into the
+arrays HiGHS takes.  A dense array or a SciPy sparse matrix is accepted
+too, read through ``tocoo``/``toarray`` duck typing, so the solver never
+imports ``scipy.sparse``.
+
 Loads SciPy's HiGHS extension ``scipy.optimize._highspy._core`` (SciPy 1.15
 and later) from its file, so ``scipy.optimize``'s ``__init__`` never runs;
 with an older SciPy, importing this module (and ``epecnash``) fails.
@@ -18,11 +24,11 @@ with an older SciPy, importing this module (and ``epecnash``) fails.
 
 from __future__ import annotations
 
+from functools import cached_property
 from importlib import machinery, util
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from .lp import Deadline, LpStatus, NumericalFailure, TimeLimitReached
 from .tolerances import FEAS_TOL
@@ -56,9 +62,10 @@ _ERROR = _hc.HighsStatus.kError
 
 
 def _compressed(major, minor, values, count: int):
-    """Triplets as HiGHS takes added rows or columns: the start of each of
-    ``count`` major indices, then the minor index and value of each entry,
-    grouped by major index."""
+    """Triplets as HiGHS takes a model's rows or added rows or columns: the
+    start of each of ``count`` major indices, then the minor index and
+    value of each entry, grouped by major index in their order.  The one
+    path from triplets to compressed arrays."""
     order = np.argsort(major, kind="stable")
     counts = np.bincount(major, minlength=count)
     starts = np.cumsum(counts) - counts
@@ -67,6 +74,90 @@ def _compressed(major, minor, values, count: int):
         np.asarray(minor)[order].astype(np.int32),
         np.asarray(values, float)[order],
     )
+
+
+def triplets(block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row, column, value) triplets of a ``SparseMatrix``, a SciPy
+    sparse matrix (its stored entries) or a dense array (its nonzero ones,
+    row by row)."""
+    if hasattr(block, "tocoo"):
+        coo = block.tocoo()
+        return coo.row, coo.col, coo.data
+    block = np.asarray(block)
+    rows, cols = np.nonzero(block)
+    return rows, cols, block[rows, cols]
+
+
+class SparseMatrix:
+    """A sparse matrix as COO triplets sorted by row, then column, with no
+    duplicate and no explicit zero: the solver's one sparse type.
+
+    It offers what the solver uses: ``shape`` and ``nnz``; products with a
+    dense vector or matrix, each row summed in column order as SciPy's CSR
+    product sums it; the transpose ``T``; column and row sums;
+    ``toarray``; and ``tocoo``, itself, whose ``row``, ``col`` and
+    ``data`` any triplet reader takes.  ``build`` makes one from triplets
+    in any order.
+    """
+
+    def __init__(self, row, col, data, shape):
+        self.row, self.col, self.data = row, col, data
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @classmethod
+    def build(cls, row, col, data, shape) -> SparseMatrix:
+        """The matrix of triplets in any order: duplicates summed in their
+        order, then explicit zeros dropped."""
+        width = max(int(shape[1]), 1)
+        key = np.asarray(row, dtype=np.intp) * width + np.asarray(col, dtype=np.intp)
+        order = np.argsort(key, kind="stable")
+        key, data = key[order], np.asarray(data, float)[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        if not first.all():
+            data = np.bincount(np.cumsum(first) - 1, weights=data)
+            key = key[first]
+        nonzero = data != 0
+        key = key[nonzero]
+        return cls(key // width, key % width, data[nonzero], shape)
+
+    @classmethod
+    def of(cls, m) -> SparseMatrix:
+        """``m`` itself, or a dense array or SciPy sparse matrix as one."""
+        return m if isinstance(m, cls) else cls.build(*triplets(m), m.shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def tocoo(self) -> SparseMatrix:
+        return self
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.row, self.col] = self.data
+        return out
+
+    def __neg__(self) -> SparseMatrix:
+        return SparseMatrix(self.row, self.col, -self.data, self.shape)
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        if x.ndim == 1:
+            return np.bincount(self.row, self.data * x[self.col], minlength=self.shape[0])
+        out = np.zeros((self.shape[0],) + x.shape[1:])
+        np.add.at(out, self.row, self.data.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.col])
+        return out
+
+    @cached_property
+    def T(self) -> SparseMatrix:
+        order = np.argsort(self.col, kind="stable")
+        return SparseMatrix(self.col[order], self.row[order], self.data[order], self.shape[::-1])
+
+    def sum(self, axis: int) -> np.ndarray:
+        """Column sums (``axis`` 0) or row sums (1), each in index order."""
+        index, size = (self.col, self.shape[1]) if axis == 0 else (self.row, self.shape[0])
+        return np.bincount(index, self.data, minlength=size)
 
 
 class RangedLp:
@@ -80,7 +171,7 @@ class RangedLp:
         self.deadline = deadline or Deadline()
         self.n = len(objective)
         self.m = a.shape[0]
-        self._a = sp.csr_matrix(a)
+        self._a = SparseMatrix.of(a)
         self._added: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # entries not in _a yet
         self._base_row = (np.asarray(row_lo, float).copy(), np.asarray(row_hi, float).copy())
         self._base_col = (
@@ -99,10 +190,11 @@ class RangedLp:
         lp.col_upper_ = self._base_col[1].copy()
         lp.row_lower_ = self._base_row[0].copy()
         lp.row_upper_ = self._base_row[1].copy()
+        starts, index, value = _compressed(self._a.row, self._a.col, self._a.data, self.m)
         lp.a_matrix_.format_ = _hc.MatrixFormat.kRowwise
-        lp.a_matrix_.start_ = self._a.indptr.astype(np.int64)
-        lp.a_matrix_.index_ = self._a.indices.astype(np.int64)
-        lp.a_matrix_.value_ = self._a.data.astype(float)
+        lp.a_matrix_.start_ = np.append(starts, len(value)).astype(np.int64)
+        lp.a_matrix_.index_ = index.astype(np.int64)
+        lp.a_matrix_.value_ = value
         self._h = _hc._Highs()
         self._h.setOptionValue("output_flag", False)
         self._h.setOptionValue("threads", 1)
@@ -140,15 +232,12 @@ class RangedLp:
         self.m += k
 
     @property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> SparseMatrix:
         """The constraint matrix, grown columns and rows included."""
         if self._added:
-            rows, cols, vals = map(np.concatenate, zip(*self._added))
-            a = self._a.tocoo()
-            self._a = sp.csr_matrix(
-                (np.r_[a.data, vals], (np.r_[a.row, rows], np.r_[a.col, cols])),
-                shape=(self.m, self.n),
-            )
+            a = self._a
+            rows, cols, vals = map(np.concatenate, zip((a.row, a.col, a.data), *self._added))
+            self._a = SparseMatrix.build(rows, cols, vals, (self.m, self.n))
             self._added = []
         return self._a
 

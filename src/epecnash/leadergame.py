@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lp import DimensionMismatch
 from .nashgame import PolyhedralNashGame, kkt_layout, kkt_system
@@ -104,7 +103,7 @@ def leader_feasible_set(leader: StackelbergLeader) -> ComplementaritySet:
     own = Triplets()
     own.put(leader.poly_a, 0, 0)
     return ComplementaritySet(
-        a=own.csr((leader.poly_a.shape[0], lay.total)),
+        a=own.matrix((leader.poly_a.shape[0], lay.total)),
         b=np.asarray(leader.poly_b, dtype=float),
         m_mat=inner.m_mat,
         q=inner.q,
@@ -162,7 +161,7 @@ class MultiLeaderGame:
                 if coup.shape != (amb, width):
                     raise DimensionMismatch(f"coupling {i} has wrong shape")
                 own = coup[:, self.ambient_offset(i) : self.ambient_offset(i) + amb]
-                own = own.toarray() if sp.issparse(own) else np.asarray(own)
+                own = own.toarray() if hasattr(own, "toarray") else np.asarray(own)
                 if own.size and np.abs(own).max() > 0:
                     raise DimensionMismatch("coupling own-block must be zero")
         if self.clearing is not None and self.clearing.shape[1] != self.total_ambient:

@@ -75,7 +75,7 @@ class LinearProgram:
     """min objective @ x  s.t.  a @ x <= b,  a_eq @ x = b_eq,  lower <= x <= upper."""
 
     objective: np.ndarray
-    a: object  # (m, n) ndarray or scipy sparse
+    a: object  # (m, n) ndarray, SparseMatrix or scipy sparse
     b: np.ndarray
     lower: np.ndarray | None = None  # -inf where absent
     upper: np.ndarray | None = None  # +inf where absent
@@ -131,12 +131,17 @@ def _bounds_list(lp: LinearProgram) -> list[tuple[float | None, float | None]]:
 def _run_highs(c, a, b, bounds, a_eq=None, b_eq=None):
     from scipy.optimize import linprog
 
+    from .hotlp import SparseMatrix
+
+    def taken(m):  # linprog takes dense arrays and SciPy sparse matrices
+        return m.toarray() if isinstance(m, SparseMatrix) else m
+
     kwargs = {}
     if a is not None and a.shape[0] > 0:
-        kwargs["A_ub"] = a
+        kwargs["A_ub"] = taken(a)
         kwargs["b_ub"] = b
     if a_eq is not None and a_eq.shape[0] > 0:
-        kwargs["A_eq"] = a_eq
+        kwargs["A_eq"] = taken(a_eq)
         kwargs["b_eq"] = b_eq
     return linprog(c, bounds=bounds, method="highs", **kwargs)
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .hotlp import triplets
 from .lp import DimensionMismatch, LpError, LpStatus
 from .polyhedra import (
     BinaryVar,
@@ -175,11 +175,12 @@ def kkt_system(g: PolyhedralNashGame) -> tuple[ComplementaritySet, KktLayout]:
         if p.q is not None and np.any(p.q):
             eq.put(p.q, top, lay.var_slices[i].start)
         if p.coupling is not None:
-            # a dense coupling is sliced as it is; a sparse one as CSR
-            coup = sp.csr_matrix(p.coupling) if sp.issparse(p.coupling) else p.coupling
-            eq.put(coup[:, : g.strategy_dim], top, strat0)
-            if g.n_market:
-                eq.put(coup[:, g.strategy_dim :], top, lay.market_slice.start)
+            # strategy columns onto the strategy blocks, price columns onto
+            # the market block
+            rows, cols, vals = triplets(p.coupling)
+            price = cols >= g.strategy_dim
+            cols = np.where(price, cols + lay.market_slice.start - g.strategy_dim, cols + strat0)
+            eq.add(rows + top, cols, vals)
         if p.param_obj is not None:
             eq.put(p.param_obj, top, 0)
         eq.put(p.a.T, top, lay.mult_slices[i].start)
@@ -208,12 +209,12 @@ def kkt_system(g: PolyhedralNashGame) -> tuple[ComplementaritySet, KktLayout]:
         top += p.m
 
     set_ = ComplementaritySet(
-        a=sp.csr_matrix((0, total)),
+        a=Triplets().matrix((0, total)),
         b=np.zeros(0),
-        m_mat=pairs.csr((top, total)),
+        m_mat=pairs.matrix((top, total)),
         q=np.concatenate(q_parts) if q_parts else np.zeros(0),
         comp=tuple(comp),
-        a_eq=eq.csr((sum(len(v) for v in b_eq), total)),
+        a_eq=eq.matrix((sum(len(v) for v in b_eq), total)),
         b_eq=np.concatenate(b_eq) if b_eq else np.zeros(0),
     )
     return set_, lay

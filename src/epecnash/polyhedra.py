@@ -11,6 +11,11 @@ module enumerates the nonempty selected polyhedra, lifts a finite union
 to its closed convex hull via the Balas extended formulation, and
 minimizes linear objectives over the set by branch-and-bound that
 branches directly on violated complementarity pairs (no big-M needed).
+
+A set's matrices may be dense arrays, SciPy sparse matrices or
+``SparseMatrix`` (the solver's own type, from ``hotlp``); every
+matrix this module builds is a ``SparseMatrix``, assembled by
+``Triplets``, and no function here needs ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
-from .hotlp import INF, RangedLp
+from .hotlp import INF, RangedLp, SparseMatrix, triplets
 from .lp import (
     Deadline,
     DimensionMismatch,
@@ -33,10 +37,6 @@ from .lp import (
     solve_lp,
 )
 from .tolerances import COMP_TOL, ENUM_CAP, FEAS_TOL
-
-
-class EncodingLengthMismatch(ValueError):
-    pass
 
 
 class TooManyComplementarities(ValueError):
@@ -158,10 +158,14 @@ class PieceRows:
         s = self.set
         q = np.asarray(s.q, dtype=float)
         col_lo = np.full(s.n, -INF)
-        col_lo[list(s.comp)] = 0.0
+        col_lo[self.comp] = 0.0
+        rows, top = Triplets(), 0
+        for m in (s.a, s.a_eq, s.m_mat):
+            rows.put(m, top, 0)
+            top += m.shape[0]
         return RangedLp(
             np.zeros(s.n),
-            sp.vstack([sp.csr_matrix(m) for m in (s.a, s.a_eq, s.m_mat)], format="csr"),
+            rows.matrix((top, s.n)),
             np.concatenate([np.full(s.a.shape[0], -INF), s.b_eq, -q]),
             np.concatenate([np.asarray(s.b, float), s.b_eq, np.full(s.num_pairs, INF)]),
             col_lo,
@@ -169,19 +173,21 @@ class PieceRows:
         )
 
     @cached_property
-    def _farkas(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
+    def comp(self) -> np.ndarray:
+        """Each pair's column, as an index array."""
+        return np.array(self.set.comp, dtype=int)
+
+    @cached_property
+    def _farkas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """What ``certificate`` reads, built once per set from ``block``:
-        ``lp``'s rows ``[a; a_eq; m_mat]`` transposed, their largest
-        absolute entry, the value each row holds where its finite bound or
-        its pin binds, ``[b; b_eq; -q]``, each pair's column, and the free
-        columns."""
-        s, p = self.set, self.num_pairs
+        ``lp``'s rows ``[a; a_eq; m_mat]`` transposed, the value each row
+        holds where its finite bound or its pin binds, ``[b; b_eq; -q]``,
+        and the free columns."""
+        p = self.num_pairs
         rows, rhs = self.block
         keep = np.r_[0 : len(rhs) - 2 * p, len(rhs) - p : len(rhs)]
-        at = np.ascontiguousarray(rows[keep].T)
-        comp = np.array(s.comp, dtype=int)
-        free = np.setdiff1d(np.arange(s.n), comp)
-        return at, float(np.abs(at).max(initial=0.0)), rhs[keep], comp, free
+        free = np.setdiff1d(np.arange(self.set.n), self.comp)
+        return np.ascontiguousarray(rows[keep].T), rhs[keep], free
 
     def certificate(
         self, y: np.ndarray, w: np.ndarray | None = None
@@ -197,19 +203,19 @@ class PieceRows:
         or its side-1 pin; a pair's column has d >= 0, or its side-0 pin;
         a free column has d = 0.  An entry of y below 1e-9 of y's largest
         counts as 0, and so does an entry of d below 1e-9 of the larger of
-        w's largest and A's largest times y's.
+        y's largest and w's largest.
         """
-        at, a_max, rhs, comp, free = self._farkas
+        at, rhs, free = self._farkas
         size = np.abs(y)
         y_max = size.max(initial=0.0)
         y = np.where(size > 1e-9 * y_max, y, 0.0)
         if y[: self.set.a.shape[0]].max(initial=0.0) > 0:
             return None
         d = -(at @ y) if w is None else w - at @ y
-        tol = 1e-9 * max(a_max * y_max, 0.0 if w is None else np.abs(w).max(initial=0.0))
+        tol = 1e-9 * max(y_max, 0.0 if w is None else np.abs(w).max(initial=0.0))
         if np.abs(d[free]).max(initial=0.0) > tol:
             return None
-        need0 = _bitmask(d[comp] < -tol)
+        need0 = _bitmask(d[self.comp] < -tol)
         need1 = _bitmask(y[len(y) - self.num_pairs :] < 0)
         if need0 & need1:
             return None
@@ -232,8 +238,12 @@ class PieceRows:
     def witness(self, prefix: tuple[int, ...]) -> tuple[bool, np.ndarray | None]:
         """Whether the relaxation with the pairs of ``prefix`` pinned is
         nonempty, and the LP's point if it has one, under a zero objective."""
+        return self.witness_pins(enumerate(prefix))
+
+    def witness_pins(self, pins) -> tuple[bool, np.ndarray | None]:
+        """``witness`` with the pins given as ``(pair, bit)``."""
         self.lp.set_objective(np.zeros(self.set.n))
-        self.lp.move_to(*self.pin_bounds(enumerate(prefix)))
+        self.lp.move_to(*self.pin_bounds(pins))
         status, x, _ = self.lp.solve()
         return status is not LpStatus.INFEASIBLE, x
 
@@ -247,7 +257,7 @@ class PieceRows:
         if ray is None or not ray.any():
             return None
         y = ray / np.abs(ray).max()
-        if y @ self._farkas[2] < 0:
+        if y @ self._farkas[1] < 0:
             y = -y
         cert = self.certificate(y)
         return cert[:2] if cert is not None and cert[2] > FEAS_TOL else None
@@ -259,6 +269,10 @@ class PieceRows:
         r = len(rhs) - self.num_pairs * (2 - bit) + pair
         return bool(rows[r] @ x == rhs[r])
 
+    def zero_sides(self, x: np.ndarray) -> np.ndarray:
+        """Per pair, whether side 0 holds exactly at x: x_{c_i} == 0."""
+        return x[self.comp] == 0
+
     @cached_property
     def block(self) -> tuple[np.ndarray, np.ndarray]:
         """Every row a piece uses, ``[a; a_eq; sides]``, as one dense
@@ -266,12 +280,12 @@ class PieceRows:
         is x_{c_i} and side row p + i is [M x]_i."""
         s, p = self.set, self.num_pairs
         dense = [
-            m.toarray() if sp.issparse(m) else np.asarray(m, float)
+            m.toarray() if hasattr(m, "toarray") else np.asarray(m, float)
             for m in (s.a, s.a_eq, s.m_mat)
         ]
         unit = np.zeros((p, s.n))
-        unit[np.arange(p), np.array(s.comp, dtype=int)] = 1.0
-        # + 0.0 stores a -0.0 of M as 0.0, as the oracle's sparse rows (_sides) do
+        unit[np.arange(p), self.comp] = 1.0
+        # + 0.0 stores a -0.0 of M as 0.0, as a sparse matrix of its entries does
         return (
             np.vstack(dense[:2] + [unit, dense[2] + 0.0]),
             np.concatenate(
@@ -291,7 +305,7 @@ class PieceRows:
         every piece), and its equality rows.  A ``<=`` row is
         ``sign * block[r] x <= sign * rhs[r]``: ``a`` with sign 1, then
         each pair's other side with sign -1; the equalities are ``a_eq``,
-        then each pinned side, in the row order of ``selected_polyhedron``.
+        then each pinned side.
         """
         s, p = self.set, self.num_pairs
         m, m_eq = s.a.shape[0], s.a_eq.shape[0]
@@ -376,44 +390,6 @@ class PieceRows:
         return x if self.cone.solve()[0] is LpStatus.OPTIMAL else None
 
 
-def _sides(s: ComplementaritySet) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Both sides of every pair as sparse rows, ``[x_{c_i} rows; M rows]``,
-    with the values that pin them, ``[0; -q]``."""
-    p = s.num_pairs
-    unit = sp.csr_matrix(
-        (np.ones(p), (np.arange(p), np.array(s.comp, dtype=int))), shape=(p, s.n)
-    )
-    return (
-        sp.vstack([unit, sp.csr_matrix(s.m_mat)], format="csr"),
-        np.concatenate([np.zeros(p), -np.asarray(s.q, dtype=float)]),
-    )
-
-
-def selected_polyhedron(s: ComplementaritySet, encoding: tuple[int, ...]) -> ComplementaritySet:
-    """The pair-free set with the side ``encoding`` picks of each pair
-    pinned as an equality and the other side kept as a >= row; a set
-    without pairs is its own piece.
-
-    Its rows are selected from ``_sides``, apart from the shared block of
-    :class:`PieceRows`; kept as the reference that block is tested
-    against.
-    """
-    p = s.num_pairs
-    if len(encoding) != p:
-        raise EncodingLengthMismatch(f"encoding has {len(encoding)} bits, set has {p} pairs")
-    if p == 0:
-        return s
-    rows, pins = _sides(s)
-    bits = np.asarray(encoding, dtype=int)
-    pinned, other = np.arange(p) + p * bits, np.arange(p) + p * (1 - bits)
-    return ComplementaritySet(
-        a=sp.vstack([s.a, -rows[other]], format="csr"),
-        b=np.concatenate([s.b, -pins[other]]),
-        a_eq=sp.vstack([s.a_eq, rows[pinned]], format="csr"),
-        b_eq=np.concatenate([s.b_eq, pins[pinned]]),
-    )
-
-
 def iter_encodings(
     rows: PieceRows, first: int = 0
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
@@ -436,28 +412,32 @@ def iter_encodings(
     """
     p = rows.num_pairs
     conflicts: list[tuple[int, int]] = []
-    # node: prefix, its parent's point, and its pins as bitmasks of the
-    # pairs pinned at side 1 and at side 0
-    stack: list[tuple[tuple[int, ...], np.ndarray | None, int, int]] = [((), None, 0, 0)]
+    # node: its depth, its pins as bitmasks of the pairs pinned at side 1
+    # and at side 0, its parent's point and, per pair, whether side 0
+    # holds there
+    stack: list[tuple[int, int, int, np.ndarray | None, np.ndarray | None]] = [
+        (0, 0, 0, None, None)
+    ]
     while stack:
-        prefix, x, ones, zeros = stack.pop()
+        depth, ones, zeros, x, at0 = stack.pop()
         rows.deadline.tick()
-        if x is None or not rows.holds(len(prefix) - 1, prefix[-1], x):
+        last = depth - 1
+        if x is None or not (at0[last] if zeros >> last & 1 else rows.holds(last, 1, x)):
             if any(n1 & ones == n1 and n0 & zeros == n0 for n1, n0 in conflicts):
                 continue
-            feasible, x = rows.witness(prefix)
+            feasible, x = rows.witness_pins((i, ones >> i & 1) for i in range(depth))
             if not feasible:
                 if (pins := rows.conflict()) is not None:
                     conflicts.append(pins)
                 continue
-        depth = len(prefix)
+            at0 = rows.zero_sides(x)
         if depth == p:
-            yield prefix, x
+            yield tuple(ones >> i & 1 for i in range(p)), x
             continue
         bit = 1 << depth
         for side in (1 - first, first):
             child = (ones | bit, zeros) if side else (ones, zeros | bit)
-            stack.append((prefix + (side,), x, *child))
+            stack.append((depth + 1, *child, x, at0))
 
 
 def enumerate_pieces(rows: PieceRows) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -558,7 +538,7 @@ class HullFormulation(HullLayout):
 
 
 class Triplets:
-    """A sparse matrix assembled from COO triplets, block by block."""
+    """A ``SparseMatrix`` assembled from COO triplets, block by block."""
 
     def __init__(self):
         self.rows, self.cols, self.vals = [], [], []
@@ -572,24 +552,16 @@ class Triplets:
         """Add ``block`` (dense or sparse) with its corner at (row0, col0)."""
         if 0 in block.shape:
             return
-        if sp.issparse(block):
-            coo = block.tocoo()
-            self.add(coo.row + row0, coo.col + col0, coo.data)
-        else:
-            block = np.asarray(block)
-            rows, cols = np.nonzero(block)
-            self.add(rows + row0, cols + col0, block[rows, cols])
+        rows, cols, vals = triplets(block)
+        self.add(rows + row0, cols + col0, vals)
 
-    def csr(self, shape) -> sp.csr_matrix:
+    def matrix(self, shape) -> SparseMatrix:
         """The matrix, duplicates summed and explicit zeros dropped."""
         if not self.vals:
-            return sp.csr_matrix(shape)
-        out = sp.csr_matrix(
-            (np.concatenate(self.vals), (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=shape,
+            return SparseMatrix.build([], [], [], shape)
+        return SparseMatrix.build(
+            np.concatenate(self.rows), np.concatenate(self.cols), np.concatenate(self.vals), shape
         )
-        out.eliminate_zeros()
-        return out
 
 
 @dataclass(frozen=True)
@@ -681,7 +653,7 @@ def balas_hull(
     ineq_rows.add(r, lifted[c], v)
     ineq_rows.add(top + np.arange(k), d_off + np.arange(k), -np.ones(k))
     top += k
-    a = ineq_rows.csr((top, x_off + n))
+    a = ineq_rows.matrix((top, x_off + n))
 
     # equalities: A_eq^i x^i - b_eq^i delta_i = 0, the aggregation
     # sum_w x^w + sum_j delta_j v_j - x = 0, and sum_w delta_w = 1
@@ -708,7 +680,7 @@ def balas_hull(
         copy_start[i] = int(start)
     return HullFormulation(
         a=a,
-        a_eq=eq_rows.csr((top, x_off + n)),
+        a_eq=eq_rows.matrix((top, x_off + n)),
         b_eq=b_eq,
         n=n,
         k=k,
@@ -774,7 +746,7 @@ def optimize_over_set(
     if len(c) != s.n:
         raise DimensionMismatch("objective length mismatch")
     p = s.num_pairs
-    comp_idx = np.array(s.comp, dtype=int)
+    comp_idx = rows.comp
     bin_idx = np.array([bv.index for bv in binaries], dtype=int)
 
     feasibility_mode = not np.any(c)

@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import scipy.sparse as sp
 
-from epecnash.energy import CountrySpec, EnergyInstance, ProducerSpec
-from epecnash.hotlp import INF, RangedLp
+from epecnash.energy import CountrySpec, EnergyInstance, ProducerSpec, build_game
+from epecnash.generators import GenConfig, gen_energy
+from epecnash.hotlp import INF, RangedLp, SparseMatrix
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import DimensionMismatch, LinearProgram, LpStatus, solve_lp
 from epecnash.nashgame import KktLayout, PolyhedralNashGame, QuadraticPlayer, find_pne
@@ -19,9 +20,57 @@ from epecnash.polyhedra import (
     Triplets,
     enumerate_pieces,
     optimize_over_set,
-    selected_polyhedron,
 )
 from epecnash.rng import Lcg
+
+
+class EncodingLengthMismatch(ValueError):
+    pass
+
+
+def csr(m) -> sp.csr_matrix:
+    """A dense array, SciPy sparse matrix or the solver's ``SparseMatrix``
+    as SciPy CSR."""
+    if isinstance(m, SparseMatrix):
+        return sp.csr_matrix((m.data, (m.row, m.col)), shape=m.shape)
+    return sp.csr_matrix(m)
+
+
+def _sides(s: ComplementaritySet) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Both sides of every pair as sparse rows, ``[x_{c_i} rows; M rows]``,
+    with the values that pin them, ``[0; -q]``."""
+    p = s.num_pairs
+    unit = sp.csr_matrix(
+        (np.ones(p), (np.arange(p), np.array(s.comp, dtype=int))), shape=(p, s.n)
+    )
+    return (
+        sp.vstack([unit, csr(s.m_mat)], format="csr"),
+        np.concatenate([np.zeros(p), -np.asarray(s.q, dtype=float)]),
+    )
+
+
+def selected_polyhedron(s: ComplementaritySet, encoding: tuple[int, ...]) -> ComplementaritySet:
+    """The pair-free set with the side ``encoding`` picks of each pair
+    pinned as an equality and the other side kept as a >= row; a set
+    without pairs is its own piece.
+
+    Its rows are selected from ``_sides``, apart from the shared block of
+    ``PieceRows``: the reference that block is tested against.
+    """
+    p = s.num_pairs
+    if len(encoding) != p:
+        raise EncodingLengthMismatch(f"encoding has {len(encoding)} bits, set has {p} pairs")
+    if p == 0:
+        return s
+    rows, pins = _sides(s)
+    bits = np.asarray(encoding, dtype=int)
+    pinned, other = np.arange(p) + p * bits, np.arange(p) + p * (1 - bits)
+    return ComplementaritySet(
+        a=sp.vstack([csr(s.a), -rows[other]], format="csr"),
+        b=np.concatenate([s.b, -pins[other]]),
+        a_eq=sp.vstack([csr(s.a_eq), rows[pinned]], format="csr"),
+        b_eq=np.concatenate([s.b_eq, pins[pinned]]),
+    )
 
 
 def program(s: ComplementaritySet, objective: np.ndarray) -> LinearProgram:
@@ -68,7 +117,7 @@ def single_point_of(piece: ComplementaritySet) -> np.ndarray | None:
     b = np.asarray(piece.b, float)
     e0 = np.zeros(n)
     e0[0] = 1.0
-    a, eq = sp.csr_matrix(piece.a), sp.csr_matrix(piece.a_eq)
+    a, eq = csr(piece.a), csr(piece.a_eq)
     lp = RangedLp(
         e0,
         sp.vstack([a, eq], format="csr"),
@@ -97,7 +146,7 @@ def single_point_of(piece: ComplementaritySet) -> np.ndarray | None:
 def _zero_pins(piece: ComplementaritySet) -> np.ndarray:
     """Mask of the equality rows that fix one column at 0: one nonzero
     entry and a right-hand side of 0."""
-    eq = sp.csr_matrix(piece.a_eq)
+    eq = csr(piece.a_eq)
     per_row = np.bincount(
         np.repeat(np.arange(eq.shape[0]), np.diff(eq.indptr))[eq.data != 0],
         minlength=eq.shape[0],
@@ -127,7 +176,7 @@ def hull_of(pieces: list[ComplementaritySet], points=None) -> HullFormulation:
     col_map = {}
     top = 0
     for i in fat:
-        pinned = sp.csr_matrix(pieces[i].a_eq)[_zero_pins(pieces[i])].tocoo()
+        pinned = csr(pieces[i].a_eq)[_zero_pins(pieces[i])].tocoo()
         kept = np.ones(n, dtype=bool)
         kept[pinned.col[pinned.data != 0]] = False
         copy_cols[i] = span[kept]
@@ -142,7 +191,7 @@ def hull_of(pieces: list[ComplementaritySet], points=None) -> HullFormulation:
         """Add the rows ``a x^i - rhs delta_i`` from ``row0``; their count.
         A row left with no copy column is dropped when ``implied(rhs)``
         says delta_i >= 0 implies it (a pin row is one)."""
-        block = sp.coo_matrix(a)
+        block = csr(a).tocoo()
         cols_i = col_map[i][block.col]
         keep = (cols_i >= 0) & (block.data != 0)
         rhs = np.asarray(rhs, dtype=float)
@@ -159,7 +208,7 @@ def hull_of(pieces: list[ComplementaritySet], points=None) -> HullFormulation:
         top += copy_rows(ineq, top, i, pieces[i].a, pieces[i].b, lambda r: r >= 0)
     ineq.add(top + np.arange(k), d_off + np.arange(k), -np.ones(k))
     top += k
-    a = ineq.csr((top, x_off + n))
+    a = ineq.matrix((top, x_off + n))
 
     # equalities: A_eq^i x^i - b_eq^i delta_i = 0, the aggregation
     # sum_w x^w + sum_j delta_j v_j - x = 0, and sum_w delta_w = 1
@@ -180,7 +229,7 @@ def hull_of(pieces: list[ComplementaritySet], points=None) -> HullFormulation:
     b_eq[-1] = 1.0
     return HullFormulation(
         a=a,
-        a_eq=eq.csr((top, x_off + n)),
+        a_eq=eq.matrix((top, x_off + n)),
         b_eq=b_eq,
         n=n,
         k=k,
@@ -203,11 +252,11 @@ def strategy_coupling(g: PolyhedralNashGame) -> sp.csr_matrix | None:
         return None
     width = g.strategy_dim + g.n_market
     coupling = sp.vstack(
-        [sp.csr_matrix((p.n, width) if p.coupling is None else p.coupling) for p in g.players],
+        [sp.csr_matrix((p.n, width)) if p.coupling is None else csr(p.coupling) for p in g.players],
         format="csr",
     )
     price = coupling[:, g.strategy_dim :]
-    if g.n_market and (price - sp.csr_matrix(g.clearing).T).count_nonzero():
+    if g.n_market and (price - csr(g.clearing).T).count_nonzero():
         return None
     return coupling[:, : g.strategy_dim]
 
@@ -244,7 +293,7 @@ def planner_lp(g: PolyhedralNashGame, lay: KktLayout) -> RangedLp | None:
     b_eq = [np.asarray(p.b_eq, float) for p in g.players] + [np.zeros(g.n_market)]
     return RangedLp(
         np.concatenate([p.c for p in g.players]),
-        rows.csr((lay.total - n, n)),
+        rows.matrix((lay.total - n, n)),
         np.concatenate([np.full(sum(map(len, b)), -INF)] + b_eq),
         np.concatenate(b + b_eq),
         primal=True,
@@ -257,12 +306,12 @@ def exporting_point(game, export: float = 1.0) -> np.ndarray:
     beside the other leaders' points of an equilibrium that trades less
     than that, the market no longer clears."""
     s = leader_feasible_set(game.leaders[0])
-    clearing = game.clearing.toarray() if sp.issparse(game.clearing) else game.clearing
+    clearing = csr(game.clearing).toarray()
     col = np.flatnonzero(np.asarray(clearing)[0, : s.n])[0]
     row = np.zeros((1, s.n))
     row[0, col] = -1.0
     at_least = dataclasses.replace(
-        s, a=sp.vstack([s.a, row], format="csr"), b=np.append(s.b, -export)
+        s, a=sp.vstack([csr(s.a), row], format="csr"), b=np.append(s.b, -export)
     )
     return optimize_over_set(PieceRows(at_least), -row[0]).point
 
@@ -294,7 +343,7 @@ def single_point_by_coordinates(poly: ComplementaritySet) -> np.ndarray | None:
     n = poly.n
     lp = RangedLp(
         np.zeros(n),
-        sp.vstack([sp.csr_matrix(poly.a), sp.csr_matrix(poly.a_eq)], format="csr"),
+        sp.vstack([csr(poly.a), csr(poly.a_eq)], format="csr"),
         np.concatenate([np.full(poly.a.shape[0], -INF), poly.b_eq]),
         np.concatenate([np.asarray(poly.b, float), poly.b_eq]),
     )
@@ -387,6 +436,15 @@ def random_comp_set(seed: int, max_dim: int = 4, max_pairs: int = 6) -> Compleme
     return ComplementaritySet(
         a=np.vstack(rows), b=np.concatenate(rhs), m_mat=m_mat, q=q, comp=comp
     )
+
+
+def tax_revenue_game():
+    """C3 F2-6 seed 773 with tax revenue under the single and carbon
+    paradigms: leader 2's rows hold entries up to 1e7."""
+    cfg = GenConfig(
+        seed=773, countries=3, followers=(2, 6), tax_revenue=True, paradigms=("single", "carbon")
+    )
+    return build_game(gen_energy(cfg))
 
 
 def symmetric_pair(trade=True, tax_revenue=False, paradigm="standard"):

@@ -66,6 +66,7 @@ from tests.helpers import (
     split_interval_set,
     strategy_coupling,
     symmetric_pair,
+    tax_revenue_game,
 )
 
 
@@ -825,6 +826,27 @@ def _interval_hull() -> HullFormulation:
     return hull_of([mk(0.0, 1.0), mk(2.0, 3.0)])
 
 
+class TestTaxRevenue:
+    """The tax-revenue game, whose leader 2 has rows with entries up to
+    1e7: conflicts read with a tolerance scaled by them pruned pieces of
+    that leader's set, so ``full`` answered NoEquilibrium."""
+
+    @pytest.mark.parametrize("solve", [full_enumeration, inner_approximation])
+    def test_the_solves_return_certified_equilibria(self, solve):
+        game = tax_revenue_game()
+        kwargs = {"strategy": "rseq"} if solve is inner_approximation else {}
+        rep = solve(game, **kwargs)
+        assert rep.status == "MNE"
+        assert deviation_check(game, rep.profile) == [None] * 3
+        assert clearing_residual(game, rep.profile) <= REPORT_TOL
+
+    def test_full_finds_every_piece(self):
+        assert full_enumeration(tax_revenue_game()).pieces_per_leader == (10, 6, 4)
+
+    def test_pure_finds_every_leader_set_nonempty(self):
+        assert all(found > 0 for found in pure_enumeration(tax_revenue_game()).pieces_per_leader)
+
+
 class TestDecomposeMixed:
     def test_singleton_support(self):
         hull = _interval_hull()
@@ -1265,7 +1287,7 @@ class TestPureEnumeration:
         assert s.a.shape[0] == sum(t.a.shape[0] for t in sets) + 1
         assert s.a_eq.shape[0] == sum(t.a_eq.shape[0] for t in sets) + game.n_market
         assert s.comp == sets[0].comp + tuple(sets[0].n + j for j in sets[1].comp)
-        assert np.array_equal(s.a[-1].toarray().ravel(), c) and s.b[-1] == float(c @ x)
+        assert np.array_equal(s.a.toarray()[-1], c) and s.b[-1] == float(c @ x)
         assert contains(s, x, 1e-6)
         for i, t in enumerate(sets):
             block = slice(game.ambient_offset(i), game.ambient_offset(i) + t.n)

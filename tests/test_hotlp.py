@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize._highspy._core as _hc
 import scipy.sparse as sp
 
-from epecnash.hotlp import INF, RangedLp
+from epecnash.hotlp import INF, RangedLp, SparseMatrix
 from epecnash.lp import Deadline, LpStatus, NumericalFailure, TimeLimitReached
 from epecnash.polyhedra import ComplementaritySet, PieceRows, optimize_over_set
 from epecnash.rng import Lcg
@@ -457,3 +457,71 @@ class TestDuals:
         assert lp.solve()[0] is LpStatus.INFEASIBLE
         lp._h = object()  # bindings without getDualRay
         assert lp.dual_ray() is None
+
+
+def _random_sparse(seed: int) -> tuple[sp.csr_matrix, tuple]:
+    """A random SciPy CSR matrix with entries of many magnitudes, and
+    triplets of it in shuffled order with duplicates and zeros added."""
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(1, 40, 2)
+    a = sp.random(m, n, density=rng.uniform(0.05, 0.9), random_state=seed, format="csr")
+    a.data = rng.standard_normal(a.nnz) * 10.0 ** rng.uniform(-6, 6, a.nnz)
+    coo = a.tocoo()
+    # each entry split in two parts (a sum of two is the same in either
+    # order), zeros added, a pair that cancels where a has no entry, all
+    # shuffled
+    part = rng.uniform(-1, 1, a.nnz) * coo.data
+    empty = np.argwhere(a.toarray() == 0)[:1].repeat(2, axis=0)
+    row = np.concatenate([coo.row, coo.row, rng.integers(0, m, 5), empty[:, 0]])
+    col = np.concatenate([coo.col, coo.col, rng.integers(0, n, 5), empty[:, 1]])
+    data = np.concatenate([coo.data - part, part, np.zeros(5), [1.5, -1.5][: len(empty)]])
+    order = rng.permutation(len(row))
+    return a, (row[order], col[order], data[order], (m, n))
+
+
+class TestSparseMatrix:
+    """``SparseMatrix`` against SciPy: the same entries, and products
+    summed in the same order, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_products_match_scipy_bytes(self, seed):
+        a, _ = _random_sparse(seed)
+        ours = SparseMatrix.of(a)
+        rng = np.random.default_rng(100 + seed)
+        x, v = rng.standard_normal(a.shape[1]) * 1e3, rng.standard_normal(a.shape[0])
+        xs = rng.standard_normal((a.shape[1], 3))
+        assert (ours @ x).tobytes() == (a @ x).tobytes()
+        assert (ours.T @ v).tobytes() == (a.T @ v).tobytes()
+        assert (ours @ xs).tobytes() == (a @ xs).tobytes()
+        assert ours.sum(axis=0).tobytes() == np.asarray(a.sum(axis=0)).ravel().tobytes()
+        assert ours.toarray().tobytes() == a.toarray().tobytes()
+        assert (-ours).toarray().tobytes() == (-a).toarray().tobytes()
+        assert ours.nnz == a.nnz and ours.T.shape == a.T.shape
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_build_sums_duplicates_and_drops_zeros_as_scipy_does(self, seed):
+        _, (row, col, data, shape) = _random_sparse(seed)
+        ours = SparseMatrix.build(row, col, data, shape)
+        want = sp.csr_matrix((data, (row, col)), shape=shape)
+        want.eliminate_zeros()
+        want = want.tocoo()
+        for got, expected in zip((ours.row, ours.col, ours.data), (want.row, want.col, want.data)):
+            assert got.tolist() == expected.tolist()
+
+    def test_dense_and_scipy_inputs_give_the_same_matrix(self):
+        dense = np.array([[0.0, -0.0, 2.0], [1.0, 0.0, -3.0]])
+        for m in (SparseMatrix.of(dense), SparseMatrix.of(sp.csr_matrix(dense))):
+            assert (m.row.tolist(), m.col.tolist(), m.data.tolist()) == ([0, 1, 1], [2, 0, 2], [2.0, 1.0, -3.0])
+        empty = SparseMatrix.build([], [], [], (0, 3))
+        assert empty.shape == (0, 3) and empty.nnz == 0 and (empty @ np.ones(3)).shape == (0,)
+
+    def test_a_model_takes_its_rows_from_any_form(self):
+        a, _ = _random_sparse(3)
+        models = [
+            RangedLp(np.ones(a.shape[1]), form, np.full(a.shape[0], -INF), np.ones(a.shape[0]))
+            for form in (a, a.toarray(), SparseMatrix.of(a))
+        ]
+        starts = [np.array(lp._h.getLp().a_matrix_.start_) for lp in models]
+        values = [np.array(lp._h.getLp().a_matrix_.value_) for lp in models]
+        assert all(np.array_equal(s, starts[0]) for s in starts)
+        assert all(v.tobytes() == values[0].tobytes() for v in values)

@@ -3,8 +3,11 @@
 The solver loads SciPy's HiGHS extension straight from its file and
 ``linprog`` only on an oracle solve, so ``import epecnash`` and every
 search leave ``scipy.optimize`` (and the SciPy subpackages its
-``__init__`` pulls in) unloaded.  Each import check runs in a fresh
-interpreter, since this test process has long loaded ``scipy.optimize``.
+``__init__`` pulls in) unloaded.  Its matrices are its own
+``SparseMatrix``, so ``scipy.sparse`` stays unloaded too, while a set
+given as SciPy sparse matrices is still read.  Each import check runs in
+a fresh interpreter, since this test process has long loaded
+``scipy.optimize`` and ``scipy.sparse``.
 """
 
 import json
@@ -13,13 +16,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from epecnash import hotlp
+from epecnash.leadergame import leader_feasible_set
+from epecnash.polyhedra import ComplementaritySet, PieceRows, iter_encodings
+
+from tests.helpers import csr, tax_revenue_game
 
 ROOT = Path(__file__).resolve().parent.parent
-# loaded by scipy.optimize's package __init__; no solve needs any of them
-HEAVY = ("scipy.linalg", "scipy.special", "scipy.spatial", "scipy.fft")
+# scipy.sparse, and what scipy.optimize's package __init__ loads: no solve
+# needs any of them
+HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.special", "scipy.spatial", "scipy.fft")
 
 SOLVES = """
 import json, sys
@@ -96,6 +106,23 @@ def test_searches_never_load_scipy_optimize():
 def test_scipy_optimize_shares_the_solver_extension(order):
     proc = _python("-c", BOTH, order)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("leader", [0, 2])
+def test_scipy_sparse_and_dense_sets_walk_alike(leader):
+    # the set's own SparseMatrix rows, the same rows as SciPy CSR and as
+    # dense arrays: one walk, with the same witness points, in both orders
+    s = leader_feasible_set(tax_revenue_game().leaders[leader])
+    names = ("a", "a_eq", "m_mat")
+    scipy_set = ComplementaritySet(**{**vars(s), **{k: csr(getattr(s, k)) for k in names}})
+    dense_set = ComplementaritySet(**{**vars(s), **{k: getattr(s, k).toarray() for k in names}})
+    assert sp.issparse(scipy_set.m_mat) and isinstance(dense_set.m_mat, np.ndarray)
+    for first in (0, 1):
+        walks = [list(iter_encodings(PieceRows(t), first)) for t in (s, scipy_set, dense_set)]
+        assert len(walks[0]) > 0
+        for walk in walks[1:]:
+            assert [e for e, _ in walk] == [e for e, _ in walks[0]]
+            assert all(x.tobytes() == y.tobytes() for (_, x), (_, y) in zip(walk, walks[0]))
 
 
 def test_a_missing_extension_names_the_scipy_floor(tmp_path):

@@ -242,7 +242,7 @@ class TestKktAssembly:
             for m in ("a", "a_eq", "m_mat"):
                 want, got = getattr(dense_set, m), getattr(csr_set, m)
                 assert got.shape == want.shape
-                for part in ("indptr", "indices", "data"):
+                for part in ("row", "col", "data"):
                     assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 

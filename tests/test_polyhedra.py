@@ -18,7 +18,7 @@ from epecnash.generators import (
     random_trivial_game,
     split_interval_game,
 )
-from epecnash.hotlp import RangedLp
+from epecnash.hotlp import RangedLp, SparseMatrix
 from epecnash.leadergame import leader_feasible_set
 from epecnash.lp import LinearProgram, LpStatus, solve_lp
 from epecnash.nashgame import kkt_system
@@ -27,35 +27,37 @@ from epecnash.polyhedra import (
     ComplementaritySet,
     Deadline,
     EmptyPieceList,
-    EncodingLengthMismatch,
     PieceRows,
     TimeLimitReached,
     TooManyComplementarities,
     Triplets,
-    _sides,
     balas_hull,
     contains,
     enumerate_pieces,
     is_feasible,
     iter_encodings,
     optimize_over_set,
-    selected_polyhedron,
 )
 from epecnash.rng import Lcg
 from epecnash.tolerances import ENUM_CAP
 
 from tests.helpers import (
+    EncodingLengthMismatch,
+    _sides,
     box_set,
+    csr,
     hull_of,
     interval_of,
     pieces_of,
     planner_lp,
     random_comp_set,
     scalar_set,
+    selected_polyhedron,
     single_point_by_coordinates,
     program,
     single_point_of,
     split_interval_set,
+    tax_revenue_game,
 )
 
 
@@ -95,6 +97,10 @@ class TestSelectedPolyhedron:
 
 
 def _same_bytes(x, y) -> bool:
+    if isinstance(x, SparseMatrix):
+        return type(y) is SparseMatrix and x.shape == y.shape and all(
+            _same_bytes(getattr(x, name), getattr(y, name)) for name in ("row", "col", "data")
+        )
     if not hasattr(x, "indptr"):
         return type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
     return (
@@ -166,7 +172,7 @@ def _pin_block(s):
     """``PieceRows.block`` built from the oracle's sparse side rows: every
     0 side, then every 1 side."""
     sides, pins = _sides(s)
-    dense = [m.toarray() if sp.issparse(m) else np.asarray(m, float) for m in (s.a, s.a_eq)]
+    dense = [m.toarray() if hasattr(m, "toarray") else np.asarray(m, float) for m in (s.a, s.a_eq)]
     return np.vstack(dense + [sides.toarray()]), np.concatenate([np.asarray(s.b, float), s.b_eq, pins])
 
 
@@ -304,6 +310,7 @@ class TestEnumeration:
                 m.setattr(RangedLp, "dual_ray", lambda self: None)
                 got, lps, nodes = _counted_walk(monkeypatch, s)
                 m.setattr(PieceRows, "holds", lambda self, pair, bit, x: False)
+                m.setattr(PieceRows, "zero_sides", lambda self, x: np.zeros(len(self.comp), bool))
                 want, every, also_nodes = _counted_walk(monkeypatch, s)
             assert got == want
             assert every == nodes == also_nodes and lps < every
@@ -351,13 +358,13 @@ class TestEnumeration:
         s = _energy_sets(0, 2, 4)[0]
         exact, lps, nodes = _counted_walk(monkeypatch, s)
         assert lps < nodes
-        witness = PieceRows.witness
+        witness = PieceRows.witness_pins
 
-        def nudged(rows, prefix):
-            feasible, x = witness(rows, prefix)
+        def nudged(rows, pins):
+            feasible, x = witness(rows, pins)
             return feasible, None if x is None else np.where(x == 0.0, 1e-12, x * (1 + 1e-12))
 
-        monkeypatch.setattr(PieceRows, "witness", nudged)
+        monkeypatch.setattr(PieceRows, "witness_pins", nudged)
         got, lps, nodes = _counted_walk(monkeypatch, s)
         assert got == exact
         assert lps == nodes
@@ -397,6 +404,26 @@ class TestConflicts:
         sets = [random_comp_set(9000 + seed) for seed in range(30)] + _subset_sum_sets()
         with_rays, without = self._assert_rays_change_no_piece(monkeypatch, sets)
         assert with_rays < without
+
+    def test_large_entries_leave_the_reduced_costs_exact(self, monkeypatch):
+        # leader 2 of the tax-revenue game: a reduced-cost tolerance scaled
+        # by its largest entry, 1e7, read reduced costs up to 1e-2 as 0, and
+        # the conflicts so read emptied the lexicographic walk.  Both orders
+        # yield the walk without rays, whose pieces are the four that one LP
+        # per encoding finds among all 4 096
+        s = leader_feasible_set(tax_revenue_game().leaders[2])
+        want = [
+            (1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0),
+            (1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0),
+            (1, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0),
+            (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0),
+        ]
+        assert all(is_feasible(selected_polyhedron(s, e)) for e in want)
+        with monkeypatch.context() as m:
+            m.setattr(RangedLp, "dual_ray", lambda self: None)
+            assert _encodings(PieceRows(s)) == want
+        assert _encodings(PieceRows(s)) == want
+        assert [e for e, _ in iter_encodings(PieceRows(s), 1)] == want[::-1]
 
     def test_the_pins_of_each_conflict_alone_empty_the_relaxation(self, monkeypatch):
         learned = []
@@ -471,7 +498,7 @@ class TestTriplets:
         the direct route is checked against."""
         if 0 in block.shape:
             return
-        coo = sp.coo_matrix(block)
+        coo = csr(block).tocoo()
         out.add(coo.row + row0, coo.col + col0, coo.data)
 
     @staticmethod
